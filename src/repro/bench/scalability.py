@@ -550,7 +550,14 @@ class _ClusterServiceApplication(Application):
                 self.ledger.record(key)
                 return page
 
-            self.services.cache.get_or_load(key, _render, ttl_s=3600.0)
+            cache = self.services.cache
+            if cache.get(key) is None:
+                # The request path's fill: single-flight, double-checked.
+                cache.load_or_join(
+                    key,
+                    lambda: cache.peek(key)
+                    or cache.put(key, _render(), ttl_s=3600.0),
+                )
         if self.lightweight_service_s > 0:
             time.sleep(self.lightweight_service_s)
         return Response.text("ok")

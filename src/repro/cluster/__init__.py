@@ -2,8 +2,8 @@
 
 See docs/CLUSTER.md for the operational story (sharding key, spill-over
 rules, invalidation bus, fleet metrics) and docs/REGIONS.md for the
-tier stack (:mod:`repro.cluster.tiers`, :mod:`repro.cluster
-.snapshotstore`) the multi-region deployment builds on.
+disk tier (:mod:`repro.cluster.snapshotstore`) the multi-region
+deployment builds on.
 """
 
 from repro.cluster.deployment import ClusterDeployment
@@ -18,30 +18,18 @@ from repro.cluster.sharedcache import (
     InProcessSharedCache,
     InvalidationBus,
     InvalidationEvent,
-    SharedCacheBackend,
-    SharedPrerenderCache,
 )
 from repro.cluster.snapshotstore import SnapshotStore
-from repro.cluster.tiers import (
-    HotMemoCache,
-    TieredPrerenderCache,
-    TieredSharedCache,
-)
 from repro.cluster.worker import ClusterWorker
 
 __all__ = [
     "ClusterDeployment",
     "ClusterWorker",
-    "HotMemoCache",
     "InProcessSharedCache",
     "InvalidationBus",
     "InvalidationEvent",
-    "SharedCacheBackend",
-    "SharedPrerenderCache",
     "ShardRouter",
     "SnapshotStore",
-    "TieredPrerenderCache",
-    "TieredSharedCache",
     "fleet_rollup",
     "merge_unique",
     "request_shard_key",

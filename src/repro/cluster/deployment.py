@@ -4,8 +4,9 @@
 :class:`ConcurrentProxy <repro.runtime.executor.ConcurrentProxy>`: N
 workers, each a full proxy (own thread pool, own metrics registry, own
 breakers), sharing the fleet-wide state that makes m.Site's economics
-hold at fleet scale — one :class:`SharedPrerenderCache` (render once
-*per fleet*, not per worker), one file store, one session universe.
+hold at fleet scale — one :class:`PrerenderCache
+<repro.core.cache.PrerenderCache>` (render once *per fleet*, not per
+worker), one file store, one session universe.
 
 Routing: the front end derives ``site:path:device`` from each request,
 asks the :class:`ShardRouter` for the owning worker, and **spills over**
@@ -33,7 +34,6 @@ from repro.cluster.sharedcache import (
     REFRESH,
     InProcessSharedCache,
     InvalidationEvent,
-    SharedCacheBackend,
 )
 from repro.cluster.worker import ClusterWorker
 from repro.core.pipeline import ProxyServices
@@ -77,7 +77,7 @@ class ClusterDeployment(Application):
         clock: Any = None,
         proxy_base: str = "proxy.php",
         site: Optional[str] = None,
-        shared_cache: Optional[SharedCacheBackend] = None,
+        shared_cache: Optional[InProcessSharedCache] = None,
         make_app: Optional[Callable[[ProxyServices], Application]] = None,
         key_fn: Optional[Callable[[Request], str]] = None,
         farm_consumers: int = 0,
@@ -452,6 +452,7 @@ class ClusterDeployment(Application):
                 }
                 for worker in self.workers
             },
+            "shared_cache": self.shared_cache.status(),
         }
         if self.renderfarm is not None:
             status["renderfarm"] = self.renderfarm.status()

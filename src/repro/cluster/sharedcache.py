@@ -8,57 +8,45 @@ one per key no matter which worker fields the cold request.
 
 Two pieces live here:
 
-* :class:`SharedPrerenderCache` — a :class:`PrerenderCache` that
-  announces every invalidation (explicit, ``clear``, or TTL expiry) on
-  an :class:`InvalidationBus`, so workers holding derived state (the
-  per-session adapted-page memo in :class:`MSiteProxy
-  <repro.core.proxy.MSiteProxy>`) can drop it fleet-wide.  Events are
-  always published *after* the cache lock is released; a subscriber may
-  freely call back into the cache or take its own locks.
-* :class:`InProcessSharedCache` — the :class:`SharedCacheBackend`
-  implementation for a single-process fleet: every ``attach`` returns
-  the same cache object.  A network-backed implementation would return
-  a per-worker client speaking to the same store; the protocol is what
-  the cluster deployment codes against.
+* :class:`InvalidationBus` — the fan-out the shared cache announces
+  every invalidation (explicit, ``clear``, or TTL expiry) on, so workers
+  holding derived state (the per-session adapted-page memo in
+  :class:`MSiteProxy <repro.core.proxy.MSiteProxy>`) can drop it
+  fleet-wide.  The cache publishes only *after* its locks are released;
+  a subscriber may freely call back into the cache or take its own
+  locks.
+* :class:`InProcessSharedCache` — the fleet's cache backend: the bus
+  plus one :class:`PrerenderCache` every worker attaches to.  Given a
+  ``root`` directory the cache gains a disk tier (a
+  :class:`SnapshotStore`) below memory, so a full fleet restart
+  warm-starts from disk instead of stampeding the origin.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol, runtime_checkable
+from typing import Callable, Optional
 
-from repro.core.cache import CacheEntry, PrerenderCache
+from repro.cluster.snapshotstore import SnapshotStore
+from repro.core.cache import (  # noqa: F401  (the event vocabulary)
+    CLEAR,
+    EXPIRE,
+    INVALIDATE,
+    CacheEntry,
+    InvalidationEvent,
+    PrerenderCache,
+)
 from repro.observability.metrics import MetricsRegistry
 
-#: Event kinds carried by the bus.
-REFRESH = "refresh"  # a client sent ?refresh=1 somewhere in the fleet
-INVALIDATE = "invalidate"  # an explicit single-key invalidation
-EXPIRE = "expire"  # a TTL lapsed and the entry was retired
-CLEAR = "clear"  # the whole cache was dropped
+#: A client sent ?refresh=1 somewhere in the fleet (published by the
+#: cluster front end, not by the cache).
+REFRESH = "refresh"
 
 #: Kinds that should make workers forget derived (memoized) state.
 #: TTL expiry deliberately does not: a single proxy keeps serving its
 #: session memo past snapshot expiry, and the cluster must byte-match
 #: single-proxy output.
 DERIVED_STATE_KINDS = frozenset({REFRESH, INVALIDATE, CLEAR})
-
-
-@dataclass(frozen=True)
-class InvalidationEvent:
-    """One fleet-wide cache invalidation announcement.
-
-    ``replayed`` marks events re-delivered from the multi-region CDC
-    :class:`InvalidationLog <repro.regions.cdclog.InvalidationLog>`
-    during catch-up.  The regional pump appends only original events to
-    the log and ignores replayed ones, so a heal never re-appends (and
-    re-replays) its own catch-up traffic.
-    """
-
-    kind: str
-    key: Optional[str] = None  # None = the whole cache (``clear``)
-    replayed: bool = False
 
 
 class InvalidationBus:
@@ -122,129 +110,74 @@ class InvalidationBus:
         return int(counter.value) if counter is not None else 0
 
 
-class SharedPrerenderCache(PrerenderCache):
-    """A :class:`PrerenderCache` that announces invalidations on a bus.
-
-    TTL expiries are detected inside lock-holding paths (:meth:`get`,
-    :meth:`load_stale` via ``_retire``), so they are queued under the
-    lock and flushed onto the bus once it is released — subscribers
-    never run with the cache lock held.
-    """
-
-    def __init__(self, bus: InvalidationBus, **kwargs) -> None:
-        self._bus = bus
-        # _retire runs under the cache lock; queue events for a
-        # post-release flush instead of publishing in place.
-        self._pending_events: deque[InvalidationEvent] = deque()
-        super().__init__(**kwargs)
-
-    @property
-    def bus(self) -> InvalidationBus:
-        return self._bus
-
-    # -- expiry propagation ---------------------------------------------
-
-    def _retire(self, key: str) -> None:
-        had_entry = key in self._entries
-        super()._retire(key)
-        if had_entry:
-            self._pending_events.append(InvalidationEvent(EXPIRE, key))
-
-    def _flush_events(self) -> None:
-        while True:
-            try:
-                event = self._pending_events.popleft()
-            except IndexError:
-                return
-            self._bus.publish(event)
-
-    def get(self, key: str) -> Optional[CacheEntry]:
-        entry = super().get(key)
-        self._flush_events()
-        return entry
-
-    def load_stale(
-        self, key: str, max_stale_s: Optional[float] = None
-    ) -> Optional[CacheEntry]:
-        entry = super().load_stale(key, max_stale_s=max_stale_s)
-        self._flush_events()
-        return entry
-
-    # -- explicit invalidation ------------------------------------------
-
-    def invalidate(self, key: str) -> bool:
-        removed = super().invalidate(key)
-        if removed:
-            self._bus.publish(InvalidationEvent(INVALIDATE, key))
-        return removed
-
-    def clear(self) -> None:
-        super().clear()
-        self._bus.publish(InvalidationEvent(CLEAR))
-
-
-@runtime_checkable
-class SharedCacheBackend(Protocol):
-    """What the cluster deployment needs from a shared cache.
-
-    ``attach`` hands a worker its view of the fleet cache — for the
-    in-process backend that is literally the one shared object; a remote
-    backend would return a client bound to the same store.  Single-flight
-    semantics must hold across every attached view: a load started
-    through worker A's view is joined, not repeated, through worker B's.
-    """
-
-    @property
-    def bus(self) -> InvalidationBus: ...
-
-    def attach(self, worker_id: str) -> PrerenderCache: ...
-
-    def invalidate(self, key: str) -> bool: ...
-
-    def clear(self) -> None: ...
-
-
-@dataclass
 class InProcessSharedCache:
-    """:class:`SharedCacheBackend` for a one-process fleet.
+    """The cache backend of a one-process fleet.
 
-    Owns the bus and one :class:`SharedPrerenderCache`; every worker
-    attaches to the same object, so single-flight collapsing and the
-    byte budget are fleet-global for free.
+    Owns the bus and one :class:`PrerenderCache`; every worker attaches
+    to the same object, so single-flight collapsing and the byte budget
+    are fleet-global for free.  ``root`` adds the disk tier (``name``
+    labels its metrics — a region's name); with ``preload`` the memory
+    tier warm-starts from whatever a previous process left there.
     """
 
-    clock: Optional[object] = None
-    max_bytes: int = 64 * 1024 * 1024
-    metrics: Optional[MetricsRegistry] = None
-    _attached: list[str] = field(default_factory=list, init=False)
-
-    def __post_init__(self) -> None:
-        self._bus = InvalidationBus(metrics=self.metrics)
-        self._cache = SharedPrerenderCache(
-            self._bus,
-            clock=self.clock,
-            max_bytes=self.max_bytes,
+    def __init__(
+        self,
+        clock=None,
+        max_bytes: int = 64 * 1024 * 1024,
+        metrics: Optional[MetricsRegistry] = None,
+        root: Optional[str] = None,
+        name: Optional[str] = None,
+        preload: bool = True,
+    ) -> None:
+        self.metrics = metrics or MetricsRegistry()
+        self.bus = InvalidationBus(metrics=self.metrics)
+        self.store: Optional[SnapshotStore] = None
+        if root is not None:
+            self.store = SnapshotStore(
+                root, clock=clock, metrics=self.metrics, name=name
+            )
+        self.cache = PrerenderCache(
+            clock=clock,
+            max_bytes=max_bytes,
             metrics=self.metrics,
+            bus=self.bus,
+            store=self.store,
         )
+        self.preloaded = self.cache.preload() if preload else 0
+        self.attached_workers: list[str] = []
 
     @property
-    def bus(self) -> InvalidationBus:
-        return self._bus
+    def on_persist(self) -> Optional[Callable[[CacheEntry], None]]:
+        return self.cache.on_persist
 
-    @property
-    def cache(self) -> SharedPrerenderCache:
-        return self._cache
-
-    @property
-    def attached_workers(self) -> tuple[str, ...]:
-        return tuple(self._attached)
+    @on_persist.setter
+    def on_persist(self, callback) -> None:
+        self.cache.on_persist = callback
 
     def attach(self, worker_id: str) -> PrerenderCache:
-        self._attached.append(worker_id)
-        return self._cache
+        self.attached_workers.append(worker_id)
+        return self.cache
 
     def invalidate(self, key: str) -> bool:
-        return self._cache.invalidate(key)
+        return self.cache.invalidate(key)
 
     def clear(self) -> None:
-        self._cache.clear()
+        self.cache.clear()
+
+    def flush(self) -> int:
+        return self.cache.flush()
+
+    def close(self) -> None:
+        self.cache.close()
+
+    def status(self) -> dict:
+        """The ``/cluster`` and ``/regions`` row for this cache."""
+        status = {
+            "tiers": [tier.tier_name for tier in self.cache.tiers],
+            "attached_workers": list(self.attached_workers),
+            "entries": len(self.cache),
+            "preloaded": self.preloaded,
+        }
+        if self.store is not None:
+            status["store"] = self.store.status()
+        return status

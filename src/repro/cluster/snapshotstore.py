@@ -3,8 +3,7 @@ any single process.
 
 m.Site's economics only hold while a snapshot survives long enough to
 amortize its render cost, yet until this tier existed every cached
-artifact lived in one in-process :class:`SharedPrerenderCache
-<repro.cluster.sharedcache.SharedPrerenderCache>` — a fleet restart
+artifact lived only in the in-process memory tier — a fleet restart
 silently dropped the entire working set and stampeded the origin.
 DRIVESHAFT (PAPERS.md) is the precedent: its CDN-resident snapshots
 outlive the renderer that produced them.  :class:`SnapshotStore` is the
@@ -21,9 +20,11 @@ same durability property at proxy scale:
   into ``quarantine/`` and reads as a clean miss; disk rot degrades one
   key, never the store.
 
-The store knows nothing about tiers or read-through policy — that is
-:mod:`repro.cluster.tiers` — it is the durable bottom layer the tier
-stack and the cross-region replicator both write.
+The store knows nothing about read-through or write-behind policy —
+that is :class:`PrerenderCache <repro.core.cache.PrerenderCache>`, which
+owns it as its disk :class:`Tier <repro.core.cache.Tier>` — it is the
+durable bottom layer the cache and the cross-region replicator both
+write.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ class SnapshotStore:
     atomic-replace discipline means readers racing a writer see either
     the old version or the new one, never a hybrid.
     """
+
+    tier_name = "disk"
 
     def __init__(
         self,

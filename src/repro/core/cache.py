@@ -1,29 +1,54 @@
-"""The shared pre-render cache.
+"""The shared pre-render cache: one class over an ordered list of tiers.
 
 "Certain areas of a site may be defined as cachable across sessions,
 amortizing the initial pre-rendering cost across many users. ... a cached
 snapshot of the main page of a site can be set to expire after an hour."
 (§3.3)
 
-The cache is safe to share across request-handling threads.  All
-bookkeeping happens under one internal lock, and misses can be collapsed
-with **single-flight** semantics (:meth:`PrerenderCache.load_or_join`):
-when many concurrent requests miss on the same key, exactly one of them
-runs the expensive loader (a browser render, an origin fetch) while the
-rest block and share its result.  This is the proxy-side analog of the
-request-collapsing DRIVESHAFT applies to CDN-scale snapshotting —
-amortization only works if a stampede of cold misses costs one render,
-not N.  Suppressed stampedes are counted in :class:`CacheStats`.
+:class:`PrerenderCache` *owns* its tiers instead of being subclassed: a
+:class:`MemoryTier` (fresh + stale maps under byte budgets) always, and —
+when a store is given — a durable tier below it (the cluster's
+:class:`SnapshotStore <repro.cluster.snapshotstore.SnapshotStore>`), so
+snapshots outlive the process that rendered them (DRIVESHAFT,
+PAPERS.md).  Both sit behind the small :class:`Tier` protocol; freshness
+is always read from the :class:`CacheEntry`, never from the tier that
+held it.  Everything else exists exactly once, here:
+
+* **single-flight** (:meth:`PrerenderCache.load_or_join`) — a stampede
+  of cold misses on one key runs one loader; a store of the flight's
+  own key by its leader after a mid-flight invalidation is served to
+  the waiters but not kept;
+* **stale grace** — expired entries retire to the stale map so the
+  degradation ladder can still serve them (:meth:`load_stale`);
+* **read-through** — ``get`` is one walk down the tier list, promoting
+  what a lower tier answers into memory;
+* **write-behind** — stores persist to the lower tiers from a bounded
+  dirty queue on a flush thread; a full (or closed) queue degrades to
+  write-through, never to a dropped write;
+* **invalidation** — ``invalidate``/``clear``/``invalidate_matching``
+  are one walk that deletes from every tier, then announces on the bus.
+
+Lock order, stated once: ``_store_lock`` (lower-tier writes, deletes and
+promotions — so the flusher can never resurrect what an invalidation
+just removed) → ``_lock`` (memory tier + flight table).  Neither is held
+while a loader runs, and bus events are published only after both are
+released: subscribers (workers dropping memos, the regional CDC pump
+taking *peer* store locks) may freely call back into the cache.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Protocol
 
-from repro.errors import DegradedServeError
 from repro.observability.metrics import MetricsRegistry
+
+#: Event kinds the cache itself announces on its bus.
+INVALIDATE = "invalidate"  # an explicit single-key invalidation
+EXPIRE = "expire"  # a TTL lapsed and the entry was retired
+CLEAR = "clear"  # the whole cache was dropped
 
 
 @dataclass
@@ -46,6 +71,22 @@ class CacheEntry:
     @property
     def size(self) -> int:
         return len(self.data)
+
+
+@dataclass(frozen=True)
+class InvalidationEvent:
+    """One fleet-wide cache invalidation announcement.
+
+    ``replayed`` marks events re-delivered from the multi-region CDC
+    :class:`InvalidationLog <repro.regions.cdclog.InvalidationLog>`
+    during catch-up.  The regional pump appends only original events to
+    the log and ignores replayed ones, so a heal never re-appends (and
+    re-replays) its own catch-up traffic.
+    """
+
+    kind: str
+    key: Optional[str] = None  # None = the whole cache (``clear``)
+    replayed: bool = False
 
 
 class CacheStats:
@@ -129,23 +170,114 @@ class CacheStats:
         return f"CacheStats({body})"
 
 
+class Tier(Protocol):
+    """One storage level of the cache.
+
+    A tier only stores and returns entries — it never judges freshness
+    (that is read from the entry) and knows nothing of read-through or
+    write-behind policy.  The protocol hides the storage format: dicts
+    in :class:`MemoryTier`, checksummed files in the snapshot store.
+    """
+
+    tier_name: str
+
+    def get(self, key: str) -> Optional[CacheEntry]: ...
+
+    def put(self, entry: CacheEntry) -> None: ...
+
+    def delete(self, key: str) -> bool: ...
+
+    def keys(self) -> list[str]: ...
+
+
+class _BudgetedMap:
+    """Entries by key under a byte budget, with a running byte total so
+    ``add`` and the total are O(1) while the budget holds."""
+
+    def __init__(self, max_bytes: int, evicted: Callable[[], None]) -> None:
+        self.max_bytes = max_bytes
+        self.evicted = evicted
+        self.entries: dict[str, CacheEntry] = {}
+        self.bytes = 0
+
+    def add(self, entry: CacheEntry) -> None:
+        """Insert (an overwrite keeps its place in insertion order), then
+        evict oldest-first while over budget, reporting each eviction."""
+        previous = self.entries.get(entry.key)
+        if previous is not None:
+            self.bytes -= previous.size
+        self.entries[entry.key] = entry
+        self.bytes += entry.size
+        while self.bytes > self.max_bytes and self.entries:
+            oldest = min(self.entries.values(), key=lambda e: e.stored_at)
+            self.pop(oldest.key)
+            self.evicted()
+
+    def pop(self, key: str) -> Optional[CacheEntry]:
+        entry = self.entries.pop(key, None)
+        if entry is not None:
+            self.bytes -= entry.size
+        return entry
+
+
+class MemoryTier:
+    """Tier 0: the live map plus the stale map expired entries retire
+    to, each under its own byte budget.  Not thread-safe on its own —
+    the owning cache's lock guards it."""
+
+    tier_name = "memory"
+
+    def __init__(
+        self,
+        max_bytes: int,
+        stale_max_bytes: int,
+        record: Callable[[str], None],
+    ) -> None:
+        self.fresh = _BudgetedMap(max_bytes, lambda: record("evictions"))
+        self.stale = _BudgetedMap(
+            stale_max_bytes, lambda: record("stale_evictions")
+        )
+
+    def get(self, key: str) -> Optional[CacheEntry]:
+        return self.fresh.entries.get(key) or self.stale.entries.get(key)
+
+    def put(self, entry: CacheEntry) -> None:
+        """Store as the live entry, superseding any stale copy."""
+        self.stale.pop(entry.key)
+        self.fresh.add(entry)
+
+    def delete(self, key: str) -> bool:
+        live = self.fresh.pop(key)
+        retired = self.stale.pop(key)
+        return live is not None or retired is not None
+
+    def keys(self) -> list[str]:
+        return [*self.fresh.entries, *self.stale.entries]
+
+
 class _Flight:
     """One in-progress loader execution that concurrent misses join."""
 
-    __slots__ = ("done", "result", "error", "owner")
+    __slots__ = ("done", "result", "error", "owner", "invalidated")
 
     def __init__(self, owner: int) -> None:
         self.done = threading.Event()
         self.result: object = None
         self.error: Optional[BaseException] = None
         self.owner = owner  # thread id of the leader, for reentrancy
+        # Set when the key is invalidated while the loader runs: the
+        # leader's store must then not resurrect the entry.
+        self.invalidated = False
 
 
 class PrerenderCache:
     """TTL cache for rendered snapshots and adapted fragments.
 
-    Thread-safe; the internal lock is never held while a single-flight
-    loader runs, so loaders may freely call back into the cache.
+    Thread-safe; see the module docstring for the lock order.  ``bus``
+    (anything with ``publish(InvalidationEvent)``) hears every
+    invalidation, ``clear`` and TTL expiry; ``store`` adds a durable
+    tier below memory and starts the write-behind flusher, whose dirty
+    queue holds at most ``dirty_limit`` entries.
     """
 
     def __init__(
@@ -155,164 +287,140 @@ class PrerenderCache:
         metrics: Optional[MetricsRegistry] = None,
         stale_grace_s: float = 24 * 3600.0,
         stale_max_bytes: int = 16 * 1024 * 1024,
+        bus=None,
+        store: Optional[Tier] = None,
+        dirty_limit: int = 256,
     ) -> None:
         self.clock = clock
-        self.max_bytes = max_bytes
         self.stale_grace_s = stale_grace_s
-        self.stale_max_bytes = stale_max_bytes
-        self._entries: dict[str, CacheEntry] = {}
-        # Expired entries retired here (instead of vanishing) so the
-        # degradation ladder can serve a stale snapshot when the fresh
-        # path fails.  Bounded separately; never served as fresh.
-        self._stale: dict[str, CacheEntry] = {}
+        self.bus = bus
+        self.dirty_limit = dirty_limit
+        #: Called with each entry after it reaches the lower tiers
+        #: (cross-region replication hangs off it).
+        self.on_persist: Optional[Callable[[CacheEntry], None]] = None
+        registry = metrics or MetricsRegistry()
+        self.stats = CacheStats(registry=registry)
+        self._memory = MemoryTier(
+            max_bytes, stale_max_bytes, self.stats.record
+        )
+        self._lower: list[Tier] = [] if store is None else [store]
+        self.tiers = [self._memory, *self._lower]
         self._flights: dict[str, _Flight] = {}
-        # Per-key invalidation counters, kept only while a flight is in
-        # progress: an invalidation that lands between a single-flight
-        # load starting and its result being stored must win — the
-        # loader's result is served to its waiters but never stored, so
-        # the invalidated entry is not resurrected.  Entries are dropped
-        # when their flight completes, so the dict stays bounded by the
-        # number of concurrent flights.
-        self._flight_invalidations: dict[str, int] = {}
-        self._lock = threading.RLock()
-        self.stats = CacheStats(registry=metrics)
+        self._lock = threading.Lock()
+        self._store_lock = threading.Lock()
+        self._dirty: deque[CacheEntry] = deque()
+        self._dirty_cond = threading.Condition()
+        self._flush_lock = threading.Lock()
+        self._closed = False
+        self._flusher: Optional[threading.Thread] = None
+        if self._lower:
+            self._start_write_behind(registry)
+        self._tier_hits = {
+            tier.tier_name: registry.counter(
+                "msite_cache_tier_hits_total",
+                "Cache hits by the tier that answered (a lower tier's "
+                "answer is promoted into memory).",
+                labels={"tier": tier.tier_name},
+            )
+            for tier in self.tiers
+        }
 
     def bind_metrics(self, registry: MetricsRegistry) -> None:
         """Expose this cache's counters through a shared registry."""
         self.stats.bind(registry)
+        for counter in self._tier_hits.values():
+            registry.register(counter)
 
     @property
     def _now(self) -> float:
         return self.clock.now if self.clock is not None else 0.0
 
-    def get(self, key: str) -> Optional[CacheEntry]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.stats.record("misses")
-                return None
-            if not entry.fresh(self._now):
-                self._retire(key)
-                self.stats.record("expirations")
-                self.stats.record("misses")
-                return None
-            entry.hits += 1
-            self.stats.record("hits")
-            return entry
+    # ------------------------------------------------------------------
+    # lookups: one walk down the tier list
 
-    def _retire(self, key: str) -> None:
-        """Move an expired entry to the stale store (caller holds the
-        lock).  Entries with no positive TTL were never servable and are
-        dropped outright."""
-        entry = self._entries.pop(key, None)
+    def get(self, key: str) -> Optional[CacheEntry]:
+        """The fresh entry for ``key``, or ``None`` — one walk down the
+        tier list, counted as a hit (against the tier that answered) or
+        a miss.  An entry found expired is retired to the stale map and
+        its expiry announced."""
+        source = self._read_through(key) or self._memory
+        with self._lock:
+            entry = self._memory.fresh.entries.get(key)
+            expired = entry is not None and not entry.fresh(self._now)
+            if expired:
+                self._retire(entry)
+                entry = None
+            elif entry is not None:
+                entry.hits += 1
+        if expired:
+            self.stats.record("expirations")
+            self._announce(EXPIRE, key)
         if entry is None:
-            return
-        if entry.ttl_s > 0 and self._stale_age(entry) <= self.stale_grace_s:
-            self._stale[key] = entry
-            self._evict_stale_if_needed()
+            self.stats.record("misses")
+        else:
+            self.stats.record("hits")
+            self._tier_hits[source.tier_name].inc()
+        return entry
+
+    def peek(self, key: str) -> Optional[CacheEntry]:
+        """Memory-tier lookup without touching hit/miss statistics or
+        entry hit counts.  Single-flight loaders use this for their
+        double-check so a collapsed stampede is not double-counted as
+        misses."""
+        with self._lock:
+            entry = self._memory.fresh.entries.get(key)
+        if entry is None or not entry.fresh(self._now):
+            return None
+        return entry
+
+    def _read_through(self, key: str) -> Optional[Tier]:
+        """When memory has no opinion on ``key``, admit it from the
+        first lower tier that holds it: live when fresh, stale-parked
+        when expired within grace.  Returns that tier, or ``None`` when
+        nothing was admitted.  ``_store_lock`` keeps an invalidation
+        from landing between the read and the admission."""
+        if not self._lower:
+            return None
+        with self._lock:
+            if self._memory.get(key) is not None:
+                return None
+        with self._store_lock:
+            for tier in self._lower:
+                stored = tier.get(key)
+                if stored is None:
+                    continue
+                with self._lock:
+                    if self._memory.get(key) is not None:
+                        return None
+                    if stored.fresh(self._now):
+                        self._memory.put(stored)
+                        return tier
+                    return tier if self._park(stored) else None
+        return None
+
+    def _park(self, entry: CacheEntry) -> bool:
+        """Keep an expired entry for the degradation ladder (caller holds
+        the lock).  Entries with no positive TTL were never servable,
+        and ones beyond the grace window no longer are: both drop."""
+        if entry.ttl_s <= 0 or self._stale_age(entry) > self.stale_grace_s:
+            return False
+        self._memory.stale.add(entry)
+        return True
+
+    def _retire(self, entry: CacheEntry) -> None:
+        """Move an expired live entry to the stale map (caller holds the
+        lock, and announces the expiry once it is released)."""
+        self._memory.fresh.pop(entry.key)
+        self._park(entry)
 
     def _stale_age(self, entry: CacheEntry) -> float:
         """Seconds past the entry's expiry instant (negative = fresh)."""
         return self._now - (entry.stored_at + entry.ttl_s)
 
-    def peek(self, key: str) -> Optional[CacheEntry]:
-        """Lookup without touching hit/miss statistics or entry hit
-        counts.  Single-flight loaders use this for their double-check so
-        a collapsed stampede is not double-counted as misses."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or not entry.fresh(self._now):
-                return None
-            return entry
-
-    def put(
-        self,
-        key: str,
-        data: bytes | str,
-        content_type: str = "application/octet-stream",
-        ttl_s: float = 3600.0,
-    ) -> CacheEntry:
-        if isinstance(data, str):
-            data = data.encode("utf-8")
-        with self._lock:
-            entry = CacheEntry(
-                key=key,
-                data=data,
-                content_type=content_type,
-                stored_at=self._now,
-                ttl_s=ttl_s,
-            )
-            self._entries[key] = entry
-            self._stale.pop(key, None)  # a fresh store supersedes stale
-            self.stats.record("stores")
-            self._evict_if_needed()
-            return entry
-
-    def invalidate(self, key: str) -> bool:
-        with self._lock:
-            self._mark_flight_invalidated(key)
-            self._stale.pop(key, None)
-            return self._entries.pop(key, None) is not None
-
-    def clear(self) -> None:
-        with self._lock:
-            for key in self._flights:
-                self._mark_flight_invalidated(key)
-            self._entries.clear()
-            self._stale.clear()
-
-    def invalidate_matching(self, predicate: Callable[[str], bool]) -> int:
-        """Drop every fresh and stale entry whose key satisfies
-        ``predicate``; returns the number of distinct keys removed.
-
-        Unlike :meth:`invalidate` on the shared subclass, this is a
-        *silent* reconciliation primitive (no per-key bus events): the
-        CDC replay path uses it to purge a region's derived state for a
-        whole site, announcing the purge once itself.  In-progress
-        flights on matching keys are marked invalidated so their results
-        are served but not stored.
-        """
-        with self._lock:
-            doomed = {k for k in self._entries if predicate(k)}
-            retired = {k for k in self._stale if predicate(k)}
-            for key in doomed:
-                del self._entries[key]
-            for key in retired:
-                self._stale.pop(key, None)
-            for key in self._flights:
-                if predicate(key):
-                    self._mark_flight_invalidated(key)
-            return len(doomed | retired)
-
-    def _mark_flight_invalidated(self, key: str) -> None:
-        """Caller holds the lock.  Record that any in-progress flight's
-        result for ``key`` is superseded and must not be stored."""
-        if key in self._flights:
-            self._flight_invalidations[key] = (
-                self._flight_invalidations.get(key, 0) + 1
-            )
-
-    def keys(self) -> list[str]:
-        """Keys of the fresh entries (the current working set)."""
-        with self._lock:
-            return list(self._entries)
-
-    @property
-    def total_bytes(self) -> int:
-        with self._lock:
-            return sum(entry.size for entry in self._entries.values())
-
-    @property
-    def stale_bytes(self) -> int:
-        with self._lock:
-            return sum(entry.size for entry in self._stale.values())
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    # ------------------------------------------------------------------
-    # stale serving (graceful degradation)
+    def _announce(self, kind: str, key: Optional[str] = None) -> None:
+        """Publish on the bus; callers hold no cache lock."""
+        if self.bus is not None:
+            self.bus.publish(InvalidationEvent(kind, key))
 
     def load_stale(
         self, key: str, max_stale_s: Optional[float] = None
@@ -327,58 +435,130 @@ class PrerenderCache:
         servable survives.
         """
         limit = self.stale_grace_s if max_stale_s is None else max_stale_s
+        self._read_through(key)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                if entry.fresh(self._now):
-                    return entry
-                # Expired in place (no get noticed yet): retire it now so
-                # the fresh map matches the documented semantics, then
-                # fall through to the stale check.
-                self._retire(key)
-            entry = self._stale.get(key)
-            if entry is not None and self._stale_age(entry) <= limit:
-                entry.hits += 1
-                self.stats.record("stale_hits")
-                return entry
-            if entry is not None:
-                del self._stale[key]
-                self.stats.record("stale_evictions")
-            self.stats.record("stale_misses")
-            return None
+            entry = self._memory.fresh.entries.get(key)
+            expired = entry is not None and not entry.fresh(self._now)
+            if expired:
+                # Expired in place (no get noticed yet): retire it now,
+                # then judge it as the stale entry it is.
+                self._retire(entry)
+            if entry is None or expired:
+                entry = self._memory.stale.entries.get(key)
+                if entry is not None and self._stale_age(entry) <= limit:
+                    entry.hits += 1
+                    self.stats.record("stale_hits")
+                else:
+                    if entry is not None:
+                        self._memory.stale.pop(key)
+                        self.stats.record("stale_evictions")
+                    self.stats.record("stale_misses")
+                    entry = None
+        if expired:
+            self._announce(EXPIRE, key)
+        return entry
 
-    def serve_stale_while_revalidate(
+    def keys(self) -> list[str]:
+        """Keys of the fresh entries (the current working set)."""
+        with self._lock:
+            return list(self._memory.fresh.entries)
+
+    @property
+    def total_bytes(self) -> int:
+        return self._memory.fresh.bytes
+
+    @property
+    def stale_bytes(self) -> int:
+        return self._memory.stale.bytes
+
+    def __len__(self) -> int:
+        return len(self._memory.fresh.entries)
+
+    # ------------------------------------------------------------------
+    # stores
+
+    def put(
         self,
         key: str,
-        loader: Callable[[], bytes | str],
+        data: bytes | str,
         content_type: str = "application/octet-stream",
         ttl_s: float = 3600.0,
-        max_stale_s: Optional[float] = None,
-    ) -> tuple[CacheEntry, bool]:
-        """``get_or_load``, but a loader failure falls back to stale.
+    ) -> CacheEntry:
+        if isinstance(data, str):
+            data = data.encode("utf-8")
+        entry = CacheEntry(
+            key=key,
+            data=data,
+            content_type=content_type,
+            stored_at=self._now,
+            ttl_s=ttl_s,
+        )
+        with self._lock:
+            flight = self._flights.get(key)
+            if (
+                flight is not None
+                and flight.invalidated
+                and flight.owner == threading.get_ident()
+            ):
+                # The key was invalidated while this flight's loader
+                # ran: its waiters still get the loaded bytes, but
+                # keeping them would resurrect the invalidated entry —
+                # the next lookup must re-load.
+                self.stats.record("invalidated_loads")
+                return entry
+            self._memory.put(entry)
+        self.stats.record("stores")
+        if self._lower:
+            self._schedule_persist(entry)
+        return entry
 
-        Returns ``(entry, is_stale)``.  The revalidation (the loader) is
-        attempted on every call while only stale data exists — a later
-        success replaces the stale copy — and its failure surfaces as
-        :class:`~repro.errors.DegradedServeError` (the ladder ran out of
-        rungs; ``__cause__`` carries the loader's error) only when no
-        stale fallback survives.
+    # ------------------------------------------------------------------
+    # invalidation: one walk over every tier, then the announcement
+
+    def invalidate(self, key: str) -> bool:
+        """Drop ``key`` from every tier; announced when any held it."""
+        held = bool(self._purge(lambda k: k == key, only=key))
+        if held:
+            self._announce(INVALIDATE, key)
+        return held
+
+    def clear(self) -> None:
+        self._purge(lambda k: True)
+        self._announce(CLEAR)
+
+    def invalidate_matching(self, predicate: Callable[[str], bool]) -> int:
+        """Drop every entry, in every tier, whose key satisfies
+        ``predicate``; returns the number of distinct keys removed.
+
+        Unlike :meth:`invalidate`, this is a *silent* reconciliation
+        primitive (no per-key bus events): the CDC replay path uses it
+        to purge a region's derived state for a whole site, announcing
+        the purge once itself.
         """
-        try:
-            return (
-                self.get_or_load(
-                    key, loader, content_type=content_type, ttl_s=ttl_s
-                ),
-                False,
-            )
-        except Exception as exc:
-            entry = self.load_stale(key, max_stale_s=max_stale_s)
-            if entry is None:
-                raise DegradedServeError(
-                    f"no stale fallback for {key!r} after loader failure: "
-                    f"{exc}"
-                ) from exc
-            return entry, True
+        return len(self._purge(predicate))
+
+    def _purge(
+        self, matches: Callable[[str], bool], only: Optional[str] = None
+    ) -> set[str]:
+        """Delete every matching key from every tier, top down, and mark
+        matching in-progress flights so their results are served but not
+        kept.  ``only`` names the single candidate key; without it each
+        tier's keys are scanned.  Runs under ``_store_lock`` so neither
+        the flusher nor a promotion can put back what this removes."""
+
+        def delete_from(tier: Tier) -> set[str]:
+            candidates = tier.keys() if only is None else (only,)
+            return {k for k in candidates if matches(k) and tier.delete(k)}
+
+        with self._store_lock:
+            with self._lock:
+                for key, flight in self._flights.items():
+                    if matches(key):
+                        flight.invalidated = True
+                purged = delete_from(self._memory)
+            for tier in self._lower:
+                purged |= delete_from(tier)
+        return purged
 
     # ------------------------------------------------------------------
     # single-flight
@@ -394,6 +574,10 @@ class PrerenderCache:
         fresh load.  A leader that re-enters the same key on the same
         thread runs the loader directly rather than deadlocking on its
         own flight.
+
+        The resurrection guard lives here and in :meth:`put`: if ``key``
+        is invalidated while the loader runs, the leader's ``put`` of it
+        returns the entry without keeping it.
         """
         me = threading.get_ident()
         with self._lock:
@@ -424,79 +608,109 @@ class PrerenderCache:
         finally:
             with self._lock:
                 self._flights.pop(key, None)
-                self._flight_invalidations.pop(key, None)
             flight.done.set()
         if flight.error is not None:
             raise flight.error
         return flight.result
 
-    def get_or_load(
-        self,
-        key: str,
-        loader: Callable[[], bytes | str],
-        content_type: str = "application/octet-stream",
-        ttl_s: float = 3600.0,
-    ) -> CacheEntry:
-        """``get`` with a single-flight fill on miss: concurrent misses
-        on one key run ``loader`` exactly once and all receive the stored
-        entry."""
-        entry = self.get(key)
-        if entry is not None:
-            return entry
-
-        def _fill() -> CacheEntry:
-            cached = self.peek(key)
-            if cached is not None:
-                return cached
-            with self._lock:
-                token = self._flight_invalidations.get(key, 0)
-            data = loader()
-            if isinstance(data, str):
-                data = data.encode("utf-8")
-            with self._lock:
-                if self._flight_invalidations.get(key, 0) != token:
-                    # The key was invalidated while the loader ran: the
-                    # waiting callers still get the loaded bytes, but
-                    # storing them would resurrect the invalidated
-                    # entry — the next lookup must re-load.
-                    self.stats.record("invalidated_loads")
-                    return CacheEntry(
-                        key=key,
-                        data=data,
-                        content_type=content_type,
-                        stored_at=self._now,
-                        ttl_s=ttl_s,
-                    )
-                return self.put(
-                    key, data, content_type=content_type, ttl_s=ttl_s
-                )
-
-        return self.load_or_join(key, _fill)
-
     # ------------------------------------------------------------------
+    # write-behind persistence to the lower tiers
 
-    def _evict_if_needed(self) -> None:
-        """Oldest-first eviction when over the byte budget (caller holds
-        the lock)."""
-        while (
-            sum(e.size for e in self._entries.values()) > self.max_bytes
-            and self._entries
-        ):
-            oldest_key = min(
-                self._entries, key=lambda key: self._entries[key].stored_at
-            )
-            del self._entries[oldest_key]
-            self.stats.record("evictions")
+    def _start_write_behind(self, registry: MetricsRegistry) -> None:
+        self._preloaded = registry.counter(
+            "msite_snapshotstore_preloaded_total",
+            "Entries restored from disk by a warm-start preload.",
+        )
+        self._overflows = registry.counter(
+            "msite_snapshotstore_writebehind_overflows_total",
+            "Writes that degraded to write-through because the dirty "
+            "queue was full.",
+        )
+        self._depth = registry.gauge(
+            "msite_snapshotstore_writebehind_depth",
+            "Entries waiting in the write-behind dirty queue.",
+        )
+        self._callback_errors = registry.counter(
+            "msite_snapshotstore_persist_callback_errors_total",
+            "on_persist callbacks (snapshot replication) that raised.",
+        )
+        self._flusher = threading.Thread(
+            target=self._flush_loop, name="snapshot-writebehind", daemon=True
+        )
+        self._flusher.start()
 
-    def _evict_stale_if_needed(self) -> None:
-        """Oldest-first eviction of the stale store (caller holds the
-        lock); the stale budget is independent of the fresh budget."""
-        while (
-            sum(e.size for e in self._stale.values()) > self.stale_max_bytes
-            and self._stale
-        ):
-            oldest_key = min(
-                self._stale, key=lambda key: self._stale[key].stored_at
-            )
-            del self._stale[oldest_key]
-            self.stats.record("stale_evictions")
+    def _schedule_persist(self, entry: CacheEntry) -> None:
+        with self._dirty_cond:
+            if not self._closed and len(self._dirty) < self.dirty_limit:
+                self._dirty.append(entry)
+                self._depth.set(len(self._dirty))
+                self._dirty_cond.notify()
+                return
+        # Queue full (or already closing): degrade to write-through
+        # rather than dropping durability on the floor.
+        self._overflows.inc()
+        self._persist(entry)
+
+    def _persist(self, entry: CacheEntry) -> bool:
+        """Write one entry to the lower tiers iff it is still the live
+        entry for its key; returns whether it was persisted."""
+        with self._store_lock:
+            with self._lock:
+                if self._memory.fresh.entries.get(entry.key) is not entry:
+                    return False
+            for tier in self._lower:
+                tier.put(entry)
+        callback = self.on_persist
+        if callback is not None:
+            try:
+                callback(entry)
+            except Exception:
+                self._callback_errors.inc()
+        return True
+
+    def _flush_loop(self) -> None:
+        while True:
+            with self._dirty_cond:
+                while not self._dirty and not self._closed:
+                    self._dirty_cond.wait()
+                if not self._dirty:
+                    return
+            self.flush()
+
+    def flush(self) -> int:
+        """Drain the dirty queue in the calling thread and return how
+        many entries were persisted.  One drainer at a time holds
+        ``_flush_lock`` from pop to persist, so when this returns every
+        store made before the call is on disk (or was invalidated) —
+        the barrier deterministic tests and shutdown lean on."""
+        persisted = 0
+        with self._flush_lock:
+            while True:
+                with self._dirty_cond:
+                    if not self._dirty:
+                        return persisted
+                    entry = self._dirty.popleft()
+                    self._depth.set(len(self._dirty))
+                persisted += self._persist(entry)
+
+    def close(self) -> None:
+        """Stop the flusher and persist whatever is still dirty."""
+        with self._dirty_cond:
+            self._closed = True
+            self._dirty_cond.notify_all()
+        if self._flusher is not None:
+            self._flusher.join(timeout=5.0)
+        self.flush()
+
+    def preload(self) -> int:
+        """Warm start: read every lower-tier entry through into memory
+        (live when fresh, stale-parked when in grace).  Returns the
+        number admitted."""
+        restored = sum(
+            self._read_through(key) is not None
+            for tier in self._lower
+            for key in tier.keys()
+        )
+        if restored:
+            self._preloaded.inc(restored)
+        return restored

@@ -1,8 +1,9 @@
 """Two-plus regions, each a full :class:`ClusterDeployment
 <repro.cluster.deployment.ClusterDeployment>`, behind one front end.
 
-Each region owns its own worker fleet and its own three-tier cache
-stack (:class:`TieredSharedCache <repro.cluster.tiers.TieredSharedCache>`
+Each region owns its own worker fleet and its own two-tier cache (an
+:class:`InProcessSharedCache
+<repro.cluster.sharedcache.InProcessSharedCache>` whose memory tier sits
 over a private snapshot directory).  The front end routes by
 **region affinity** — the same rendezvous hashing the cluster uses for
 workers, so a ``site:path:device`` key keeps one home region — and
@@ -39,9 +40,9 @@ from repro.cluster.router import ShardRouter, request_shard_key
 from repro.cluster.sharedcache import (
     CLEAR,
     REFRESH,
+    InProcessSharedCache,
     InvalidationEvent,
 )
-from repro.cluster.tiers import TieredSharedCache
 from repro.core.cache import CacheEntry
 from repro.core.pipeline import ProxyServices
 from repro.core.sessions import SessionManager
@@ -71,13 +72,13 @@ from repro.resilience.policy import DEFAULT_RETRY_AFTER_S, REMOTE_REGION
 
 
 class Region:
-    """One region: a cluster fleet plus its tiered cache stack."""
+    """One region: a cluster fleet plus its disk-backed cache."""
 
     def __init__(
         self,
         name: str,
         cluster: ClusterDeployment,
-        backend: TieredSharedCache,
+        backend: InProcessSharedCache,
     ) -> None:
         self.name = name
         self.cluster = cluster
@@ -127,10 +128,8 @@ class RegionalDeployment(Application):
         proxy_base: str = "proxy.php",
         key_fn: Optional[Callable[[Request], str]] = None,
         cache_bytes: int = 64 * 1024 * 1024,
-        memo_entries: int = 128,
         log_retention: int = 4096,
         preload: bool = True,
-        write_behind: bool = True,
     ) -> None:
         region_names = list(regions)
         if len(region_names) < 2:
@@ -165,16 +164,15 @@ class RegionalDeployment(Application):
         )
         # Serializes CDC replay so every region applies events in log
         # order.  Bus publishes never run under a cache/store lock (see
-        # tiers.py), so taking peer store locks inside is deadlock-free.
+        # core/cache.py), so taking peer store locks inside is
+        # deadlock-free.
         self._drain_lock = threading.Lock()
         self._regions: dict[str, Region] = {}
         for name in region_names:
-            backend = TieredSharedCache(
-                os.path.join(snapshot_root, name),
+            backend = InProcessSharedCache(
                 clock=clock,
                 max_bytes=cache_bytes,
-                memo_entries=memo_entries,
-                write_behind=write_behind,
+                root=os.path.join(snapshot_root, name),
                 name=name,
                 preload=preload,
             )
@@ -220,7 +218,7 @@ class RegionalDeployment(Application):
 
     def rollup(self) -> MetricsRegistry:
         """Fresh deployment-wide registry, identity-deduplicated across
-        the front end, every region's tier stack, and every worker."""
+        the front end, every region's cache, and every worker."""
         registries = [self.registry]
         for region in self.regions:
             registries.append(region.backend.metrics)
@@ -302,12 +300,12 @@ class RegionalDeployment(Application):
             region.acked_seq = event.seq
 
     def _apply(self, region: Region, event: ChangeEvent) -> None:
-        """Apply one replayed change to a region's whole tier stack.
+        """Apply one replayed change to every tier of a region's cache.
 
         The purge itself is silent (``invalidate_matching`` publishes
         nothing), then one *replayed-marked* event is announced on the
-        region's bus so hot memos and worker session memos drop too —
-        without the pump re-appending it.
+        region's bus so worker session memos drop too — without the
+        pump re-appending it.
         """
         cache = region.backend.cache
         kind, key = event.kind, event.key
@@ -539,6 +537,9 @@ class RegionalDeployment(Application):
                     "behind": head - region.acked_seq,
                     "pending_events": len(region.pending),
                     "cache_entries": len(region.backend.cache),
+                    "tiers": [
+                        tier.tier_name for tier in region.backend.cache.tiers
+                    ],
                     "preloaded": region.backend.preloaded,
                     "store": region.backend.store.status(),
                     "workers": {

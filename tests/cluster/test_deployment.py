@@ -148,6 +148,9 @@ def test_cluster_status_endpoint(cluster):
     assert status["workers"]["w1"]["healthy"] is False
     assert status["workers"]["w0"]["healthy"] is True
     assert set(status["workers"]) == {"w0", "w1", "w2"}
+    # The shared cache's row is derived from its tier list.
+    assert status["shared_cache"]["tiers"] == ["memory"]
+    assert status["shared_cache"]["attached_workers"] == ["w0", "w1", "w2"]
 
 
 def test_busy_owner_spills_to_idle_peer(cluster):

@@ -61,6 +61,11 @@ def test_merge_unique_counts_shared_instruments_once():
     assert rolled.get("msite_cache_misses_total").value == 1
     assert rolled.get("msite_cache_flights_total").value == 1
     assert rolled.get("msite_cache_stampedes_suppressed_total").value == 0
+    # The per-tier split is bound into every worker registry too, and
+    # sums to the unlabelled total.
+    assert rolled.get(
+        "msite_cache_tier_hits_total", labels={"tier": "memory"}
+    ).value == 1
 
 
 def test_merge_unique_still_sums_distinct_per_worker_series():
@@ -111,5 +116,9 @@ class _CountingApp:
         from repro.net.messages import Response
 
         page = request.params.get("page", "p0")
-        self.services.cache.get_or_load(f"snap:{page}", lambda: page)
+        cache, key = self.services.cache, f"snap:{page}"
+        if cache.get(key) is None:
+            cache.load_or_join(
+                key, lambda: cache.peek(key) or cache.put(key, page)
+            )
         return Response.text("ok")

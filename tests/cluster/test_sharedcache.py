@@ -4,6 +4,9 @@ Single-flight across attached views, event publication for explicit
 invalidation / ``clear`` / TTL expiry, and the lock discipline (events
 fire after the cache lock is released, so subscribers may call back
 into the cache).
+
+Part of the cache contract: runs here over ``[memory]`` and again,
+re-collected by ``tests/cluster/contract_disk``, over ``[memory, disk]``.
 """
 
 import threading
@@ -13,26 +16,36 @@ from repro.cluster.sharedcache import (
     EXPIRE,
     INVALIDATE,
     REFRESH,
-    InProcessSharedCache,
     InvalidationBus,
     InvalidationEvent,
-    SharedCacheBackend,
 )
 from repro.observability.metrics import MetricsRegistry
 from repro.sim.clock import Clock
 
 
-def test_backend_protocol_and_shared_view():
-    backend = InProcessSharedCache()
-    assert isinstance(backend, SharedCacheBackend)
+def _fill(cache, key, loader):
+    """The request path's fill: get, then single-flight
+    peek -> load -> put."""
+    return cache.get(key) or cache.load_or_join(
+        key, lambda: cache.peek(key) or cache.put(key, loader())
+    )
+
+
+def test_backend_protocol_and_shared_view(make_backend):
+    backend = make_backend()
     view_a = backend.attach("w0")
     view_b = backend.attach("w1")
-    assert view_a is view_b  # in-process: one object, fleet-global
-    assert backend.attached_workers == ("w0", "w1")
+    assert view_a is view_b is backend.cache  # one object, fleet-global
+    assert backend.attached_workers == ["w0", "w1"]
+    status = backend.status()
+    assert status["attached_workers"] == ["w0", "w1"]
+    assert status["tiers"] == [tier.tier_name for tier in view_a.tiers]
+    assert status["tiers"][0] == "memory"
+    backend.close()  # a no-op without a disk tier
 
 
-def test_single_flight_joins_across_attached_views():
-    backend = InProcessSharedCache()
+def test_single_flight_joins_across_attached_views(make_backend):
+    backend = make_backend()
     view_a = backend.attach("w0")
     view_b = backend.attach("w1")
     started = threading.Event()
@@ -48,12 +61,12 @@ def test_single_flight_joins_across_attached_views():
     results = {}
 
     def leader():
-        results["a"] = view_a.get_or_load("snap:page", slow_loader).data
+        results["a"] = _fill(view_a, "snap:page", slow_loader).data
 
     def joiner():
         started.wait(timeout=5.0)
-        results["b"] = view_b.get_or_load(
-            "snap:page", lambda: b"duplicate"
+        results["b"] = _fill(
+            view_b, "snap:page", lambda: b"duplicate"
         ).data
 
     thread_a = threading.Thread(target=leader)
@@ -75,8 +88,8 @@ def test_single_flight_joins_across_attached_views():
     assert backend.cache.stats.stampedes_suppressed == 1
 
 
-def test_invalidate_and_clear_publish_events():
-    backend = InProcessSharedCache()
+def test_invalidate_and_clear_publish_events(make_backend):
+    backend = make_backend()
     events = []
     backend.bus.subscribe(events.append)
     cache = backend.attach("w0")
@@ -92,9 +105,9 @@ def test_invalidate_and_clear_publish_events():
     assert backend.bus.published(CLEAR) == 1
 
 
-def test_ttl_expiry_publishes_after_lock_release():
+def test_ttl_expiry_publishes_after_lock_release(make_backend):
     clock = Clock()
-    backend = InProcessSharedCache(clock=clock)
+    backend = make_backend(clock=clock)
     cache = backend.attach("w0")
     observed = []
 
@@ -112,11 +125,11 @@ def test_ttl_expiry_publishes_after_lock_release():
     assert cache.peek("derived:snap:a") is not None
 
 
-def test_invalidation_mid_flight_is_not_resurrected():
+def test_invalidation_mid_flight_is_not_resurrected(make_backend):
     """An invalidation landing while a single-flight loader runs must
     win: the loader's result is served to its waiters but never stored,
     so the next lookup re-loads instead of seeing the stale bytes."""
-    backend = InProcessSharedCache()
+    backend = make_backend()
     cache = backend.attach("w0")
     in_loader = threading.Event()
     release = threading.Event()
@@ -129,7 +142,7 @@ def test_invalidation_mid_flight_is_not_resurrected():
     result = {}
 
     def leader():
-        result["entry"] = cache.get_or_load("snap:page", slow_loader)
+        result["entry"] = _fill(cache, "snap:page", slow_loader)
 
     thread = threading.Thread(target=leader)
     thread.start()
@@ -143,7 +156,7 @@ def test_invalidation_mid_flight_is_not_resurrected():
     # ...but they were never stored: the invalidation wins.
     assert cache.peek("snap:page") is None
     assert backend.cache.stats.invalidated_loads == 1
-    fresh = cache.get_or_load("snap:page", lambda: b"reloaded")
+    fresh = _fill(cache, "snap:page", lambda: b"reloaded")
     assert fresh.data == b"reloaded"
     assert cache.peek("snap:page").data == b"reloaded"
 

@@ -1,40 +1,39 @@
-"""The three-tier stack: read-through, write-behind, memo coherence.
+"""The ``[memory, disk]`` tier list: read-through, write-behind, warm
+start.
 
-The races these tests pin down: the flusher must never resurrect an
-entry invalidated after it was queued, a memo hit must never outlive
-the bus event that invalidated it, and a restart over the same
-directory must warm-start instead of stampeding.
+What every tier list must do (TTL, stale grace, single-flight,
+invalidation) is the cache contract, re-run over this tier list by
+``tests/cluster/contract_disk``.  These are the disk-specific races and
+properties: the flusher must never resurrect an entry invalidated after
+it was queued, an invalidation must be heard even when only the disk
+held the key, and a restart over the same directory must warm-start
+instead of stampeding.
 """
 
 import threading
+from contextlib import closing
 
+from repro.cluster.deployment import ClusterDeployment
 from repro.cluster.sharedcache import (
     CLEAR,
     INVALIDATE,
+    InProcessSharedCache,
     InvalidationBus,
     InvalidationEvent,
 )
 from repro.cluster.snapshotstore import SnapshotStore
-from repro.cluster.tiers import (
-    HotMemoCache,
-    TieredPrerenderCache,
-    TieredSharedCache,
-)
+from repro.core.cache import CacheEntry, PrerenderCache
+from repro.net.messages import Response
 from repro.observability.metrics import MetricsRegistry
 from repro.sim.clock import Clock
 
 
-def make_stack(tmp_path, clock=None, write_behind=True, **kwargs):
+def make_stack(tmp_path, clock=None, **kwargs):
     registry = MetricsRegistry()
     bus = InvalidationBus(metrics=registry)
     store = SnapshotStore(str(tmp_path), clock=clock, metrics=registry)
-    cache = TieredPrerenderCache(
-        bus,
-        store,
-        write_behind=write_behind,
-        metrics=registry,
-        clock=clock,
-        **kwargs,
+    cache = PrerenderCache(
+        bus=bus, store=store, metrics=registry, clock=clock, **kwargs
     )
     return cache, store, registry
 
@@ -48,17 +47,23 @@ def test_put_persists_to_disk_on_flush(tmp_path):
 
 
 def test_write_through_mode_persists_synchronously(tmp_path):
-    cache, store, _ = make_stack(tmp_path, write_behind=False)
+    """Write-through is not a mode any more, only what a queue that can
+    no longer take the entry degrades to — here, a closed one."""
+    cache, store, registry = make_stack(tmp_path)
+    cache.close()
     cache.put("snap:a", b"rendered", ttl_s=60.0)
     assert store.get("snap:a") is not None  # no flush needed
-    cache.close()
+    assert registry.get(
+        "msite_snapshotstore_writebehind_overflows_total"
+    ).value == 1
 
 
 def test_dirty_queue_overflow_degrades_to_write_through(tmp_path):
     cache, store, registry = make_stack(tmp_path, dirty_limit=1)
-    # Pause the flusher by holding the condition so the queue stays full.
+    # Fill the queue behind the flusher's back (no notify), so it stays
+    # full while the next put arrives.
     with cache._dirty_cond:
-        cache._dirty.append(("snap:block", None))
+        cache._dirty.append(CacheEntry("snap:block", b"", "x", 0.0, 1.0))
         overflow_before = registry.get(
             "msite_snapshotstore_writebehind_overflows_total"
         ).value
@@ -67,38 +72,59 @@ def test_dirty_queue_overflow_degrades_to_write_through(tmp_path):
     assert registry.get(
         "msite_snapshotstore_writebehind_overflows_total"
     ).value == overflow_before + 1
-    with cache._dirty_cond:
-        cache._dirty.clear()
     cache.close()
+    assert store.get("snap:block") is None  # never live, never persisted
+
+
+def reopened_stack(tmp_path, clock, **kwargs):
+    """A restart without preload: the disk tier holds what the previous
+    process stored, the memory tier is empty."""
+    first, _, _ = make_stack(tmp_path, clock=clock, **kwargs)
+    first.put("snap:a", b"durable", ttl_s=10.0)
+    first.close()  # flushes
+    return make_stack(tmp_path, clock=clock, **kwargs)
 
 
 def test_read_through_promotes_fresh_disk_entry(tmp_path):
-    clock = Clock()
-    cache, store, registry = make_stack(tmp_path, clock=clock)
-    cache.put("snap:a", b"durable", ttl_s=100.0)
-    cache.flush()
-    # Simulate a memory-tier wipe (restart without the disk loss).
-    with cache._lock:
-        cache._entries.clear()
+    cache, _, registry = reopened_stack(tmp_path, Clock())
+    assert cache.peek("snap:a") is None  # memory tier only
     entry = cache.get("snap:a")
     assert entry is not None and entry.data == b"durable"
-    assert registry.get(
-        "msite_snapshotstore_promotions_total"
-    ).value == 1
     assert cache.peek("snap:a") is not None  # resident again
+    # The walk records which tier answered; the split sums to the total.
+    assert cache.get("snap:a") is not None
+    by_tier = {
+        tier: registry.get(
+            "msite_cache_tier_hits_total", labels={"tier": tier}
+        ).value
+        for tier in ("memory", "disk")
+    }
+    assert by_tier == {"memory": 1, "disk": 1}
+    assert cache.stats.hits == 2
     cache.close()
 
 
 def test_read_through_parks_expired_entry_in_stale_store(tmp_path):
     clock = Clock()
-    cache, store, _ = make_stack(tmp_path, clock=clock)
-    cache.put("snap:a", b"old", ttl_s=10.0)
-    cache.flush()
-    with cache._lock:
-        cache._entries.clear()
+    cache, _, _ = reopened_stack(tmp_path, clock)
     clock.advance(20.0)  # expired, within default stale grace
     assert cache.get("snap:a") is None  # not served as fresh
-    assert cache.load_stale("snap:a").data == b"old"  # ladder rung
+    assert cache.load_stale("snap:a").data == b"durable"  # ladder rung
+    cache.close()
+
+
+def test_memory_eviction_is_not_a_loss_with_a_disk_tier(tmp_path):
+    """The byte budget is the memory tier's alone: an entry evicted from
+    memory is still answered, by promotion, from the tier below."""
+    cache, store, _ = make_stack(tmp_path, clock=Clock(), max_bytes=8)
+    cache.put("snap:a", b"aaaaaa", ttl_s=60.0)
+    cache.flush()
+    cache.put("snap:b", b"bbbbbb", ttl_s=60.0)  # evicts snap:a
+    cache.flush()
+    assert cache.keys() == ["snap:b"] and cache.stats.evictions == 1
+    assert cache.get("snap:a").data == b"aaaaaa"  # evicts snap:b in turn
+    assert cache.keys() == ["snap:a"] and cache.total_bytes == 6
+    assert store.get("snap:b") is not None
     cache.close()
 
 
@@ -130,6 +156,22 @@ def test_invalidate_purges_memory_and_disk(tmp_path):
     cache.close()
 
 
+def test_disk_only_invalidation_is_announced(tmp_path):
+    """A key held only by the disk tier — not yet promoted after a
+    restart — must still be heard when it is invalidated: workers hold
+    derived memos and the regional CDC pump logs from the bus."""
+    reopened, store, _ = reopened_stack(tmp_path, Clock())
+    events = []
+    reopened.bus.subscribe(events.append)
+    assert reopened.peek("snap:a") is None
+    assert reopened.invalidate("snap:a") is True
+    assert store.get("snap:a") is None
+    assert events == [InvalidationEvent(INVALIDATE, "snap:a")]
+    assert reopened.invalidate("snap:a") is False  # held nowhere: silent
+    assert len(events) == 1
+    reopened.close()
+
+
 def test_flusher_never_resurrects_invalidated_entry(tmp_path):
     """The write-behind race: entry queued dirty, invalidated before the
     flusher ran — persisting it anyway would resurrect it on disk."""
@@ -146,10 +188,12 @@ def test_flusher_never_resurrects_invalidated_entry(tmp_path):
 def test_clear_wipes_both_tiers_and_dirty_queue(tmp_path):
     cache, store, _ = make_stack(tmp_path)
     events = []
-    cache._bus.subscribe(events.append)
+    cache.bus.subscribe(events.append)
     cache.put("snap:a", b"a", ttl_s=60.0)
     cache.flush()
+    cache.put("snap:b", b"b", ttl_s=60.0)  # possibly still dirty
     cache.clear()
+    cache.flush()
     assert len(cache) == 0
     assert len(store) == 0
     assert InvalidationEvent(CLEAR) in events
@@ -168,7 +212,7 @@ def test_bus_publish_happens_outside_store_lock(tmp_path):
         cache._store_lock.release()
         entered.append(event.kind)
 
-    cache._bus.subscribe(lock_taking_subscriber)
+    cache.bus.subscribe(lock_taking_subscriber)
     cache.put("snap:a", b"a", ttl_s=60.0)
     cache.invalidate("snap:a")
     cache.clear()
@@ -176,73 +220,24 @@ def test_bus_publish_happens_outside_store_lock(tmp_path):
     cache.close()
 
 
-def test_hot_memo_hits_without_touching_shared_tier(tmp_path):
-    clock = Clock()
-    backend = TieredSharedCache(str(tmp_path), clock=clock)
-    memo = backend.attach("w0")
-    memo.put("snap:a", b"hot", ttl_s=60.0)
-    before = backend.cache.stats.hits
-    for _ in range(3):
-        assert memo.get("snap:a").data == b"hot"
-    assert memo.memo_len == 1
-    # Memo hits count toward the fleet hit rate.
-    assert backend.cache.stats.hits == before + 3
-    registry = MetricsRegistry()
-    memo.bind_metrics(registry)
-    assert registry.get("msite_hotmemo_hits_total").value == 3
-    backend.close()
-
-
-def test_memo_dropped_by_fleet_invalidation_event(tmp_path):
-    backend = TieredSharedCache(str(tmp_path))
-    memo_a = backend.attach("w0")
-    memo_b = backend.attach("w1")
-    memo_a.put("snap:a", b"v1", ttl_s=60.0)
-    memo_b.get("snap:a")  # memoized on both workers
-    assert memo_a.memo_len == 1 and memo_b.memo_len == 1
-    backend.invalidate("snap:a")
-    assert memo_a.memo_len == 0 and memo_b.memo_len == 0
-    assert memo_a.get("snap:a") is None
-    backend.close()
-
-
-def test_memo_respects_ttl_without_a_bus_event(tmp_path):
-    clock = Clock()
-    backend = TieredSharedCache(str(tmp_path), clock=clock)
-    memo = backend.attach("w0")
-    memo.put("snap:a", b"v1", ttl_s=10.0)
-    assert memo.get("snap:a") is not None
-    clock.advance(11.0)
-    assert memo._memo_get("snap:a") is None  # memo re-checks freshness
-    backend.close()
-
-
-def test_memo_is_bounded_lru(tmp_path):
-    backend = TieredSharedCache(str(tmp_path), memo_entries=2)
-    memo = backend.attach("w0")
-    for i in range(4):
-        memo.put(f"snap:{i}", b"x", ttl_s=60.0)
-    assert memo.memo_len == 2
-    # The shared tier still has all four.
-    assert all(
-        backend.cache.peek(f"snap:{i}") is not None for i in range(4)
-    )
-    backend.close()
-
-
 def test_tiered_backend_restart_warm_starts(tmp_path):
     clock = Clock()
-    with TieredSharedCache(str(tmp_path), clock=clock) as backend:
+    with closing(
+        InProcessSharedCache(root=str(tmp_path), clock=clock)
+    ) as backend:
         view = backend.attach("w0")
         for i in range(5):
             view.put(f"snap:{i}", f"body{i}".encode(), ttl_s=100.0)
     # close() flushed; a new backend over the same root preloads.
-    with TieredSharedCache(str(tmp_path), clock=clock) as restarted:
+    with closing(
+        InProcessSharedCache(root=str(tmp_path), clock=clock)
+    ) as restarted:
         assert restarted.preloaded == 5
         view = restarted.attach("w0")
         for i in range(5):
             assert view.get(f"snap:{i}").data == f"body{i}".encode()
         status = restarted.status()
+        assert status["tiers"] == ["memory", "disk"]
         assert status["preloaded"] == 5
         assert status["store"]["entries"] == 5
 
@@ -254,7 +249,10 @@ def test_on_persist_callback_fires_and_errors_are_counted(tmp_path):
         replicated.append(entry.key)
         raise RuntimeError("peer down")
 
-    backend = TieredSharedCache(str(tmp_path), on_persist=replicator)
+    backend = InProcessSharedCache(root=str(tmp_path))
+    assert backend.on_persist is None
+    backend.on_persist = replicator
+    assert backend.on_persist is replicator
     backend.attach("w0").put("snap:a", b"a", ttl_s=60.0)
     backend.flush()
     assert replicated == ["snap:a"]
@@ -281,71 +279,20 @@ def test_preload_parks_expired_but_graceful_entries_as_stale(tmp_path):
 
 def test_invalidate_matching_purges_disk_too(tmp_path):
     cache, store, _ = make_stack(tmp_path)
+    events = []
+    cache.bus.subscribe(events.append)
     cache.put("snap:site:a", b"a", ttl_s=60.0)
     cache.put("snap:other:b", b"b", ttl_s=60.0)
     cache.flush()
-    assert cache.store is store
+    assert cache.tiers == [cache._memory, store]
     removed = cache.invalidate_matching(lambda k: ":site:" in k)
     assert removed == 1
     assert store.get("snap:site:a") is None
     assert store.get("snap:other:b") is not None
+    # Matching invalidation is silent by design: the regional CDC
+    # replay publishes its own replayed-marked event.
+    assert events == []
     cache.close()
-
-
-def test_memo_view_delegates_the_shared_surface(tmp_path):
-    clock = Clock()
-    backend = TieredSharedCache(str(tmp_path), clock=clock)
-    assert backend.bus is backend.cache._bus
-    assert backend.attached_workers == ()
-    memo = backend.attach("w0")
-    assert backend.attached_workers == ("w0",)
-    # Plumbing the cluster runtime relies on:
-    assert memo.clock is clock
-    other = Clock()
-    memo.clock = other
-    assert backend.cache.clock is other
-    memo.clock = clock
-    assert memo.stats is backend.cache.stats
-    assert memo.total_bytes == 0  # __getattr__ delegation
-    memo.put("snap:a", b"a", ttl_s=60.0)
-    assert memo.peek("snap:a") is not None
-    assert len(memo) == 1
-    assert "w0" in repr(memo)
-    # invalidate/clear route through the shared cache and its bus.
-    assert memo.invalidate("snap:a") is True
-    assert memo.memo_len == 0
-    memo.put("snap:b", b"b", ttl_s=60.0)
-    memo.clear()
-    assert len(memo) == 0 and memo.memo_len == 0
-    backend.close()
-
-
-def test_memo_get_or_load_hits_the_memo_first(tmp_path):
-    backend = TieredSharedCache(str(tmp_path))
-    memo = backend.attach("w0")
-    loads = []
-
-    def loader():
-        loads.append(1)
-        return b"loaded"
-
-    first = memo.get_or_load("snap:a", loader)
-    again = memo.get_or_load("snap:a", loader)
-    assert first.data == again.data == b"loaded"
-    assert loads == [1]  # second call answered by the memo
-    assert backend.on_persist is None
-    seen = []
-    backend.on_persist = seen.append
-    assert backend.on_persist is not None
-    backend.flush()
-    assert [entry.key for entry in seen] == ["snap:a"]
-    # Backend-level matching invalidation is silent by design (the
-    # regional CDC replay publishes its own replayed-marked event); it
-    # purges the shared tier and disk but not memos.
-    assert backend.invalidate_matching(lambda k: True) == 1
-    assert len(backend.cache) == 0
-    assert len(backend.store) == 0
-    backend.close()
 
 
 def test_concurrent_puts_and_invalidations_converge(tmp_path):
@@ -384,3 +331,25 @@ def test_concurrent_puts_and_invalidations_converge(tmp_path):
         # resurrection bug.
         assert not (on_disk and not in_memory), key
     cache.close()
+
+
+class _OkApp:
+    def __init__(self, services):
+        self.services = services
+
+    def handle(self, request):
+        return Response.text("ok")
+
+
+def test_elastic_membership_leaves_no_bus_subscribers_behind(tmp_path):
+    """Autoscaler churn over a disk-backed fleet: every attach/drain
+    cycle must hand back exactly the subscriptions it took."""
+    with closing(InProcessSharedCache(root=str(tmp_path))) as backend:
+        with ClusterDeployment(
+            make_app=_OkApp, workers=1, shared_cache=backend
+        ) as cluster:
+            before = backend.bus.subscriber_count
+            for _ in range(4):
+                cluster.drain_worker(cluster.add_worker())
+            assert cluster.fleet_size == 1
+            assert backend.bus.subscriber_count == before

@@ -1,11 +1,11 @@
-"""Single-flight semantics of the pre-render cache under real threads."""
+"""Single-flight semantics of the pre-render cache under real threads.
+
+Part of the cache contract: runs here over ``[memory]`` and again,
+re-collected by ``tests/cluster/contract_disk``, over ``[memory, disk]``.
+"""
 
 import threading
 import time
-
-import pytest
-
-from repro.core.cache import PrerenderCache
 
 
 def _run_threads(count, target):
@@ -16,8 +16,8 @@ def _run_threads(count, target):
         thread.join()
 
 
-def test_concurrent_misses_run_loader_once():
-    cache = PrerenderCache()
+def test_concurrent_misses_run_loader_once(make_cache):
+    cache = make_cache()
     calls = []
     calls_lock = threading.Lock()
     gate = threading.Event()
@@ -48,8 +48,8 @@ def test_concurrent_misses_run_loader_once():
     assert cache.stats.stampedes_suppressed == 7
 
 
-def test_joiners_share_the_leaders_exception():
-    cache = PrerenderCache()
+def test_joiners_share_the_leaders_exception(make_cache):
+    cache = make_cache()
     gate = threading.Event()
     errors = [None] * 4
 
@@ -80,8 +80,8 @@ def test_joiners_share_the_leaders_exception():
     assert cache.load_or_join("page", lambda: "ok") == "ok"
 
 
-def test_flights_on_distinct_keys_run_independently():
-    cache = PrerenderCache()
+def test_flights_on_distinct_keys_run_independently(make_cache):
+    cache = make_cache()
     seen = set()
     lock = threading.Lock()
 
@@ -96,8 +96,8 @@ def test_flights_on_distinct_keys_run_independently():
     assert cache.stats.stampedes_suppressed == 0
 
 
-def test_reentrant_leader_does_not_deadlock():
-    cache = PrerenderCache()
+def test_reentrant_leader_does_not_deadlock(make_cache):
+    cache = make_cache()
 
     def inner():
         return "inner"
@@ -110,8 +110,8 @@ def test_reentrant_leader_does_not_deadlock():
     assert cache.load_or_join("k", outer) == "inner+outer"
 
 
-def test_get_or_load_fills_and_serves():
-    cache = PrerenderCache()
+def test_get_or_load_fills_and_serves(make_cache):
+    cache = make_cache()
     calls = []
     gate = threading.Event()
     results = [None] * 6
@@ -123,7 +123,13 @@ def test_get_or_load_fills_and_serves():
 
     def worker(index):
         gate.wait()
-        results[index] = cache.get_or_load("snap", loader, ttl_s=60.0)
+        # The request path's fill: get, then single-flight
+        # peek -> load -> put.
+        results[index] = cache.get("snap") or cache.load_or_join(
+            "snap",
+            lambda: cache.peek("snap")
+            or cache.put("snap", loader(), ttl_s=60.0),
+        )
 
     threads = [
         threading.Thread(target=worker, args=(i,)) for i in range(6)
@@ -141,9 +147,9 @@ def test_get_or_load_fills_and_serves():
     assert cache.get("snap").data == b"snapshot-bytes"
 
 
-def test_sequential_loads_after_completion_rerun_loader():
+def test_sequential_loads_after_completion_rerun_loader(make_cache):
     """The flight table only collapses *concurrent* misses."""
-    cache = PrerenderCache()
+    cache = make_cache()
     calls = []
     cache.load_or_join("k", lambda: calls.append(1))
     cache.load_or_join("k", lambda: calls.append(1))

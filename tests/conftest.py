@@ -3,6 +3,8 @@
 import pytest
 
 from repro.admin.tool import AdminTool
+from repro.cluster.sharedcache import InProcessSharedCache
+from repro.core.cache import PrerenderCache
 from repro.core.codegen import load_generated_proxy
 from repro.core.pipeline import ProxyServices
 from repro.net.client import HttpClient
@@ -37,6 +39,23 @@ def news_app():
 @pytest.fixture()
 def clock():
     return Clock()
+
+
+@pytest.fixture()
+def make_cache():
+    """Factory (``PrerenderCache`` keyword arguments) for the cache the
+    contract suites pin TTL, stale-grace, single-flight and invalidation
+    semantics against.  Here it builds the ``[memory]`` tier list;
+    ``tests/cluster/contract_disk`` re-collects the same test functions
+    under a ``make_cache`` that builds ``[memory, disk]``."""
+    return PrerenderCache
+
+
+@pytest.fixture()
+def make_backend():
+    """As :func:`make_cache`, for suites that drive the fleet backend
+    (bus + cache) rather than a bare cache."""
+    return InProcessSharedCache
 
 
 @pytest.fixture()

@@ -1,4 +1,9 @@
-"""The shared pre-render cache."""
+"""The shared pre-render cache.
+
+Part of the cache contract: every test that builds its cache through
+``make_cache`` runs here over ``[memory]`` and again, re-collected by
+``tests/cluster/contract_disk``, over ``[memory, disk]``.
+"""
 
 import pytest
 
@@ -12,8 +17,8 @@ def clock():
 
 
 @pytest.fixture()
-def cache(clock):
-    return PrerenderCache(clock=clock)
+def cache(make_cache, clock):
+    return make_cache(clock=clock)
 
 
 def test_miss_then_hit(cache):
@@ -75,6 +80,9 @@ def test_total_bytes(cache):
 
 
 def test_eviction_oldest_first(clock):
+    # The byte budget is the memory tier's alone — a disk tier below
+    # still answers an evicted key — so the eviction tests build
+    # ``[memory]`` directly.
     cache = PrerenderCache(clock=clock, max_bytes=100)
     cache.put("old", b"x" * 60)
     clock.advance(1.0)
@@ -90,8 +98,8 @@ def test_hit_rate(cache):
     assert cache.stats.hit_rate == pytest.approx(0.5)
 
 
-def test_hit_rate_empty():
-    assert PrerenderCache().stats.hit_rate == 0.0
+def test_hit_rate_empty(make_cache):
+    assert make_cache().stats.hit_rate == 0.0
 
 
 def test_overwrite_refreshes_age(cache, clock):
@@ -114,8 +122,8 @@ def test_ttl_zero_is_never_fresh(cache):
     assert cache.stats.expirations == 1
 
 
-def test_ttl_zero_is_never_fresh_without_clock():
-    cache = PrerenderCache()  # no clock: now is always 0.0
+def test_ttl_zero_is_never_fresh_without_clock(make_cache):
+    cache = make_cache()  # no clock: now is always 0.0
     cache.put("k", b"data", ttl_s=0.0)
     assert cache.get("k") is None
 

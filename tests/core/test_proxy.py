@@ -169,6 +169,39 @@ def test_image_cache_endpoint(proxy, mobile):
     assert proxy.services.cache.stats.stores == stores_before
 
 
+def test_image_invalidated_mid_fetch_is_served_but_not_kept(origins, clock):
+    """The request path's fills are ``get -> load_or_join(peek -> fetch
+    -> put)``: an invalidation that lands while the origin fetch is in
+    flight must win over the loader's ``put``."""
+    key = "lowfi:/images/sawmill_logo.gif:q40"
+
+    class InvalidatingOrigin:
+        def __init__(self, inner):
+            self.inner = inner
+            self.image_fetches = 0
+
+        def handle(self, request):
+            if request.url.path.endswith("sawmill_logo.gif"):
+                self.image_fetches += 1
+                if self.image_fetches == 1:
+                    proxy.services.cache.invalidate(key)  # mid-fetch
+            return self.inner.handle(request)
+
+    origin = InvalidatingOrigin(origins[FORUM_HOST])
+    proxy = make_proxy({FORUM_HOST: origin}, clock, bare=True)
+    mobile = HttpClient({PROXY_HOST: proxy}, jar=CookieJar(), clock=clock)
+    first = mobile.get(url("?img=/images/sawmill_logo.gif&q=40"))
+    assert first.ok and first.body  # the waiters are still served
+    cache = proxy.services.cache
+    assert cache.peek(key) is None  # ...but the invalidation won
+    assert cache.stats.invalidated_loads == 1
+    # The next request re-fetches, and that fill is kept.
+    again = mobile.get(url("?img=/images/sawmill_logo.gif&q=40"))
+    assert again.body == first.body
+    assert origin.image_fetches == 2
+    assert cache.peek(key) is not None
+
+
 def test_image_cache_missing_origin_image(proxy, mobile):
     mobile.get(url())
     assert mobile.get(url("?img=/images/ghost.gif&q=40")).status == 404

@@ -9,13 +9,21 @@ transparent reference model, checking after every operation that
   boundary included),
 * the statistics stay internally consistent (hits+misses == lookups,
   expirations and evictions never exceed stores).
+
+Part of the cache contract: runs here over ``[memory]`` and again,
+re-collected by ``tests/cluster/contract_disk``, over ``[memory, disk]``
+— where the model also holds that eviction from memory is not a loss
+(a flushed entry is answered again, by promotion, from the tier below).
 """
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.cache import PrerenderCache
 from repro.sim.clock import Clock
+
+# ``make_cache`` is a stateless factory: every example builds its own
+# cache inside the test body, so the function-scoped fixture is safe.
+_FACTORY_OK = [HealthCheck.function_scoped_fixture]
 
 KEYS = ("alpha", "beta", "gamma", "delta")
 MAX_BYTES = 120
@@ -35,22 +43,25 @@ _op = st.one_of(
 
 class _Model:
     """Reference semantics: same freshness rule, same oldest-first
-    eviction the cache documents."""
+    eviction the cache documents.  With ``durable`` (a tier below
+    memory, flushed after every store) what memory evicts is kept in
+    ``below`` and read back through on the next lookup."""
 
-    def __init__(self):
+    def __init__(self, durable=False):
         self.now = 0.0
         self.entries = {}  # key -> (data, stored_at, ttl_s)
+        self.durable = durable
+        self.below = {}  # the lower tier, same shape
+        self.retired = set()  # expired in memory: memory has an opinion
+        self.promotions = 0
 
-    def fresh(self, key):
-        if key not in self.entries:
-            return False
-        __, stored_at, ttl_s = self.entries[key]
-        if ttl_s <= 0:
-            return False
-        return self.now - stored_at < ttl_s
+    def _fresh(self, entry):
+        __, stored_at, ttl_s = entry
+        return ttl_s > 0 and self.now - stored_at < ttl_s
 
-    def put(self, key, data, ttl_s):
-        self.entries[key] = (data, self.now, ttl_s)
+    def _store(self, key, entry):
+        self.entries[key] = entry
+        self.retired.discard(key)
         while (
             sum(len(d) for d, *_ in self.entries.values()) > MAX_BYTES
             and self.entries
@@ -60,9 +71,27 @@ class _Model:
             )
             del self.entries[oldest]
 
+    def put(self, key, data, ttl_s):
+        self._store(key, (data, self.now, ttl_s))
+        if self.durable and key in self.entries:  # still live at flush
+            self.below[key] = self.entries[key]
+
+    def invalidate(self, key):
+        self.entries.pop(key, None)
+        self.below.pop(key, None)
+        self.retired.discard(key)
+
     def get(self, key):
-        if key in self.entries and not self.fresh(key):
-            del self.entries[key]
+        if key not in self.entries and key not in self.retired:
+            stored = self.below.get(key)
+            if stored is not None and self._fresh(stored):
+                self._store(key, stored)  # read-through promotion
+                self.promotions += 1
+            elif stored is not None and stored[2] > 0:
+                self.retired.add(key)  # parked for the stale rung
+        if key in self.entries and not self._fresh(self.entries[key]):
+            if self.entries.pop(key)[2] > 0:
+                self.retired.add(key)
             return None
         if key not in self.entries:
             return None
@@ -73,12 +102,12 @@ class _Model:
         return sum(len(d) for d, *_ in self.entries.values())
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, suppress_health_check=_FACTORY_OK)
 @given(ops=st.lists(_op, max_size=60))
-def test_cache_matches_reference_model(ops):
+def test_cache_matches_reference_model(make_cache, ops):
     clock = Clock()
-    cache = PrerenderCache(clock=clock, max_bytes=MAX_BYTES)
-    model = _Model()
+    cache = make_cache(clock=clock, max_bytes=MAX_BYTES)
+    model = _Model(durable=len(cache.tiers) > 1)
     gets = puts = 0
 
     for step, op in enumerate(ops):
@@ -86,6 +115,7 @@ def test_cache_matches_reference_model(ops):
             __, key, size, ttl_s = op
             data = f"{key}:{step}:".encode() + b"x" * size
             cache.put(key, data, ttl_s=ttl_s)
+            cache.flush()  # write-behind made deterministic
             model.put(key, data, ttl_s)
             puts += 1
         elif op[0] == "get":
@@ -104,7 +134,7 @@ def test_cache_matches_reference_model(ops):
         else:
             __, key = op
             cache.invalidate(key)
-            model.entries.pop(key, None)
+            model.invalidate(key)
 
         # Byte budget holds after every single operation.
         assert cache.total_bytes <= MAX_BYTES
@@ -115,36 +145,37 @@ def test_cache_matches_reference_model(ops):
     assert stats.hits + stats.misses == gets
     assert stats.stores == puts
     assert stats.expirations <= gets
-    assert stats.evictions <= puts
+    assert stats.evictions <= puts + model.promotions
     assert len(cache) == len(model.entries)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, suppress_health_check=_FACTORY_OK)
 @given(
     ttl_s=st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
     elapsed=st.floats(min_value=0.0, max_value=200.0, allow_nan=False),
 )
-def test_freshness_boundary_property(ttl_s, elapsed):
+def test_freshness_boundary_property(make_cache, ttl_s, elapsed):
     """fresh ⇔ (ttl_s > 0 and elapsed < ttl_s), for any ttl/elapsed."""
     clock = Clock()
-    cache = PrerenderCache(clock=clock)
+    cache = make_cache(clock=clock)
     cache.put("k", b"v", ttl_s=ttl_s)
     clock.advance(elapsed)
     served = cache.get("k") is not None
     assert served == (ttl_s > 0 and elapsed < ttl_s)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, suppress_health_check=_FACTORY_OK)
 @given(
     sizes=st.lists(
         st.integers(min_value=1, max_value=80), min_size=1, max_size=20
     )
 )
-def test_eviction_keeps_newest_within_budget(sizes):
-    """After any put sequence, surviving entries are a suffix of the
-    insertion order (oldest-first eviction) and fit the budget."""
+def test_eviction_keeps_newest_within_budget(make_cache, sizes):
+    """After any put sequence, the entries surviving *in memory* are a
+    suffix of the insertion order (oldest-first eviction) and fit the
+    budget."""
     clock = Clock()
-    cache = PrerenderCache(clock=clock, max_bytes=MAX_BYTES)
+    cache = make_cache(clock=clock, max_bytes=MAX_BYTES)
     for index, size in enumerate(sizes):
         cache.put(f"k{index}", b"x" * size, ttl_s=1000.0)
         clock.advance(1.0)

@@ -135,6 +135,7 @@ def test_regions_endpoint_reports_fleet_state(deployment):
     assert "head_seq" in status["log"]
     assert set(east["workers"]) == {"east-w0", "east-w1"}
     assert east["store"]["entries"] == 0
+    assert east["tiers"] == west["tiers"] == ["memory", "disk"]
 
 
 def test_metrics_endpoints_expose_rollups(deployment):
@@ -278,6 +279,41 @@ def test_ttl_expiry_appends_to_the_log(tmp_path, clock):
         assert [(e.kind, e.key) for e in events] == [
             ("expire", "snap:brief")
         ]
+
+
+def test_disk_only_invalidation_reaches_the_peer_store(tmp_path):
+    """An owner that holds a key only on disk (a restart, nothing
+    promoted yet) must still announce its invalidation: the CDC pump
+    logs from the bus, and the peer holds the replicated snapshot."""
+
+    def regional(**kwargs):
+        return RegionalDeployment(
+            regions=("east", "west"),
+            snapshot_root=str(tmp_path),
+            site="echo",
+            make_app=EchoApp,
+            **kwargs,
+        )
+
+    with regional() as first:
+        first.region("east").backend.cache.put(
+            "snap:shared", b"warm", ttl_s=60.0
+        )
+        first.region("east").backend.flush()
+        assert first.region("west").backend.store.get("snap:shared")
+    with regional(preload=False) as restarted:
+        east = restarted.region("east")
+        west = restarted.region("west")
+        assert east.backend.cache.peek("snap:shared") is None
+        assert east.backend.invalidate("snap:shared") is True
+        events, _ = restarted.log.events_after(0)
+        assert [(e.kind, e.key, e.origin) for e in events] == [
+            ("invalidate", "snap:shared", "east")
+        ]
+        # The pump drained: the peer no longer holds the snapshot.
+        assert west.acked_seq == restarted.log.head_seq
+        assert west.backend.store.get("snap:shared") is None
+        assert west.backend.cache.get("snap:shared") is None
 
 
 def test_persists_replicate_into_peer_store(deployment):

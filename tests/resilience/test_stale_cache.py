@@ -1,16 +1,18 @@
-"""The stale side store behind the degradation ladder."""
+"""The stale side store behind the degradation ladder.
+
+Part of the cache contract: runs here over ``[memory]`` and again,
+re-collected by ``tests/cluster/contract_disk``, over ``[memory, disk]``.
+"""
 
 import pytest
 
-from repro.core.cache import PrerenderCache
-from repro.errors import DegradedServeError
 from repro.observability.metrics import MetricsRegistry
 from repro.sim.clock import Clock
 
 
 @pytest.fixture()
-def cache(clock):
-    return PrerenderCache(clock=clock, metrics=MetricsRegistry())
+def cache(make_cache, clock):
+    return make_cache(clock=clock, metrics=MetricsRegistry())
 
 
 @pytest.fixture()
@@ -44,8 +46,8 @@ def test_load_stale_respects_max_stale(cache, clock):
     assert cache.stats.stale_misses == 1
 
 
-def test_too_old_entries_are_evicted(clock):
-    cache = PrerenderCache(
+def test_too_old_entries_are_evicted(make_cache, clock):
+    cache = make_cache(
         clock=clock, metrics=MetricsRegistry(), stale_grace_s=60.0
     )
     cache.put("k", b"old", ttl_s=10.0)
@@ -93,10 +95,27 @@ def test_zero_ttl_entries_are_never_stale_servable(cache, clock):
     assert cache.load_stale("k") is None
 
 
+def _revalidate(cache, key, loader, ttl_s=3600.0):
+    """Stale-while-revalidate as the request path composes it (there is
+    no cache method for it): the single-flight fill, and on a loader
+    failure the stale rung.  Returns ``(entry, is_stale)``."""
+    try:
+        return cache.load_or_join(
+            key, lambda: cache.put(key, loader(), ttl_s=ttl_s)
+        ), False
+    except RuntimeError:
+        entry = cache.load_stale(key)
+        if entry is None:
+            raise
+        return entry, True
+
+
+def _exploding():
+    raise RuntimeError("origin down")
+
+
 def test_serve_stale_while_revalidate_happy_path(cache):
-    entry, is_stale = cache.serve_stale_while_revalidate(
-        "k", lambda: b"fresh", ttl_s=10.0
-    )
+    entry, is_stale = _revalidate(cache, "k", lambda: b"fresh", ttl_s=10.0)
     assert entry.data == b"fresh"
     assert not is_stale
 
@@ -104,32 +123,24 @@ def test_serve_stale_while_revalidate_happy_path(cache):
 def test_serve_stale_while_revalidate_falls_back(cache, clock):
     cache.put("k", b"old", ttl_s=10.0)
     clock.advance(11.0)
-
-    def exploding():
-        raise RuntimeError("origin down")
-
-    entry, is_stale = cache.serve_stale_while_revalidate("k", exploding)
+    entry, is_stale = _revalidate(cache, "k", _exploding)
     assert entry.data == b"old"
     assert is_stale
     # A later successful revalidation replaces the stale copy.
-    entry, is_stale = cache.serve_stale_while_revalidate(
-        "k", lambda: b"new", ttl_s=10.0
-    )
+    entry, is_stale = _revalidate(cache, "k", lambda: b"new", ttl_s=10.0)
     assert entry.data == b"new"
     assert not is_stale
+    assert cache.stale_bytes == 0
 
 
 def test_serve_stale_while_revalidate_out_of_rungs(cache):
-    def exploding():
-        raise RuntimeError("origin down")
-
-    with pytest.raises(DegradedServeError) as excinfo:
-        cache.serve_stale_while_revalidate("missing", exploding)
-    assert isinstance(excinfo.value.__cause__, RuntimeError)
+    with pytest.raises(RuntimeError):
+        _revalidate(cache, "missing", _exploding)
+    assert cache.stats.stale_misses == 1
 
 
-def test_stale_store_is_bounded(clock):
-    cache = PrerenderCache(
+def test_stale_store_is_bounded(make_cache, clock):
+    cache = make_cache(
         clock=clock, metrics=MetricsRegistry(), stale_max_bytes=200
     )
     for index in range(10):

@@ -11,7 +11,9 @@ spans, breaker state, retry budgets), where untested lines are silent
 lies on the ``/metrics`` endpoint — plus ``repro.cluster``, whose
 routing/spill-over/rollup branches are exactly the lines that only
 matter when a worker is down or saturated (a per-package ``floor``
-raises its bar to 95%), ``repro.regions`` (95%), whose CDC replay /
+raises its bar to 95%), the one cache class in ``core/cache.py`` (95%),
+whose single-flight and write-behind branches only run under a race or
+a restart, ``repro.regions`` (95%), whose CDC replay /
 partition-heal / failover branches only run when a region is down or
 behind, the workload layer (``repro.workload`` and
 ``repro.sites.news``, both at 95%), whose determinism and 5xx
@@ -99,6 +101,27 @@ PACKAGES = [
             "tests/cluster/test_deployment.py",
             "tests/cluster/test_snapshotstore.py",
             "tests/cluster/test_tiers.py",
+        ],
+    },
+    {
+        # The one cache class: single-flight, the mid-flight
+        # invalidation guard, stale grace, read-through and the
+        # write-behind/invalidate ordering all live in core/cache.py
+        # now, and most of those branches only run under a race or a
+        # restart.  Measured by the cache contract — the ``[memory]``
+        # suites where they live, their ``[memory, disk]`` re-collection
+        # — plus the disk-specific suite above.
+        "label": "repro cache",
+        "files": [
+            os.path.join(SRC_DIR, "repro", "core", "cache.py"),
+        ],
+        "floor": 0.95,
+        "suites": [
+            "tests/core/test_cache.py",
+            "tests/resilience/test_stale_cache.py",
+            "tests/concurrency/test_single_flight.py",
+            "tests/properties/test_cache_properties.py",
+            "tests/cluster/contract_disk",
         ],
     },
     {
