@@ -5,9 +5,20 @@ at least double adapts/sec over the full pipeline, with a non-zero
 cross-session hit ratio.  Run with ``-s`` to see the measured table.
 """
 
+import statistics
+import time
+
 import pytest
 
-from repro.bench.hotpath import format_report, run_hotpath_bench
+from repro.bench.hotpath import (
+    FORUM_HOST,
+    format_report,
+    forum_spec,
+    run_hotpath_bench,
+)
+from repro.core.pipeline import AdaptationPipeline, ProxyServices
+from repro.core.plan import TransformPlan
+from repro.core.sessions import SessionManager
 
 
 @pytest.mark.smoke
@@ -43,4 +54,44 @@ def test_hotpath_full_run_stream_faster_than_dom():
     assert stream["speedup"] >= 1.0, (
         f"streaming emitted slower than the DOM round-trip "
         f"({stream['speedup']:.2f}x)"
+    )
+
+
+@pytest.mark.smoke
+def test_full_run_pays_for_no_delta_seed(forum_app):
+    """Tier-1 smoke: a storable full run only *stashes* its delta seed.
+
+    The memo a seed turns into is read by a later warm miss, if one
+    ever comes, so building it is that miss's cost.  When it was the
+    full run's, a forced re-adaptation of the forum page took ~2.4x a
+    delta-disabled one; stashing measures ~1.0x.  A ratio of two runs
+    taken back to back holds on any box, and eager work creeping back
+    into ``DeltaEngine.seed`` fails it.
+    """
+    spec = forum_spec()
+    plan = TransformPlan.compile(spec)
+
+    def run_s(delta_enabled: bool) -> float:
+        services = ProxyServices(
+            origins={FORUM_HOST: forum_app}, delta_enabled=delta_enabled
+        )
+        session = SessionManager(services.storage).create()
+        pipeline = AdaptationPipeline(spec, services, session, plan=plan)
+        started = time.perf_counter()
+        pipeline.run(force_refresh=True)
+        return time.perf_counter() - started
+
+    ratios = []
+    for sample in range(12):
+        # Alternate which variant goes first so drift cancels.
+        order = ((True, False), (False, True))[sample % 2]
+        seconds = {flag: run_s(flag) for flag in order}
+        if sample:  # the first pair warms imports and selector caches
+            ratios.append(seconds[True] / seconds[False])
+    ratio = statistics.median(ratios)
+    print(f"\nfull run, delta on / off: {ratio:.2f}x over {len(ratios)} pairs")
+    assert ratio <= 1.25, (
+        f"a full run with the delta engine on takes {ratio:.2f}x one "
+        f"with it off; seeding is meant to be deferred to the warm miss "
+        f"that needs the memo"
     )

@@ -131,9 +131,16 @@ def _drive_churn(
         "warm_hit_p50_ms": _percentile(warm, 0.50) * 1000.0,
     }
     if delta_enabled:
-        for name in ("seeds", "applied", "identical", "fallbacks",
-                     "patched_segments"):
+        for name in ("deferred", "seeds", "applied", "identical",
+                     "fallbacks", "patched_segments"):
             side[f"delta_{name}"] = _delta_value(services, name)
+        # What the warm misses that needed a memo paid to build it —
+        # inside their own re-adaptation latencies above.
+        seed_seconds = services.observability.registry.histogram(
+            "msite_delta_seed_seconds"
+        ).snapshot()
+        side["delta_seed_p50_ms"] = seed_seconds.p50 * 1000.0
+        side["delta_seed_total_ms"] = seed_seconds.sum * 1000.0
     return side, bodies
 
 
@@ -261,6 +268,10 @@ def format_report(results: dict) -> str:
         f"identical {delta.get('delta_identical', 0):.0f}, "
         f"fallbacks {delta.get('delta_fallbacks', 0):.0f}, "
         f"{delta.get('delta_patched_segments', 0):.0f} segments patched)\n"
+        f"seeds: {delta.get('delta_deferred', 0):.0f} deferred by full "
+        f"runs, {delta.get('delta_seeds', 0):.0f} built by warm misses "
+        f"(build p50 {delta.get('delta_seed_p50_ms', 0.0):.2f} ms, "
+        f"{delta.get('delta_seed_total_ms', 0.0):.1f} ms in all)\n"
         f"re-adapt speedup: {results['readapt_speedup']:.1f}x, "
         f"byte-identical to full replay: {results['byte_identical']}\n"
         f"session deltas: {session['manifests']}/{session['revisions']} "

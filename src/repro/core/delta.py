@@ -7,15 +7,18 @@ every plan phase, serialize — even when consecutive origin renders
 differ in a handful of subtrees.  This module turns that warm miss into
 a near-hit:
 
-1.  After a full run stores a bundle, :meth:`DeltaEngine.seed` captures
-    a *memo* for the (site, path, device, spec) key: the post-filter
-    source split into top-level **segments** (the ``<body>``'s direct
-    children, each keyed by stable identity), the post-run residual
-    document whose serialization produced the entry page, per-step
-    selector footprints (which segments each compiled plan step may
-    touch), and the stored bundle itself.
+1.  After a full run stores a bundle, :meth:`DeltaEngine.seed` stashes
+    the run's inputs under the (site, path, device, spec) key.  Most
+    stashes are never read — a refresh, a TTL expiry or a newer run
+    replaces them — so nothing is computed from one until a warm miss
+    asks.  The first such miss builds the *memo* from it: the
+    post-filter source split into top-level **segments** (the
+    ``<body>``'s direct children, each keyed by stable identity), the
+    post-run residual document whose serialization produced the entry
+    page, per-step selector footprints (which segments each compiled
+    plan step may touch), and the stored bundle itself.
 
-2.  On the next warm miss for the same key, :meth:`DeltaEngine.attempt`
+2.  On a warm miss for the same key, :meth:`DeltaEngine.attempt`
     re-runs only the filter phase over the new origin source, re-scans
     its segments, and aligns them against the memo by identity.  Each
     changed segment is handled by the cheapest sound rung:
@@ -41,15 +44,16 @@ a near-hit:
 The hard invariant — enforced by the differential suites — is that a
 delta-patched response is **byte-identical** to a from-scratch full
 adaptation of the new origin.  Every shortcut in this module is either
-verified at seed time (the segment scanner is cross-checked against the
-real parser; the entry reconstruction is cross-checked against the run
-that just happened) or guarded by a conservative bail that takes the
-full-replay path instead.
+verified when the memo is built (the segment scanner is cross-checked
+against the real parser; the entry reconstruction is cross-checked
+against the run that was stashed) or guarded by a conservative bail
+that takes the full-replay path instead.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass, field
 from difflib import SequenceMatcher
 from typing import Any, Optional
@@ -549,7 +553,7 @@ class DeltaMemo:
     #: origin source, plus each raw segment's filter output and that
     #: output's scanned facts.  A delta then rescans the cheap raw
     #: source and runs the filter phase only over segments whose raw
-    #: bytes changed; seed time verified that the pieces concatenate to
+    #: bytes changed; the build verified that the pieces concatenate to
     #: exactly the globally filtered page.  ``None`` when the plan's
     #: filter phase is not piecewise-safe.
     raw_scan: Optional[ScanResult]
@@ -568,7 +572,7 @@ class DeltaMemo:
     ajax_injection: str
     #: Per-segment serialized HTML keyed by identity, with the shell
     #: around the body children, so a delta re-serializes only patched
-    #: segments.  ``None`` when the seed-time concatenation check
+    #: segments.  ``None`` when the build-time concatenation check
     #: failed (the full-document serializer is the fallback).
     entry_parts: Optional[dict]
     shell_prefix: str
@@ -583,9 +587,32 @@ class DeltaMemo:
     lock: threading.Lock = field(default_factory=threading.Lock)
 
 
+@dataclass
+class _Stash:
+    """One full run's inputs, kept until a warm miss needs the memo.
+
+    Nothing may mutate ``ctx.document`` once the run that stashed it
+    has returned: the memo's proofs are made against it later.
+    """
+
+    #: The run's :class:`PipelineContext`; ``None`` once ``memo`` holds
+    #: the verdict of the one build (under ``lock``).
+    ctx: Any
+    entry_html: str
+    bundle: fastpath.FastpathBundle
+    ttl_s: float
+    raw_source: Optional[str]
+    #: Only the storing run knows when its artifacts stop being fresh.
+    deadline: float
+    memo: Optional[DeltaMemo] = None
+    lock: threading.Lock = field(default_factory=threading.Lock)
+
+
 _COUNTER_HELP = {
-    "seeds": "Delta memos captured after full adaptation runs.",
-    "seed_skips": "Full runs that were not delta-eligible.",
+    "deferred": "Full runs that stashed their inputs for a later memo.",
+    "seeds": "Delta memos built from a stash by a warm miss.",
+    "seed_skips":
+        "Full runs not delta-eligible, plus stashes a memo build refused.",
     "applied": "Warm misses served by patching the cached bundle.",
     "identical":
         "Warm misses where filtering erased the origin change entirely.",
@@ -606,13 +633,37 @@ def delta_counter(registry, name: str):
     )
 
 
+def _seedable(pipeline, ctx, result) -> bool:
+    """The refusals a full run can afford: flags and the plan's steps."""
+    if ctx.document is None or ctx.streamed_html is not None:
+        return False
+    if ctx.prerender_page or ctx.partial_prerender_targets:
+        return False
+    if ctx.media_thumbnails:
+        return False
+    if result.degraded is not None:
+        return False
+    for step in pipeline.plan.dom_steps:
+        if step.definition.name in _TOPLEVEL_REWRITERS:
+            return False
+        if step.selector_group is None:
+            return False
+    return True
+
+
 class DeltaEngine:
     """Per-deployment incremental re-adaptation state and logic."""
 
     def __init__(self, registry) -> None:
         self._registry = registry
-        self._memos: dict[tuple, DeltaMemo] = {}
+        #: A key holds the latest full run's stash until the first warm
+        #: miss builds the memo from it, the memo from then on.
+        self._memos: dict[tuple, DeltaMemo | _Stash] = {}
         self._lock = threading.Lock()
+        self._seed_seconds = registry.histogram(
+            "msite_delta_seed_seconds",
+            "Time warm misses spent building a delta memo from a stash.",
+        )
 
     def _counter(self, name: str):
         return delta_counter(self._registry, name)
@@ -626,13 +677,20 @@ class DeltaEngine:
         )
 
     def forget(self, site: Optional[str] = None) -> None:
-        """Drop memos (all, or one site's) after an invalidation."""
+        """Drop memos and stashes (all, or one site's) after an
+        invalidation."""
         with self._lock:
             if site is None:
                 self._memos.clear()
             else:
                 for key in [k for k in self._memos if k[0] == site]:
                     del self._memos[key]
+
+    def _drop(self, key: tuple, held) -> None:
+        """Forget what this key held, unless a newer run replaced it."""
+        with self._lock:
+            if self._memos.get(key) is held:
+                del self._memos[key]
 
     # ------------------------------------------------------------------
     # seeding
@@ -647,47 +705,70 @@ class DeltaEngine:
         device_class: str,
         raw_source: Optional[str] = None,
     ) -> bool:
-        """Capture a memo from a just-completed full run.
+        """Stash a just-completed full run for a later memo build.
+
+        Only the refusals that cost a walk over the plan's steps are
+        decided here; everything that needs a scan, a parse or a
+        serialization waits in the stash for the first warm miss that
+        wants the memo (:meth:`attempt`), because most full runs are
+        followed by none.
 
         ``raw_source`` is the normalized origin source *before* the
         filter phase ran; when given (and the filter phase is
         piecewise-safe) the memo also captures per-segment filter
         output so deltas can filter only what changed.
 
-        Returns ``False`` (and counts ``seed_skips``) whenever any
-        precondition fails; the run itself is unaffected.
+        Returns ``False`` (and counts ``seed_skips``) when the run is
+        not delta-eligible; the run itself is unaffected.
         """
         key = self._memo_key(pipeline, device_class)
-        memo = self._build_memo(
-            pipeline, ctx, result, bundle, ttl_s, raw_source
-        )
-        if memo is None:
+        if not _seedable(pipeline, ctx, result):
             self._counter("seed_skips").inc()
             with self._lock:
                 self._memos.pop(key, None)
             return False
+        stash = _Stash(
+            ctx=ctx,
+            entry_html=result.entry_html,
+            bundle=bundle,
+            ttl_s=ttl_s,
+            raw_source=raw_source,
+            deadline=pipeline.services.now + ttl_s,
+        )
         with self._lock:
-            self._memos[key] = memo
-        self._counter("seeds").inc()
+            self._memos[key] = stash
+        self._counter("deferred").inc()
         return True
 
-    def _build_memo(
-        self, pipeline, ctx, result, bundle, ttl_s, raw_source=None
-    ) -> Optional[DeltaMemo]:
-        if ctx.document is None or ctx.streamed_html is not None:
-            return None
-        if ctx.prerender_page or ctx.partial_prerender_targets:
-            return None
-        if ctx.media_thumbnails:
-            return None
-        if result.degraded is not None:
-            return None
+    def _memo_from(self, pipeline, key, stash) -> Optional[DeltaMemo]:
+        """The memo this stash builds, built once.
+
+        Concurrent warm misses on one key wait on the stash's lock for
+        the one build and share its verdict.
+        """
+        with stash.lock:
+            if stash.ctx is None:
+                if stash.memo is None:
+                    self._counter("no_memo").inc()
+                return stash.memo
+            started = time.perf_counter()
+            stash.memo = self._build_memo(pipeline, stash)
+            self._seed_seconds.observe(time.perf_counter() - started)
+            stash.ctx = None
+            if stash.memo is None:
+                self._counter("seed_skips").inc()
+                self._drop(key, stash)
+            else:
+                self._counter("seeds").inc()
+                with self._lock:
+                    if self._memos.get(key) is stash:
+                        self._memos[key] = stash.memo
+            return stash.memo
+
+    def _build_memo(self, pipeline, stash) -> Optional[DeltaMemo]:
+        ctx = stash.ctx
+        bundle = stash.bundle
         steps = pipeline.plan.dom_steps
-        for step in steps:
-            if step.definition.name in _TOPLEVEL_REWRITERS:
-                return None
-            if step.selector_group is None:
-                return None
         scan = scan_segments(ctx.source)
         if scan is None:
             return None
@@ -748,7 +829,7 @@ class DeltaEngine:
         ajax_injection = _ajax_injection_html(ctx)
         body_html = serialize(ctx.document)
         rebuilt = _rebuild_entry(body_html, menu, ajax_injection)
-        if rebuilt != result.entry_html:
+        if rebuilt != stash.entry_html:
             return None
         # Per-segment serialization: valid only if the document's
         # serialization is exactly shell + concatenated children.
@@ -764,13 +845,15 @@ class DeltaEngine:
             shell_suffix = body_html[split + len(joined) :]
         else:
             entry_parts = None
-        entry_rel = pipeline._relpath(result.entry_path)
+        # Not pipeline._relpath(): that strips the *storing* session's
+        # directory, and this pipeline belongs to the attempting one.
+        entry_rel = bundle.entry_rel
         if not any(item.relpath == entry_rel for item in bundle.files):
             return None
         filtered_source: Optional[str] = ctx.source
         raw_scan = pieces = piece_facts = None
         piecewise = self._piecewise_setup(
-            pipeline, raw_source, ctx.source, scan
+            pipeline, stash.raw_source, ctx.source, scan
         )
         if piecewise is not None:
             raw_scan, pieces, piece_facts = piecewise
@@ -791,8 +874,8 @@ class DeltaEngine:
             shell_suffix=shell_suffix,
             bundle=bundle,
             entry_rel=entry_rel,
-            ttl_s=ttl_s,
-            deadline=pipeline.services.now + ttl_s,
+            ttl_s=stash.ttl_s,
+            deadline=stash.deadline,
         )
 
     def _filter_piece(self, pipeline, piece: str) -> str:
@@ -872,7 +955,7 @@ class DeltaEngine:
         """Serve this warm miss by patching, or return ``None``.
 
         ``None`` sends the caller down the full pipeline (which will
-        re-seed the memo for the next change).
+        stash a new seed for the next change).
         """
         key = self._memo_key(pipeline, device_class)
         with self._lock:
@@ -882,19 +965,19 @@ class DeltaEngine:
             return None
         if pipeline.services.now >= memo.deadline:
             self._counter("expired").inc()
-            with self._lock:
-                if self._memos.get(key) is memo:
-                    del self._memos[key]
+            self._drop(key, memo)
             return None
+        if isinstance(memo, _Stash):
+            memo = self._memo_from(pipeline, key, memo)
+            if memo is None:
+                return None
         with memo.lock:
             outcome = self._attempt_locked(
                 pipeline, memo, source, origin_bytes, etag,
                 bundle_key, pointer_key,
             )
         if outcome is _DROP_MEMO:
-            with self._lock:
-                if self._memos.get(key) is memo:
-                    del self._memos[key]
+            self._drop(key, memo)
             return None
         return outcome
 
@@ -984,7 +1067,7 @@ class DeltaEngine:
         cost; this replaces it with a raw rescan (which already scales
         with the change) plus a filter pass over just the changed
         segments, splicing memoized filter output for everything else.
-        Seed time proved piecewise filtering byte-equal to the global
+        The build proved piecewise filtering byte-equal to the global
         pass for this page and plan (:meth:`_piecewise_setup`).
         """
         raw_scan = rescan_segments(source, memo.raw_scan)

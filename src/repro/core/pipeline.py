@@ -407,6 +407,9 @@ class AdaptationPipeline:
                     )
                 self._fastpath_counter("stores").inc()
                 if services.delta is not None:
+                    # Hands ctx over: the engine stashes it and proves a
+                    # memo against ctx.document on a later warm miss, so
+                    # nothing may mutate it from here on.
                     services.delta.seed(
                         self, ctx, result, stored_bundle, ttl_s,
                         device_class, raw_source=source,

@@ -10,7 +10,9 @@ invariant violation.
 The news fast-path spec rides along as a fifth case because it is the
 one whose bundles are storable *and* whose origin churns — the delta
 engine must genuinely apply patches there, not just stay out of the
-way (the final assertion checks it did).
+way (the final assertion checks it did).  The two news cases also
+interleave what replaces or ages a stashed seed (``?refresh=1``, the
+clock) with the revisions that build a memo from one.
 """
 
 import pytest
@@ -37,10 +39,31 @@ PHONE_UA = (
     "Safari/6531.22.7"
 )
 
-ROUNDS = 4
+#: Four visits, the newsroom publishing between them.
+ROUNDS = ["visit"] + ["revise", "visit"] * 3
 
-CASES = SPEC_CASES + [
-    ("news_fastpath", lambda origins, clock: news_fastpath_spec()),
+#: Visits with the seed's whole lifecycle between them, on the news
+#: TTL of 3600 s: stashes replaced unbuilt by refreshes, a memo built
+#: from the survivor and patched forward, a refresh over a built memo,
+#: a memo built half-way through its run's TTL and met again exactly at
+#: that run's deadline, the stash after it, and a stash that expires
+#: unbuilt.
+INTERLEAVED = [
+    "visit", "refresh", "refresh",
+    "revise", "visit",
+    ("advance", 1800.0), "revise", "visit",
+    "refresh", ("advance", 1800.0),
+    "revise", "visit",
+    ("advance", 1800.0), "revise", "visit",
+    "revise", "visit",
+    "refresh", ("advance", 3600.0), "revise", "visit",
+]
+
+CASES = [
+    (name, factory, INTERLEAVED if name.startswith("news") else ROUNDS)
+    for name, factory in SPEC_CASES + [
+        ("news_fastpath", lambda origins, clock: news_fastpath_spec()),
+    ]
 ]
 
 
@@ -71,36 +94,60 @@ def _deploy(module, origins, delta_enabled: bool):
         # the thing under test — happens on *new* sessions.
         return HttpClient({PROXY_HOST: proxy}, jar=CookieJar(), clock=clock)
 
-    return fresh_session, services
+    return fresh_session, services, clock
 
 
 @pytest.mark.parametrize(
-    "name,factory", CASES, ids=[name for name, _ in CASES]
+    "name,factory,script", CASES, ids=[name for name, *_ in CASES]
 )
-def test_delta_deployment_is_byte_identical_to_full_replay(name, factory):
+def test_delta_deployment_is_byte_identical_to_full_replay(
+    name, factory, script
+):
     origins = _fresh_origins()
     spec = factory(origins, Clock())
     module = load_generated_proxy(generate_proxy_source(spec))
-    delta_sessions, delta_services = _deploy(module, origins, True)
-    full_sessions, full_services = _deploy(module, origins, False)
+    delta_sessions, delta_services, delta_clock = _deploy(
+        module, origins, True
+    )
+    full_sessions, full_services, full_clock = _deploy(
+        module, origins, False
+    )
     assert delta_services.delta is not None
     assert full_services.delta is None
     newsroom = origins[NEWS_HOST].newsroom
-    for round_number in range(ROUNDS):
-        if round_number:
+    for position, step in enumerate(script):
+        if step == "revise":
             newsroom.revise()
+            continue
+        if isinstance(step, tuple):
+            __, seconds = step
+            delta_clock.advance(seconds)
+            full_clock.advance(seconds)
+            continue
+        paths = ["proxy.php?refresh=1"] if step == "refresh" else _paths(spec)
         delta_client = delta_sessions()
         full_client = full_sessions()
-        for path in _paths(spec):
+        for path in paths:
             url = f"http://{PROXY_HOST}/{path}"
             ours = delta_client.get(url, headers={"User-Agent": PHONE_UA})
             theirs = full_client.get(url, headers={"User-Agent": PHONE_UA})
-            assert ours.status == theirs.status, (name, path, round_number)
+            assert ours.status == theirs.status, (name, path, position)
             assert ours.body == theirs.body, (
                 f"{name}: delta output diverged on {path} "
-                f"(round {round_number})"
+                f"(step {position}: {step})"
             )
     if name == "news_fastpath":
         registry = delta_services.observability.registry
-        applied = registry.counter("msite_delta_applied_total").value
-        assert applied > 0, "the churn rounds never exercised the engine"
+
+        def count(counter: str) -> float:
+            return registry.counter(f"msite_delta_{counter}_total").value
+
+        assert count("applied") > 0, (
+            "the churn rounds never exercised the engine"
+        )
+        # Seven full runs stashed (the cold miss, four refreshes, two
+        # expiries); only the three met by a revision inside their TTL
+        # were ever built.
+        assert (count("deferred"), count("seeds"), count("expired")) == (
+            7, 3, 2
+        )

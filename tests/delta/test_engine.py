@@ -4,11 +4,19 @@ Every applied delta in this suite is cross-checked against a fresh
 deployment that adapts the mutated page from scratch — the byte-identity
 invariant, asserted at the unit scale (the differential suite repeats it
 over the conformance specs).
+
+A full run only *stashes* its inputs (``deferred``); the memo is built,
+or refused, by the first warm miss that needs it (``seeds`` /
+``seed_skips``), so the assertions about a memo sit after that miss.
 """
+
+import gc
+import threading
+import weakref
 
 import pytest
 
-from repro.core.delta import UPHEAVAL_FRACTION
+from repro.core.delta import UPHEAVAL_FRACTION, DeltaEngine, DeltaMemo, _Stash
 from repro.core.pipeline import AdaptationPipeline, ProxyServices
 from repro.core.sessions import SessionManager
 from repro.core.spec import AdaptationSpec, ObjectSelector
@@ -95,18 +103,38 @@ def from_scratch(page: str, spec=None) -> str:
     return adapt(services, manager, spec=spec).entry_html
 
 
+def the_stash(services):
+    (stash,) = services.delta._memos.values()
+    assert isinstance(stash, _Stash)
+    return stash
+
+
 def the_memo(services):
     (memo,) = services.delta._memos.values()
+    assert isinstance(memo, DeltaMemo)
     return memo
+
+
+def builds(services) -> int:
+    """Memo builds run so far, refused ones included."""
+    return services.observability.registry.histogram(
+        "msite_delta_seed_seconds"
+    ).snapshot().count
 
 
 # -- seeding ---------------------------------------------------------------
 
 
 def test_full_run_seeds_a_piecewise_memo():
-    __, __, services, manager = deploy()
+    origin, __, services, manager = deploy()
     adapt(services, manager)
-    assert counts(services, "seeds", "seed_skips") == (1, 0)
+    assert counts(services, "deferred", "seeds", "seed_skips") == (1, 0, 0)
+    assert builds(services) == 0
+    the_stash(services)
+    origin.page = PAGE.replace("hello", "goodbye")
+    adapt(services, manager)
+    assert counts(services, "deferred", "seeds", "seed_skips") == (1, 1, 0)
+    assert builds(services) == 1
     memo = the_memo(services)
     assert memo.raw_scan is not None  # strip_scripts is piecewise-safe
     assert memo.filtered_source is None
@@ -114,7 +142,9 @@ def test_full_run_seeds_a_piecewise_memo():
 
 
 def test_non_piecewise_filters_fall_back_to_global_mode():
-    __, __, services, manager = deploy()
+    origin, __, services, manager = deploy()
+    adapt(services, manager, spec=make_global_spec())
+    origin.page = PAGE.replace("hello", "goodbye")
     adapt(services, manager, spec=make_global_spec())
     assert counts(services, "seeds") == (1,)
     memo = the_memo(services)
@@ -129,26 +159,51 @@ def test_disabling_delta_or_fastpath_removes_the_engine():
 
 
 @pytest.mark.parametrize(
-    "mutate_spec",
+    "mutate_spec,refused_by_the_run",
     [
-        lambda spec: spec.add("hide_object", ObjectSelector.css("body")),
-        lambda spec: spec.add("hide_object", ObjectSelector.css("title")),
-        lambda spec: spec.add(
-            "hide_object", ObjectSelector.xpath("//div[@id='note']")
+        # What a selector can reach is only known against a parse.
+        (
+            lambda spec: spec.add("hide_object", ObjectSelector.css("body")),
+            False,
         ),
-        lambda spec: spec.add(
-            "relocate_object", ObjectSelector.css("#note"),
-            destination="#feed", position="before",
+        (
+            lambda spec: spec.add("hide_object", ObjectSelector.css("title")),
+            False,
+        ),
+        # The plan's steps alone decide these.
+        (
+            lambda spec: spec.add(
+                "hide_object", ObjectSelector.xpath("//div[@id='note']")
+            ),
+            True,
+        ),
+        (
+            lambda spec: spec.add(
+                "relocate_object", ObjectSelector.css("#note"),
+                destination="#feed", position="before",
+            ),
+            True,
         ),
     ],
     ids=["scaffold", "head-descendant", "no-css-group", "toplevel-rewriter"],
 )
-def test_global_plans_are_not_memoized(mutate_spec):
-    __, __, services, manager = deploy()
+def test_global_plans_are_not_memoized(mutate_spec, refused_by_the_run):
+    origin, __, services, manager = deploy()
     spec = make_spec()
     mutate_spec(spec)
     adapt(services, manager, spec=spec)
-    assert counts(services, "seeds", "seed_skips") == (0, 1)
+    assert counts(services, "deferred", "seed_skips") == (
+        (0, 1) if refused_by_the_run else (1, 0)
+    )
+    origin.page = PAGE.replace("hello", "goodbye")
+    result = adapt(services, manager, spec=spec)
+    assert counts(services, "seeds", "applied") == (0, 0)
+    # One refusal per full run, whichever side of the run it fell on.
+    assert counts(services, "seed_skips") == (
+        (2,) if refused_by_the_run else (1,)
+    )
+    assert builds(services) == (0 if refused_by_the_run else 1)
+    assert result.entry_html == from_scratch(origin.page, spec)
 
 
 def test_soup_pages_are_not_memoized():
@@ -162,12 +217,15 @@ def test_soup_pages_are_not_memoized():
     spec.add("hide_object", ObjectSelector.css(".alert"))
     origin, __, services, manager = deploy(soup)
     adapt(services, manager, spec=spec)
-    assert counts(services, "seeds", "seed_skips") == (0, 1)
-    # The warm miss then has nothing to delta against (no_memo counts
-    # the cold miss above too).
+    assert counts(services, "deferred", "seed_skips") == (1, 0)
+    # The scanner meets the soup when the warm miss builds the memo;
+    # refused, the miss takes the full pipeline (whose own soup stash
+    # waits for a miss of its own).
     origin.page = soup.replace("two", "three")
     result = adapt(services, manager, spec=spec)
-    assert counts(services, "no_memo") == (2,)
+    assert counts(services, "seeds", "seed_skips") == (0, 1)
+    assert counts(services, "no_memo") == (1,)  # the cold miss only
+    assert the_stash(services).ctx is not None  # unbuilt
     assert result.entry_html == from_scratch(origin.page, spec)
 
 
@@ -318,7 +376,8 @@ def test_upheaval_falls_back_to_a_full_replay_and_reseeds():
         "msite_delta_fallback_upheaval_total"
     ).value == 1
     assert result.entry_html == from_scratch(rebuilt)
-    assert counts(services, "seeds") == (2,)  # the full replay re-seeded
+    # The full replay stashed a new seed; only the first was ever built.
+    assert counts(services, "deferred", "seeds") == (2, 1)
 
 
 def test_non_localizable_step_on_a_changed_segment_falls_back():
@@ -342,12 +401,29 @@ def test_non_localizable_step_on_a_changed_segment_falls_back():
 def test_expired_memo_is_dropped_and_the_run_reseeds():
     origin, clock, services, manager = deploy()
     adapt(services, manager)
-    clock.advance(601)  # past the cacheable ttl
+    clock.advance(600)  # the cacheable ttl, to the second
     origin.page = PAGE.replace("hello", "later")
     result = adapt(services, manager)
     assert counts(services, "expired", "applied") == (1, 0)
     assert result.entry_html == from_scratch(origin.page)
-    assert counts(services, "seeds") == (2,)
+    # An expired stash is dropped unbuilt; the run stashed a new one.
+    assert counts(services, "deferred", "seeds") == (2, 0)
+    assert builds(services) == 0
+
+
+def test_a_built_memo_expires_when_its_run_does():
+    origin, clock, services, manager = deploy()
+    adapt(services, manager)  # t0; fresh until t0 + 600
+    clock.advance(300)
+    origin.page = PAGE.replace("hello", "sooner")
+    adapt(services, manager)  # builds the memo at t0 + 300
+    assert counts(services, "seeds", "applied") == (1, 1)
+    clock.advance(300)
+    origin.page = PAGE.replace("hello", "later")
+    result = adapt(services, manager)
+    # The deadline is the storing run's, not the build's.
+    assert counts(services, "expired", "applied") == (1, 1)
+    assert result.entry_html == from_scratch(origin.page)
 
 
 def test_apply_failure_drops_the_memo(monkeypatch):
@@ -362,7 +438,7 @@ def test_apply_failure_drops_the_memo(monkeypatch):
     result = adapt(services, manager)
     assert counts(services, "fallbacks", "applied") == (1, 0)
     assert result.entry_html == from_scratch(origin.page)
-    # The half-patched memo is gone; the full replay seeded a new one,
+    # The half-patched memo is gone; the full replay stashed a new seed,
     # and with the fault healed the next delta applies cleanly.
     monkeypatch.undo()
     origin.page = origin.page.replace("goodbye", "again")
@@ -375,19 +451,127 @@ def test_forget_drops_memos_for_the_site():
     origin, __, services, manager = deploy()
     adapt(services, manager)
     services.delta.forget("SomeOtherSite")
-    assert services.delta._memos  # untouched
+    the_stash(services)  # untouched
     services.delta.forget("Delta")
     assert not services.delta._memos
     origin.page = PAGE.replace("hello", "goodbye")
     adapt(services, manager)
     assert counts(services, "no_memo") == (2,)  # cold miss + this one
+    assert builds(services) == 0
 
 
 def test_forget_everything():
-    __, __, services, manager = deploy()
+    origin, __, services, manager = deploy()
     adapt(services, manager)
+    origin.page = PAGE.replace("hello", "goodbye")
+    adapt(services, manager)
+    the_memo(services)  # a built memo goes the same way a stash does
     services.delta.forget()
     assert not services.delta._memos
+
+
+# -- the stash -------------------------------------------------------------
+
+
+def test_refresh_runs_stash_and_only_the_revision_builds():
+    origin, __, services, manager = deploy()
+    adapt(services, manager)
+    for __ in range(4):
+        adapt(services, manager, force_refresh=True)
+    assert counts(services, "deferred", "seeds") == (5, 0)
+    assert builds(services) == 0
+    origin.page = PAGE.replace("hello", "goodbye")
+    result = adapt(services, manager)
+    assert counts(services, "deferred", "seeds", "applied") == (5, 1, 1)
+    assert builds(services) == 1
+    assert result.entry_html == from_scratch(origin.page)
+
+
+def test_a_replaced_stash_is_garbage():
+    __, __, services, manager = deploy()
+    adapt(services, manager)
+    # Document is slotted, so watch the context that owns it.
+    replaced = weakref.ref(the_stash(services).ctx)
+    adapt(services, manager, force_refresh=True)
+    gc.collect()
+    assert replaced() is None
+
+
+def race_two_warm_misses(monkeypatch, services, manager, spec=None):
+    """Two sessions miss on one stash at once; the second is made to
+    arrive while the first is still building.  Returns both results
+    and how many builds ran."""
+    engine = services.delta
+    arrivals = threading.Semaphore(0)
+    build_calls = []
+    memo_from, build_memo = engine._memo_from, engine._build_memo
+
+    def arriving(*args):
+        arrivals.release()
+        return memo_from(*args)
+
+    def building(*args):
+        build_calls.append(args)
+        # One arrival is this thread's own; wait for the other's.
+        for __ in range(2):
+            assert arrivals.acquire(timeout=10)
+        return build_memo(*args)
+
+    monkeypatch.setattr(engine, "_memo_from", arriving)
+    monkeypatch.setattr(engine, "_build_memo", building)
+    pipelines = [
+        AdaptationPipeline(spec or make_spec(), services, manager.create())
+        for __ in range(2)
+    ]
+    results = []
+    threads = [
+        threading.Thread(target=lambda p=p: results.append(p.run()))
+        for p in pipelines
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 2
+    return results, len(build_calls)
+
+
+def test_concurrent_misses_on_one_stash_build_once(monkeypatch):
+    origin, __, services, manager = deploy()
+    adapt(services, manager)
+    origin.page = PAGE.replace("hello", "goodbye")
+    results, build_calls = race_two_warm_misses(
+        monkeypatch, services, manager
+    )
+    assert build_calls == 1
+    assert counts(services, "seeds", "seed_skips") == (1, 0)
+    # The builder patched; the waiter found the patched baseline.
+    assert counts(services, "applied", "identical") == (1, 1)
+    oracle = from_scratch(origin.page)
+    assert [result.entry_html for result in results] == [oracle, oracle]
+
+
+def test_concurrent_misses_share_a_refused_build(monkeypatch):
+    soup = (
+        "<html><body><p>one<p>two</p>"
+        '<div class="alert">notice</div></body></html>'
+    )
+    spec = AdaptationSpec(site="Delta", origin_host=HOST)
+    spec.add("cacheable", ttl_s=600)
+    spec.add("hide_object", ObjectSelector.css(".alert"))
+    origin, __, services, manager = deploy(soup)
+    adapt(services, manager, spec=spec)
+    origin.page = soup.replace("two", "three")
+    results, build_calls = race_two_warm_misses(
+        monkeypatch, services, manager, spec
+    )
+    assert build_calls == 1
+    # The builder counts the refusal; to the waiter there is no memo.
+    assert counts(services, "seeds", "seed_skips") == (0, 1)
+    assert counts(services, "no_memo") == (2,)  # the cold miss, the waiter
+    oracle = from_scratch(origin.page, spec)
+    assert [result.entry_html for result in results] == [oracle, oracle]
 
 
 # -- refilter fallbacks ----------------------------------------------------
@@ -443,9 +627,9 @@ def test_head_edit_falls_back_in_global_mode():
 
 
 def test_crashing_filter_falls_back_then_reseeds_globally(monkeypatch):
-    from repro.core.delta import DeltaEngine
-
     origin, __, services, manager = deploy()
+    adapt(services, manager)
+    origin.page = PAGE.replace("hello", "hello again")
     adapt(services, manager)
     assert the_memo(services).raw_scan is not None
 
@@ -457,10 +641,13 @@ def test_crashing_filter_falls_back_then_reseeds_globally(monkeypatch):
     second = adapt(services, manager)
     assert counts(services, "fallback_scan") == (1,)
     assert second.entry_html == from_scratch(origin.page)
-    # The re-seed could not prove piecewise filtering either, so the
+    # The next build cannot prove piecewise filtering either, so the
     # replacement memo holds the whole filtered source.
-    assert counts(services, "seeds") == (2,)
+    origin.page = PAGE.replace("hello", "farewell")
+    third = adapt(services, manager)
+    assert counts(services, "seeds", "applied") == (2, 2)
     assert the_memo(services).filtered_source is not None
+    assert third.entry_html == from_scratch(origin.page)
 
 
 def test_text_runs_merging_across_a_stripped_script_fall_back():
@@ -478,6 +665,8 @@ def test_text_runs_merging_across_a_stripped_script_fall_back():
     spec.add("strip_scripts")
     spec.add("hide_object", ObjectSelector.css(".alert"))
     origin, __, services, manager = deploy(page)
+    adapt(services, manager, spec=spec)
+    origin.page = page.replace("masthead", "the masthead")
     adapt(services, manager, spec=spec)
     assert the_memo(services).raw_scan is not None
     # Both paragraphs become bare text runs; once the script between
@@ -516,9 +705,9 @@ def test_non_localizable_selector_falls_back():
     spec.add("hide_object", ObjectSelector.css(".alert + p"))
     origin, __, services, manager = deploy()
     adapt(services, manager, spec=spec)
-    assert counts(services, "seeds") == (1,)
     origin.page = PAGE.replace("service notice", "renewed notice")
     second = adapt(services, manager, spec=spec)
+    assert counts(services, "seeds") == (1,)
     assert counts(services, "fallback_steps") == (1,)
     assert second.entry_html == from_scratch(origin.page, spec)
 
@@ -556,11 +745,10 @@ def test_plan_that_empties_the_body_still_deltas():
     spec.add("remove_object", ObjectSelector.css("#b"))
     origin, __, services, manager = deploy(page)
     adapt(services, manager, spec=spec)
-    assert counts(services, "seeds") == (1,)
-    # An empty residual has no per-part serialization to cache.
-    assert the_memo(services).entry_parts is None
     origin.page = page.replace("alpha", "ALPHA")
     second = adapt(services, manager, spec=spec)
-    assert counts(services, "applied") == (1,)
+    assert counts(services, "seeds", "applied") == (1, 1)
+    # An empty residual has no per-part serialization to cache.
+    assert the_memo(services).entry_parts is None
     assert second.entry_html == from_scratch(origin.page, spec)
     assert "ALPHA" not in second.entry_html

@@ -14,6 +14,8 @@ from repro.core import fastpath
 from repro.core.delta import (
     _Fallback,
     _Patch,
+    _Stash,
+    _seedable,
     scan_segments,
     SubtreeSummary,
     _is_subsequence,
@@ -254,29 +256,37 @@ def _memo_ctx(**overrides):
 
 
 def _memo_pipeline():
-    return SimpleNamespace(
-        plan=SimpleNamespace(dom_steps=[]),
-        _relpath=lambda path: "entry.html",
-    )
+    return SimpleNamespace(plan=SimpleNamespace(dom_steps=[]))
 
 
-def _build(engine, ctx, result, bundle=None):
-    return engine._build_memo(
-        _memo_pipeline(), ctx, result, bundle, ttl_s=0.0
+def _build(engine, ctx, entry_html="", bundle=None):
+    stash = _Stash(
+        ctx=ctx, entry_html=entry_html, bundle=bundle,
+        ttl_s=0.0, raw_source=None, deadline=0.0,
     )
+    return engine._build_memo(_memo_pipeline(), stash)
 
 
 def test_memo_refuses_prerender_and_thumbnail_runs():
-    engine = DeltaEngine(Observability().registry)
-    assert _build(engine, _memo_ctx(prerender_page="p2"), None) is None
-    assert _build(engine, _memo_ctx(media_thumbnails=("t",)), None) is None
+    # Decided from flags alone, so the full run itself refuses these.
+    healthy = SimpleNamespace(degraded=None)
+    assert _seedable(_memo_pipeline(), _memo_ctx(), healthy)
+    for ctx in (
+        _memo_ctx(prerender_page="p2"),
+        _memo_ctx(partial_prerender_targets=("t",)),
+        _memo_ctx(media_thumbnails=("t",)),
+        _memo_ctx(streamed_html="<html></html>"),
+    ):
+        assert not _seedable(_memo_pipeline(), ctx, healthy)
+    assert not _seedable(
+        _memo_pipeline(), _memo_ctx(), SimpleNamespace(degraded="stale")
+    )
 
 
 def test_memo_refuses_a_residual_without_a_body():
     engine = DeltaEngine(Observability().registry)
     ctx = _memo_ctx(document=SimpleNamespace(body=None))
-    result = SimpleNamespace(degraded=None)
-    assert _build(engine, ctx, result) is None
+    assert _build(engine, ctx) is None
 
 
 def test_memo_refuses_a_reordered_residual():
@@ -288,25 +298,20 @@ def test_memo_refuses_a_reordered_residual():
         '<div id="b"><p>y</p></div><div id="a"><p>x</p></div>',
     )
     ctx = _memo_ctx(document=parse_html(reordered))
-    result = SimpleNamespace(degraded=None)
-    assert _build(engine, ctx, result) is None
+    assert _build(engine, ctx) is None
 
 
 def test_memo_refuses_an_entry_it_cannot_reconstruct():
     engine = DeltaEngine(Observability().registry)
-    result = SimpleNamespace(degraded=None, entry_html="not the entry")
-    assert _build(engine, _memo_ctx(), result) is None
+    assert _build(engine, _memo_ctx(), "not the entry") is None
 
 
 def test_memo_refuses_a_bundle_missing_the_entry_file():
     engine = DeltaEngine(Observability().registry)
     ctx = _memo_ctx()
     rebuilt = _rebuild_entry(serialize(ctx.document), "", "")
-    result = SimpleNamespace(
-        degraded=None, entry_html=rebuilt, entry_path="sess/entry.html"
-    )
-    bundle = SimpleNamespace(files=[])
-    assert _build(engine, ctx, result, bundle) is None
+    bundle = SimpleNamespace(files=[], entry_rel="entry.html")
+    assert _build(engine, ctx, rebuilt, bundle) is None
 
 
 # -- piecewise-setup proof obligations (direct) ----------------------------
