@@ -24,23 +24,22 @@ saturate, and merge-writes the row into BENCH_pipeline.json.
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.autoscale import Autoscaler, AutoscalerConfig
-from repro.core.pipeline import ProxyServices
-from repro.errors import RenderFarmError
-from repro.net.messages import Request, Response
-from repro.net.server import Application
+from repro.cluster.deployment import ClusterDeployment
 from repro.ops import SCALE_DECISION
-from repro.renderfarm import INTERACTIVE, RenderKey
-from repro.sim.rng import DeterministicRandom
-from repro.workload.arrivals import FlashCrowd
-
-DEGRADED_HEADER = "X-MSite-Degraded"
+from repro.workload.replay import (
+    Comparison,
+    RenderLedger,
+    SyntheticRenderApp,
+    farm_render,
+    flash_crowd_stream,
+    percentile,
+    replay_open,
+)
 
 
 @dataclass
@@ -70,16 +69,6 @@ class AutoscaleBenchConfig:
     p99_budget_ms: float = 1500.0
     seed: int = 0xA5CA1E
 
-    def arrivals(self) -> list[float]:
-        crowd = FlashCrowd(
-            base_rps=self.base_rps,
-            peak_rps=self.peak_rps,
-            ramp_s=self.ramp_s,
-            hold_s=self.hold_s,
-            duration_s=self.duration_s,
-        )
-        return crowd.times(DeterministicRandom(self.seed))
-
     def controller(self) -> AutoscalerConfig:
         return AutoscalerConfig(
             min_workers=self.start_workers,
@@ -94,53 +83,6 @@ class AutoscaleBenchConfig:
             cooldown_up_s=0.1,
             cooldown_down_s=1.0,
         )
-
-
-class _ElasticApplication(Application):
-    """The synthetic worker app both fleets run.
-
-    Browser-marked requests submit a fixed-cost render to the fleet's
-    shared farm with a bounded wait; farm backpressure degrades to the
-    stale rung (a 200 with the degradation marker) exactly like the
-    real pipeline, so the only 5xx either fleet can produce is honest
-    admission overflow — the signal the bench is about.
-    """
-
-    def __init__(
-        self,
-        services: ProxyServices,
-        browser_service_s: float,
-        lightweight_service_s: float,
-        render_wait_s: float,
-    ) -> None:
-        self.services = services
-        self.browser_service_s = browser_service_s
-        self.lightweight_service_s = lightweight_service_s
-        self.render_wait_s = render_wait_s
-
-    def handle(self, request: Request) -> Response:
-        page = request.params.get("page", "p0")
-        if request.params.get("browser") == "1":
-
-            def _render() -> str:
-                if self.browser_service_s > 0:
-                    time.sleep(self.browser_service_s)
-                return page
-
-            try:
-                self.services.renderfarm.render(
-                    RenderKey("autoscale", f"/{page}"),
-                    _render,
-                    lane=INTERACTIVE,
-                    wait_s=self.render_wait_s,
-                )
-            except RenderFarmError:
-                response = Response.text("ok (degraded: stale snapshot)")
-                response.headers.set(DEGRADED_HEADER, "stale")
-                return response
-        elif self.lightweight_service_s > 0:
-            time.sleep(self.lightweight_service_s)
-        return Response.text("ok")
 
 
 @dataclass
@@ -164,161 +106,95 @@ class AutoscaleResult:
     ops_events: int
 
 
-def _percentile(sorted_values: list[float], fraction: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(
-        len(sorted_values) - 1, int(fraction * (len(sorted_values) - 1))
-    )
-    return sorted_values[index]
+def _measure(config: AutoscaleBenchConfig, mode: str) -> AutoscaleResult:
+    """Replay the seeded crowd open-loop against one fleet.
 
-
-def _replay(
-    config: AutoscaleBenchConfig, mode: str
-) -> AutoscaleResult:
-    from repro.cluster.deployment import ClusterDeployment
-
-    def make_app(services: ProxyServices) -> Application:
-        return _ElasticApplication(
-            services,
-            browser_service_s=config.browser_service_s,
-            lightweight_service_s=config.lightweight_service_s,
-            render_wait_s=config.render_wait_s,
-        )
-
-    cluster = ClusterDeployment(
+    Both fleets run the same synthetic app: browser-marked requests
+    submit a fixed-cost render to the fleet's shared farm with a
+    bounded wait, and farm backpressure degrades to the stale rung, so
+    the only 5xx either fleet can produce is honest admission overflow
+    — the signal the bench is about.
+    """
+    arrivals, requests = flash_crowd_stream(config, "autoscale.local")
+    ledger = RenderLedger()
+    with ClusterDeployment(
         origins={},
         workers=config.start_workers,
         worker_threads=config.worker_threads,
         queue_limit=config.queue_limit,
         site="autoscale-bench",
-        make_app=make_app,
+        make_app=lambda services: SyntheticRenderApp(
+            farm_render(
+                services.renderfarm,
+                "autoscale",
+                config.render_wait_s,
+                ledger,
+            ),
+            config.browser_service_s,
+            config.lightweight_service_s,
+        ),
         key_fn=lambda request: (
             f"autoscale:{request.params.get('page', 'p0')}"
         ),
         farm_consumers=config.start_consumers,
         farm_queue_limit=config.farm_queue_limit,
-    )
-    scaler: Optional[Autoscaler] = None
-    if mode == "autoscaled":
-        scaler = Autoscaler(cluster, config=config.controller())
-
-    rng = DeterministicRandom(config.seed ^ 0x5EED)
-    arrivals = config.arrivals()
-    marked = [rng.uniform() <= config.browser_fraction for _ in arrivals]
-    requests = [
-        Request.get(
-            "http://autoscale.local/"
-            f"?page=p{index % config.distinct_pages}"
-            f"&browser={'1' if needs_browser else '0'}"
+    ) as cluster:
+        scaler = (
+            Autoscaler(cluster, config=config.controller())
+            if mode == "autoscaled"
+            else None
         )
-        for index, needs_browser in enumerate(marked)
-    ]
+        peak_workers = cluster.fleet_size
 
-    statuses: dict[int, int] = {}
-    degraded = [0]
-    latencies: list[float] = []
-    peak_workers = [cluster.fleet_size]
-    record_lock = threading.Lock()
-
-    def _serve(request: Request) -> None:
-        submitted_at = time.perf_counter()
-        response = cluster.handle(request)
-        elapsed = time.perf_counter() - submitted_at
-        with record_lock:
-            statuses[response.status] = statuses.get(response.status, 0) + 1
-            if response.headers.get(DEGRADED_HEADER):
-                degraded[0] += 1
-            latencies.append(elapsed)
-
-    started = time.perf_counter()
-    # Enough client threads that the open loop stays open: in-flight
-    # concurrency must be able to exceed the fleet's total admission
-    # capacity, or saturation would throttle the schedule instead of
-    # surfacing as rejections.
-    client_threads = 4 * config.queue_limit
-    with ThreadPoolExecutor(max_workers=client_threads) as clients:
-        futures = []
-        for offset, request in zip(arrivals, requests):
-            # Open loop: pace to the schedule regardless of completions.
-            delay = started + offset - time.perf_counter()
-            if delay > 0:
-                time.sleep(delay)
-            if scaler is not None:
-                scaler.maybe_tick()
-                peak_workers[0] = max(
-                    peak_workers[0], cluster.fleet_size
-                )
-            futures.append(clients.submit(_serve, request))
-        for future in futures:
-            future.result()
-    # Let the controller see the calm after the crowd (and scale back
-    # down) before the fleet closes.
-    if scaler is not None:
-        deadline = time.monotonic() + 3 * scaler.config.cooldown_down_s
-        while (
-            cluster.fleet_size > scaler.config.min_workers
-            and time.monotonic() < deadline
-        ):
+        def tick() -> None:
+            nonlocal peak_workers
             scaler.maybe_tick()
-            time.sleep(scaler.config.interval_s)
-    elapsed = time.perf_counter() - started
+            peak_workers = max(peak_workers, cluster.fleet_size)
 
-    decisions = scaler.decisions if scaler is not None else []
-    scale_events = cluster.ops.events_of(SCALE_DECISION)
-    peak_consumers = config.start_consumers
-    for event in scale_events:
-        if event.payload.get("target") == "consumers":
-            if event.payload.get("action") == "up":
-                peak_consumers = max(
-                    peak_consumers, event.payload.get("consumers", 0) + 1
-                )
-    result_events = cluster.ops.head_seq
-    final_workers = cluster.fleet_size
-    cluster.close()
-
-    with record_lock:
-        sorted_ms = sorted(value * 1e3 for value in latencies)
-        completed_200 = statuses.get(200, 0)
-        fives = sum(
-            count for status, count in statuses.items() if status >= 500
+        started = time.perf_counter()
+        replayed = replay_open(
+            cluster.handle, arrivals, requests, tick if scaler else None
         )
+        # Let the controller see the calm after the crowd (and scale
+        # back down) before the fleet closes.
+        if scaler is not None:
+            deadline = time.monotonic() + 3 * scaler.config.cooldown_down_s
+            while (
+                cluster.fleet_size > scaler.config.min_workers
+                and time.monotonic() < deadline
+            ):
+                scaler.maybe_tick()
+                time.sleep(scaler.config.interval_s)
+        elapsed = time.perf_counter() - started
+
+        decisions = scaler.decisions if scaler is not None else []
+        peak_consumers = config.start_consumers
+        for event in cluster.ops.events_of(SCALE_DECISION):
+            if event.payload.get("target") == "consumers":
+                if event.payload.get("action") == "up":
+                    peak_consumers = max(
+                        peak_consumers, event.payload.get("consumers", 0) + 1
+                    )
+        ops_events = cluster.ops.head_seq
+        final_workers = cluster.fleet_size
+
     return AutoscaleResult(
         mode=mode,
-        offered=len(arrivals),
-        completed_200=completed_200,
-        degraded_200=degraded[0],
-        # Degraded serves are 200s here, so every 5xx is non-degraded.
-        non_degraded_5xx=fives,
-        p50_ms=_percentile(sorted_ms, 0.50),
-        p99_ms=_percentile(sorted_ms, 0.99),
-        max_ms=sorted_ms[-1] if sorted_ms else 0.0,
+        offered=replayed.offered,
+        completed_200=replayed.statuses.get(200, 0),
+        degraded_200=replayed.degraded,
+        non_degraded_5xx=replayed.non_degraded_5xx,
+        p50_ms=percentile(replayed.latencies, 0.50) * 1e3,
+        p99_ms=percentile(replayed.latencies, 0.99) * 1e3,
+        max_ms=percentile(replayed.latencies, 1.0) * 1e3,
         wall_clock_s=elapsed,
-        peak_workers=peak_workers[0],
+        peak_workers=peak_workers,
         final_workers=final_workers,
         peak_consumers=peak_consumers,
         scale_ups=sum(1 for d in decisions if d.action == "up"),
         scale_downs=sum(1 for d in decisions if d.action == "down"),
-        ops_events=result_events,
+        ops_events=ops_events,
     )
-
-
-@dataclass
-class AutoscaleComparison:
-    """Static vs autoscaled under the identical arrival schedule."""
-
-    config: AutoscaleBenchConfig
-    static: AutoscaleResult
-    autoscaled: AutoscaleResult
-
-    def bench_record(self) -> dict:
-        return {
-            "autoscale_flashcrowd": {
-                "config": asdict(self.config),
-                "static": asdict(self.static),
-                "autoscaled": asdict(self.autoscaled),
-            }
-        }
 
 
 def smoke_config() -> AutoscaleBenchConfig:
@@ -335,35 +211,37 @@ def smoke_config() -> AutoscaleBenchConfig:
 
 def run_autoscale_comparison(
     config: Optional[AutoscaleBenchConfig] = None,
-) -> AutoscaleComparison:
-    """Replay the same flash crowd against both fleets."""
+) -> Comparison:
+    """Replay the same flash crowd against both fleets (baseline:
+    static; candidate: autoscaled)."""
     config = config or AutoscaleBenchConfig()
-    static = _replay(config, "static")
-    autoscaled = _replay(config, "autoscaled")
-    return AutoscaleComparison(
-        config=config, static=static, autoscaled=autoscaled
+    return Comparison(
+        section="autoscale_flashcrowd",
+        config=config,
+        baseline=_measure(config, "static"),
+        candidate=_measure(config, "autoscaled"),
     )
 
 
-def format_comparison(comparison: AutoscaleComparison) -> str:
+def format_comparison(comparison: Comparison) -> str:
     config = comparison.config
     lines = [
         "Autoscale flash crowd (open loop): "
-        f"{comparison.static.offered} arrivals, "
+        f"{comparison.baseline.offered} arrivals, "
         f"{config.base_rps:.0f}->{config.peak_rps:.0f} rps, "
         f"start {config.start_workers}w/{config.start_consumers}c, "
         f"bounds [{config.start_workers}, {config.max_workers}]w",
         f"{'mode':>11}  {'200s':>6}  {'degraded':>8}  {'5xx':>5}  "
         f"{'p50 ms':>8}  {'p99 ms':>8}  {'peak w':>6}  {'final w':>7}",
     ]
-    for result in (comparison.static, comparison.autoscaled):
+    for result in (comparison.baseline, comparison.candidate):
         lines.append(
             f"{result.mode:>11}  {result.completed_200:>6}  "
             f"{result.degraded_200:>8}  {result.non_degraded_5xx:>5}  "
             f"{result.p50_ms:>8.1f}  {result.p99_ms:>8.1f}  "
             f"{result.peak_workers:>6}  {result.final_workers:>7}"
         )
-    auto = comparison.autoscaled
+    auto = comparison.candidate
     lines.append(
         f"controller: {auto.scale_ups} up / {auto.scale_downs} down, "
         f"peak consumers {auto.peak_consumers}, "

@@ -29,25 +29,24 @@ merge-writes a ``renderfarm_burst`` section into BENCH_pipeline.json.
 
 from __future__ import annotations
 
-import threading
-import time
-from dataclasses import asdict, dataclass, field
+from contextlib import ExitStack
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.browser.pool import BrowserPool
 from repro.core.cache import PrerenderCache
-from repro.errors import AdmissionError, RenderFarmError
-from repro.net.messages import Request, Response
-from repro.net.server import Application
-from repro.observability.metrics import MetricsRegistry
-from repro.renderfarm import INTERACTIVE, RenderFarm, RenderKey
+from repro.renderfarm import RenderFarm
 from repro.runtime.executor import ConcurrentProxy
-from repro.sim.rng import DeterministicRandom
-from repro.workload.arrivals import FlashCrowd
-
-#: Marker header the farm app sets on backpressure-degraded responses,
-#: mirroring the proxy's degradation ladder convention.
-DEGRADED_HEADER = "X-MSite-Degraded"
+from repro.workload.replay import (
+    Comparison,
+    RenderLedger,
+    SyntheticRenderApp,
+    farm_render,
+    flash_crowd_stream,
+    percentile,
+    pool_render,
+    replay_open,
+)
 
 
 @dataclass
@@ -76,16 +75,6 @@ class BurstConfig:
     render_wait_s: float = 0.2
     seed: int = 0xB065_7
 
-    def arrivals(self) -> list[float]:
-        crowd = FlashCrowd(
-            base_rps=self.base_rps,
-            peak_rps=self.peak_rps,
-            ramp_s=self.ramp_s,
-            hold_s=self.hold_s,
-            duration_s=self.duration_s,
-        )
-        return crowd.times(DeterministicRandom(self.seed))
-
 
 @dataclass
 class BurstResult:
@@ -109,219 +98,56 @@ class BurstResult:
     farm_displaced: int = 0
 
 
-class _InlineRenderApplication(Application):
-    """The seed architecture: render on the request thread.
-
-    Browser-marked requests hold a pool slot for ``browser_service_s``
-    behind the single-flight cache — the exact configuration of the
-    closed-loop Figure 7 bench, now facing an open-loop burst.
-    """
-
-    def __init__(
-        self,
-        browser_service_s: float,
-        lightweight_service_s: float,
-        pool: BrowserPool,
-        cache: PrerenderCache,
-    ) -> None:
-        self.browser_service_s = browser_service_s
-        self.lightweight_service_s = lightweight_service_s
-        self.pool = pool
-        self.cache = cache
-        self.renders = 0
-        self._lock = threading.Lock()
-
-    def handle(self, request: Request) -> Response:
-        page = request.params.get("page", "p0")
-        if request.params.get("browser") == "1":
-
-            def _render() -> str:
-                with self.pool.instance(f"page-{page}"):
-                    if self.browser_service_s > 0:
-                        time.sleep(self.browser_service_s)
-                with self._lock:
-                    self.renders += 1
-                return page
-
-            self.cache.load_or_join(f"snap:{page}", _render)
-        elif self.lightweight_service_s > 0:
-            time.sleep(self.lightweight_service_s)
-        return Response.text("ok")
-
-
-class _FarmRenderApplication(Application):
-    """The farm-backed path: submit, wait bounded, degrade on refusal."""
-
-    def __init__(
-        self,
-        browser_service_s: float,
-        lightweight_service_s: float,
-        farm: RenderFarm,
-        render_wait_s: float,
-    ) -> None:
-        self.browser_service_s = browser_service_s
-        self.lightweight_service_s = lightweight_service_s
-        self.farm = farm
-        self.render_wait_s = render_wait_s
-        self.renders = 0
-        self.degraded = 0
-        self._lock = threading.Lock()
-
-    def handle(self, request: Request) -> Response:
-        page = request.params.get("page", "p0")
-        if request.params.get("browser") == "1":
-
-            def _render() -> str:
-                if self.browser_service_s > 0:
-                    time.sleep(self.browser_service_s)
-                with self._lock:
-                    self.renders += 1
-                return page
-
-            try:
-                self.farm.render(
-                    RenderKey("burst", f"/{page}"),
-                    _render,
-                    lane=INTERACTIVE,
-                    wait_s=self.render_wait_s,
+def _measure(config: BurstConfig, mode: str) -> BurstResult:
+    """Replay the seeded crowd open-loop against one configuration."""
+    arrivals, requests = flash_crowd_stream(config, "burst.local")
+    ledger = RenderLedger()
+    with ExitStack() as stack:
+        farm: Optional[RenderFarm] = None
+        if mode == "farm":
+            farm = stack.enter_context(
+                RenderFarm(
+                    consumers=config.farm_consumers,
+                    queue_limit=config.farm_queue_limit,
+                    name="burst",
                 )
-            except RenderFarmError:
-                # Backpressure: the ladder's stale rung, not a 5xx.
-                with self._lock:
-                    self.degraded += 1
-                response = Response.text("ok (degraded: stale snapshot)")
-                response.headers.set(DEGRADED_HEADER, "stale")
-                return response
-        elif self.lightweight_service_s > 0:
-            time.sleep(self.lightweight_service_s)
-        return Response.text("ok")
-
-
-def _percentile(sorted_values: list[float], fraction: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(
-        len(sorted_values) - 1, int(fraction * (len(sorted_values) - 1))
-    )
-    return sorted_values[index]
-
-
-def _replay(config: BurstConfig, mode: str) -> BurstResult:
-    """Dispatch the seeded schedule open-loop against one configuration."""
-    rng = DeterministicRandom(config.seed ^ 0x5EED)
-    arrivals = config.arrivals()
-    marked = [
-        rng.uniform() <= config.browser_fraction for _ in arrivals
-    ]
-    requests = [
-        Request.get(
-            "http://burst.local/"
-            f"?page=p{index % config.distinct_pages}"
-            f"&browser={'1' if needs_browser else '0'}"
+            )
+            render = farm_render(
+                farm, "burst", config.render_wait_s, ledger
+            )
+        else:
+            render = pool_render(
+                BrowserPool(max_instances=config.pool_size),
+                PrerenderCache(),
+                ledger,
+            )
+        executor = stack.enter_context(
+            ConcurrentProxy(
+                SyntheticRenderApp(
+                    render,
+                    config.browser_service_s,
+                    config.lightweight_service_s,
+                ),
+                workers=config.workers,
+                queue_limit=config.queue_limit,
+            )
         )
-        for index, needs_browser in enumerate(marked)
-    ]
-
-    registry = MetricsRegistry()
-    farm: Optional[RenderFarm] = None
-    if mode == "farm":
-        farm = RenderFarm(
-            consumers=config.farm_consumers,
-            queue_limit=config.farm_queue_limit,
-            metrics=registry,
-            name="burst",
-        )
-        app: Application = _FarmRenderApplication(
-            browser_service_s=config.browser_service_s,
-            lightweight_service_s=config.lightweight_service_s,
-            farm=farm,
-            render_wait_s=config.render_wait_s,
-        )
-    else:
-        pool = BrowserPool(max_instances=config.pool_size)
-        cache = PrerenderCache()
-        app = _InlineRenderApplication(
-            browser_service_s=config.browser_service_s,
-            lightweight_service_s=config.lightweight_service_s,
-            pool=pool,
-            cache=cache,
-        )
-
-    statuses: dict[int, int] = {}
-    degraded = [0]
-    latencies: list[float] = []
-    record_lock = threading.Lock()
-
-    def _recorder(submitted_at: float):
-        def _record(future) -> None:
-            response = future.result()
-            elapsed = time.perf_counter() - submitted_at
-            with record_lock:
-                statuses[response.status] = (
-                    statuses.get(response.status, 0) + 1
-                )
-                if response.headers.get(DEGRADED_HEADER):
-                    degraded[0] += 1
-                latencies.append(elapsed)
-
-        return _record
-
-    with ConcurrentProxy(
-        app,
-        workers=config.workers,
-        queue_limit=config.queue_limit,
-        metrics=registry,
-    ) as executor:
-        futures = []
-        started = time.perf_counter()
-        for offset, request in zip(arrivals, requests):
-            # Open loop: pace to the schedule regardless of completions.
-            delay = started + offset - time.perf_counter()
-            if delay > 0:
-                time.sleep(delay)
-            submitted_at = time.perf_counter()
-            try:
-                future = executor.submit(request)
-            except AdmissionError:
-                with record_lock:
-                    statuses[503] = statuses.get(503, 0) + 1
-                continue
-            future.add_done_callback(_recorder(submitted_at))
-            futures.append(future)
-        for future in futures:
-            future.result()
-        elapsed = time.perf_counter() - started
+        replayed = replay_open(executor.handle, arrivals, requests)
         runtime = executor.stats.snapshot()
-    if farm is not None:
-        farm.close()
-
-    with record_lock:
-        sorted_ms = sorted(value * 1e3 for value in latencies)
-        completed_200 = statuses.get(200, 0)
-        fives = {
-            status: count
-            for status, count in statuses.items()
-            if status >= 500
-        }
-    rejected = fives.get(503, 0)
-    other = sum(count for status, count in fives.items() if status != 503)
-    renders = app.renders
+    rejected = replayed.statuses.get(503, 0)
     return BurstResult(
         mode=mode,
-        offered=len(arrivals),
-        completed_200=completed_200,
-        degraded_200=degraded[0],
+        offered=replayed.offered,
+        completed_200=replayed.statuses.get(200, 0),
+        degraded_200=replayed.degraded,
         rejected_5xx=rejected,
-        other_5xx=other,
-        # Degraded responses are 200s here, so every 5xx is non-degraded
-        # by construction — the ladder either absorbed the failure or it
-        # didn't.
-        non_degraded_5xx=rejected + other,
-        renders=renders,
-        p50_ms=_percentile(sorted_ms, 0.50),
-        p99_ms=_percentile(sorted_ms, 0.99),
-        max_ms=sorted_ms[-1] if sorted_ms else 0.0,
-        wall_clock_s=elapsed,
+        other_5xx=replayed.errors_5xx - rejected,
+        non_degraded_5xx=replayed.non_degraded_5xx,
+        renders=ledger.renders,
+        p50_ms=percentile(replayed.latencies, 0.50) * 1e3,
+        p99_ms=percentile(replayed.latencies, 0.99) * 1e3,
+        max_ms=percentile(replayed.latencies, 1.0) * 1e3,
+        wall_clock_s=replayed.wall_clock_s,
         queue_depth_peak=runtime.queue_depth_peak,
         farm_coalesced=(farm.queue.coalesced if farm is not None else 0),
         farm_saturation_refusals=(
@@ -329,24 +155,6 @@ def _replay(config: BurstConfig, mode: str) -> BurstResult:
         ),
         farm_displaced=(farm.queue.displaced if farm is not None else 0),
     )
-
-
-@dataclass
-class BurstComparison:
-    """Inline vs farm under the identical arrival schedule."""
-
-    config: BurstConfig
-    inline: BurstResult
-    farm: BurstResult
-
-    def bench_record(self) -> dict:
-        return {
-            "renderfarm_burst": {
-                "config": asdict(self.config),
-                "inline": asdict(self.inline),
-                "farm": asdict(self.farm),
-            }
-        }
 
 
 def smoke_config() -> BurstConfig:
@@ -364,37 +172,41 @@ def smoke_config() -> BurstConfig:
 
 def run_burst_comparison(
     config: Optional[BurstConfig] = None,
-) -> BurstComparison:
-    """Replay the same flash crowd against both configurations."""
+) -> Comparison:
+    """Replay the same flash crowd against both configurations
+    (baseline: inline renders; candidate: the farm)."""
     config = config or BurstConfig()
     if config.browser_fraction < 0.2:
         raise ValueError(
             "the burst acceptance criterion requires a browser fraction "
             ">= 20%"
         )
-    inline = _replay(config, "inline")
-    farm = _replay(config, "farm")
-    return BurstComparison(config=config, inline=inline, farm=farm)
+    return Comparison(
+        section="renderfarm_burst",
+        config=config,
+        baseline=_measure(config, "inline"),
+        candidate=_measure(config, "farm"),
+    )
 
 
-def format_comparison(comparison: BurstComparison) -> str:
+def format_comparison(comparison: Comparison) -> str:
     config = comparison.config
     lines = [
         "Figure 7 burst absorption (open-loop flash crowd): "
-        f"{comparison.inline.offered} arrivals, "
+        f"{comparison.baseline.offered} arrivals, "
         f"{config.base_rps:.0f}->{config.peak_rps:.0f} rps, "
         f"{config.browser_fraction * 100:.0f}% browser",
         f"{'mode':>8}  {'200s':>6}  {'degraded':>8}  {'5xx':>5}  "
         f"{'renders':>7}  {'p50 ms':>8}  {'p99 ms':>8}  {'peak q':>6}",
     ]
-    for result in (comparison.inline, comparison.farm):
+    for result in (comparison.baseline, comparison.candidate):
         lines.append(
             f"{result.mode:>8}  {result.completed_200:>6}  "
             f"{result.degraded_200:>8}  {result.non_degraded_5xx:>5}  "
             f"{result.renders:>7}  {result.p50_ms:>8.1f}  "
             f"{result.p99_ms:>8.1f}  {result.queue_depth_peak:>6}"
         )
-    farm = comparison.farm
+    farm = comparison.candidate
     lines.append(
         f"farm coalesced {farm.farm_coalesced}, refused "
         f"{farm.farm_saturation_refusals}, displaced {farm.farm_displaced}"

@@ -43,6 +43,7 @@ from repro.net.cookies import CookieJar
 from repro.sites.news.app import NewsApplication
 from repro.sites.news.data import Newsroom
 from repro.sites.news.spec import NEWS_HOST, news_fastpath_spec
+from repro.workload.replay import percentile
 
 PROXY_HOST = "m.metroherald.com"
 ENTRY_URL = f"http://{PROXY_HOST}/proxy.php"
@@ -72,14 +73,6 @@ def _deploy(**service_flags: Any):
         generate_proxy_source(news_fastpath_spec())
     ).create_proxy(services)
     return proxy, services, app
-
-
-def _percentile(samples: list, fraction: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(round(fraction * (len(ordered) - 1))))
-    return ordered[index]
 
 
 def _delta_value(services: ProxyServices, name: str) -> float:
@@ -126,9 +119,9 @@ def _drive_churn(
         "requests": requests,
         "revisions": app.newsroom.revision_count,
         "readapt_requests": len(readapt),
-        "readapt_p50_ms": _percentile(readapt, 0.50) * 1000.0,
-        "readapt_p99_ms": _percentile(readapt, 0.99) * 1000.0,
-        "warm_hit_p50_ms": _percentile(warm, 0.50) * 1000.0,
+        "readapt_p50_ms": percentile(readapt, 0.50) * 1000.0,
+        "readapt_p99_ms": percentile(readapt, 0.99) * 1000.0,
+        "warm_hit_p50_ms": percentile(warm, 0.50) * 1000.0,
     }
     if delta_enabled:
         for name in ("deferred", "seeds", "applied", "identical",

@@ -30,6 +30,7 @@ from repro.core.spec import AdaptationSpec, ObjectSelector
 from repro.net.client import HttpClient
 from repro.net.cookies import CookieJar
 from repro.sites.forum.app import ForumApplication
+from repro.workload.replay import percentile
 
 FORUM_HOST = "www.sawmillcreek.org"
 PROXY_HOST = "m.sawmillcreek.org"
@@ -95,16 +96,10 @@ def _drive(
     return {
         "requests": len(latencies),
         "total_s": total,
-        "p50_ms": _percentile(latencies, 0.50) * 1000.0,
-        "p99_ms": _percentile(latencies, 0.99) * 1000.0,
+        "p50_ms": percentile(latencies, 0.50) * 1000.0,
+        "p99_ms": percentile(latencies, 0.99) * 1000.0,
         "adapts_per_sec": len(latencies) / total if total > 0 else 0.0,
     }
-
-
-def _percentile(samples: list, fraction: float) -> float:
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(round(fraction * (len(ordered) - 1))))
-    return ordered[index]
 
 
 def _fastpath_value(services: ProxyServices, name: str) -> float:

@@ -17,20 +17,13 @@ instead of clobbering).
 
 from __future__ import annotations
 
-import math
 import shutil
 import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-
-def _percentile(values: list[float], q: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
-    return ordered[index]
+from repro.workload.replay import ReplayResult, percentile
 
 
 @dataclass
@@ -118,18 +111,14 @@ def run_region_failover_bench(
         samples=samples, workers_per_region=workers_per_region
     )
 
+    tally = ReplayResult()
+
     def _timed_get(mobile, url: str) -> float:
         started = time.perf_counter()
         response = mobile.get(url)
-        elapsed_ms = (time.perf_counter() - started) * 1e3
-        report.statuses[response.status] = (
-            report.statuses.get(response.status, 0) + 1
-        )
-        if response.status >= 500 and not response.headers.get(
-            "X-MSite-Degraded"
-        ):
-            report.non_degraded_5xx += 1
-        return elapsed_ms
+        elapsed = time.perf_counter() - started
+        tally.record(response, elapsed)
+        return elapsed * 1e3
 
     base = "http://m.sawmillcreek.org/proxy.php"
     working_set: dict[str, list[str]] = {}
@@ -162,8 +151,8 @@ def run_region_failover_bench(
                 )
                 for i in range(samples)
             ]
-            report.owner_p50_ms = _percentile(owner_ms, 0.50)
-            report.owner_p99_ms = _percentile(owner_ms, 0.99)
+            report.owner_p50_ms = percentile(owner_ms, 0.50)
+            report.owner_p99_ms = percentile(owner_ms, 0.99)
 
             deployment.kill(victim)
             report.failover_first_ms = _timed_get(mobile, base)
@@ -173,8 +162,10 @@ def run_region_failover_bench(
                 )
                 for i in range(samples)
             ]
-            report.wrong_region_p50_ms = _percentile(wrong_ms, 0.50)
-            report.wrong_region_p99_ms = _percentile(wrong_ms, 0.99)
+            report.wrong_region_p50_ms = percentile(wrong_ms, 0.50)
+            report.wrong_region_p99_ms = percentile(wrong_ms, 0.99)
+            report.statuses = tally.statuses
+            report.non_degraded_5xx = tally.non_degraded_5xx
             deployment.revive(victim)
 
             registry = deployment.rollup()

@@ -29,26 +29,30 @@ with queue-wait and stampede-suppression metrics.
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.browser.costs import BrowserCostModel, DEFAULT_COST_MODEL
 from repro.browser.pool import BrowserPool
+from repro.cluster.deployment import ClusterDeployment
 from repro.core.cache import PrerenderCache
-from repro.net.messages import Request, Response
-from repro.net.server import Application
-from repro.observability.metrics import (
-    Histogram,
-    HistogramSnapshot,
-    MetricsRegistry,
-)
+from repro.observability.metrics import Histogram, HistogramSnapshot
 from repro.runtime.executor import ConcurrentProxy
 from repro.sim.metrics import Tally, WindowedCounter
 from repro.sim.process import Acquire, Delay, Release, Simulation
 from repro.sim.resources import Resource
 from repro.sim.rng import DeterministicRandom
+from repro.workload.population import DESKTOP_UA, PHONE_UA
+from repro.workload.replay import (
+    RenderLedger,
+    SyntheticRenderApp,
+    browser_marked,
+    marked_requests,
+    phase_histograms,
+    pool_render,
+    replay_closed,
+    shared_cache_render,
+)
 
 
 @dataclass
@@ -83,17 +87,6 @@ class ScalabilityResult:
     phases: dict[str, HistogramSnapshot] = field(default_factory=dict)
 
 
-def _phase_histograms() -> dict[str, Histogram]:
-    return {
-        phase: Histogram(
-            "msite_phase_service_seconds",
-            "Per-request service time by pipeline phase.",
-            labels={"phase": phase},
-        )
-        for phase in ("render", "lightweight")
-    }
-
-
 def run_scalability_experiment(config: ScalabilityConfig) -> ScalabilityResult:
     """Run ``config.runs`` one-minute windows and aggregate throughput."""
     if not 0.0 <= config.browser_fraction <= 1.0:
@@ -102,14 +95,14 @@ def run_scalability_experiment(config: ScalabilityConfig) -> ScalabilityResult:
     browser_total = 0
     lightweight_total = 0
     pool_hits = 0.0
-    phases = _phase_histograms()
+    phases = phase_histograms()
     for run_index in range(config.runs):
         rng = DeterministicRandom(
             config.seed ^ (run_index * 0x9E3779B9) ^ id_hash(config)
         )
         # Each window observes into fresh histograms; merging them here
         # exercises the same bucket-wise merge /metrics relies on.
-        run_phases = _phase_histograms()
+        run_phases = phase_histograms()
         outcome = _run_window(config, rng, run_phases)
         tally.observe(outcome["satisfied"])
         browser_total += outcome["browser"]
@@ -132,8 +125,9 @@ def run_scalability_experiment(config: ScalabilityConfig) -> ScalabilityResult:
     )
 
 
-def id_hash(config: ScalabilityConfig) -> int:
-    """Stable per-configuration stream id (fraction enters the seed)."""
+def id_hash(config) -> int:
+    """Stable per-configuration stream id (fraction enters the seed);
+    the simulated and the real-thread sweeps share it."""
     return int(config.browser_fraction * 10_000) * 2_654_435_761 & 0xFFFFFFFF
 
 
@@ -263,156 +257,69 @@ class RealThreadPoolResult:
     phases: dict[str, HistogramSnapshot] = field(default_factory=dict)
 
 
-class _ServiceTimeApplication(Application):
-    """Stands in for the generated proxy under the executor.
-
-    Browser-marked requests render "snapshots" through the single-flight
-    cache and the semaphore-bounded pool (a render = holding a pool slot
-    for ``browser_service_s``); lightweight requests cost
-    ``lightweight_service_s``.  Nothing is stored in the cache, so every
-    non-overlapping browser request pays the full render — matching the
-    paper's cache-free Figure 7 protocol — while *concurrent* misses on
-    one page collapse, which is exactly what the stampede counters
-    measure.
-    """
-
-    def __init__(
-        self,
-        browser_service_s: float,
-        lightweight_service_s: float,
-        pool: BrowserPool,
-        cache: PrerenderCache,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
-        self.browser_service_s = browser_service_s
-        self.lightweight_service_s = lightweight_service_s
-        self.pool = pool
-        self.cache = cache
-        self.renders = 0
-        self._lock = threading.Lock()
-        registry = registry or MetricsRegistry()
-        self.phase_histograms = {
-            phase: registry.histogram(
-                "msite_phase_service_seconds",
-                "Per-request service time by pipeline phase.",
-                labels={"phase": phase},
-            )
-            for phase in ("render", "lightweight")
-        }
-
-    def handle(self, request: Request) -> Response:
-        page = request.params.get("page", "p0")
-        if request.params.get("browser") == "1":
-            started = time.perf_counter()
-
-            def _render() -> str:
-                with self.pool.instance(f"page-{page}"):
-                    if self.browser_service_s > 0:
-                        time.sleep(self.browser_service_s)
-                with self._lock:
-                    self.renders += 1
-                return page
-
-            self.cache.load_or_join(f"snap:{page}", _render)
-            self.phase_histograms["render"].observe(
-                time.perf_counter() - started
-            )
-        else:
-            started = time.perf_counter()
-            if self.lightweight_service_s > 0:
-                time.sleep(self.lightweight_service_s)
-            self.phase_histograms["lightweight"].observe(
-                time.perf_counter() - started
-            )
-        return Response.text("ok")
+def _closed_loop_fields(config, requests, replayed) -> dict:
+    """The result fields every closed-loop Figure 7 run reports."""
+    completed = replayed.statuses.get(200, 0)
+    elapsed = replayed.wall_clock_s
+    browser_requests = browser_marked(requests)
+    return {
+        "browser_fraction": config.browser_fraction,
+        "requests_per_minute": (
+            completed * 60.0 / elapsed if elapsed else 0.0
+        ),
+        "wall_clock_s": elapsed,
+        "completed": completed,
+        "rejected": replayed.statuses.get(503, 0),
+        "timeouts": replayed.statuses.get(504, 0),
+        "errors": replayed.statuses.get(500, 0),
+        "browser_requests": browser_requests,
+        "lightweight_requests": len(requests) - browser_requests,
+    }
 
 
 def run_real_threadpool_experiment(
     config: RealThreadPoolConfig,
 ) -> RealThreadPoolResult:
-    """Drive the marked workload through real threads and measure."""
-    if not 0.0 <= config.browser_fraction <= 1.0:
-        raise ValueError("browser_fraction must be within [0, 1]")
-    rng = DeterministicRandom(config.seed ^ id_hash_real(config))
-    # Pre-generate the paper's U[0,1] marking so the workload is
-    # deterministic regardless of thread scheduling.
-    marked = [
-        rng.uniform() <= config.browser_fraction
-        for _ in range(config.total_requests)
-    ]
-    requests = [
-        Request.get(
-            "http://proxy.local/"
-            f"?page=p{index % config.distinct_pages}"
-            f"&browser={'1' if needs_browser else '0'}"
-        )
-        for index, needs_browser in enumerate(marked)
-    ]
+    """Drive the marked workload through real threads and measure.
 
-    registry = MetricsRegistry()
+    The app renders "snapshots" through the single-flight cache and the
+    semaphore-bounded pool (:func:`~repro.workload.replay.pool_render`):
+    nothing is stored, so every non-overlapping browser request pays
+    the full render — the paper's cache-free Figure 7 protocol — while
+    *concurrent* misses on one page collapse, which is exactly what the
+    stampede counters measure.
+    """
+    requests = marked_requests(
+        "proxy.local",
+        config.total_requests,
+        config.browser_fraction,
+        config.distinct_pages,
+        DeterministicRandom(config.seed ^ id_hash(config)),
+    )
     pool = BrowserPool(max_instances=config.pool_size)
-    pool.bind_metrics(registry)
     cache = PrerenderCache()
-    cache.bind_metrics(registry)
-    app = _ServiceTimeApplication(
-        browser_service_s=config.browser_service_s,
-        lightweight_service_s=config.lightweight_service_s,
-        pool=pool,
-        cache=cache,
-        registry=registry,
+    ledger = RenderLedger()
+    app = SyntheticRenderApp(
+        pool_render(pool, cache, ledger),
+        config.browser_service_s,
+        config.lightweight_service_s,
     )
-    queue_limit = config.queue_limit or max(
-        config.client_threads, config.workers
-    )
-    statuses: dict[int, int] = {}
-    status_lock = threading.Lock()
-    next_index = [0]
-
     with ConcurrentProxy(
         app,
         workers=config.workers,
-        queue_limit=queue_limit,
+        queue_limit=(
+            config.queue_limit or max(config.client_threads, config.workers)
+        ),
         request_timeout_s=config.request_timeout_s,
-        metrics=registry,
     ) as executor:
-
-        def client() -> None:
-            while True:
-                with status_lock:
-                    index = next_index[0]
-                    if index >= len(requests):
-                        return
-                    next_index[0] = index + 1
-                response = executor.handle(requests[index])
-                with status_lock:
-                    statuses[response.status] = (
-                        statuses.get(response.status, 0) + 1
-                    )
-
-        threads = [
-            threading.Thread(target=client, name=f"client-{i}")
-            for i in range(config.client_threads)
-        ]
-        started = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        elapsed = time.perf_counter() - started
+        replayed = replay_closed(
+            executor.handle, requests, config.client_threads
+        )
         runtime = executor.stats.snapshot()
 
-    completed = statuses.get(200, 0)
     return RealThreadPoolResult(
-        browser_fraction=config.browser_fraction,
-        requests_per_minute=completed * 60.0 / elapsed if elapsed else 0.0,
-        wall_clock_s=elapsed,
-        completed=completed,
-        rejected=statuses.get(503, 0),
-        timeouts=statuses.get(504, 0),
-        errors=statuses.get(500, 0),
-        browser_requests=sum(marked),
-        lightweight_requests=len(marked) - sum(marked),
-        renders=app.renders,
+        **_closed_loop_fields(config, requests, replayed),
+        renders=ledger.renders,
         stampedes_suppressed=cache.stats.stampedes_suppressed,
         queue_wait_mean_s=runtime.mean_queue_wait_s,
         queue_wait_max_s=runtime.queue_wait_max_s,
@@ -422,34 +329,13 @@ def run_real_threadpool_experiment(
         pool_queue_wait_max_s=pool.stats.queue_wait_max_s,
         phases={
             phase: histogram.snapshot()
-            for phase, histogram in app.phase_histograms.items()
+            for phase, histogram in app.phases.items()
         },
     )
 
 
-def id_hash_real(config: RealThreadPoolConfig) -> int:
-    """Stable per-configuration stream id, as for the simulated sweep."""
-    return int(config.browser_fraction * 10_000) * 2_654_435_761 & 0xFFFFFFFF
-
-
 # ---------------------------------------------------------------------------
 # The cluster reproduction (fleet of workers over one shared cache)
-
-
-#: User-Agents of the cluster workload's device mix; the shard key and
-#: the render key both derive the device class from the UA, exactly as
-#: the real deployment does.
-CLUSTER_DEVICE_AGENTS: tuple[tuple[str, str], ...] = (
-    ("phone", (
-        "Mozilla/5.0 (iPhone; U; CPU iPhone OS 4_0 like Mac OS X; en-us) "
-        "AppleWebKit/532.9 (KHTML, like Gecko) Version/4.0.5 Mobile/8A293 "
-        "Safari/6531.22.7"
-    )),
-    ("desktop", (
-        "Mozilla/5.0 (Windows NT 6.0; WOW64) AppleWebKit/535.19 "
-        "(KHTML, like Gecko) Chrome/18.0.1025.162 Safari/535.19"
-    )),
-)
 
 
 @dataclass
@@ -501,74 +387,9 @@ class ClusterScalabilityResult:
     unrouteable: int
 
 
-class _RenderLedger:
-    """Fleet-shared record of which (page, device) keys were rendered."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.renders = 0
-        self.keys: set[str] = set()
-
-    def record(self, key: str) -> None:
-        with self._lock:
-            self.renders += 1
-            self.keys.add(key)
-
-
-class _ClusterServiceApplication(Application):
-    """The per-worker stand-in app for the cluster sweep.
-
-    ``services.cache`` is the *fleet-shared* cache the deployment
-    attached, so a render performed on one worker is a hit (or a joined
-    flight) on every other — the property the acceptance criterion
-    "total renders == unique (page, device) pairs" pins down.
-    """
-
-    def __init__(
-        self,
-        services,
-        browser_service_s: float,
-        lightweight_service_s: float,
-        ledger: _RenderLedger,
-    ) -> None:
-        self.services = services
-        self.browser_service_s = browser_service_s
-        self.lightweight_service_s = lightweight_service_s
-        self.ledger = ledger
-
-    def handle(self, request: Request) -> Response:
-        from repro.core.detect import device_class
-
-        page = request.params.get("page", "p0")
-        if request.params.get("browser") == "1":
-            device = device_class(request.headers.get("User-Agent"))
-            key = f"clustersnap:{page}:{device}"
-
-            def _render() -> str:
-                if self.browser_service_s > 0:
-                    time.sleep(self.browser_service_s)
-                self.ledger.record(key)
-                return page
-
-            cache = self.services.cache
-            if cache.get(key) is None:
-                # The request path's fill: single-flight, double-checked.
-                cache.load_or_join(
-                    key,
-                    lambda: cache.peek(key)
-                    or cache.put(key, _render(), ttl_s=3600.0),
-                )
-        if self.lightweight_service_s > 0:
-            time.sleep(self.lightweight_service_s)
-        return Response.text("ok")
-
-
 def id_hash_cluster(config: ClusterScalabilityConfig) -> int:
     """Stable per-configuration stream id (fraction + fleet size)."""
-    return (
-        int(config.browser_fraction * 10_000) * 2_654_435_761
-        ^ config.fleet_workers * 0x9E3779B9
-    ) & 0xFFFFFFFF
+    return (id_hash(config) ^ config.fleet_workers * 0x9E3779B9) & 0xFFFFFFFF
 
 
 def _registry_total(registry, name: str) -> int:
@@ -582,42 +403,32 @@ def _registry_total(registry, name: str) -> int:
 def run_cluster_experiment(
     config: ClusterScalabilityConfig,
 ) -> ClusterScalabilityResult:
-    """Drive the marked workload through a worker fleet and measure."""
-    from repro.cluster.deployment import ClusterDeployment
+    """Drive the marked workload through a worker fleet and measure.
 
-    if not 0.0 <= config.browser_fraction <= 1.0:
-        raise ValueError("browser_fraction must be within [0, 1]")
-    rng = DeterministicRandom(config.seed ^ id_hash_cluster(config))
-    marked = [
-        rng.uniform() <= config.browser_fraction
-        for _ in range(config.total_requests)
-    ]
-    agents = CLUSTER_DEVICE_AGENTS
-    requests = [
-        Request.get(
-            "http://cluster.local/"
-            f"?page=p{index % config.distinct_pages}"
-            f"&browser={'1' if needs_browser else '0'}",
-            User_Agent=agents[
-                (index // config.distinct_pages) % len(agents)
-            ][1],
-        )
-        for index, needs_browser in enumerate(marked)
-    ]
-
-    ledger = _RenderLedger()
-    queue_limit = config.queue_limit or max(
-        config.client_threads, config.worker_threads
+    Each worker's app fills ``services.cache`` — the *fleet-shared*
+    cache the deployment attached — so a render performed on one worker
+    is a hit (or a joined flight) on every other: the property the
+    acceptance criterion "total renders == unique (page, device) pairs"
+    pins down.  The shard key and the render key both derive the device
+    class from the User-Agent, exactly as the real deployment does.
+    """
+    requests = marked_requests(
+        "cluster.local",
+        config.total_requests,
+        config.browser_fraction,
+        config.distinct_pages,
+        DeterministicRandom(config.seed ^ id_hash_cluster(config)),
+        agents=(PHONE_UA, DESKTOP_UA),
     )
-    statuses: dict[int, int] = {}
-    status_lock = threading.Lock()
-    next_index = [0]
-
+    ledger = RenderLedger()
     with ClusterDeployment(
         origins={},
         workers=config.fleet_workers,
         worker_threads=config.worker_threads,
-        queue_limit=queue_limit,
+        queue_limit=(
+            config.queue_limit
+            or max(config.client_threads, config.worker_threads)
+        ),
         spill_depth=(
             config.spill_depth
             if config.spill_depth is not None
@@ -625,66 +436,32 @@ def run_cluster_experiment(
         ),
         request_timeout_s=config.request_timeout_s,
         site="bench",
-        make_app=lambda services: _ClusterServiceApplication(
-            services,
-            browser_service_s=config.browser_service_s,
-            lightweight_service_s=config.lightweight_service_s,
-            ledger=ledger,
+        make_app=lambda services: SyntheticRenderApp(
+            shared_cache_render(
+                services.cache, ledger, config.lightweight_service_s
+            ),
+            config.browser_service_s,
+            config.lightweight_service_s,
         ),
     ) as cluster:
-
-        def client() -> None:
-            while True:
-                with status_lock:
-                    index = next_index[0]
-                    if index >= len(requests):
-                        return
-                    next_index[0] = index + 1
-                response = cluster.handle(requests[index])
-                with status_lock:
-                    statuses[response.status] = (
-                        statuses.get(response.status, 0) + 1
-                    )
-
-        threads = [
-            threading.Thread(target=client, name=f"cluster-client-{i}")
-            for i in range(config.client_threads)
-        ]
-        started = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        elapsed = time.perf_counter() - started
-        shared_stats = cluster.shared_cache.cache.stats
-        registry = cluster.registry
-        spillovers = _registry_total(
-            registry, "msite_cluster_spillovers_total"
+        replayed = replay_closed(
+            cluster.handle, requests, config.client_threads
         )
-        offshard = _registry_total(registry, "msite_cluster_offshard_total")
-        unrouteable = _registry_total(
-            registry, "msite_cluster_unrouteable_total"
-        )
-        stampedes = shared_stats.stampedes_suppressed
+        routing = {
+            name: _registry_total(
+                cluster.registry, f"msite_cluster_{name}_total"
+            )
+            for name in ("spillovers", "offshard", "unrouteable")
+        }
+        stampedes = cluster.shared_cache.cache.stats.stampedes_suppressed
 
-    completed = statuses.get(200, 0)
     return ClusterScalabilityResult(
-        browser_fraction=config.browser_fraction,
+        **_closed_loop_fields(config, requests, replayed),
         fleet_workers=config.fleet_workers,
-        requests_per_minute=completed * 60.0 / elapsed if elapsed else 0.0,
-        wall_clock_s=elapsed,
-        completed=completed,
-        rejected=statuses.get(503, 0),
-        timeouts=statuses.get(504, 0),
-        errors=statuses.get(500, 0),
-        browser_requests=sum(marked),
-        lightweight_requests=len(marked) - sum(marked),
         renders=ledger.renders,
         unique_render_keys=len(ledger.keys),
         stampedes_suppressed=stampedes,
-        spillovers=spillovers,
-        offshard=offshard,
-        unrouteable=unrouteable,
+        **routing,
     )
 
 

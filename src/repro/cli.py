@@ -244,19 +244,12 @@ def _cmd_bench_regions(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         failed = True
-    if args.output and not args.smoke:
-        from repro.bench.store import upsert_row
-
-        upsert_row(
-            args.output, "region_failover", report.key, report.bench_row()
-        )
-        print(f"wrote {args.output} (region_failover.{report.key})")
+    if not args.smoke:
+        _write_bench(args, "region_failover", report.key, report.bench_row())
     return 1 if failed else 0
 
 
 def _cmd_bench_adapt(args: argparse.Namespace) -> int:
-    import json
-
     from repro.bench.hotpath import format_report, run_hotpath_bench
 
     try:
@@ -265,9 +258,7 @@ def _cmd_bench_adapt(args: argparse.Namespace) -> int:
         print(f"bench-adapt run failed: {exc}", file=sys.stderr)
         return 1
     print(format_report(results))
-    if args.output:
-        _merge_json_report(args.output, results)
-        print(f"wrote {args.output}")
+    _write_bench(args, None, None, results)
     if args.require_hits and results["warm"]["fastpath_hit_ratio"] <= 0:
         print(
             "FAIL: warm forum workload never hit the fast path",
@@ -303,9 +294,7 @@ def _cmd_bench_delta(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         failed = True
-    if args.output and not args.smoke:
-        from repro.bench.store import upsert_row
-
+    if not args.smoke:
         key = f"churn{round(args.churn * 100)}pct@{requests}"
         row = {
             "requests": requests,
@@ -323,8 +312,7 @@ def _cmd_bench_delta(args: argparse.Namespace) -> int:
                 results["session"]["wire_fraction"], 4
             ),
         }
-        upsert_row(args.output, "delta_churn", key, row)
-        print(f"wrote {args.output} (delta_churn.{key})")
+        _write_bench(args, "delta_churn", key, row)
     return 1 if failed else 0
 
 
@@ -343,7 +331,7 @@ def _cmd_bench_autoscale(args: argparse.Namespace) -> int:
         print(f"bench-autoscale run failed: {exc}", file=sys.stderr)
         return 1
     print(format_comparison(comparison))
-    auto = comparison.autoscaled
+    auto = comparison.candidate
     failed = False
     if auto.non_degraded_5xx:
         print(
@@ -366,16 +354,18 @@ def _cmd_bench_autoscale(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         failed = True
-    if not args.smoke and comparison.static.non_degraded_5xx <= 0:
+    if not args.smoke and comparison.baseline.non_degraded_5xx <= 0:
         print(
             "FAIL: the static fleet absorbed the crowd without "
             "rejecting — the flash crowd is not saturating",
             file=sys.stderr,
         )
         failed = True
-    if args.output and not args.smoke:
-        _merge_json_report(args.output, comparison.bench_record())
-        print(f"wrote {args.output} (autoscale_flashcrowd)")
+    if not args.smoke:
+        section = comparison.section
+        _write_bench(
+            args, section, None, comparison.bench_record()[section]
+        )
     return 1 if failed else 0
 
 
@@ -446,18 +436,30 @@ def _cmd_autoscale_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _merge_json_report(path: str, updates: dict) -> None:
-    """Update ``path`` with ``updates``, preserving other top-level keys.
+def _write_bench(
+    args: argparse.Namespace,
+    section: Optional[str],
+    key: Optional[str],
+    row: dict,
+) -> None:
+    """Merge ``row`` into the report at ``--output`` (empty: no write).
 
-    BENCH_pipeline.json is shared by ``bench-adapt``, the cluster
-    scalability sweep, and every workload scenario; the store module
-    locks the file, merges keyed rows recursively, and replaces it
-    atomically so concurrent or repeated runs never duplicate or
-    clobber each other's entries.
+    The row lands at ``section`` -> ``key``; without a key it is the
+    section itself, and without a section its own top-level keys are
+    the sections.  BENCH_pipeline.json is shared by every bench
+    command; the store module locks the file, merges keyed rows
+    recursively, and replaces it atomically so concurrent or repeated
+    runs never duplicate or clobber each other's entries.
     """
+    if not args.output:
+        return
     from repro.bench.store import merge_report
 
-    merge_report(path, updates)
+    if key is not None:
+        row = {key: row}
+    merge_report(args.output, {section: row} if section else row)
+    label = ".".join(part for part in (section, key) if part)
+    print(f"wrote {args.output}" + (f" ({label})" if label else ""))
 
 
 def _cmd_workload(args: argparse.Namespace) -> int:
@@ -486,12 +488,12 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         print(f"workload run failed: {exc}", file=sys.stderr)
         return 1
     print(format_report(report))
-    if args.output:
-        from repro.bench.store import upsert_row
-
-        key = f"{report.scenario}@{report.fingerprint}"
-        upsert_row(args.output, "workload", key, report.bench_row())
-        print(f"wrote {args.output} (workload.{key})")
+    _write_bench(
+        args,
+        "workload",
+        f"{report.scenario}@{report.fingerprint}",
+        report.bench_row(),
+    )
     failed = False
     if report.non_degraded_5xx:
         print(
@@ -596,23 +598,22 @@ def _run_farm_burst(args: argparse.Namespace) -> int:
     comparison = run_burst_comparison(smoke_config() if smoke else None)
     print(format_comparison(comparison))
     failed = False
-    if comparison.farm.non_degraded_5xx:
+    if comparison.candidate.non_degraded_5xx:
         print(
-            f"FAIL: farm served {comparison.farm.non_degraded_5xx} "
+            f"FAIL: farm served {comparison.candidate.non_degraded_5xx} "
             "non-degraded 5xx under the burst",
             file=sys.stderr,
         )
         failed = True
-    if not smoke and comparison.inline.non_degraded_5xx == 0:
+    if not smoke and comparison.baseline.non_degraded_5xx == 0:
         print(
             "FAIL: inline baseline absorbed the burst without refusals — "
             "the schedule is not saturating; raise the peak rate",
             file=sys.stderr,
         )
         failed = True
-    if args.output and not smoke:
-        _merge_json_report(args.output, comparison.bench_record())
-        print(f"wrote {args.output}")
+    if not smoke:
+        _write_bench(args, None, None, comparison.bench_record())
     return 1 if failed else 0
 
 
@@ -680,7 +681,7 @@ def _run_cluster_scalability(
                 f"speedup at {zero * 100:.0f}% browser: "
                 f"{speedup:.2f}x ({fleet_sizes[-1]} workers vs 1)"
             )
-    if args.output and not smoke:
+    if not smoke:
         record = {
             "cluster_scalability": {
                 "fleet_workers": args.workers,
@@ -693,8 +694,7 @@ def _run_cluster_scalability(
                 },
             }
         }
-        _merge_json_report(args.output, record)
-        print(f"wrote {args.output}")
+        _write_bench(args, None, None, record)
     return 1 if failed else 0
 
 

@@ -28,18 +28,11 @@ from repro.net.client import HttpClient
 from repro.net.cookies import CookieJar
 from repro.sim.clock import Clock
 from repro.workload.population import DEVICE_AGENTS
+from repro.workload.replay import percentile, replay_closed
 from repro.workload.scenarios import PlannedRequest, Scenario, get_scenario
 
 FORUM_HOST = "www.sawmillcreek.org"
 PROXY_HOST = "m.workload.example"
-
-
-def _percentile(samples: list[float], fraction: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(round(fraction * (len(ordered) - 1))))
-    return ordered[index]
 
 
 @dataclass
@@ -215,11 +208,6 @@ def run_scenario(
 
     clock = Clock()
     pacer = _SimClockPacer(clock)
-    latencies: list[float] = []
-    statuses: dict[int, int] = {}
-    degraded = 0
-    non_degraded_5xx = 0
-    counters_lock = threading.Lock()
 
     start_workers = min(min_workers, fleet) if autoscale else fleet
     with ClusterDeployment(
@@ -257,53 +245,35 @@ def run_scenario(
         sessions: dict[str, tuple[HttpClient, threading.Lock]] = {}
         sessions_lock = threading.Lock()
 
+        def _new_client() -> tuple[HttpClient, threading.Lock]:
+            return (
+                HttpClient(
+                    {PROXY_HOST: cluster}, jar=CookieJar(), clock=clock
+                ),
+                threading.Lock(),
+            )
+
         def _session_client(key: str) -> tuple[HttpClient, threading.Lock]:
             if not key:  # cookie-less bot: fresh jar every hit
-                return (
-                    HttpClient(
-                        {PROXY_HOST: cluster}, jar=CookieJar(), clock=clock
-                    ),
-                    threading.Lock(),
-                )
+                return _new_client()
             with sessions_lock:
-                entry = sessions.get(key)
-                if entry is None:
-                    entry = (
-                        HttpClient(
-                            {PROXY_HOST: cluster},
-                            jar=CookieJar(),
-                            clock=clock,
-                        ),
-                        threading.Lock(),
-                    )
-                    sessions[key] = entry
-                return entry
+                if key not in sessions:
+                    sessions[key] = _new_client()
+                return sessions[key]
 
-        def _issue(planned: PlannedRequest, record: bool) -> None:
-            nonlocal degraded, non_degraded_5xx
+        def _issue(planned: PlannedRequest, measured: bool = True):
             if planned.mutate and mutator is not None:
                 mutator()
             client, lock = _session_client(planned.session)
             pacer.advance_to(planned.at_s)
-            if record:
+            if measured:
                 _maybe_scale()
             url = f"http://{PROXY_HOST}/{planned.path}"
             with lock:
-                started = time.perf_counter()
-                response = client.get(url, User_Agent=planned.user_agent)
-                elapsed = time.perf_counter() - started
-            if not record:
-                return
-            is_degraded = response.headers.get("X-MSite-Degraded") is not None
-            with counters_lock:
-                latencies.append(elapsed)
-                statuses[response.status] = (
-                    statuses.get(response.status, 0) + 1
-                )
-                if is_degraded:
-                    degraded += 1
-                if response.status >= 500 and not is_degraded:
-                    non_degraded_5xx += 1
+                # The wait for a session's previous answer is the
+                # replay's doing, not the fleet's: time from here.
+                sent_at = time.perf_counter()
+                return client.get(url, User_Agent=planned.user_agent), sent_at
 
         # -- warm-up: one pass over the surface per device class --------
         for device, user_agent in DEVICE_AGENTS.items():
@@ -317,33 +287,11 @@ def run_scenario(
                         user_agent=user_agent,
                         session=f"warmup-{device}",
                     ),
-                    record=False,
+                    measured=False,
                 )
 
         # -- measured replay --------------------------------------------
-        cursor = [0]
-
-        def _client_thread() -> None:
-            while True:
-                with counters_lock:
-                    position = cursor[0]
-                    if position >= len(trace):
-                        return
-                    cursor[0] = position + 1
-                _issue(trace[position], record=True)
-
-        threads = [
-            threading.Thread(
-                target=_client_thread, name=f"workload-client-{i}"
-            )
-            for i in range(min(client_threads, max(1, len(trace))))
-        ]
-        started = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        wall_clock = time.perf_counter() - started
+        replayed = replay_closed(_issue, trace, client_threads)
         final_workers = cluster.fleet_size
         scale_ups = scale_downs = 0
         if scaler is not None:
@@ -352,10 +300,8 @@ def run_scenario(
                 1 for d in scaler.decisions if d.action == "down"
             )
 
-    errors_5xx = sum(
-        count for status, count in statuses.items() if status >= 500
-    )
-    completed = len(latencies)
+    completed = len(replayed.latencies)
+    wall_clock = replayed.wall_clock_s
     return ScenarioReport(
         scenario=scenario.name,
         site=scenario.site,
@@ -366,13 +312,13 @@ def run_scenario(
         wall_clock_s=wall_clock,
         sim_duration_s=clock.now,
         throughput_rps=completed / wall_clock if wall_clock > 0 else 0.0,
-        p50_ms=_percentile(latencies, 0.50) * 1e3,
-        p99_ms=_percentile(latencies, 0.99) * 1e3,
-        error_rate=errors_5xx / completed if completed else 0.0,
-        errors_5xx=errors_5xx,
-        non_degraded_5xx=non_degraded_5xx,
-        degraded=degraded,
-        statuses=statuses,
+        p50_ms=percentile(replayed.latencies, 0.50) * 1e3,
+        p99_ms=percentile(replayed.latencies, 0.99) * 1e3,
+        error_rate=replayed.errors_5xx / completed if completed else 0.0,
+        errors_5xx=replayed.errors_5xx,
+        non_degraded_5xx=replayed.non_degraded_5xx,
+        degraded=replayed.degraded,
+        statuses=replayed.statuses,
         fingerprint=scenario.fingerprint(fleet),
         autoscaled=autoscale,
         peak_workers=peak_workers[0] if autoscale else fleet,

@@ -30,7 +30,7 @@ def _tiny_config() -> BurstConfig:
 
 def test_farm_serves_zero_non_degraded_5xx_under_burst(tmp_path):
     comparison = run_burst_comparison(_tiny_config())
-    farm = comparison.farm
+    farm = comparison.candidate
     assert farm.offered > 0
     assert farm.non_degraded_5xx == 0, (
         f"farm leaked errors under the burst: {farm}"

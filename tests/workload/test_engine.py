@@ -7,7 +7,6 @@ import pytest
 from repro.sim.clock import Clock
 from repro.workload.arrivals import ClosedLoop, Poisson
 from repro.workload.engine import (
-    _percentile,
     _SimClockPacer,
     build_scenario_mutator,
     build_scenario_origins,
@@ -16,6 +15,7 @@ from repro.workload.engine import (
     run_scenario,
 )
 from repro.workload.population import DeviceMix
+from repro.workload.replay import percentile
 from repro.workload.scenarios import (
     NEWS_FASTPATH_SURFACE,
     NEWS_SURFACE,
@@ -210,12 +210,12 @@ def test_pacer_never_rewinds_the_clock():
 
 
 def test_percentile_handles_empty_and_extremes():
-    assert _percentile([], 0.99) == 0.0
-    assert _percentile([4.0], 0.5) == 4.0
+    assert percentile([], 0.99) == 0.0
+    assert percentile([4.0], 0.5) == 4.0
     samples = [float(n) for n in range(1, 101)]
-    assert _percentile(samples, 0.0) == 1.0
-    assert _percentile(samples, 1.0) == 100.0
-    assert _percentile(samples, 0.5) == pytest.approx(50.0, abs=1.0)
+    assert percentile(samples, 0.0) == 1.0
+    assert percentile(samples, 1.0) == 100.0
+    assert percentile(samples, 0.5) == pytest.approx(50.0, abs=1.0)
 
 
 def test_format_report_is_readable():

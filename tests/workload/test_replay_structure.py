@@ -1,0 +1,137 @@
+"""There stays one replay driver.
+
+A structural guard, read off the AST (nothing is imported): pacing a
+schedule, fanning requests over client threads, the stand-in
+``Application`` and the sample percentile live in
+``repro/workload/replay.py`` and nowhere else under ``repro.bench`` /
+``repro.workload``, and the names that module replaced do not come back
+— not as definitions, not as imports, not as aliases.
+"""
+
+import ast
+import pathlib
+
+REPO = pathlib.Path(__file__).resolve().parents[2]
+DRIVER = pathlib.Path("src/repro/workload/replay.py")
+HARNESS_DIRS = ("src/repro/bench", "src/repro/workload")
+RETIRED = {
+    "_InlineRenderApplication",
+    "_FarmRenderApplication",
+    "_ElasticApplication",
+    "_ServiceTimeApplication",
+    "_ClusterServiceApplication",
+    "BurstComparison",
+    "AutoscaleComparison",
+}
+
+
+def _trees(*roots):
+    for root in roots:
+        for path in sorted((REPO / root).rglob("*.py")):
+            yield path.relative_to(REPO), ast.parse(path.read_text())
+
+
+def _dotted(node):
+    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id, *reversed(parts)])
+
+
+def _functions(tree):
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
+def test_no_harness_keeps_a_private_percentile_or_replay():
+    sightings = [
+        f"{path}:{node.lineno} {node.name}"
+        for path, tree in _trees(*HARNESS_DIRS)
+        for node in _functions(tree)
+        if node.name in {"_percentile", "_replay"}
+    ]
+    assert sightings == []
+
+
+def test_there_is_exactly_one_percentile_under_src():
+    definitions = [
+        str(path)
+        for path, tree in _trees("src/repro")
+        for node in _functions(tree)
+        if node.name.lstrip("_") == "percentile"
+    ]
+    assert definitions == [str(DRIVER)]
+
+
+def test_application_is_subclassed_only_by_the_driver():
+    subclasses = [
+        f"{path}:{node.lineno} {node.name}"
+        for path, tree in _trees(*HARNESS_DIRS)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(
+            (_dotted(base) or "").split(".")[-1] == "Application"
+            for base in node.bases
+        )
+    ]
+    assert subclasses == [
+        f"{DRIVER}:{node.lineno} SyntheticRenderApp"
+        for node in ast.walk(ast.parse((REPO / DRIVER).read_text()))
+        if isinstance(node, ast.ClassDef)
+        and node.name == "SyntheticRenderApp"
+    ]
+
+
+def test_only_the_driver_paces_a_schedule_or_starts_client_threads():
+    """Outside the driver a harness may sleep a configured interval
+    (``config.interval_s``, a module constant) but never a delay it
+    computed from the clock, and it starts no thread of its own."""
+    sightings = []
+    for path, tree in _trees(*HARNESS_DIRS):
+        if path == DRIVER:
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            called = _dotted(node.func) or ""
+            if called == "time.sleep":
+                (duration,) = node.args
+                configured = isinstance(duration, ast.Attribute) or (
+                    isinstance(duration, ast.Name) and duration.id.isupper()
+                )
+                if not configured:
+                    sightings.append(f"{path}:{node.lineno} paced sleep")
+            if called.split(".")[-1] in {"Thread", "ThreadPoolExecutor"}:
+                sightings.append(f"{path}:{node.lineno} {called}")
+    assert sightings == []
+
+
+def test_retired_harness_names_are_gone():
+    sightings = []
+    for path, tree in _trees("src", "examples", "benchmarks"):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [
+                    part
+                    for alias in node.names
+                    for part in (alias.name, alias.asname or "")
+                ]
+            elif isinstance(node, ast.Assign):
+                names = [getattr(t, "id", None) for t in node.targets]
+            else:
+                continue
+            sightings += [
+                f"{path}:{node.lineno} {name}"
+                for name in names
+                if name in RETIRED or name == "DEGRADED_HEADER"
+            ]
+    assert sightings == []

@@ -141,11 +141,12 @@ PACKAGES = [
         ],
     },
     {
-        # The scenario engine: trace compilation must be byte-stable
-        # and the replay loop honest about 5xx accounting, so the bar
-        # matches the cluster package.  The engine suite uses the tiny
-        # smoke scenarios (no pre-render) to stay inside the tracer
-        # budget.
+        # The scenario engine and the replay driver every harness
+        # shares (workload/replay.py): trace compilation must be
+        # byte-stable and the replay loops honest about 5xx accounting,
+        # so the bar matches the cluster package.  The engine suite
+        # uses the tiny smoke scenarios (no pre-render) to stay inside
+        # the tracer budget.
         "label": "repro.workload",
         "dir": os.path.join(SRC_DIR, "repro", "workload"),
         "floor": 0.95,
@@ -155,6 +156,7 @@ PACKAGES = [
             "tests/workload/test_scenarios.py",
             "tests/workload/test_properties.py",
             "tests/workload/test_engine.py",
+            "tests/workload/test_replay.py",
         ],
     },
     {

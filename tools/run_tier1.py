@@ -10,44 +10,11 @@ enforces two ceilings:
 * no single test may exceed ``--slowest-s`` seconds (parsed from the
   durations report).
 
-After the suite, the gate also runs the benchmark harness in smoke mode
-(``pytest benchmarks/ --smoke``) so the bench layer keeps compiling and
-its core invariants keep holding, enforces the statement-coverage
-floors for ``repro.observability``, ``repro.resilience``, the fast
-path, and ``repro.cluster`` via
-``tools/check_observability_coverage.py`` (stdlib ``trace``; no
-third-party coverage package required), runs the chaos smoke
-(``msite chaos --seed 7 --requests 200``), which exits non-zero if the
-seeded fault schedule leaks a single 500, runs the hot-path bench
-smoke (``msite bench-adapt --require-hits``), which exits non-zero if
-the warm forum workload never hits the adapted-response fast path,
-runs the delta bench smoke (``msite bench-delta --smoke``), which
-exits non-zero if incremental re-adaptation under origin churn fails
-to beat the full pipeline or ever diverges from its bytes,
-and runs the cluster smoke (``msite scalability --workers 2 --smoke``),
-which exits non-zero if a 2-worker fleet fails to beat one worker or
-ever renders the same (path, device) pair twice, and the render-farm
-burst smoke (``msite scalability --farm --smoke``), which exits
-non-zero if the farm-backed configuration serves a single non-degraded
-5xx under an open-loop flash crowd.  The multi-region layer gets the
-same treatment: the region-fault chaos smoke (``msite chaos
---region-faults --smoke``) kills one of two regions mid-run and exits
-non-zero on any non-degraded 5xx or if the healed region fails to
-replay the invalidation log to the live offset, and the region
-failover bench smoke (``msite bench-regions --smoke``) exits non-zero
-if a full fleet restart warm-starts less than 90% of the working set
-from the snapshot store.  It then replays two workload
-scenarios in smoke mode (``msite workload --scenario flash-crowd
---smoke`` and ``--scenario zipf-news --smoke``): each must finish with
-zero non-degraded 5xx at warm cache and within the p99 budget, and
-each appends its bench row to ``BENCH_pipeline.json``.  Finally the
-autoscale bench smoke (``msite bench-autoscale --smoke``) replays a
-seeded flash crowd against a one-worker fleet under the controller and
-exits non-zero if the fleet never scales, leaks a non-degraded 5xx, or
-busts the p99 budget.  (The old flake-guard rerun loop for the two
-timing-sensitive farm tests is gone: both were rewritten onto the
-deterministic LaneQueue/SimConsumer harness and the ops event log, so
-a single run is authoritative.)
+After the suite it runs every row of ``SMOKES`` below — the benchmark
+harness in smoke mode, the statement-coverage floors, and the ``msite``
+smoke gates — in order, printing each step's wall time; the table says
+what a non-zero exit of each step means.  A single run is
+authoritative: no step is retried.
 
 Exits non-zero when tests fail or a ceiling is breached, so CI and the
 pre-merge checklist can gate on one command.
@@ -70,6 +37,79 @@ REPO_ROOT = os.path.abspath(
 _DURATION_RE = re.compile(
     r"^\s*(?P<seconds>\d+(?:\.\d+)?)s\s+(?P<stage>call|setup|teardown)\s+"
     r"(?P<test>\S+)"
+)
+
+_MSITE = ("-m", "repro.cli")
+
+#: The steps after the suite: (label, argv after the interpreter, what a
+#: non-zero exit means).  Run in this order.
+SMOKES: tuple[tuple[str, tuple[str, ...], str], ...] = (
+    (
+        "benchmark smoke mode",
+        ("-m", "pytest", "benchmarks/", "--smoke", "-q",
+         "-p", "no:cacheprovider"),
+        "the bench layer stopped compiling or a core invariant broke",
+    ),
+    (
+        "observability coverage floor",
+        ("tools/check_observability_coverage.py",),
+        "a package's statement coverage fell below its floor",
+    ),
+    (
+        "chaos smoke",
+        (*_MSITE, "chaos", "--seed", "7", "--requests", "200"),
+        "the seeded fault schedule leaked a 500",
+    ),
+    (
+        "hot-path bench smoke",
+        (*_MSITE, "bench-adapt", "--requests", "20", "--require-hits",
+         "--output", ""),
+        "the warm forum workload never hit the fast path",
+    ),
+    (
+        "delta bench smoke",
+        (*_MSITE, "bench-delta", "--smoke"),
+        "re-adaptation under churn never took the delta path or "
+        "diverged from the full pipeline's bytes",
+    ),
+    (
+        "cluster smoke",
+        (*_MSITE, "scalability", "--workers", "2", "--smoke"),
+        "a 2-worker fleet failed to beat one worker or rendered a "
+        "(path, device) pair twice",
+    ),
+    (
+        "render farm burst smoke",
+        (*_MSITE, "scalability", "--farm", "--smoke"),
+        "the farm served a non-degraded 5xx under an open-loop crowd",
+    ),
+    (
+        "region chaos smoke",
+        (*_MSITE, "chaos", "--region-faults", "--smoke"),
+        "killing one of two regions leaked a non-degraded 5xx or the "
+        "healed region did not replay the log to the live offset",
+    ),
+    (
+        "region failover bench smoke",
+        (*_MSITE, "bench-regions", "--smoke"),
+        "a full fleet restart warm-started under 90% of the working set",
+    ),
+    (
+        "workload smoke (flash-crowd)",
+        (*_MSITE, "workload", "--scenario", "flash-crowd", "--smoke"),
+        "a non-degraded 5xx at warm cache or a busted p99 budget",
+    ),
+    (
+        "workload smoke (zipf-news)",
+        (*_MSITE, "workload", "--scenario", "zipf-news", "--smoke"),
+        "a non-degraded 5xx at warm cache or a busted p99 budget",
+    ),
+    (
+        "autoscale bench smoke",
+        (*_MSITE, "bench-autoscale", "--smoke"),
+        "the fleet never scaled, leaked a non-degraded 5xx, or busted "
+        "the p99 budget",
+    ),
 )
 
 
@@ -131,174 +171,18 @@ def main(argv: list[str] | None = None) -> int:
                 f"(ceiling {args.slowest_s:.0f}s)"
             )
 
-    # -- benchmark smoke mode -------------------------------------------
-    smoke_command = [
-        sys.executable, "-m", "pytest", "benchmarks/", "--smoke",
-        "-q", "-p", "no:cacheprovider",
-    ]
-    print(f"\n$ {' '.join(smoke_command)}")
-    smoke = subprocess.run(
-        smoke_command, cwd=REPO_ROOT, env=env,
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-    )
-    sys.stdout.write(smoke.stdout)
-    if smoke.returncode != 0:
-        failures.append(f"benchmark smoke mode exited {smoke.returncode}")
-
-    # -- observability coverage floor -----------------------------------
-    coverage_command = [
-        sys.executable, "tools/check_observability_coverage.py",
-    ]
-    print(f"\n$ {' '.join(coverage_command)}")
-    coverage = subprocess.run(
-        coverage_command, cwd=REPO_ROOT, env=env,
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-    )
-    sys.stdout.write(coverage.stdout)
-    if coverage.returncode != 0:
-        failures.append(
-            f"observability coverage floor exited {coverage.returncode}"
-        )
-
-    # -- chaos smoke: seeded faults must never leak a 500 ---------------
-    chaos_command = [
-        sys.executable, "-m", "repro.cli", "chaos",
-        "--seed", "7", "--requests", "200",
-    ]
-    print(f"\n$ {' '.join(chaos_command)}")
-    chaos = subprocess.run(
-        chaos_command, cwd=REPO_ROOT, env=env,
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-    )
-    sys.stdout.write(chaos.stdout)
-    if chaos.returncode != 0:
-        failures.append(f"chaos smoke exited {chaos.returncode}")
-
-    # -- hot-path bench smoke: the fast path must actually hit ----------
-    bench_command = [
-        sys.executable, "-m", "repro.cli", "bench-adapt",
-        "--requests", "20", "--require-hits", "--output", "",
-    ]
-    print(f"\n$ {' '.join(bench_command)}")
-    bench = subprocess.run(
-        bench_command, cwd=REPO_ROOT, env=env,
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-    )
-    sys.stdout.write(bench.stdout)
-    if bench.returncode != 0:
-        failures.append(f"hot-path bench smoke exited {bench.returncode}")
-
-    # -- delta bench smoke: incremental re-adaptation must beat the
-    #    full pipeline and stay byte-identical to it -------------------
-    delta_command = [
-        sys.executable, "-m", "repro.cli", "bench-delta", "--smoke",
-    ]
-    print(f"\n$ {' '.join(delta_command)}")
-    delta = subprocess.run(
-        delta_command, cwd=REPO_ROOT, env=env,
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-    )
-    sys.stdout.write(delta.stdout)
-    if delta.returncode != 0:
-        failures.append(f"delta bench smoke exited {delta.returncode}")
-
-    # -- cluster smoke: a 2-worker fleet must beat one worker and never
-    #    render the same (path, device) twice --------------------------
-    cluster_command = [
-        sys.executable, "-m", "repro.cli", "scalability",
-        "--workers", "2", "--smoke",
-    ]
-    print(f"\n$ {' '.join(cluster_command)}")
-    cluster = subprocess.run(
-        cluster_command, cwd=REPO_ROOT, env=env,
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-    )
-    sys.stdout.write(cluster.stdout)
-    if cluster.returncode != 0:
-        failures.append(f"cluster smoke exited {cluster.returncode}")
-
-    # -- render farm burst smoke: zero non-degraded 5xx under an
-    #    open-loop flash crowd ------------------------------------------
-    farm_command = [
-        sys.executable, "-m", "repro.cli", "scalability",
-        "--farm", "--smoke",
-    ]
-    print(f"\n$ {' '.join(farm_command)}")
-    farm = subprocess.run(
-        farm_command, cwd=REPO_ROOT, env=env,
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-    )
-    sys.stdout.write(farm.stdout)
-    if farm.returncode != 0:
-        failures.append(f"render farm burst smoke exited {farm.returncode}")
-
-    # -- region chaos smoke: kill one of two regions mid-run; the fleet
-    #    must serve zero non-degraded 5xx and the healed region must
-    #    replay the invalidation log to the live offset -----------------
-    region_chaos_command = [
-        sys.executable, "-m", "repro.cli", "chaos",
-        "--region-faults", "--smoke",
-    ]
-    print(f"\n$ {' '.join(region_chaos_command)}")
-    region_chaos = subprocess.run(
-        region_chaos_command, cwd=REPO_ROOT, env=env,
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-    )
-    sys.stdout.write(region_chaos.stdout)
-    if region_chaos.returncode != 0:
-        failures.append(
-            f"region chaos smoke exited {region_chaos.returncode}"
-        )
-
-    # -- region failover bench smoke: a full fleet restart must
-    #    warm-start at least 90% of the working set from disk ------------
-    regions_bench_command = [
-        sys.executable, "-m", "repro.cli", "bench-regions", "--smoke",
-    ]
-    print(f"\n$ {' '.join(regions_bench_command)}")
-    regions_bench = subprocess.run(
-        regions_bench_command, cwd=REPO_ROOT, env=env,
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-    )
-    sys.stdout.write(regions_bench.stdout)
-    if regions_bench.returncode != 0:
-        failures.append(
-            f"region failover bench smoke exited {regions_bench.returncode}"
-        )
-
-    # -- scenario smokes: a burst and a skewed news mix must finish with
-    #    zero non-degraded 5xx at warm cache and append their bench rows
-    for scenario in ("flash-crowd", "zipf-news"):
-        workload_command = [
-            sys.executable, "-m", "repro.cli", "workload",
-            "--scenario", scenario, "--smoke",
-        ]
-        print(f"\n$ {' '.join(workload_command)}")
-        workload = subprocess.run(
-            workload_command, cwd=REPO_ROOT, env=env,
+    for label, argv, meaning in SMOKES:
+        command = [sys.executable, *argv]
+        print(f"\n$ {' '.join(command)}  # fails when: {meaning}")
+        step_started = time.monotonic()
+        step = subprocess.run(
+            command, cwd=REPO_ROOT, env=env,
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         )
-        sys.stdout.write(workload.stdout)
-        if workload.returncode != 0:
-            failures.append(
-                f"workload smoke ({scenario}) exited {workload.returncode}"
-            )
-
-    # -- autoscale bench smoke: the controller must absorb a flash
-    #    crowd starting from one worker with zero non-degraded 5xx ------
-    autoscale_command = [
-        sys.executable, "-m", "repro.cli", "bench-autoscale", "--smoke",
-    ]
-    print(f"\n$ {' '.join(autoscale_command)}")
-    autoscale = subprocess.run(
-        autoscale_command, cwd=REPO_ROOT, env=env,
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-    )
-    sys.stdout.write(autoscale.stdout)
-    if autoscale.returncode != 0:
-        failures.append(
-            f"autoscale bench smoke exited {autoscale.returncode}"
-        )
+        sys.stdout.write(step.stdout)
+        print(f"  ({label}: {time.monotonic() - step_started:.1f}s)")
+        if step.returncode != 0:
+            failures.append(f"{label} exited {step.returncode}")
 
     print(f"\ntier-1 gate: suite finished in {elapsed:.1f}s")
     if failures:
