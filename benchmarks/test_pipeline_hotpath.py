@@ -34,6 +34,10 @@ def test_hotpath_smoke_fastpath_hits_and_speedup():
     assert warm["fastpath_hits"] >= warm["fastpath_misses"], (
         "a warm workload should be hit-dominated"
     )
+    # All but the audit sample (1 in 32) of the hits.
+    assert warm["origin_not_modified"] >= 0.9 * warm["fastpath_hits"], (
+        "a warm hit should revalidate with a 304, not re-fetch the page"
+    )
     assert results["speedup"] >= 2.0, (
         f"fast path {results['speedup']:.1f}x over the full pipeline; "
         f"the acceptance floor is 2x"

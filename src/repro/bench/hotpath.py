@@ -24,6 +24,7 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Optional
 
+from repro.core import fastpath
 from repro.core.codegen import generate_proxy_source, load_generated_proxy
 from repro.core.pipeline import ProxyServices
 from repro.core.spec import AdaptationSpec, ObjectSelector
@@ -121,6 +122,11 @@ def run_hotpath_bench(
     warm["fastpath_hits"] = hits
     warm["fastpath_misses"] = misses
     warm["fastpath_hit_ratio"] = hits / lookups if lookups else 0.0
+    # A warm hit should also be fetch-free: the forum origin emits
+    # ETags, so every request after the first revalidates with a 304.
+    warm["origin_not_modified"] = fastpath.revalidation_counter(
+        warm_services.observability.registry, "not_modified"
+    ).value
 
     base_proxy, __ = _deploy(forum_spec(), fastpath_enabled=False)
     baseline = _drive(base_proxy, requests, clock)
@@ -191,7 +197,8 @@ def format_report(results: dict) -> str:
         f"{table}\n"
         f"fast-path hit ratio: {warm['fastpath_hit_ratio']:.2f} "
         f"({warm['fastpath_hits']:.0f} hits / "
-        f"{warm['fastpath_misses']:.0f} misses)\n"
+        f"{warm['fastpath_misses']:.0f} misses, "
+        f"{warm['origin_not_modified']:.0f} origin 304s)\n"
         f"warm speedup: {results['speedup']:.1f}x, "
         f"stream speedup: {stream['speedup']:.1f}x"
     )

@@ -259,9 +259,18 @@ def _cmd_bench_adapt(args: argparse.Namespace) -> int:
         return 1
     print(format_report(results))
     _write_bench(args, None, None, results)
-    if args.require_hits and results["warm"]["fastpath_hit_ratio"] <= 0:
+    if not args.require_hits:
+        return 0
+    if results["warm"]["fastpath_hit_ratio"] <= 0:
         print(
             "FAIL: warm forum workload never hit the fast path",
+            file=sys.stderr,
+        )
+        return 1
+    if results["warm"]["origin_not_modified"] <= 0:
+        print(
+            "FAIL: warm forum workload never revalidated with a 304 — "
+            "every hit still fetched the origin page",
             file=sys.stderr,
         )
         return 1
@@ -757,7 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--require-hits", action="store_true",
         help="exit 1 if the warm workload's fast-path hit ratio is 0 "
-        "(the tier-1 gate uses this)",
+        "or it recorded no origin 304 (the tier-1 gate uses this)",
     )
     bench.set_defaults(fn=_cmd_bench_adapt)
 

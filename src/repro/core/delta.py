@@ -1153,12 +1153,8 @@ class DeltaEngine:
         # The re-stored bundle still embeds the memo's frozen artifacts,
         # so it may only live out their *remaining* freshness.
         remaining = memo.deadline - pipeline.services.now
-        fastpath.store_bundle(
-            pipeline.services.cache,
-            bundle_key,
-            pointer_key,
-            bundle,
-            ttl_s=max(remaining, 0.0),
+        pipeline.store_bundle(
+            bundle_key, pointer_key, bundle, max(remaining, 0.0)
         )
 
     # -- classification (no mutation) ----------------------------------

@@ -11,14 +11,34 @@ in the shared pre-render cache, keyed by
 ``fastpath:<site>:<path>:<device class>:<spec fp>:<content fp>``
 
 * **content fingerprint** — a digest of the *fetched origin source*, so
-  the proxy revalidates against the origin on every request and a
-  changed page misses naturally.  Per-session origin differences (login
-  state rendered into the page) produce different digests, so sessions
-  can never be served each other's personalized bundles.
+  a changed page misses naturally.  Per-session origin differences
+  (login state rendered into the page) produce different digests, so
+  sessions can never be served each other's personalized bundles.
 * **device class** — phone/tablet/desktop/default from UA detection;
   device-targeted variants never collide.
 * **spec fingerprint** — from the compiled transform plan; editing the
   spec (or redeploying under a new proxy base) invalidates everything.
+
+The proxy still asks the origin on every request, but **conditional
+first**.  Beside every stored bundle sits a validator record,
+
+``fastpath-validator:<site>:<path>:<spec fp>:<requester identity>``
+
+holding the origin's strong ``ETag`` and the content fingerprint of the
+body it came with (same TTL as the bundle).  A non-forced request that
+finds a record sends ``If-None-Match``; a body-less 304 takes the
+content fingerprint from the record and replays the bundle with no
+body, no :func:`normalize_origin` and no SHA-256.  The fingerprint is
+only computed on a 200: no record yet, an origin without ``ETag``,
+``?refresh=1``, a changed page — and those proceed exactly as before
+(lookup, delta, full run).  The requester identity is a digest of what
+the session sends upstream (its ``Cookie`` header for the origin URL
+and any HTTP-basic credentials; ``anon`` when there is neither), so a
+record can never vouch across login states even for an origin whose
+ETag ignores the user.  A 304 is the origin's word, so it is sampled:
+every ``REVALIDATION_AUDIT_EVERY``-th revalidation per host goes out
+unconditional, and a body that changed under an unchanged ETag demotes
+the host to unconditional fetches (:mod:`repro.resilience.policy`).
 
 A companion ``fastpath-latest`` pointer entry records the most recent
 content key per (site, path, device, spec).  It is the stale-serve hook:
@@ -38,9 +58,10 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.core.cache import PrerenderCache
+from repro.net.conditional import etag_matches  # noqa: F401  (re-export)
 
 #: Bump when the bundle layout changes; old entries miss instead of
 #: deserializing wrongly.
@@ -108,14 +129,53 @@ def make_etag(
     return f'"{spec_fingerprint}.{device_class}.{content_fp}"'
 
 
-def etag_matches(if_none_match: str, etag: str) -> bool:
-    """RFC 7232 If-None-Match: ``*`` or a comma-separated ETag list."""
-    header = if_none_match.strip()
-    if header == "*":
-        return True
-    return any(
-        candidate.strip() == etag for candidate in header.split(",")
+def validator_key(
+    site: str, page_path: str, spec_fingerprint: str, requester: str
+) -> str:
+    """Key of one requester's origin-validator record for a page."""
+    return (
+        f"fastpath-validator:{site}:{page_path}"
+        f":{spec_fingerprint}:{requester}"
     )
+
+
+def requester_identity(
+    cookie_header: Optional[str],
+    credentials: Optional[tuple[str, str]],
+) -> str:
+    """Digest of exactly what a session sends upstream with a fetch."""
+    if not cookie_header and credentials is None:
+        return "anon"
+    sent = f"{cookie_header or ''}\n{':'.join(credentials or ())}"
+    return hashlib.sha256(sent.encode("utf-8")).hexdigest()[:16]
+
+
+class OriginValidator(NamedTuple):
+    """What one 200 from the origin proved: these bytes, this ETag."""
+
+    etag: str
+    content_fp: str
+
+
+def store_validator(
+    cache: PrerenderCache, key: str, validator: OriginValidator, ttl_s: float
+) -> None:
+    cache.put(
+        key,
+        f"{validator.content_fp} {validator.etag}",
+        content_type="text/plain",
+        ttl_s=ttl_s,
+    )
+
+
+def load_validator(
+    cache: PrerenderCache, key: str
+) -> Optional[OriginValidator]:
+    entry = cache.get(key)
+    if entry is None:
+        return None
+    content_fp, _, etag = entry.data.decode("utf-8").partition(" ")
+    return OriginValidator(etag, content_fp)
 
 
 @dataclass
@@ -277,4 +337,15 @@ def fastpath_counter(registry, name: str):
     """The ``msite_fastpath_*`` counter family on one registry."""
     return registry.counter(
         f"msite_fastpath_{name}_total", _COUNTER_HELP[name]
+    )
+
+
+def revalidation_counter(registry, result: str):
+    """``msite_origin_revalidations_total{result=}``: ``not_modified`` /
+    ``modified`` for conditional fetches, ``audit_ok`` /
+    ``audit_mismatch`` for the unconditional audit sample."""
+    return registry.counter(
+        "msite_origin_revalidations_total",
+        "Origin fetches that went out with a stored validator, by result.",
+        labels={"result": result},
     )

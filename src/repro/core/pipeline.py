@@ -56,7 +56,7 @@ from repro.html.parser import parse_html
 from repro.html.serializer import serialize
 from repro.html.stream import StreamUnsupported, stream_serialize
 from repro.net.client import HttpClient
-from repro.net.messages import Request
+from repro.net.messages import Request, Response
 from repro.net.url import URL
 from repro.observability import Observability
 from repro.observability.tracing import span
@@ -314,6 +314,11 @@ class AdaptationPipeline:
         #: The requesting device class, captured by :meth:`run` so the
         #: farm's render keys coalesce per (site, path, device, spec).
         self._device_class = "default"
+        #: Where this session's origin-validator record lives, and what
+        #: the run's 200 proved (``None``: nothing to vouch with); every
+        #: bundle store writes the one under the other.
+        self._validator_key = ""
+        self._validator: Optional[fastpath.OriginValidator] = None
 
     # ------------------------------------------------------------------
 
@@ -336,32 +341,69 @@ class AdaptationPipeline:
         self, force_refresh: bool, device_class: str = "default"
     ) -> AdaptedPage:
         self._device_class = device_class
+        services = self.services
+        spec = self.spec
+        spec_fp = self.plan.fingerprint
+        resilience = services.resilience
+        record = None
+        audit = False
+        self._validator = None
+        trusted = services.fastpath_enabled and resilience.trusts_validators(
+            spec.origin_host
+        )
+        if trusted:
+            self._validator_key = fastpath.validator_key(
+                spec.site, spec.page_path, spec_fp,
+                self._requester_identity(),
+            )
+            if not force_refresh:
+                record = fastpath.load_validator(
+                    services.cache, self._validator_key
+                )
+            if record is not None:
+                # The audit sample is fetched in full *instead of*
+                # conditionally: a request never costs two fetches.
+                audit = resilience.audit_due(spec.origin_host)
         # Spans are deliberately flat and sequential (never nested on
         # this path) so their durations sum to at most the request wall
         # time — each phase of the request is attributed exactly once.
-        with span("detect"):
-            source, origin_bytes = self._fetch_origin()
+        with span("detect") as detect:
+            response = self._fetch_origin(
+                record.etag if record is not None and not audit else None
+            )
+            if response.status == 304 and detect is not None:
+                detect.annotate(revalidated=True)
+        if response.status == 304:
+            self._revalidation_counter("not_modified").inc()
+            replayed = self._replay_revalidated(record, device_class)
+            if replayed is not None:
+                return replayed
+            # The origin vouches for a bundle that is gone (evicted,
+            # expired, invalidated, another device class's): fetch the
+            # body after all and carry on as a normal miss.
+            record = None
+            with span("detect"):
+                response = self._fetch_origin()
+        origin_bytes = len(response.body)
         # Cosmetic origin churn (template reindentation) must not bust
         # the content fingerprint; applied unconditionally so the
         # adapted output is identical whether or not the fast/delta
         # paths are enabled.
-        source = fastpath.normalize_origin(source)
+        source = fastpath.normalize_origin(response.text_body)
 
-        services = self.services
         etag = bundle_key = pointer_key = None
         if services.fastpath_enabled:
-            # The origin was fetched above regardless, so hashing the
-            # source *is* the revalidation: a changed page changes the
-            # content fingerprint and misses naturally.
+            # A 200: hashing the source *is* the revalidation — a
+            # changed page changes the content fingerprint and misses
+            # naturally.
             content_fp = fastpath.content_fingerprint(source)
-            spec_fp = self.plan.fingerprint
-            etag = fastpath.make_etag(spec_fp, device_class, content_fp)
-            bundle_key = fastpath.fastpath_key(
-                self.spec.site, self.spec.page_path, device_class,
-                spec_fp, content_fp,
-            )
+            if trusted:
+                self._judge_validator(
+                    record, audit, response.headers.get("ETag"), content_fp
+                )
+            etag, bundle_key = self._bundle_identity(device_class, content_fp)
             pointer_key = fastpath.latest_key(
-                self.spec.site, self.spec.page_path, device_class, spec_fp
+                spec.site, spec.page_path, device_class, spec_fp
             )
             if not force_refresh:
                 with span("fastpath"):
@@ -370,6 +412,16 @@ class AdaptationPipeline:
                     )
                 if bundle is not None:
                     self._fastpath_counter("hits").inc()
+                    if self._validator not in (None, record):
+                        # This 200 landed on a bundle stored under
+                        # another validator (a reindented template, a
+                        # page that flipped back): vouch for it for as
+                        # long as the bundle lives.
+                        entry = services.cache.peek(bundle_key)
+                        if entry is not None:
+                            self._store_validator(
+                                entry.stored_at + entry.ttl_s - services.now
+                            )
                     return self._replay_bundle(bundle, origin_bytes, etag)
                 self._fastpath_counter("misses").inc()
                 # A warm miss — the bundle scheme knows this page, only
@@ -398,12 +450,8 @@ class AdaptationPipeline:
                         ttl_s = min(ttl_s, definition.cache_ttl_s)
                 with span("cache"):
                     stored_bundle = self._bundle_from(result, etag)
-                    fastpath.store_bundle(
-                        services.cache,
-                        bundle_key,
-                        pointer_key,
-                        stored_bundle,
-                        ttl_s=ttl_s,
+                    self.store_bundle(
+                        bundle_key, pointer_key, stored_bundle, ttl_s
                     )
                 self._fastpath_counter("stores").inc()
                 if services.delta is not None:
@@ -547,6 +595,101 @@ class AdaptationPipeline:
         self.session.pages_served += 1
         return result
 
+    # ------------------------------------------------------------------
+    # origin revalidation
+
+    def _revalidation_counter(self, result: str):
+        return fastpath.revalidation_counter(
+            self.services.observability.registry, result
+        )
+
+    def _requester_identity(self) -> str:
+        """Who the origin will think is asking: what ``_fetch_origin``
+        is about to send for this session, digested."""
+        return fastpath.requester_identity(
+            self.session.jar.cookie_header(self._origin, self.services.now),
+            self.session.http_credentials.get(self.spec.origin_host),
+        )
+
+    def _bundle_identity(
+        self, device_class: str, content_fp: str
+    ) -> tuple[str, str]:
+        """(client ETag, bundle key) of this page for one content
+        fingerprint — computed from a 200, or recorded beside a 304."""
+        spec, spec_fp = self.spec, self.plan.fingerprint
+        return (
+            fastpath.make_etag(spec_fp, device_class, content_fp),
+            fastpath.fastpath_key(
+                spec.site, spec.page_path, device_class, spec_fp, content_fp
+            ),
+        )
+
+    def _replay_revalidated(
+        self, record: fastpath.OriginValidator, device_class: str
+    ) -> Optional[AdaptedPage]:
+        """The origin answered 304: the record names the bundle."""
+        etag, bundle_key = self._bundle_identity(
+            device_class, record.content_fp
+        )
+        with span("fastpath"):
+            bundle = fastpath.load_bundle(self.services.cache, bundle_key)
+        if bundle is None:
+            return None
+        self._fastpath_counter("hits").inc()
+        return self._replay_bundle(bundle, 0, etag)
+
+    def _judge_validator(
+        self,
+        record: Optional[fastpath.OriginValidator],
+        audit: bool,
+        origin_etag: Optional[str],
+        content_fp: str,
+    ) -> None:
+        """Take in what a 200 proved about the origin's validators.
+
+        ``record`` is what the request was (or, on an audit, would have
+        been) revalidated with.  The same ETag over a different
+        fingerprint is an origin that would have answered 304 to
+        changed bytes: its record goes, and so does its host's trust.
+        """
+        if record is not None and origin_etag == record.etag:
+            if content_fp != record.content_fp:
+                self._revalidation_counter("audit_mismatch").inc()
+                self.services.cache.invalidate(self._validator_key)
+                self.services.resilience.demote_origin(self.spec.origin_host)
+                return
+            if audit:
+                self._revalidation_counter("audit_ok").inc()
+        elif record is not None:
+            self._revalidation_counter("modified").inc()
+        # Only a strong validator is worth a conditional request.
+        if origin_etag is not None and not origin_etag.startswith("W/"):
+            self._validator = fastpath.OriginValidator(
+                origin_etag, content_fp
+            )
+
+    def _store_validator(self, ttl_s: float) -> None:
+        if self._validator is not None:
+            fastpath.store_validator(
+                self.services.cache, self._validator_key,
+                self._validator, ttl_s,
+            )
+
+    def store_bundle(
+        self,
+        bundle_key: str,
+        pointer_key: str,
+        bundle: fastpath.FastpathBundle,
+        ttl_s: float,
+    ) -> None:
+        """Store a bundle and, beside it and for as long, the origin
+        validator of the fetch it was adapted from."""
+        fastpath.store_bundle(
+            self.services.cache, bundle_key, pointer_key, bundle,
+            ttl_s=ttl_s,
+        )
+        self._store_validator(ttl_s)
+
     def _bundle_from(
         self, result: AdaptedPage, etag: Optional[str]
     ) -> fastpath.FastpathBundle:
@@ -600,7 +743,8 @@ class AdaptationPipeline:
     def _origin_url(self) -> URL:
         return self._origin
 
-    def _fetch_origin(self) -> tuple[str, int]:
+    def _fetch_origin(self, if_none_match: Optional[str] = None) -> Response:
+        """The origin's 200 — or, to ``if_none_match``, its 304."""
         client = self.services.make_client(self.session.jar)
         url = self._origin_url()
         credentials = self.session.http_credentials.get(self.spec.origin_host)
@@ -610,12 +754,18 @@ class AdaptationPipeline:
             request = Request.get(url)
             if credentials is not None:
                 request.with_basic_auth(*credentials)
+            if if_none_match is not None:
+                request.headers.set("If-None-Match", if_none_match)
             response = client.request(request)
             if response.status == 401:
                 # Returned (not raised) so an auth challenge is never
                 # retried and never counts against the origin breaker.
                 return response
+            if response.status == 304 and if_none_match is not None:
+                return response
             if not response.ok:
+                # An unsolicited 304 lands here too: a definitive,
+                # useless answer.
                 raise FetchError(
                     f"origin returned {response.status} for {url}"
                 )
@@ -636,7 +786,7 @@ class AdaptationPipeline:
             raise AuthenticationRequired(
                 f"origin {self.spec.origin_host} requires HTTP authentication"
             )
-        return response.text_body, len(response.body)
+        return response
 
     # ------------------------------------------------------------------
     # attribute phases

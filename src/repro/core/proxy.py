@@ -32,6 +32,7 @@ from repro.core.ajax import AjaxActionTable
 from repro.core.delta import delta_counter
 from repro.core.detect import device_class
 from repro.core.fastpath import etag_matches, fastpath_counter
+from repro.net.conditional import not_modified
 from repro.core.pipeline import (
     AdaptationPipeline,
     AdaptedPage,
@@ -488,9 +489,7 @@ class MSiteProxy(Application):
                 fastpath_counter(
                     self.services.observability.registry, "not_modified"
                 ).inc()
-                response = Response(status=304)
-                response.headers.set("ETag", etag)
-                return self._mark_degraded(response, adapted)
+                return self._mark_degraded(not_modified(etag), adapted)
         stored = self.services.storage.read(adapted.entry_path)
         body: Optional[str] = None
         if etag is not None and not force:
@@ -544,9 +543,7 @@ class MSiteProxy(Application):
             # The client's baseline *is* the current page: the delta
             # header doubles as a validator.
             fastpath_counter(registry, "not_modified").inc()
-            response = Response(status=304)
-            response.headers.set("ETag", etag)
-            return self._mark_degraded(response, adapted)
+            return self._mark_degraded(not_modified(etag), adapted)
         if (
             session.last_entry_etag is None
             or session.last_entry_html is None

@@ -15,6 +15,12 @@ from repro.net.messages import Request, Response
 from repro.net.status import STATUS_REASONS
 from repro.net.server import Application, Router, route
 from repro.net.client import HttpClient
+from repro.net.conditional import (
+    ConditionalPages,
+    etag_matches,
+    not_modified,
+    strong_etag,
+)
 from repro.net.network import (
     NetworkLink,
     LINK_3G,
@@ -36,6 +42,10 @@ __all__ = [
     "Router",
     "route",
     "HttpClient",
+    "ConditionalPages",
+    "etag_matches",
+    "not_modified",
+    "strong_etag",
     "NetworkLink",
     "LINK_3G",
     "LINK_HSPA",

@@ -35,6 +35,11 @@ class TransferLedger:
             self.responses_by_status.get(response.status, 0) + 1
         )
 
+    @property
+    def not_modified(self) -> int:
+        """Body-less 304 answers to conditional requests."""
+        return self.responses_by_status.get(304, 0)
+
     def reset(self) -> None:
         self.requests = 0
         self.bytes_sent = 0

@@ -35,7 +35,7 @@ class Span:
     """One named, timed section of a trace."""
 
     __slots__ = ("name", "start_s", "end_s", "depth", "parent", "status",
-                 "error")
+                 "error", "attrs")
 
     def __init__(
         self, name: str, start_s: float, depth: int, parent: Optional[int]
@@ -47,6 +47,13 @@ class Span:
         self.parent = parent  # index of the enclosing span, or None
         self.status = "ok"
         self.error: Optional[str] = None
+        #: Facts about what the span did (``revalidated=True`` on a
+        #: ``detect`` span answered by an origin 304); absent from the
+        #: dump when nothing was noted.
+        self.attrs: Optional[dict] = None
+
+    def annotate(self, **attrs) -> None:
+        self.attrs = {**(self.attrs or {}), **attrs}
 
     @property
     def duration_s(self) -> float:
@@ -55,7 +62,7 @@ class Span:
         return self.end_s - self.start_s
 
     def to_dict(self) -> dict:
-        return {
+        payload = {
             "depth": self.depth,
             "duration_s": self.duration_s,
             "error": self.error,
@@ -64,6 +71,9 @@ class Span:
             "start_s": self.start_s,
             "status": self.status,
         }
+        if self.attrs:
+            payload["attrs"] = dict(self.attrs)
+        return payload
 
 
 class Trace:

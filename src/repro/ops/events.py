@@ -42,6 +42,9 @@ WORKER_DETACHED = "worker_detached"
 BREAKER_TRANSITION = "breaker_transition"
 #: A request was served through a degradation-ladder rung.
 DEGRADATION = "degradation"
+#: An origin's validators failed the audit; it is fetched
+#: unconditionally from here on.
+ORIGIN_DEMOTED = "origin_demoted"
 #: A cache invalidation was published on the fleet bus.
 INVALIDATION = "invalidation"
 #: A render-farm consumer was added by the autoscaler.
@@ -67,6 +70,7 @@ EVENT_TYPES = frozenset({
     WORKER_DETACHED,
     BREAKER_TRANSITION,
     DEGRADATION,
+    ORIGIN_DEMOTED,
     INVALIDATION,
     CONSUMER_STARTED,
     CONSUMER_RETIRED,

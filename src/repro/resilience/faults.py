@@ -165,6 +165,11 @@ class FaultyHttpClient(HttpClient):
                 f"injected fault: {request.url.host} hung for "
                 f"{spec.hang_s:.0f}s; watchdog timed the attempt out"
             )
+        if mode == "garbage":
+            # A transforming intermediary owns no validator: ask for the
+            # body it is about to corrupt (the rebuilt response below
+            # carries no ETag either).
+            request.headers.remove("If-None-Match")
         response = super().send(request)
         if mode == "garbage":
             return Response.binary(

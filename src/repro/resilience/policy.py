@@ -12,6 +12,7 @@ simulated clock.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Callable, Optional
 
@@ -32,6 +33,11 @@ REMOTE_REGION = "remote_region"
 
 #: ``Retry-After`` seconds suggested when no breaker estimate exists.
 DEFAULT_RETRY_AFTER_S = 5.0
+
+#: Every this-many-th revalidation of an origin host is sent without
+#: its validator and checked against it.  A constant, not a knob: it
+#: bounds how long a lying origin can be believed.
+REVALIDATION_AUDIT_EVERY = 32
 
 
 class ResiliencePolicy:
@@ -65,6 +71,9 @@ class ResiliencePolicy:
         self._breakers: dict[str, CircuitBreaker] = {}
         self._ops = None
         self._ops_worker = ""
+        self._revalidation_lock = threading.Lock()
+        self._revalidations: dict[str, int] = {}
+        self._demoted_origins: set[str] = set()
 
     # -- wiring ----------------------------------------------------------
 
@@ -147,6 +156,32 @@ class ResiliencePolicy:
     @property
     def render_breaker(self) -> CircuitBreaker:
         return self.breaker("render")
+
+    # -- origin revalidation trust ---------------------------------------
+
+    def trusts_validators(self, host: str) -> bool:
+        """Whether fetches of ``host`` may go out conditional."""
+        return host not in self._demoted_origins
+
+    def audit_due(self, host: str) -> bool:
+        """Count one revalidation of ``host``; true on every
+        ``REVALIDATION_AUDIT_EVERY``-th, which must fetch in full."""
+        with self._revalidation_lock:
+            count = self._revalidations.get(host, 0) + 1
+            self._revalidations[host] = count
+        return count % REVALIDATION_AUDIT_EVERY == 0
+
+    def demote_origin(self, host: str) -> None:
+        """``host`` kept an ETag over changed bytes: fetch it
+        unconditionally for the life of the process.  One ops event."""
+        with self._revalidation_lock:
+            if host in self._demoted_origins:
+                return
+            self._demoted_origins.add(host)
+        if self._ops is not None:
+            self._ops.emit(
+                "origin_demoted", origin=host, worker=self._ops_worker
+            )
 
     # -- degradation accounting ------------------------------------------
 

@@ -10,6 +10,7 @@ behaviour the m.Site adaptation fixes.
 
 from __future__ import annotations
 
+from repro.net.conditional import ConditionalPages
 from repro.net.messages import Request, Response
 from repro.net.server import Application, Router
 from repro.sites.classifieds.data import CATEGORIES, Listing, ListingGenerator
@@ -33,6 +34,7 @@ class ClassifiedsApplication(Application):
     def __init__(self, listings: ListingGenerator | None = None) -> None:
         self.listings = listings or ListingGenerator()
         self.hits = 0
+        self._pages = ConditionalPages()
         self._router = Router()
         self._router.add_route("/", self.home, ("GET",))
         self._router.add_route("/<category>/", self.category_page, ("GET",))
@@ -44,7 +46,17 @@ class ClassifiedsApplication(Application):
         self.hits += 1
         return self._router.handle(request)
 
+    def _conditional(self, request: Request, render) -> Response:
+        """``render`` behind the ETag memo; the inventory revision is
+        read here, before rendering.  No page varies by requester."""
+        return self._pages.respond(
+            request, self.listings.revision, None, render
+        )
+
     def home(self, request: Request) -> Response:
+        return self._conditional(request, self._render_home)
+
+    def _render_home(self) -> Response:
         links = "".join(
             f'<li><a href="/{code}/">{label}</a></li>'
             for code, label in CATEGORIES
@@ -56,9 +68,14 @@ class ClassifiedsApplication(Application):
         )
 
     def category_page(self, request: Request, category: str) -> Response:
-        listings = self.listings.category(category)
-        if not listings:
+        if not self.listings.category(category):
             return Response.not_found(f"no category {category!r}")
+        return self._conditional(
+            request, lambda: self._render_category(category)
+        )
+
+    def _render_category(self, category: str) -> Response:
+        listings = self.listings.category(category)
         rows = "".join(self._listing_row(listing) for listing in listings)
         label = dict(CATEGORIES).get(category, category)
         return Response.html(
@@ -67,7 +84,8 @@ class ClassifiedsApplication(Application):
             f'<div id="toc">{rows}</div></body></html>'
         )
 
-    def _listing_row(self, listing: Listing) -> str:
+    @staticmethod
+    def _listing_row(listing: Listing) -> str:
         return (
             f'<p class="pl" id="row{listing.listing_id}">'
             f'<span class="itemdate">day {listing.posted_day}</span> '
@@ -86,6 +104,11 @@ class ClassifiedsApplication(Application):
         listing = self.listings.listing(listing_id)
         if listing is None or listing.category != category:
             return Response.not_found("listing expired or removed")
+        return self._conditional(
+            request, lambda: self._render_listing(listing)
+        )
+
+    def _render_listing(self, listing: Listing) -> Response:
         return Response.html(
             _HEAD.format(title=listing.title)
             + f'<body><div id="titlebar">{listing.title} - '

@@ -7,7 +7,7 @@ page with the contents of the selected ad." (§4.5)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.sim.rng import DeterministicRandom
 from repro.util.text import TextGenerator
@@ -48,6 +48,9 @@ class ListingGenerator:
 
     def __init__(self, seed: int = 776) -> None:
         self.seed = seed
+        #: Bumped by :meth:`edit`, after the edit has landed: it keys
+        #: the origin's ETag memo.
+        self.revision = 0
         self._by_category: dict[str, list[Listing]] = {}
         self._by_id: dict[int, Listing] = {}
         self._generate()
@@ -80,3 +83,16 @@ class ListingGenerator:
 
     def listing(self, listing_id: int) -> Listing | None:
         return self._by_id.get(listing_id)
+
+    def edit(self, listing_id: int, **changes) -> Listing:
+        """Replace fields of one ad (its id and category stay)."""
+        updated = replace(self._by_id[listing_id], **changes)
+        listings = self._by_category[updated.category]
+        slot = next(
+            index for index, listing in enumerate(listings)
+            if listing.listing_id == listing_id
+        )
+        listings[slot] = updated
+        self._by_id[listing_id] = updated
+        self.revision += 1
+        return updated

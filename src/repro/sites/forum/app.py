@@ -14,6 +14,7 @@ from __future__ import annotations
 import zlib
 from typing import Optional
 
+from repro.net.conditional import ConditionalPages
 from repro.net.messages import Request, Response
 from repro.net.server import Application, Router
 from repro.sites.forum import assets, templates
@@ -31,6 +32,7 @@ class ForumApplication(Application):
         self.community = community or CommunityGenerator().generate()
         self.hits = 0
         self._sessions: dict[str, str] = {}  # token -> username
+        self._pages = ConditionalPages()
         self._router = Router()
         self._register_routes()
 
@@ -63,12 +65,25 @@ class ForumApplication(Application):
             return self._sessions.get(token)
         return None
 
+    def _conditional(
+        self, request: Request, user: Optional[str], render
+    ) -> Response:
+        """``render`` behind the ETag memo, keyed by community revision
+        (read here, before rendering) and the logged-in user."""
+        return self._pages.respond(
+            request, self.community.revision, user, render
+        )
+
     # -- pages ------------------------------------------------------------
 
     def index(self, request: Request) -> Response:
         user = self.current_user(request)
-        return Response.html(
-            templates.entry_page(self.community, logged_in_user=user)
+        return self._conditional(
+            request,
+            user,
+            lambda: Response.html(
+                templates.entry_page(self.community, logged_in_user=user)
+            ),
         )
 
     def forumdisplay(self, request: Request) -> Response:
@@ -79,10 +94,15 @@ class ForumApplication(Application):
         forum = self.community.forum(forum_id)
         if forum is None:
             return Response.not_found("no such forum")
-        if forum.private and self.current_user(request) is None:
+        user = self.current_user(request)
+        if forum.private and user is None:
             return Response.redirect("/login.php")
-        return Response.html(
-            templates.forumdisplay_page(self.community, forum)
+        return self._conditional(
+            request,
+            user,
+            lambda: Response.html(
+                templates.forumdisplay_page(self.community, forum)
+            ),
         )
 
     def showthread(self, request: Request) -> Response:
@@ -93,9 +113,14 @@ class ForumApplication(Application):
         thread = self.community.thread(thread_id)
         if thread is None:
             return Response.not_found("no such thread")
-        posts = self.community.thread_posts(thread)
-        return Response.html(
-            templates.showthread_page(self.community, thread, posts)
+        return self._conditional(
+            request,
+            self.current_user(request),
+            lambda: Response.html(
+                templates.showthread_page(
+                    self.community, thread, self.community.thread_posts(thread)
+                )
+            ),
         )
 
     def login(self, request: Request) -> Response:

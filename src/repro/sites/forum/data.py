@@ -70,6 +70,21 @@ class Community:
     birthdays: list[Member]
     calendar_events: list[CalendarEvent]
     registered_accounts: dict[str, str] = field(default_factory=dict)
+    #: Bumped by every attribute assignment (and :meth:`touch`), always
+    #: *after* the change has landed: it keys the origin's ETag memo.
+    revision: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __setattr__(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
+        if name != "revision":
+            object.__setattr__(
+                self, "revision", self.__dict__.get("revision", 0) + 1
+            )
+
+    def touch(self) -> None:
+        """Publish a nested edit (``forum.thread_count += 1``, a new
+        calendar entry) that no attribute assignment announced."""
+        object.__setattr__(self, "revision", self.revision + 1)
 
     def member(self, member_id: int) -> Member:
         """Deterministic member lookup by id (lazy population)."""

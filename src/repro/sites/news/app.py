@@ -13,6 +13,7 @@ A metro-daily analog with the two behaviours the forum never exhibits:
 
 from __future__ import annotations
 
+from repro.net.conditional import ConditionalPages
 from repro.net.messages import Request, Response
 from repro.net.server import Application, Router
 from repro.sites.news.data import FEED_BATCH, Article, Newsroom, SECTIONS
@@ -59,6 +60,7 @@ class NewsApplication(Application):
         self.newsroom = newsroom or Newsroom()
         self.hits = 0
         self.feed_fetches = 0
+        self._pages = ConditionalPages()
         self._router = Router()
         self._router.add_route("/", self.front_page, ("GET",))
         self._router.add_route("/index.php", self.front_page, ("GET",))
@@ -74,6 +76,13 @@ class NewsApplication(Application):
     def handle(self, request: Request) -> Response:
         self.hits += 1
         return self._router.handle(request)
+
+    def _conditional(self, request: Request, render) -> Response:
+        """``render`` behind the ETag memo; the newsroom revision is
+        read here, before rendering.  No page varies by requester."""
+        return self._pages.respond(
+            request, self.newsroom.revision_count, None, render
+        )
 
     # -- markup helpers ----------------------------------------------------
 
@@ -105,6 +114,9 @@ class NewsApplication(Application):
     # -- pages ------------------------------------------------------------
 
     def front_page(self, request: Request) -> Response:
+        return self._conditional(request, self._render_front_page)
+
+    def _render_front_page(self) -> Response:
         rows = "".join(
             self._headline_row(article)
             for article in self.newsroom.front_headlines()
@@ -120,6 +132,11 @@ class NewsApplication(Application):
         label = dict(SECTIONS).get(code)
         if label is None:
             return Response.not_found(f"no section {code!r}")
+        return self._conditional(
+            request, lambda: self._render_section(code, label)
+        )
+
+    def _render_section(self, code: str, label: str) -> Response:
         stories = self.newsroom.section_articles(code)
         lead, rest = stories[0], stories[1:]
         headlines = "".join(self._headline_row(a) for a in rest)
@@ -150,6 +167,11 @@ class NewsApplication(Application):
             article_id = int(article_file.removesuffix(".html"))
         except ValueError:
             return Response.not_found("bad article id")
+        return self._conditional(
+            request, lambda: self._render_article(article_id)
+        )
+
+    def _render_article(self, article_id: int) -> Response:
         article = self.newsroom.article(article_id)
         if article is None:
             return Response.not_found("story retracted or never filed")

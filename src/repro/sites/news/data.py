@@ -124,8 +124,7 @@ class Newsroom:
         mix honest about both outcomes.
         """
         with self._revise_lock:
-            self._revisions += 1
-            revision = self._revisions
+            revision = self._revisions + 1
             stories = self._by_section[section]
             text = TextGenerator((self.seed << 5) ^ (revision * 0x9E37))
             if revision % 10 == 9 and len(stories) > FEED_BATCH:
@@ -141,6 +140,10 @@ class Newsroom:
                 )
             stories[slot] = updated
             self._articles[updated.article_id] = updated
+            # Mutate first, bump last: a reader that sees revision N
+            # must never be handed revision N-1 content under it (the
+            # origin's ETag memo is keyed by this number).
+            self._revisions = revision
             return updated
 
     def feed_window(

@@ -12,6 +12,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
+from repro.core import fastpath
 from repro.core.codegen import generate_proxy_source, load_generated_proxy
 from repro.core.pipeline import ProxyServices
 from repro.net.client import HttpClient
@@ -28,6 +29,11 @@ MODULE = load_generated_proxy(generate_proxy_source(news_fastpath_spec()))
 
 #: Around the spec's 3600 s TTL: well inside, half, all of it.
 ADVANCES = (1.0, 1800.0, 3600.0)
+
+#: Origin 304s seen over every example.  ``NewsApplication`` emits
+#: ETags, so these schedules run through the conditional fetch against
+#: the unconditional oracle; the count proves they really did.
+NOT_MODIFIED = [0.0]
 
 
 class DeltaInterleavings(RuleBasedStateMachine):
@@ -85,6 +91,9 @@ class DeltaInterleavings(RuleBasedStateMachine):
 
     def teardown(self):
         self._fetch(ENTRY)
+        NOT_MODIFIED[0] += fastpath.revalidation_counter(
+            self.services.observability.registry, "not_modified"
+        ).value
 
 
 # Hypothesis switches rules off at random per example, so most examples
@@ -95,3 +104,7 @@ DeltaInterleavings.TestCase.settings = settings(
     max_examples=60, stateful_step_count=30, deadline=None
 )
 test_delta_interleavings = DeltaInterleavings.TestCase
+
+
+def test_the_interleavings_ran_through_the_conditional_path():
+    assert NOT_MODIFIED[0] >= 1

@@ -93,6 +93,24 @@ def test_ledger_accounts_traffic(client):
     assert client.ledger.responses_by_status.get(200) == 2
 
 
+def test_ledger_shows_a_not_modified_round_trip():
+    from repro.sites.news.app import NewsApplication
+
+    client = HttpClient({"h": NewsApplication()})
+    full = client.get("http://h/section/tech/")
+    full_bytes = client.ledger.bytes_received
+    assert client.ledger.not_modified == 0
+    again = client.get(
+        "http://h/section/tech/", If_None_Match=full.headers.get("ETag")
+    )
+    assert again.status == 304 and again.body == b""
+    assert client.ledger.not_modified == 1
+    assert client.ledger.responses_by_status == {200: 1, 304: 1}
+    assert client.ledger.bytes_received - full_bytes < 100  # headers only
+    client.ledger.reset()
+    assert client.ledger.not_modified == 0
+
+
 def test_register_additional_origin(client):
     other = EchoApp()
     client.register("other-host", other)

@@ -116,6 +116,27 @@ def test_faulty_client_garbage_corrupts_the_body():
     assert isinstance(response.text_body, str)
 
 
+def test_faulty_client_garbage_owns_no_validator():
+    """A body-rewriting intermediary must not pass the origin's
+    validators through: no ``If-None-Match`` upstream (a 304 would
+    leave nothing to corrupt), no ``ETag`` downstream (it would vouch
+    for bytes the origin never sent)."""
+    from repro.sites.news.app import NewsApplication
+
+    origin = NewsApplication()
+    url = "http://h.example/section/tech/"
+    etag = HttpClient({"h.example": origin}).get(url).headers.get("ETag")
+    assert etag
+    plan = FaultPlan(seed=7).on(origin_target("h.example"), garbage_rate=1.0)
+    client = FaultyHttpClient(plan, origins={"h.example": origin})
+    response = client.get(url, If_None_Match=etag)
+    assert response.status == 200  # not the 304 the origin would give
+    assert response.body == GARBAGE_BODY
+    assert response.headers.get("ETag") is None
+    clean = FaultyHttpClient(FaultPlan(seed=7), origins={"h.example": origin})
+    assert clean.get(url, If_None_Match=etag).status == 304
+
+
 def test_faulty_client_clean_passthrough():
     origin = Echo()
     plan = FaultPlan(seed=7)  # no targets declared

@@ -131,6 +131,71 @@ class TestNewsroom:
 # -- origin routes ---------------------------------------------------------
 
 
+class _PausingStories(list):
+    """A section's story list whose slot assignment stops at a barrier
+    just before and just after it lands — the two instants a
+    concurrent render can fall on either side of ``revise()``'s edit."""
+
+    def __init__(self, stories, barrier):
+        super().__init__(stories)
+        self.barrier = barrier
+
+    def __setitem__(self, slot, story):
+        self._let_a_reader_look()
+        super().__setitem__(slot, story)
+        self._let_a_reader_look()
+
+    def _let_a_reader_look(self):
+        self.barrier.wait(timeout=10)  # reader may look...
+        self.barrier.wait(timeout=10)  # ...reader has looked
+
+
+class TestReviseOrdering:
+    @pytest.mark.parametrize("instant", [0, 1], ids=[
+        "before the edit lands", "after it, before the bump",
+    ])
+    def test_a_render_racing_an_edit_never_poisons_the_etag_memo(
+        self, instant
+    ):
+        """``revise()`` mutates first and bumps the revision last, and
+        the origin reads the revision before it renders — so a 304 can
+        never vouch for bytes the page no longer has."""
+        import threading
+
+        from repro.net.client import HttpClient
+        from repro.net.messages import Request
+        from repro.sites.news.app import NewsApplication
+
+        room = Newsroom()
+        app = NewsApplication(room)
+        barrier = threading.Barrier(2)
+        room._by_section["tech"] = _PausingStories(
+            room._by_section["tech"], barrier
+        )
+
+        def fetch(**headers):
+            return HttpClient({NEWS_HOST: app}).send(
+                Request.get(_url("/section/tech/"), **headers)
+            )
+
+        editor = threading.Thread(target=room.revise)
+        editor.start()
+        for at in (0, 1):
+            barrier.wait(timeout=10)
+            if at == instant:
+                racing = fetch()
+            barrier.wait(timeout=10)
+        editor.join(timeout=10)
+        assert not editor.is_alive() and room.revision_count == 1
+
+        # Revalidate *first*: an unconditional fetch would re-render
+        # and paper over a memo entry filed under the wrong revision.
+        again = fetch(If_None_Match=racing.headers.get("ETag"))
+        current = fetch()
+        assert (racing.body == current.body) == bool(instant)
+        assert (again.status == 304) == (racing.body == current.body)
+
+
 class TestNewsApplication:
     def test_front_page_carries_the_headline_river(self, client, news_app):
         response = client.get(_url("/"))

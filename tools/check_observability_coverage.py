@@ -81,6 +81,8 @@ PACKAGES = [
             "tests/fastpath/test_plan.py",
             "tests/fastpath/test_fastpath_cache.py",
             "tests/fastpath/test_pipeline_unit.py",
+            "tests/fastpath/test_revalidation.py",
+            "tests/sites/test_conditional.py",
             "tests/html/test_stream_units.py",
             "tests/dom/test_query_index.py",
         ],
