@@ -19,6 +19,9 @@ from repro.bench.hotpath import (
 from repro.core.pipeline import AdaptationPipeline, ProxyServices
 from repro.core.plan import TransformPlan
 from repro.core.sessions import SessionManager
+from repro.html.parser import parse_html
+from repro.net.client import HttpClient
+from tests.html.reference_tokenizer import tokenize as reference_tokenize
 
 
 @pytest.mark.smoke
@@ -98,4 +101,45 @@ def test_full_run_pays_for_no_delta_seed(forum_app):
         f"a full run with the delta engine on takes {ratio:.2f}x one "
         f"with it off; seeding is meant to be deferred to the warm miss "
         f"that needs the memo"
+    )
+
+
+@pytest.mark.smoke
+def test_building_the_tree_costs_no_more_than_tokenizing_used_to(forum_app):
+    """Tier-1 smoke: ``parse_html`` stays on the regex-driven scanner.
+
+    The yardstick is the character-loop tokenizer the scanner replaced
+    (frozen under ``tests/html``): merely *counting* its tokens on the
+    forum entry page took 6.3 ms when building the whole tree took
+    10.9 ms, a ratio of 1.73.  With the tree builder fed straight from
+    ``scan`` the ratio measures ~0.9.  Both sides are pure-Python string
+    work on the same page, so the ratio holds on any box, and a
+    per-character loop creeping back into the lexer fails it.
+    """
+    page = HttpClient({FORUM_HOST: forum_app}).get(
+        f"http://{FORUM_HOST}/"
+    ).text_body
+
+    def seconds(call) -> float:
+        started = time.perf_counter()
+        call()
+        return time.perf_counter() - started
+
+    variants = {
+        "parse": lambda: parse_html(page),
+        "reference": lambda: sum(1 for _ in reference_tokenize(page)),
+    }
+    ratios = []
+    for sample in range(12):
+        # Alternate which variant goes first so drift cancels.
+        order = (("parse", "reference"), ("reference", "parse"))[sample % 2]
+        taken = {name: seconds(variants[name]) for name in order}
+        if sample:  # the first pair warms the regex and method caches
+            ratios.append(taken["parse"] / taken["reference"])
+    ratio = statistics.median(ratios)
+    print(f"\nparse_html / reference tokenize: {ratio:.2f}x over {len(ratios)} pairs")
+    assert ratio <= 1.1, (
+        f"parse_html takes {ratio:.2f}x what the character-loop tokenizer "
+        f"took to tokenize the same page; the scanner is meant to make "
+        f"the whole parse cheaper than that"
     )

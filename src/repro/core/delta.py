@@ -52,6 +52,7 @@ that takes the full-replay path instead.
 
 from __future__ import annotations
 
+import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -61,11 +62,11 @@ from typing import Any, Optional
 from repro.core import fastpath
 from repro.dom import diff
 from repro.dom.document import Document
-from repro.dom.element import Element, RAW_TEXT_ELEMENTS, VOID_ELEMENTS
+from repro.dom.element import Element, VOID_ELEMENTS
 from repro.dom.node import Comment, Node, Text
 from repro.html.parser import _IMPLIED_CLOSERS, parse_fragment, parse_html
 from repro.html.serializer import serialize
-from repro.html.tokenizer import _WHITESPACE, _consume_start_tag
+from repro.html.tokenizer import scan
 
 #: DOM-phase attributes whose effect is a pure function of the matched
 #: subtree — safe to re-run on an isolated fragment.  Everything else
@@ -132,6 +133,12 @@ class _ScanBail(Exception):
     """The source is not strictly well-formed enough to segment."""
 
 
+# Searched in the source itself (ASCII case folding): offsets into
+# ``source.lower()`` are not offsets into ``source``.
+_BODY_OPEN = re.compile(r"<body", re.IGNORECASE | re.ASCII)
+_BODY_CLOSE = re.compile(r"</body", re.IGNORECASE | re.ASCII)
+
+
 def scan_segments(source: str) -> Optional[ScanResult]:
     """Split a page into ``<body>`` prelude, segments, and tail.
 
@@ -142,29 +149,23 @@ def scan_segments(source: str) -> Optional[ScanResult]:
     parses identically via :func:`parse_fragment` and in page context,
     so fragments patched into the residual match a full re-parse.
     """
-    lowered = source.lower()
-    body_at = lowered.find("<body")
-    if body_at == -1 or lowered[body_at + 5 : body_at + 6] not in (
-        "",
-        ">",
-        *(_WHITESPACE),
-    ):
+    opened = _BODY_OPEN.search(source)
+    closes = [match.start() for match in _BODY_CLOSE.finditer(source)]
+    if opened is None or not closes:
         return None
+    # The region opens with the <body> tag itself (a longer name, as in
+    # <bodyguard>, bails); one the close cuts short, or follows, reads
+    # as unterminated and bails too.
+    sink = _SegmentSink(source, body_end=None)
     try:
-        _, body_end = _consume_start_tag(source, body_at)
-    except Exception:  # pragma: no cover - tokenizer never raises today
-        return None
-    close_at = lowered.rfind("</body")
-    if close_at == -1 or close_at < body_end:
-        return None
-    try:
-        facts = _scan_region(source, body_end, close_at)
+        scan(source, sink, opened.start(), closes[-1])
+        facts = sink.finish()
     except _ScanBail:
         return None
     return ScanResult(
-        prelude=source[:body_end],
+        prelude=source[: sink.body_end],
         segments=_assign_identities(facts),
-        tail=source[close_at:],
+        tail=source[closes[-1] :],
     )
 
 
@@ -234,145 +235,89 @@ _Facts = tuple  # (kind, raw, tag, elem_id, assigned, classes)
 
 
 def _scan_region(source: str, start: int, end: int) -> list[_Facts]:
-    """Depth-tracked scan of the body region into top-level fact tuples."""
-    segments: list[_Facts] = []
-    stack: list[str] = []
-    pos = start
-    seg_start = start
+    """Depth-tracked scan of a body region into top-level fact tuples."""
+    sink = _SegmentSink(source, body_end=start)
+    scan(source, sink, start, end)
+    return sink.finish()
 
-    def _flush_text(until: int) -> None:
-        if until > seg_start:
-            segments.append(
-                ("text", source[seg_start:until], "", None, None, "")
-            )
 
-    while pos < end:
-        lt = source.find("<", pos)
-        if lt == -1 or lt >= end:
-            if stack:
-                raise _ScanBail("region ends with open elements")
-            _flush_text(end)
-            seg_start = end
-            break
-        next_char = source[lt + 1 : lt + 2]
-        if next_char == "!":
-            if not source.startswith("<!--", lt):
-                raise _ScanBail("markup declaration inside body")
-            gt = source.find("-->", lt + 4)
-            if gt == -1 or gt + 3 > end:
-                raise _ScanBail("unterminated comment")
-            if not stack:
-                _flush_text(lt)
-                segments.append(
-                    ("comment", source[lt : gt + 3], "", None, None, "")
-                )
-                seg_start = gt + 3
-            pos = gt + 3
-            continue
-        if next_char == "/":
-            gt = source.find(">", lt)
-            if gt == -1 or gt >= end:
-                raise _ScanBail("unterminated end tag")
-            name = source[lt + 2 : gt].strip().lower()
-            if not stack or stack[-1] != name:
-                raise _ScanBail(f"end tag </{name}> does not close the top")
-            stack.pop()
-            pos = gt + 1
-            if not stack:
-                segments.append(
-                    ("element", source[seg_start:pos], "", None, None, "")
-                )
-                seg_start = pos
-            continue
-        if not next_char.isalpha():
-            raise _ScanBail("literal '<' or processing instruction")
-        token, after = _consume_start_tag(source, lt)
-        if after > end:
-            raise _ScanBail("start tag crosses the body close")
-        name = token.name
+class _SegmentSink:
+    """The strict reader of :func:`repro.html.tokenizer.scan`.
+
+    The tree builder's nesting rules with every recovery turned into a
+    bail: whatever the lexer had to recover from, and whatever the
+    builder would restructure (scaffolding, implied closers, stray or
+    mismatched end tags, self-closing non-voids).  Each top-level node
+    becomes one fact tuple whose raw text is sliced by the lexer's
+    offsets.  With ``body_end=None`` the first event must be the
+    ``<body>`` tag, whose end is recorded instead of segmented.
+    """
+
+    def __init__(self, source: str, body_end: Optional[int]) -> None:
+        self.source = source
+        self.body_end = body_end
+        self.facts: list[_Facts] = []
+        self._stack: list[str] = []
+        self._root_start = 0
+        self._root_facts: tuple = ()
+
+    def recovered(self, reason: str, at: int) -> None:
+        raise _ScanBail(reason)
+
+    def doctype(self, name, start, end) -> None:
+        raise _ScanBail("markup declaration inside body")
+
+    def _emit(self, kind, start, end, facts=("", None, None, "")) -> None:
+        self.facts.append((kind, self.source[start:end], *facts))
+
+    def comment(self, data, start, end) -> None:
+        if not self._stack:
+            self._emit("comment", start, end)
+
+    def text(self, data, start, end) -> None:
+        if not self._stack:
+            self._emit("text", start, end)
+
+    def start_tag(self, name, attributes, self_closing, start, end) -> None:
+        if self.body_end is None:
+            if name != "body":
+                raise _ScanBail(f"<{name}> where <body> was expected")
+            self.body_end = end
+            return
         if name in ("html", "head", "body"):
             raise _ScanBail(f"<{name}> inside body")
+        stack = self._stack
         closers = _IMPLIED_CLOSERS.get(name)
         if closers is not None and any(tag in closers for tag in stack):
             raise _ScanBail(f"<{name}> would imply-close an open element")
-        if token.self_closing and name not in VOID_ELEMENTS:
+        void = name in VOID_ELEMENTS
+        if self_closing and not void:
             raise _ScanBail(f"self-closing <{name}/>")
         if not stack:
-            _flush_text(lt)
-            seg_start = lt
-        attrs = token.attributes
-        facts = (
-            name,
-            attrs.get("id"),
-            attrs.get(diff.IDENTITY_ATTRIBUTE),
-            attrs.get("class", ""),
-        )
-        if name in RAW_TEXT_ELEMENTS and not token.self_closing:
-            after = _skip_raw_text(source, after, end, name)
-            if not stack:
-                segments.append(
-                    ("element", source[seg_start:after], *facts)
-                )
-                seg_start = after
-            pos = after
-            continue
-        if name in VOID_ELEMENTS or token.self_closing:
-            if not stack:
-                segments.append(
-                    ("element", source[seg_start:after], *facts)
-                )
-                seg_start = after
-            pos = after
-            continue
+            self._root_start = start
+            self._root_facts = (
+                name,
+                attributes.get("id"),
+                attributes.get(diff.IDENTITY_ATTRIBUTE),
+                attributes.get("class", ""),
+            )
+            if void:
+                self._emit("element", start, end, self._root_facts)
+        if not void:
+            stack.append(name)
+
+    def end_tag(self, name, start, end) -> None:
+        stack = self._stack
+        if not stack or stack[-1] != name:
+            raise _ScanBail(f"end tag </{name}> does not close the top")
+        stack.pop()
         if not stack:
-            # Record the root tag's identity facts now; the segment raw
-            # completes when the stack empties again.
-            segments.append(("open", "", *facts))
-        stack.append(name)
-        pos = after
-    if stack:
-        raise _ScanBail("body region ends with open elements")
-    _flush_text(end)
-    return _merge_opens(segments)
+            self._emit("element", self._root_start, end, self._root_facts)
 
-
-def _skip_raw_text(source: str, start: int, end: int, tag: str) -> int:
-    """Position just past ``</tag>`` for a raw-text element."""
-    lowered = source.lower()
-    needle = f"</{tag}"
-    pos = start
-    while True:
-        at = lowered.find(needle, pos)
-        if at == -1 or at >= end:
-            raise _ScanBail(f"unterminated <{tag}>")
-        after = at + len(needle)
-        if after < len(source) and source[after] not in _WHITESPACE + "/>":
-            pos = after
-            continue
-        gt = source.find(">", after)
-        if gt == -1 or gt >= end:
-            raise _ScanBail(f"unterminated </{tag}>")
-        return gt + 1
-
-
-def _merge_opens(raw: list[_Facts]) -> list[_Facts]:
-    """Fuse each ``open`` marker with the ``element`` that closed it."""
-    merged: list[_Facts] = []
-    pending: Optional[_Facts] = None
-    for entry in raw:
-        if entry[0] == "open":
-            pending = entry
-            continue
-        if pending is not None:
-            if entry[0] != "element":  # pragma: no cover - defensive
-                raise _ScanBail("scanner state desync")
-            merged.append(("element", entry[1], *pending[2:]))
-            pending = None
-            continue
-        merged.append(entry)
-    if pending is not None:  # pragma: no cover - defensive
-        raise _ScanBail("scanner state desync")
-    return merged
+    def finish(self) -> list[_Facts]:
+        if self._stack or self.body_end is None:
+            raise _ScanBail("region ends with open elements")
+        return self.facts
 
 
 def _assign_identities(merged: list[_Facts]) -> list[Segment]:

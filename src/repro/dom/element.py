@@ -111,7 +111,25 @@ class Element(Node):
             last.data += data
             return last
         text = Text(data)
-        return self.append(text)  # type: ignore[return-value]
+        text.parent = self
+        self._children.append(text)
+        return text
+
+    def append_new(self, tag: str, attributes: dict[str, str]) -> "Element":
+        """Append a fresh child element and return it.
+
+        The tree builder's constructor: ``tag`` is already lower-case
+        and ``attributes`` becomes the child's own map (no copy), which
+        is what a lexer hands over — and a node nobody else has seen
+        needs no :meth:`detach`.
+        """
+        child = Element.__new__(Element)
+        child.parent = self
+        child.tag = tag
+        child.attributes = attributes
+        child._children = []
+        self._children.append(child)
+        return child
 
     def clear_children(self) -> None:
         for child in self._children:

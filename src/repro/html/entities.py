@@ -5,6 +5,8 @@ verbatim); encoding escapes only what serialization requires.
 
 from __future__ import annotations
 
+import re
+
 NAMED_ENTITIES: dict[str, str] = {
     "amp": "&",
     "lt": "<",
@@ -47,6 +49,11 @@ NAMED_ENTITIES: dict[str, str] = {
 _REVERSED = {char: name for name, char in NAMED_ENTITIES.items()}
 
 
+# A reference is ``&``, at most 31 characters holding neither ``&`` nor
+# ``;``, then ``;``.  Anything longer is a literal ampersand.
+_REFERENCE = re.compile(r"&([^&;]{0,31});")
+
+
 def decode_entities(text: str) -> str:
     """Replace character references in ``text`` with their characters.
 
@@ -55,30 +62,12 @@ def decode_entities(text: str) -> str:
     """
     if "&" not in text:
         return text
-    out: list[str] = []
-    index = 0
-    length = len(text)
-    while index < length:
-        char = text[index]
-        if char != "&":
-            out.append(char)
-            index += 1
-            continue
-        end = text.find(";", index + 1)
-        # References longer than 32 chars are treated as literal ampersands.
-        if end == -1 or end - index > 32:
-            out.append(char)
-            index += 1
-            continue
-        body = text[index + 1 : end]
-        decoded = _decode_one(body)
-        if decoded is None:
-            out.append(char)
-            index += 1
-        else:
-            out.append(decoded)
-            index = end + 1
-    return "".join(out)
+    return _REFERENCE.sub(_decode_match, text)
+
+
+def _decode_match(match: re.Match) -> str:
+    decoded = _decode_one(match.group(1))
+    return match.group() if decoded is None else decoded
 
 
 def _decode_one(body: str) -> str | None:

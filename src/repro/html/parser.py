@@ -1,24 +1,19 @@
 """Tree-building HTML parser.
 
-Turns the token stream into a :class:`repro.dom.Document`, recovering from
-the tag soup real forum templates emit: implied ``<tbody>``/``</td>``
+Turns the lexer's events into a :class:`repro.dom.Document`, recovering
+from the tag soup real forum templates emit: implied ``<tbody>``/``</td>``
 boundaries, unclosed ``<p>``/``<li>``/``<option>`` elements, missing
-``html``/``head``/``body`` scaffolding, and stray end tags.
+``html``/``head``/``body`` scaffolding, and stray end tags.  Both builders
+here are sinks of :func:`repro.html.tokenizer.scan`: each event attaches
+its node directly, with no token object in between.
 """
 
 from __future__ import annotations
 
 from repro.dom.document import Document
-from repro.dom.element import Element
+from repro.dom.element import VOID_ELEMENTS, Element
 from repro.dom.node import Comment, Doctype, Text
-from repro.html.tokenizer import (
-    CommentToken,
-    DoctypeToken,
-    EndTagToken,
-    StartTagToken,
-    TextToken,
-    tokenize,
-)
+from repro.html.tokenizer import TolerantSink, scan
 
 # Opening one of these closes an open element of the associated set first.
 _IMPLIED_CLOSERS: dict[str, frozenset[str]] = {
@@ -36,9 +31,6 @@ _IMPLIED_CLOSERS: dict[str, frozenset[str]] = {
     "optgroup": frozenset({"option", "optgroup"}),
 }
 
-# Closing a cell/row must not escape its enclosing table; same for lists.
-_SCOPE_BARRIERS = frozenset({"table", "template", "html"})
-
 # Elements whose leading newline/blank text should not force a body.
 _HEAD_TAGS = frozenset(
     {"title", "meta", "link", "style", "script", "base", "noscript"}
@@ -48,8 +40,7 @@ _HEAD_TAGS = frozenset(
 def parse_html(html: str) -> Document:
     """Parse a full page into a document with html/head/body scaffolding."""
     builder = _TreeBuilder()
-    for token in tokenize(html):
-        builder.feed(token)
+    scan(html, builder)
     return builder.finish()
 
 
@@ -59,33 +50,46 @@ def parse_fragment(html: str) -> list:
     Used by the jQuery-style API (``Query.html(...)``, ``append(...)``)
     and by attribute transforms that inject markup.
     """
-    root = Element("template-root")
-    stack = [root]
-    for token in tokenize(html):
-        if isinstance(token, TextToken):
-            if token.data:
-                stack[-1].append(Text(token.data))
-        elif isinstance(token, CommentToken):
-            stack[-1].append(Comment(token.data))
-        elif isinstance(token, StartTagToken):
-            element = Element(token.name, token.attributes)
-            stack[-1].append(element)
-            if not token.self_closing and not element.is_void:
-                stack.append(element)
-        elif isinstance(token, EndTagToken):
-            for index in range(len(stack) - 1, 0, -1):
-                if stack[index].tag == token.name:
-                    del stack[index:]
-                    break
-        # Doctype tokens make no sense in a fragment; drop them.
-    children = list(root.children)
-    for child in children:
-        child.parent = None
-    root.clear_children()
-    return children
+    builder = _FragmentBuilder()
+    scan(html, builder)
+    return builder.finish()
 
 
-class _TreeBuilder:
+class _FragmentBuilder(TolerantSink):
+    """Nesting only: no scaffolding, no implied closers."""
+
+    def __init__(self) -> None:
+        self._root = Element("template-root")
+        self._stack = [self._root]
+
+    def doctype(self, name, start, end) -> None:
+        pass  # makes no sense in a fragment
+
+    def comment(self, data, start, end) -> None:
+        self._stack[-1].append(Comment(data))
+
+    def text(self, data, start, end) -> None:
+        self._stack[-1].append(Text(data))
+
+    def start_tag(self, name, attributes, self_closing, start, end) -> None:
+        element = self._stack[-1].append_new(name, attributes)
+        if not self_closing and name not in VOID_ELEMENTS:
+            self._stack.append(element)
+
+    def end_tag(self, name, start, end) -> None:
+        stack = self._stack
+        for index in range(len(stack) - 1, 0, -1):
+            if stack[index].tag == name:
+                del stack[index:]
+                break
+
+    def finish(self) -> list:
+        children = list(self._root.children)
+        self._root.clear_children()
+        return children
+
+
+class _TreeBuilder(TolerantSink):
     """Incremental tree construction with soup recovery rules."""
 
     def __init__(self) -> None:
@@ -107,68 +111,47 @@ class _TreeBuilder:
     def _ensure_head(self) -> Element:
         html = self._ensure_html()
         if self._head is None:
-            self._head = Element("head")
-            html.append(self._head)
+            self._head = html.append_new("head", {})
         return self._head
 
     def _ensure_body(self) -> Element:
         html = self._ensure_html()
         self._ensure_head()
         if self._body is None:
-            self._body = Element("body")
-            html.append(self._body)
+            self._body = html.append_new("body", {})
             self._stack = [self._body]
         return self._body
 
-    def _current(self) -> Element:
-        if self._stack:
-            return self._stack[-1]
-        return self._ensure_body()
+    # -- lexer events ------------------------------------------------------
 
-    # -- token dispatch ----------------------------------------------------
+    def doctype(self, name, start, end) -> None:
+        if not self._saw_doctype and self._html is None:
+            self.document.append(Doctype(name))
+            self._saw_doctype = True
 
-    def feed(self, token) -> None:
-        if isinstance(token, DoctypeToken):
-            if not self._saw_doctype and self._html is None:
-                self.document.append(Doctype(token.name))
-                self._saw_doctype = True
-        elif isinstance(token, CommentToken):
-            self._feed_comment(token)
-        elif isinstance(token, TextToken):
-            self._feed_text(token)
-        elif isinstance(token, StartTagToken):
-            self._feed_start(token)
-        elif isinstance(token, EndTagToken):
-            self._feed_end(token)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown token {token!r}")
-
-    def _feed_comment(self, token: CommentToken) -> None:
-        if self._body is None and self._html is None:
-            self.document.append(Comment(token.data))
-        elif self._body is None:
-            self._ensure_head().append(Comment(token.data))
+    def comment(self, data, start, end) -> None:
+        if self._body is not None:
+            self._stack[-1].append(Comment(data))
+        elif self._html is None:
+            self.document.append(Comment(data))
         else:
-            self._current().append(Comment(token.data))
+            self._ensure_head().append(Comment(data))
 
-    def _feed_text(self, token: TextToken) -> None:
-        if not token.data:
-            return
+    def text(self, data, start, end) -> None:
         if self._body is None:
             if self._stack:
                 # An open head element (title/script/style) collects text.
-                self._stack[-1].append_text(token.data)
+                self._stack[-1].append_text(data)
                 return
-            if token.data.strip() == "":
+            if not data.strip():
                 return  # inter-tag whitespace before body opens
             self._ensure_body()
-        self._current().append_text(token.data)
+        self._stack[-1].append_text(data)
 
-    def _feed_start(self, token: StartTagToken) -> None:
-        name = token.name
+    def start_tag(self, name, attributes, self_closing, start, end) -> None:
         if name == "html":
             html = self._ensure_html()
-            for key, value in token.attributes.items():
+            for key, value in attributes.items():
                 html.attributes.setdefault(key, value)
             return
         if name == "head":
@@ -176,58 +159,41 @@ class _TreeBuilder:
             return
         if name == "body":
             body = self._ensure_body()
-            for key, value in token.attributes.items():
+            for key, value in attributes.items():
                 body.attributes.setdefault(key, value)
             return
-        if self._body is None and name in _HEAD_TAGS:
-            element = Element(name, token.attributes)
-            self._ensure_head().append(element)
-            if not token.self_closing and not element.is_void:
-                # Raw-text head elements get their text from the next token;
-                # push so that text lands inside.
-                self._stack.append(element)
-            return
-
-        self._ensure_body()
+        if self._body is None:
+            if name in _HEAD_TAGS:
+                element = self._ensure_head().append_new(name, attributes)
+                if not self_closing and name not in VOID_ELEMENTS:
+                    # Raw-text head elements get their text from the next
+                    # event; push so that text lands inside.
+                    self._stack.append(element)
+                return
+            self._ensure_body()
+        stack = self._stack
         implied = _IMPLIED_CLOSERS.get(name)
         if implied is not None:
-            self._close_implied(implied)
-        element = Element(name, token.attributes)
-        self._current().append(element)
-        if not token.self_closing and not element.is_void:
-            self._stack.append(element)
+            # Pop open elements the new tag implicitly terminates.
+            while len(stack) > 1 and stack[-1].tag in implied:
+                stack.pop()
+        element = stack[-1].append_new(name, attributes)
+        if not self_closing and name not in VOID_ELEMENTS:
+            stack.append(element)
 
-    def _close_implied(self, closable: frozenset[str]) -> None:
-        """Pop open elements the new tag implicitly terminates."""
-        while len(self._stack) > 1:
-            top = self._stack[-1]
-            if top.tag in closable:
-                self._stack.pop()
-                continue
-            if top.tag in _SCOPE_BARRIERS:
-                break
-            # Only pop through formatting-transparent containers.
-            if top.tag in ("a", "b", "i", "em", "strong", "span", "font", "u"):
-                break
-            break
-
-    def _feed_end(self, token: EndTagToken) -> None:
-        name = token.name
-        if name in ("html", "body"):
+    def end_tag(self, name, start, end) -> None:
+        if name in ("html", "head", "body"):
+            # The scaffolding is never on the stack; after </head>,
+            # content flows to body on demand.
             if name == "body" and self._body is not None:
                 self._stack = [self._body]
             return
-        if name == "head":
-            # After </head>, content flows to body on demand.
-            if self._body is None and self._stack and self._stack[-1] is self._head:
-                self._stack.pop()
-            return
-        # Head raw-text elements sit on the stack before body exists.
-        for index in range(len(self._stack) - 1, -1, -1):
-            if self._stack[index].tag == name:
-                del self._stack[index:]
-                if not self._stack and self._body is not None:
-                    self._stack = [self._body]
+        # Head elements sit on the stack before body exists; once it
+        # does it is the stack's floor, and no other element is a "body".
+        stack = self._stack
+        for index in range(len(stack) - 1, -1, -1):
+            if stack[index].tag == name:
+                del stack[index:]
                 return
         # Stray end tag: ignore, as browsers do.
 

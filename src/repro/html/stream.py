@@ -1,14 +1,15 @@
-"""Single-pass streaming serializer: token stream → final markup.
+"""Single-pass streaming serializer: lexer events → final markup.
 
 The DOM adaptation path is ``serialize(parse_html(source))`` — build the
 whole tree, then walk it back into a string.  For filter-only
 adaptations (the paper's "source filters": script stripping, URL
 rewrites, title/doctype swaps) the tree is pure overhead: nothing ever
 queries it.  :func:`stream_serialize` produces the *same bytes* in one
-pass over the token stream by replaying :class:`_TreeBuilder`'s
-soup-recovery rules (implied closers, html/head/body scaffolding,
-attribute merging on repeated ``<html>``/``<body>`` tags) as emission
-rules instead of tree edits.
+pass: :class:`_StreamWriter` is a second sink of
+:func:`repro.html.tokenizer.scan`, beside :class:`_TreeBuilder`, and
+replays the builder's soup-recovery rules (implied closers,
+html/head/body scaffolding, attribute merging on repeated
+``<html>``/``<body>`` tags) as emission rules instead of tree edits.
 
 Byte-identity with the DOM round-trip is the contract — it is what lets
 the pipeline pick either path per request without changing rendered
@@ -21,21 +22,11 @@ becomes a *sibling after* the open element); those raise
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from repro.dom.element import RAW_TEXT_ELEMENTS, VOID_ELEMENTS
+from repro.dom.element import VOID_ELEMENTS
 from repro.html.entities import encode_attribute, encode_text
 from repro.html.parser import _HEAD_TAGS, _IMPLIED_CLOSERS
 from repro.html.serializer import _BOOLEAN_ATTRIBUTES
-from repro.html.tokenizer import (
-    CommentToken,
-    DoctypeToken,
-    EndTagToken,
-    StartTagToken,
-    TextToken,
-    Token,
-    tokenize,
-)
+from repro.html.tokenizer import TolerantSink, scan
 
 
 class StreamUnsupported(Exception):
@@ -48,33 +39,27 @@ def stream_serialize(source: str) -> str:
     Raises :class:`StreamUnsupported` when the input hits one of the
     (rare) reordering soup cases; callers fall back to the DOM path.
     """
-    return stream_serialize_tokens(tokenize(source))
-
-
-def stream_serialize_tokens(tokens: Iterable[Token]) -> str:
     writer = _StreamWriter()
-    for token in tokens:
-        writer.feed(token)
+    scan(source, writer)
     return writer.finish()
 
 
-def _render_open(tag: str, attributes: dict) -> str:
+def _write_open(parts: list[str], tag: str, attributes: dict) -> None:
     """Open-tag markup, mirroring ``serializer._write_element``."""
-    parts = [f"<{tag}"]
+    parts.append(f"<{tag}")
     for name, value in attributes.items():
         if name in _BOOLEAN_ATTRIBUTES and value in ("", name):
             parts.append(f" {name}")
         else:
             parts.append(f' {name}="{encode_attribute(value)}"')
     parts.append(">")
-    return "".join(parts)
 
 
-class _StreamWriter:
+class _StreamWriter(TolerantSink):
     """Emission-order mirror of ``parser._TreeBuilder``.
 
     The html and body open tags are emitted as placeholders and rendered
-    at :meth:`finish`, because later ``<html>``/``<body>`` tokens merge
+    at :meth:`finish`, because later ``<html>``/``<body>`` tags merge
     attributes into the already-created elements (``setdefault``) and
     the serialized open tag must carry the merged set.
     """
@@ -87,16 +72,11 @@ class _StreamWriter:
         self._head_open = False
         self._body_index: int | None = None
         self._body_attrs: dict[str, str] = {}
-        # Open head-level elements before body exists (tag names).
-        self._pre_stack: list[str] = []
-        # Open elements in body mode; always starts with "body".
+        # Open elements, by tag name, as on the builder's stack: head
+        # elements until the body exists, then "body" and what is in it.
         self._stack: list[str] = []
 
     # -- scaffolding (mirrors _ensure_html/_ensure_head/_ensure_body) --
-
-    @property
-    def _body_created(self) -> bool:
-        return self._body_index is not None
 
     def _ensure_html(self) -> None:
         if self._html_index is None:
@@ -110,134 +90,101 @@ class _StreamWriter:
             self._head_open = True
 
     def _ensure_body(self) -> None:
-        if self._body_created:
+        if self._body_index is not None:
             return
         self._ensure_head()
         # Open head elements are abandoned by the tree builder; their
         # close tags land here because nothing is appended after them.
-        for tag in reversed(self._pre_stack):
-            self._parts.append(f"</{tag}>")
-        self._pre_stack.clear()
+        self._close_down_to(0)
         self._parts.append("</head>")
         self._body_index = len(self._parts)
         self._parts.append("")  # rendered in finish()
-        self._stack = ["body"]
+        self._stack.append("body")
 
-    # -- token dispatch -------------------------------------------------
+    def _close_down_to(self, depth: int) -> None:
+        stack = self._stack
+        while len(stack) > depth:
+            self._parts.append(f"</{stack.pop()}>")
 
-    def feed(self, token: Token) -> None:
-        if isinstance(token, DoctypeToken):
-            if not self._saw_doctype and self._html_index is None:
-                self._parts.append(f"<!DOCTYPE {token.name}>")
-                self._saw_doctype = True
-        elif isinstance(token, CommentToken):
-            self._feed_comment(token)
-        elif isinstance(token, TextToken):
-            self._feed_text(token)
-        elif isinstance(token, StartTagToken):
-            self._feed_start(token)
-        elif isinstance(token, EndTagToken):
-            self._feed_end(token)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown token {token!r}")
+    # -- lexer events ---------------------------------------------------
 
-    def _feed_comment(self, token: CommentToken) -> None:
-        if not self._body_created and self._html_index is None:
-            self._parts.append(f"<!--{token.data}-->")
-            return
-        if not self._body_created:
-            if self._pre_stack:
+    def doctype(self, name, start, end) -> None:
+        if not self._saw_doctype and self._html_index is None:
+            self._parts.append(f"<!DOCTYPE {name}>")
+            self._saw_doctype = True
+
+    def comment(self, data, start, end) -> None:
+        if self._body_index is None and self._html_index is not None:
+            if self._stack:
                 # The builder appends the comment to <head> as a sibling
                 # *after* the still-open element — out of source order.
                 raise StreamUnsupported(
                     "comment beside an open head element"
                 )
             self._ensure_head()
-        self._parts.append(f"<!--{token.data}-->")
+        self._parts.append(f"<!--{data}-->")
 
-    def _feed_text(self, token: TextToken) -> None:
-        data = token.data
-        if not data:
-            return
-        if not self._body_created:
-            if self._pre_stack:
-                top = self._pre_stack[-1]
-                self._parts.append(
-                    data if top in ("script", "style")
-                    else encode_text(data)
-                )
-                return
-            if data.strip() == "":
+    def text(self, data, start, end) -> None:
+        if self._body_index is None and not self._stack:
+            if not data.strip():
                 return  # inter-tag whitespace before body opens
             self._ensure_body()
-        top = self._stack[-1]
         self._parts.append(
-            data if top in ("script", "style") else encode_text(data)
+            data
+            if self._stack[-1] in ("script", "style")
+            else encode_text(data)
         )
 
-    def _feed_start(self, token: StartTagToken) -> None:
-        name = token.name
+    def start_tag(self, name, attributes, self_closing, start, end) -> None:
         if name == "html":
             self._ensure_html()
-            for key, value in token.attributes.items():
+            for key, value in attributes.items():
                 self._html_attrs.setdefault(key, value)
             return
         if name == "head":
-            self._ensure_head()  # token attributes are dropped
+            self._ensure_head()  # its attributes are dropped
             return
         if name == "body":
             self._ensure_body()
-            for key, value in token.attributes.items():
+            for key, value in attributes.items():
                 self._body_attrs.setdefault(key, value)
             return
-        if not self._body_created and name in _HEAD_TAGS:
-            if self._pre_stack:
+        if self._body_index is None:
+            if name not in _HEAD_TAGS:
+                self._ensure_body()
+            elif self._stack:
                 # Builder appends to <head> while an earlier head element
                 # is still open — becomes a later sibling, not a child.
                 raise StreamUnsupported(
                     "head element beside an open head element"
                 )
-            self._ensure_head()
-            self._emit_element(token)
-            return
-        self._ensure_body()
+            else:
+                self._ensure_head()
+        stack = self._stack
         implied = _IMPLIED_CLOSERS.get(name)
         if implied is not None:
-            while len(self._stack) > 1 and self._stack[-1] in implied:
-                self._parts.append(f"</{self._stack.pop()}>")
-        self._emit_element(token)
-
-    def _emit_element(self, token: StartTagToken) -> None:
-        name = token.name
-        self._parts.append(_render_open(name, token.attributes))
+            while len(stack) > 1 and stack[-1] in implied:
+                self._parts.append(f"</{stack.pop()}>")
+        _write_open(self._parts, name, attributes)
         if name in VOID_ELEMENTS:
-            return  # serializer emits no close tag for voids
-        if token.self_closing:
+            pass  # serializer emits no close tag for voids
+        elif self_closing:
             # Childless non-void element: serializer still closes it.
             self._parts.append(f"</{name}>")
-            return
-        stack = self._stack if self._body_created else self._pre_stack
-        stack.append(name)
-
-    def _feed_end(self, token: EndTagToken) -> None:
-        name = token.name
-        if name in ("html", "body"):
-            if name == "body" and self._body_created:
-                while len(self._stack) > 1:
-                    self._parts.append(f"</{self._stack.pop()}>")
-            return
-        if name == "head":
-            # The head element itself is never on the builder stack.
-            return
-        if not self._body_created:
-            stack, floor = self._pre_stack, 0
         else:
-            stack, floor = self._stack, 1  # never pop body by name
+            stack.append(name)
+
+    def end_tag(self, name, start, end) -> None:
+        if name in ("html", "head", "body"):
+            # The scaffolding is never on the builder stack.
+            if name == "body" and self._body_index is not None:
+                self._close_down_to(1)
+            return
+        stack = self._stack
+        floor = 0 if self._body_index is None else 1  # never pop body
         for index in range(len(stack) - 1, floor - 1, -1):
             if stack[index] == name:
-                for tag in reversed(stack[index:]):
-                    self._parts.append(f"</{tag}>")
-                del stack[index:]
+                self._close_down_to(index)
                 return
         # Stray end tag: ignore, as the tree builder does.
 
@@ -245,22 +192,19 @@ class _StreamWriter:
 
     def finish(self) -> str:
         self._ensure_body()
-        while len(self._stack) > 1:
-            self._parts.append(f"</{self._stack.pop()}>")
+        self._close_down_to(1)
         self._parts.append("</body></html>")
-        assert self._html_index is not None
-        assert self._body_index is not None
-        self._parts[self._html_index] = _render_open(
-            "html", self._html_attrs
-        )
-        self._parts[self._body_index] = _render_open(
-            "body", self._body_attrs
-        )
+        for index, tag, attributes in (
+            (self._html_index, "html", self._html_attrs),
+            (self._body_index, "body", self._body_attrs),
+        ):
+            opening: list[str] = []
+            _write_open(opening, tag, attributes)
+            self._parts[index] = "".join(opening)
         return "".join(self._parts)
 
 
 __all__ = [
     "StreamUnsupported",
     "stream_serialize",
-    "stream_serialize_tokens",
 ]

@@ -17,9 +17,11 @@ a restart, ``repro.regions`` (95%), whose CDC replay /
 partition-heal / failover branches only run when a region is down or
 behind, the workload layer (``repro.workload`` and
 ``repro.sites.news``, both at 95%), whose determinism and 5xx
-accounting the scenario regression gate leans on, and
+accounting the scenario regression gate leans on,
 ``repro.renderfarm`` (95%), whose scheduling branches only run under
-backpressure or failure.
+backpressure or failure, and the HTML lexer with its tree builders
+(``html/tokenizer.py``, ``html/parser.py``, ``html/entities.py``, 95%),
+whose recovery branches only run on tag soup.
 
 Usage:  python tools/check_observability_coverage.py [--floor 0.80]
 
@@ -124,6 +126,23 @@ PACKAGES = [
             "tests/concurrency/test_single_flight.py",
             "tests/properties/test_cache_properties.py",
             "tests/cluster/contract_disk",
+        ],
+    },
+    {
+        # The one lexer and the tree builders it feeds: recovery
+        # branches (unterminated tags, bogus declarations, stray
+        # slashes) only run on soup, which is what the origin sends on
+        # a bad day.  The stream writer, the lexer's third reader in
+        # this package, is measured with the fast path above.
+        "label": "repro html",
+        "files": [
+            os.path.join(SRC_DIR, "repro", "html", "tokenizer.py"),
+            os.path.join(SRC_DIR, "repro", "html", "parser.py"),
+            os.path.join(SRC_DIR, "repro", "html", "entities.py"),
+        ],
+        "floor": 0.95,
+        "suites": [
+            "tests/html",
         ],
     },
     {
