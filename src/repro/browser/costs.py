@@ -12,6 +12,12 @@ dual-core hardware (Windows Vista, Qt, WebKit, no thread pool):
 Table 1's "snapshot page generation: 2 sec" anchors the full snapshot
 pipeline (origin fetch + browser render + image post-processing + subpage
 emission), which the pipeline model composes from the parts below.
+
+These are the paper's costs, charged by the discrete-event benches; the
+render this tree really executes is measured by ``perfbench``.  For the
+1024 x 5317 forum index, ``ServerBrowser.load`` is ~0.35 s of CPU and
+``produce_snapshot`` ~0.06 s standalone -- inside the 536 ms + 250 ms
+(``image_encode_s``) anchors (docs/PERFORMANCE.md, "The render path").
 """
 
 from __future__ import annotations

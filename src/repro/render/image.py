@@ -15,6 +15,12 @@ compressing the pixel data:
 
 Both produce actual byte strings, so cache sizes, transfer times and the
 600 KB → 25-50 KB shape are measured rather than asserted.
+
+The two transforms every snapshot passes through work in integers, on
+purpose: ``smoothed`` sums its 3x3 kernel in ``uint16`` and
+``resized`` takes exact box sums in ``uint32``.  Float versions of both
+cost 16-17x the frame in memory, and a float32 running sum over a
+page-sized frame loses the low bits the box average is made of.
 """
 
 from __future__ import annotations
@@ -87,13 +93,6 @@ class RasterImage:
         """
         if new_width < 1 or new_height < 1:
             raise ValueError("target size must be at least 1x1")
-        # Integral image for O(1) box sums.
-        integral = np.zeros(
-            (self.height + 1, self.width + 1, 3), dtype=np.float64
-        )
-        integral[1:, 1:] = np.cumsum(
-            np.cumsum(self.pixels.astype(np.float32), axis=0), axis=1
-        )
         row_edges = (
             np.arange(new_height + 1) * self.height / new_height
         ).astype(int)
@@ -108,36 +107,48 @@ class RasterImage:
         c2 = np.clip(c2, 1, self.width)
         r1 = np.minimum(r1, r2 - 1)
         c1 = np.minimum(c1, c2 - 1)
-        sums = (
-            integral[r2][:, c2]
-            - integral[r1][:, c2]
-            - integral[r2][:, c1]
-            + integral[r1][:, c1]
-        )
         areas = ((r2 - r1)[:, None] * (c2 - c1)[None, :])[:, :, None]
-        return RasterImage(
-            np.clip(sums / areas, 0, 255).astype(np.uint8)
-        )
+        # Exact integer box sums: a float32 running sum over a full page
+        # rounds to +-64 by the bottom-right corner, which is noise in
+        # every overview image.
+        dtype = np.uint32 if int(areas.max()) * 255 < 2**32 else np.uint64
+        sums = _box_sums(_box_sums(self.pixels, r1, r2, 0, dtype), c1, c2, 1, dtype)
+        return RasterImage((sums // areas.astype(dtype)).astype(np.uint8))
 
     def smoothed(self) -> "RasterImage":
         """Light 3x3 blur approximating the anti-aliasing a real text
         rasterizer produces.  Applied once per snapshot so encoded sizes
         match what a WebKit render would yield (crisp bitmap glyphs are
-        an artifact of our raster font, not of real pages)."""
-        pixels = self.pixels.astype(np.float32)
-        out = 4.0 * pixels
-        out[1:] += pixels[:-1]
-        out[:-1] += pixels[1:]
-        out[:, 1:] += pixels[:, :-1]
-        out[:, :-1] += pixels[:, 1:]
-        norm = np.full(self.pixels.shape[:2], 8.0, dtype=np.float32)
-        norm[0, :] -= 1.0
-        norm[-1, :] -= 1.0
-        norm[:, 0] -= 1.0
-        norm[:, -1] -= 1.0
-        return RasterImage(
-            np.clip(out / norm[:, :, None], 0, 255).astype(np.uint8)
-        )
+        an artifact of our raster font, not of real pages).
+
+        Each pixel is ``(4*p + up + down + left + right) // norm`` with
+        norm 8 less one per neighbour that falls off the frame.  The sum
+        is an integer of at most 2,040, so integer floor division gives
+        the bytes a float divide-then-truncate would, and only the four
+        edge rows and columns have a norm that is not a shift.
+        """
+        pixels = self.pixels
+        height, width = pixels.shape[:2]
+        total = np.multiply(pixels, 4, dtype=np.uint16)
+        total[1:] += pixels[:-1]
+        total[:-1] += pixels[1:]
+        total[:, 1:] += pixels[:, :-1]
+        total[:, :-1] += pixels[:, 1:]
+        # Neighbours that fall off the frame, per row and per column.
+        rows_off = np.zeros((height, 1), dtype=np.uint16)
+        rows_off[0] += 1
+        rows_off[-1] += 1
+        cols_off = np.zeros((width, 1), dtype=np.uint16)
+        cols_off[0] += 1
+        cols_off[-1] += 1
+        top = total[0] // (8 - rows_off[0] - cols_off)
+        bottom = total[-1] // (8 - rows_off[-1] - cols_off)
+        left = total[:, 0] // (8 - rows_off - cols_off[0])
+        right = total[:, -1] // (8 - rows_off - cols_off[-1])
+        total >>= 3
+        total[0], total[-1] = top, bottom
+        total[:, 0], total[:, -1] = left, right
+        return RasterImage(total.astype(np.uint8))
 
     def cropped(self, x: int, y: int, width: int, height: int) -> "RasterImage":
         x0 = max(0, x)
@@ -147,14 +158,6 @@ class RasterImage:
         if x1 <= x0 or y1 <= y0:
             raise ValueError("crop region outside image")
         return RasterImage(self.pixels[y0:y1, x0:x1].copy())
-
-    def quantized(self, levels: int) -> "RasterImage":
-        """Reduce each channel to ``levels`` distinct values."""
-        if not 2 <= levels <= 256:
-            raise ValueError("levels must be in [2, 256]")
-        step = 256 // levels
-        quantized = (self.pixels.astype(np.int32) // step) * step + step // 2
-        return RasterImage(np.clip(quantized, 0, 255).astype(np.uint8))
 
     def mean_absolute_error(self, other: "RasterImage") -> float:
         if self.pixels.shape != other.pixels.shape:
@@ -166,27 +169,44 @@ class RasterImage:
         )
 
 
+def _box_sums(
+    values: np.ndarray, starts: np.ndarray, stops: np.ndarray, axis: int, dtype
+) -> np.ndarray:
+    """Sum ``values[starts[i]:stops[i]]`` along ``axis`` for every ``i``.
+
+    One gather per offset into the boxes: pass ``k`` adds element
+    ``starts + k`` of every box still longer than ``k``, so the cost is
+    the longest box in passes and the result is exact in ``dtype``.
+    """
+    values = np.swapaxes(values, 0, axis)
+    sizes = stops - starts
+    sums = np.zeros((len(starts),) + values.shape[1:], dtype=dtype)
+    for offset in range(int(sizes.max())):
+        live = sizes > offset
+        if live.all():
+            sums += values[starts + offset]
+        else:
+            sums[live] += values[starts[live] + offset]
+    return np.swapaxes(sums, 0, axis)
+
+
 # ---------------------------------------------------------------------------
 # encoders
 
 
 def encode_png(image: RasterImage) -> EncodedImage:
     """Losslessly encode with the PNG recipe (filter + deflate)."""
-    pixels = image.pixels
-    height = image.height
-    # Sub filter (type 1): delta against the previous pixel in the row --
-    # what real encoders pick for flat UI imagery.
-    shifted = np.zeros_like(pixels)
-    shifted[:, 1:] = pixels[:, :-1]
-    filtered = (pixels.astype(np.int16) - shifted.astype(np.int16)) % 256
-    scanlines = bytearray()
-    filter_byte = bytes([1])
-    row_bytes = filtered.astype(np.uint8).tobytes()
-    stride = image.width * 3
-    for row in range(height):
-        scanlines += filter_byte
-        scanlines += row_bytes[row * stride : (row + 1) * stride]
-    compressed = zlib.compress(bytes(scanlines), level=6)
+    height, width = image.height, image.width
+    flat = image.pixels.reshape(height, 3 * width)
+    # Sub filter (type 1): a filter byte, then each sample's delta
+    # against the previous pixel in the row (uint8 wraps, as PNG's
+    # modulo-256 filter does) -- what real encoders pick for flat UI
+    # imagery.
+    scanlines = np.empty((height, 1 + 3 * width), dtype=np.uint8)
+    scanlines[:, 0] = 1
+    scanlines[:, 1:4] = flat[:, :3]
+    np.subtract(flat[:, 3:], flat[:, :-3], out=scanlines[:, 4:])
+    compressed = zlib.compress(scanlines, level=6)
     data = b"\x89PNG\r\n\x1a\n" + compressed
     return EncodedImage(
         format="png",
@@ -239,6 +259,8 @@ def _block_dct_quantize(plane: np.ndarray, table: np.ndarray) -> bytes:
     energy compaction real JPEG gets, which is what makes page snapshots
     small at low quality.
     """
+    # Deferred: importing scipy costs ~29 MB of resident memory, which a
+    # proxy that never encodes an image (most of them) should not pay.
     from scipy.fftpack import dctn
 
     height, width = plane.shape

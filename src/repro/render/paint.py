@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from repro.render.box import LayoutBox, Rect, TextRun
+from repro.render.raster import Canvas
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,9 @@ def build_display_list(root: LayoutBox) -> list[PaintCommand]:
 
 
 def _paint_box(box: LayoutBox, commands: list[PaintCommand]) -> None:
-    if box.rect.width <= 0 or box.rect.height <= 0:
-        pass  # zero-size boxes still paint children (e.g. collapsed rows)
-    else:
+    # Zero-size boxes paint nothing themselves but still paint their
+    # children (e.g. collapsed rows).
+    if box.rect.width > 0 and box.rect.height > 0:
         if box.background is not None:
             commands.append(
                 FillCommand(box.rect, box.background, gradient=box.gradient)
@@ -69,11 +70,8 @@ def _paint_box(box: LayoutBox, commands: list[PaintCommand]) -> None:
         _paint_box(child, commands)
 
 
-def paint_onto(canvas, commands: list[PaintCommand]) -> None:
+def paint_onto(canvas: Canvas, commands: list[PaintCommand]) -> None:
     """Execute a display list against a :class:`Canvas`."""
-    from repro.render.raster import Canvas
-
-    assert isinstance(canvas, Canvas)
     for command in commands:
         if isinstance(command, FillCommand):
             if command.gradient:

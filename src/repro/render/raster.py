@@ -2,12 +2,35 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.render import fonts
 from repro.render.box import Rect
 
 Color = tuple[int, int, int]
+
+
+@lru_cache(maxsize=512)
+def _glyph_mask(bitmap: tuple[int, ...], scale: int, bold: bool) -> np.ndarray:
+    """Read-only boolean mask of one glyph: each lit cell of the 5x7
+    bitmap covers ``scale`` rows and ``scale`` columns, one more column
+    when bold (so a bold mask is one column wider)."""
+    thickness = scale + (1 if bold else 0)
+    mask = np.zeros(
+        (fonts.GLYPH_ROWS * scale, (fonts.GLYPH_COLUMNS - 1) * scale + thickness),
+        dtype=bool,
+    )
+    for row_index, row_bits in enumerate(bitmap):
+        for col_index in range(fonts.GLYPH_COLUMNS):
+            if row_bits & (1 << (fonts.GLYPH_COLUMNS - 1 - col_index)):
+                mask[
+                    row_index * scale : (row_index + 1) * scale,
+                    col_index * scale : col_index * scale + thickness,
+                ] = True
+    mask.flags.writeable = False
+    return mask
 
 
 class Canvas:
@@ -83,31 +106,11 @@ class Canvas:
     def _draw_glyph(
         self, x: int, y: int, char: str, scale: int, color: Color, bold: bool
     ) -> None:
-        bitmap = fonts.glyph_bitmap(char)
-        thickness = scale + (1 if bold else 0)
-        for row_index, row_bits in enumerate(bitmap):
-            for col_index in range(fonts.GLYPH_COLUMNS):
-                if row_bits & (1 << (fonts.GLYPH_COLUMNS - 1 - col_index)):
-                    px = x + col_index * scale
-                    py = y + row_index * scale
-                    x0, y0, x1, y1 = self._clip(px, py, thickness, scale)
-                    if x1 > x0 and y1 > y0:
-                        self.pixels[y0:y1, x0:x1] = color
-
-    def draw_placeholder(self, rect: Rect, color: Color = (180, 180, 190)) -> None:
-        """Image placeholder: filled box with an X, like a missing image."""
-        self.fill_rect(rect, (230, 230, 235))
-        self.stroke_rect(rect, color)
-        x, y, w, h = rect.rounded()
-        steps = max(2, min(w, h))
-        for step in range(steps):
-            px = x + int(step * (w - 1) / max(1, steps - 1))
-            py = y + int(step * (h - 1) / max(1, steps - 1))
-            if 0 <= px < self.width and 0 <= py < self.height:
-                self.pixels[py, px] = color
-            py2 = y + h - 1 - int(step * (h - 1) / max(1, steps - 1))
-            if 0 <= px < self.width and 0 <= py2 < self.height:
-                self.pixels[py2, px] = color
+        mask = _glyph_mask(fonts.glyph_bitmap(char), scale, bold)
+        height, width = mask.shape
+        x0, y0, x1, y1 = self._clip(x, y, width, height)
+        if x1 > x0 and y1 > y0:
+            self.pixels[y0:y1, x0:x1][mask[y0 - y : y1 - y, x0 - x : x1 - x]] = color
 
     def fill_gradient(self, rect: Rect, base: Color, spread: int = 55) -> None:
         """Vertical gradient fill — how ``background: url(...) repeat-x``

@@ -174,3 +174,67 @@ def test_add_stylesheet_clears_cache():
     )
     resolver.add_stylesheet(parse_stylesheet("p { color: lime }"))
     assert resolver.computed_style(paragraph).get("color") == "lime"
+
+
+# -- the rule hash: every bucket, and what it must not change -------------------
+
+
+def test_comma_group_takes_its_highest_matching_specificity():
+    # Both alternatives of the first rule match; the rule competes at
+    # #a's specificity, so the later, weaker .b rule loses.
+    document, resolver = resolve(
+        '<p id="a" class="b">x</p>',
+        "p, #a { color: red } .b { color: green }",
+    )
+    paragraph = document.get_elements_by_tag("p")[0]
+    assert resolver.computed_style(paragraph).get("color") == "red"
+
+
+def test_source_order_breaks_ties_across_buckets():
+    # Three equal-specificity rules filed under three different keys
+    # (class, attribute -> universal, class): the last in the source wins
+    # whichever bucket is read first.
+    document, resolver = resolve(
+        '<p class="a b" lang="en">x</p>',
+        ".b { color: red } [lang] { color: blue } .a { color: green }",
+    )
+    paragraph = document.get_elements_by_tag("p")[0]
+    assert resolver.computed_style(paragraph).get("color") == "green"
+
+
+def test_universal_attribute_and_pseudo_rules_reach_every_element():
+    document, resolver = resolve(
+        '<ul><li>a</li><li lang="en">b</li></ul><a href="/x">l</a>',
+        "* { margin: 1px } [lang] { color: red } :first-child { padding: 2px }"
+        " :link { color: green }",
+    )
+    first, second = document.get_elements_by_tag("li")
+    link = document.get_elements_by_tag("a")[0]
+    assert resolver.computed_style(first).get("margin-top") == "1px"
+    assert resolver.computed_style(first).get("padding-top") == "2px"
+    assert resolver.computed_style(second).get("color") == "red"
+    assert resolver.computed_style(second).get("padding-top") is None
+    assert resolver.computed_style(link).get("color") == "green"
+
+
+def test_rule_is_filed_under_its_rightmost_compound_only():
+    document, resolver = resolve(
+        '<div id="d" class="c"><p>in</p></div><p>out</p>',
+        "#d p { color: red } .c > p { padding: 3px } div + p { width: 5px }",
+    )
+    inside, outside = document.get_elements_by_tag("p")
+    div = document.get_elements_by_tag("div")[0]
+    assert resolver.computed_style(inside).get("color") == "red"
+    assert resolver.computed_style(inside).get("padding-top") == "3px"
+    assert resolver.computed_style(inside).get("width") is None
+    assert resolver.computed_style(outside).get("width") == "5px"
+    assert resolver.computed_style(outside).get("padding-top") is None
+    assert resolver.computed_style(div).get("padding-top") is None
+
+
+def test_add_stylesheet_after_a_lookup_rebuilds_the_rule_hash():
+    document, resolver = resolve('<p class="k">x</p>', "p { color: red }")
+    paragraph = document.get_elements_by_tag("p")[0]
+    assert resolver.computed_style(paragraph).get("color") == "red"
+    resolver.add_stylesheet(parse_stylesheet(".k { color: lime }"))
+    assert resolver.computed_style(paragraph).get("color") == "lime"

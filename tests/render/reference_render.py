@@ -1,0 +1,214 @@
+"""The render path's replaced loops, frozen as differential oracles.
+
+These are ``RasterImage.smoothed``, ``Canvas._draw_glyph``,
+``encode_png`` and ``StyleResolver.computed_style`` as they stood before
+the rule-hash cascade, the glyph-mask blit, the integer anti-alias and
+the vectorised scanline filter replaced them, kept verbatim so the code
+under ``src/`` can be checked byte for byte against what it replaced.
+Nothing under ``src/`` imports this module.
+
+``resized`` is the exception: the implementation it replaced summed the
+frame in float32 and got the box sums wrong on tall pages, so what is
+frozen here is the same integral-image method over ``int64`` — the
+exact answer, which the parent's output was not.
+
+The oracles share only data with the code under test: the UA sheet, the
+inherited-property set, the shorthand expanders (none of them touched
+by the rewrite), the 5x7 font and the unchanged ``Canvas`` methods.
+"""
+
+from __future__ import annotations
+
+import zlib
+from dataclasses import dataclass, field
+from typing import Optional
+
+import numpy as np
+
+from repro.css.cascade import (
+    INHERITED_PROPERTIES,
+    UA_SHEET,
+    ComputedStyle,
+    _expand_name,
+    _expand_shorthand,
+)
+from repro.css.model import Declaration, Stylesheet
+from repro.css.parser import parse_declarations, parse_stylesheet
+from repro.css.specificity import specificity
+from repro.dom.element import Element
+from repro.render import fonts
+from repro.render.image import _PNG_OVERHEAD, EncodedImage, RasterImage
+from repro.render.raster import Canvas, Color
+
+
+def smoothed(pixels: np.ndarray) -> np.ndarray:
+    """The float32 3x3 blur: divide by a per-pixel norm, truncate."""
+    source = pixels
+    pixels = source.astype(np.float32)
+    out = 4.0 * pixels
+    out[1:] += pixels[:-1]
+    out[:-1] += pixels[1:]
+    out[:, 1:] += pixels[:, :-1]
+    out[:, :-1] += pixels[:, 1:]
+    norm = np.full(source.shape[:2], 8.0, dtype=np.float32)
+    norm[0, :] -= 1.0
+    norm[-1, :] -= 1.0
+    norm[:, 0] -= 1.0
+    norm[:, -1] -= 1.0
+    return np.clip(out / norm[:, :, None], 0, 255).astype(np.uint8)
+
+
+def resized(pixels: np.ndarray, new_width: int, new_height: int) -> np.ndarray:
+    """Box-filter resampling over an exact ``int64`` integral image."""
+    height, width = pixels.shape[:2]
+    integral = np.zeros((height + 1, width + 1, 3), dtype=np.int64)
+    integral[1:, 1:] = np.cumsum(
+        np.cumsum(pixels, axis=0, dtype=np.int64), axis=1
+    )
+    row_edges = (np.arange(new_height + 1) * height / new_height).astype(int)
+    col_edges = (np.arange(new_width + 1) * width / new_width).astype(int)
+    r1 = row_edges[:-1]
+    r2 = np.maximum(row_edges[1:], r1 + 1)
+    c1 = col_edges[:-1]
+    c2 = np.maximum(col_edges[1:], c1 + 1)
+    r2 = np.clip(r2, 1, height)
+    c2 = np.clip(c2, 1, width)
+    r1 = np.minimum(r1, r2 - 1)
+    c1 = np.minimum(c1, c2 - 1)
+    sums = (
+        integral[r2][:, c2]
+        - integral[r1][:, c2]
+        - integral[r2][:, c1]
+        + integral[r1][:, c1]
+    )
+    areas = ((r2 - r1)[:, None] * (c2 - c1)[None, :])[:, :, None]
+    return np.clip(sums / areas, 0, 255).astype(np.uint8)
+
+
+def encode_png(image: RasterImage) -> EncodedImage:
+    """The PNG recipe with a Python loop over the scanlines."""
+    pixels = image.pixels
+    height = image.height
+    shifted = np.zeros_like(pixels)
+    shifted[:, 1:] = pixels[:, :-1]
+    filtered = (pixels.astype(np.int16) - shifted.astype(np.int16)) % 256
+    scanlines = bytearray()
+    filter_byte = bytes([1])
+    row_bytes = filtered.astype(np.uint8).tobytes()
+    stride = image.width * 3
+    for row in range(height):
+        scanlines += filter_byte
+        scanlines += row_bytes[row * stride : (row + 1) * stride]
+    compressed = zlib.compress(bytes(scanlines), level=6)
+    data = b"\x89PNG\r\n\x1a\n" + compressed
+    return EncodedImage(
+        format="png",
+        width=image.width,
+        height=image.height,
+        data=data + b"\x00" * _PNG_OVERHEAD,
+    )
+
+
+class ReferenceCanvas(Canvas):
+    """``Canvas`` with the per-cell glyph loop: one slice assignment per
+    lit cell of the 5x7 bitmap."""
+
+    def _draw_glyph(
+        self, x: int, y: int, char: str, scale: int, color: Color, bold: bool
+    ) -> None:
+        bitmap = fonts.glyph_bitmap(char)
+        thickness = scale + (1 if bold else 0)
+        for row_index, row_bits in enumerate(bitmap):
+            for col_index in range(fonts.GLYPH_COLUMNS):
+                if row_bits & (1 << (fonts.GLYPH_COLUMNS - 1 - col_index)):
+                    px = x + col_index * scale
+                    py = y + row_index * scale
+                    x0, y0, x1, y1 = self._clip(px, py, thickness, scale)
+                    if x1 > x0 and y1 > y0:
+                        self.pixels[y0:y1, x0:x1] = color
+
+
+@dataclass(order=True)
+class _Candidate:
+    important: bool
+    origin: int  # 0 = UA, 1 = author, 2 = inline style
+    spec: tuple[int, int, int]
+    order: int
+    declaration: Declaration = field(compare=False)
+
+
+class ReferenceStyleResolver:
+    """The linear-scan cascade: every rule tried against every element."""
+
+    def __init__(self, stylesheets: Optional[list[Stylesheet]] = None) -> None:
+        self._ua_sheet = parse_stylesheet(UA_SHEET)
+        self.stylesheets = stylesheets or []
+        self._cache: dict[int, ComputedStyle] = {}
+
+    def add_stylesheet(self, sheet: Stylesheet) -> None:
+        self.stylesheets.append(sheet)
+        self._cache.clear()
+
+    def computed_style(self, element: Element) -> ComputedStyle:
+        """Compute the final style for ``element`` (memoized per element)."""
+        cached = self._cache.get(id(element))
+        if cached is not None:
+            return cached
+        candidates: list[_Candidate] = []
+        order = 0
+        for origin, sheet in self._sheets():
+            for rule in sheet.rules:
+                if rule.selectors is None:
+                    continue
+                matched = None
+                for alternative in rule.selectors.alternatives:
+                    if alternative.matches(element):
+                        spec = specificity(alternative)
+                        if matched is None or spec > matched:
+                            matched = spec
+                if matched is None:
+                    continue
+                for decl in rule.declarations:
+                    candidates.append(
+                        _Candidate(decl.important, origin, matched, order, decl)
+                    )
+                    order += 1
+        inline = element.get("style")
+        if inline:
+            for decl in parse_declarations(inline):
+                candidates.append(
+                    _Candidate(decl.important, 2, (1, 0, 0), order, decl)
+                )
+                order += 1
+        candidates.sort()
+        winning: dict[str, str] = {}
+        for candidate in candidates:  # later (higher-precedence) overwrite
+            winning[_expand_name(candidate.declaration.name)] = (
+                candidate.declaration.value
+            )
+            for name, value in _expand_shorthand(candidate.declaration):
+                winning[name] = value
+        style = self._apply_inheritance(element, winning)
+        self._cache[id(element)] = style
+        return style
+
+    def _sheets(self):
+        yield 0, self._ua_sheet
+        for sheet in self.stylesheets:
+            yield 1, sheet
+
+    def _apply_inheritance(
+        self, element: Element, winning: dict[str, str]
+    ) -> ComputedStyle:
+        properties = dict(winning)
+        parent = element.parent
+        if isinstance(parent, Element):
+            parent_style = self.computed_style(parent)
+            for name in INHERITED_PROPERTIES:
+                if name not in properties and name in parent_style.properties:
+                    properties[name] = parent_style.properties[name]
+                elif properties.get(name) == "inherit":
+                    properties[name] = parent_style.properties.get(name, "")
+        if "display" not in properties:
+            properties["display"] = "inline"
+        return ComputedStyle(properties)

@@ -75,17 +75,6 @@ def test_crop_outside_raises():
         RasterImage.blank(4, 4).cropped(10, 10, 5, 5)
 
 
-def test_quantized_reduces_levels():
-    image = noisy()
-    quantized = image.quantized(4)
-    assert len(np.unique(quantized.pixels)) <= 4
-
-
-def test_quantize_bounds():
-    with pytest.raises(ValueError):
-        RasterImage.blank(2, 2).quantized(1)
-
-
 def test_smoothed_preserves_shape_and_softens():
     image = checkerboard()
     smooth = image.smoothed()

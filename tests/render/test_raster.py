@@ -92,9 +92,3 @@ def test_photo_placeholder_seed_changes_texture():
     b = Canvas(40, 40)
     b.draw_photo_placeholder(Rect(0, 0, 40, 40), seed=2)
     assert (a.pixels != b.pixels).any()
-
-
-def test_draw_placeholder_x_marker():
-    canvas = Canvas(30, 30)
-    canvas.draw_placeholder(Rect(0, 0, 30, 30))
-    assert (canvas.pixels != 255).any()

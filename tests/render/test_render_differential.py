@@ -1,0 +1,356 @@
+"""The render path against what it replaced, and against golden pixels.
+
+``reference_render`` freezes the loops this layer used to run: the
+float32 anti-alias, the per-cell glyph painter, the scanline-loop PNG
+filter and the linear-scan cascade, plus the exact ``int64`` box
+resampler.  Each replacement must produce the same bytes:
+
+* ``RasterImage.smoothed`` on every frame shape whose edge norms differ
+  (1x1 is 4 everywhere, 1xN and Nx1 are 6 with 4 at the ends, 2x2 is
+  all corners) and on flat 0 / 255 frames;
+* ``Canvas.draw_text`` glyph for glyph, clipped at each canvas edge;
+* ``RasterImage.resized`` for down-, up- and mixed-scale targets — the
+  one place the parent's output was wrong, pinned on a page-sized frame;
+* ``encode_png`` on random and flat images;
+* ``StyleResolver.computed_style`` for every element of the three origin
+  families' front pages under their real stylesheets, and on generated
+  sheets whose rightmost compounds land in every rule-hash bucket.
+
+The golden SHA-256 pins are the full-size snapshot pixels captured
+before the rewrite.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.browser.webkit import ServerBrowser
+from repro.css.cascade import StyleResolver
+from repro.css.parser import parse_stylesheet
+from repro.html.parser import parse_html
+from repro.net.client import HttpClient
+from repro.net.url import URL
+from repro.render import fonts
+from repro.render.image import RasterImage, encode_png
+from repro.render.raster import Canvas, _glyph_mask
+from repro.render.snapshot import collect_stylesheets
+from tests.conftest import CLASSIFIEDS_HOST, FORUM_HOST, NEWS_HOST
+from tests.render import reference_render as reference
+
+
+def frame(height, width, seed, fill=None):
+    if fill is not None:
+        return np.full((height, width, 3), fill, dtype=np.uint8)
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
+
+
+_fills = st.sampled_from([None, None, None, 0, 255])
+
+# -- anti-alias ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "height,width", [(1, 1), (1, 7), (7, 1), (2, 2), (1, 2), (2, 1), (3, 3), (9, 5)]
+)
+@pytest.mark.parametrize("fill", [None, 0, 255])
+def test_smoothed_matches_float_blur_on_edge_shapes(height, width, fill):
+    pixels = frame(height, width, seed=height * 31 + width, fill=fill)
+    assert (
+        RasterImage(pixels).smoothed().pixels == reference.smoothed(pixels)
+    ).all()
+
+
+@given(
+    height=st.integers(1, 24),
+    width=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    fill=_fills,
+)
+@settings(max_examples=150, deadline=None)
+def test_smoothed_matches_float_blur(height, width, seed, fill):
+    pixels = frame(height, width, seed, fill)
+    assert (
+        RasterImage(pixels).smoothed().pixels == reference.smoothed(pixels)
+    ).all()
+
+
+def test_smoothed_matches_float_blur_on_every_sum_and_norm():
+    # Every (4*p + neighbours) total a norm can meet, not just the ones
+    # random frames hit: a row of one pixel value beside its neighbours.
+    values = np.arange(256, dtype=np.uint8)
+    pixels = np.stack(np.meshgrid(values, values[::5]), axis=-1)
+    pixels = np.concatenate([pixels, pixels[:, :, :1]], axis=-1)
+    pixels = np.ascontiguousarray(pixels, dtype=np.uint8)
+    assert (
+        RasterImage(pixels).smoothed().pixels == reference.smoothed(pixels)
+    ).all()
+
+
+# -- glyph blits -----------------------------------------------------------------
+
+GLYPH_CHARS = sorted(fonts._GLYPHS) + ["q", "☃"]  # lowercase, fallback
+CANVAS_W, CANVAS_H = 40, 36
+
+
+def _edge_positions(mask_w, mask_h):
+    """Top-left corners straddling each canvas edge, each corner, wholly
+    inside, and wholly outside on every side."""
+    xs = [-mask_w - 1, -mask_w // 2, 3, CANVAS_W - mask_w // 2, CANVAS_W + 1]
+    ys = [-mask_h - 1, -mask_h // 2, 2, CANVAS_H - mask_h // 2, CANVAS_H + 1]
+    return [(x, y) for x in xs for y in ys]
+
+
+@pytest.mark.parametrize("bold", [False, True])
+@pytest.mark.parametrize("scale", [1, 2, 3, 4])
+def test_glyph_blit_matches_cell_loop(scale, bold):
+    mask_w = fonts.GLYPH_COLUMNS * scale + (1 if bold else 0)
+    mask_h = fonts.GLYPH_ROWS * scale
+    color = (12, 140, 250)
+    for char in GLYPH_CHARS:
+        for x, y in _edge_positions(mask_w, mask_h):
+            fast = Canvas(CANVAS_W, CANVAS_H)
+            slow = reference.ReferenceCanvas(CANVAS_W, CANVAS_H)
+            fast._draw_glyph(x, y, char, scale, color, bold)
+            slow._draw_glyph(x, y, char, scale, color, bold)
+            assert (fast.pixels == slow.pixels).all(), (char, x, y)
+
+
+@given(
+    text=st.text(
+        alphabet=st.sampled_from(GLYPH_CHARS + ["x", "g", "~"]), max_size=12
+    ),
+    x=st.floats(-30, 50),
+    y=st.floats(-30, 45),
+    font_size=st.sampled_from([7.0, 9.0, 11.0, 13.0, 16.0, 19.0, 24.0, 32.0]),
+    bold=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_draw_text_matches_cell_loop(text, x, y, font_size, bold):
+    fast = Canvas(CANVAS_W, CANVAS_H)
+    slow = reference.ReferenceCanvas(CANVAS_W, CANVAS_H)
+    fast.draw_text(x, y, text, font_size, (200, 10, 60), bold)
+    slow.draw_text(x, y, text, font_size, (200, 10, 60), bold)
+    assert (fast.pixels == slow.pixels).all()
+
+
+def test_glyph_masks_are_shared_and_read_only():
+    mask = _glyph_mask(fonts.glyph_bitmap("A"), 1, False)
+    assert mask is _glyph_mask(fonts.glyph_bitmap("a"), 1, False)
+    with pytest.raises(ValueError):
+        mask[0, 0] = True
+
+
+# -- box resampling ----------------------------------------------------------------
+
+
+@given(
+    height=st.integers(1, 40),
+    width=st.integers(1, 40),
+    new_height=st.integers(1, 60),
+    new_width=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+    fill=_fills,
+)
+@settings(max_examples=200, deadline=None)
+def test_resized_matches_exact_integral(
+    height, width, new_height, new_width, seed, fill
+):
+    pixels = frame(height, width, seed, fill)
+    got = RasterImage(pixels).resized(new_width, new_height).pixels
+    assert (got == reference.resized(pixels, new_width, new_height)).all()
+
+
+@pytest.mark.parametrize(
+    "size,target",
+    [
+        ((37, 29), (1, 1)),  # everything into one box
+        ((37, 29), (29, 37)),  # down on one axis, up on the other
+        ((5, 4), (50, 44)),  # pure upscale: every box is one pixel
+        ((64, 48), (64, 48)),  # identity
+        ((1, 1), (3, 5)),
+    ],
+)
+def test_resized_matches_exact_integral_on_named_shapes(size, target):
+    pixels = frame(size[1], size[0], seed=sum(size))
+    got = RasterImage(pixels).resized(*target).pixels
+    assert (got == reference.resized(pixels, *target)).all()
+
+
+def test_scaled_page_sized_frame_has_exact_box_sums():
+    # The float32 running sum this replaced reached ~1e9 on a frame this
+    # size, where float32 is spaced 64-128 apart: about half the samples
+    # were off, by tens of grey levels toward the bottom right.
+    pixels = frame(4096, 1024, seed=18)
+    image = RasterImage(pixels)
+    new_width, new_height = round(1024 * 0.28), round(4096 * 0.28)
+    exact = RasterImage(reference.resized(pixels, new_width, new_height))
+    assert image.scaled(0.28).mean_absolute_error(exact) == 0.0
+
+
+def test_resized_box_sums_past_uint32_do_not_wrap():
+    # 4100 x 4100 x 255 > 2**32: one box over the whole frame needs the
+    # wide accumulator.
+    image = RasterImage(np.full((4100, 4100, 3), 255, dtype=np.uint8))
+    assert (image.resized(1, 1).pixels == 255).all()
+
+
+# -- PNG scanlines -------------------------------------------------------------------
+
+
+@given(
+    height=st.integers(1, 20),
+    width=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+    fill=_fills,
+)
+@settings(max_examples=100, deadline=None)
+def test_encode_png_matches_scanline_loop(height, width, seed, fill):
+    image = RasterImage(frame(height, width, seed, fill))
+    assert encode_png(image) == reference.encode_png(image)
+
+
+# -- the cascade ---------------------------------------------------------------------
+
+
+def assert_agree(document, resolver, oracle):
+    for element in document.all_elements():
+        got = resolver.computed_style(element).properties
+        assert got == oracle.computed_style(element).properties, element
+
+
+def fetch_page(client, url):
+    """The parsed page and its ``<link rel=stylesheet>`` sources by href,
+    as ``ServerBrowser.load`` hands them to ``render_snapshot``."""
+    document = parse_html(client.get(url).text_body)
+    external = {
+        link.get("href"): client.get(
+            URL.parse(url).join(link.get("href"))
+        ).text_body
+        for link in document.get_elements_by_tag("link")
+        if (link.get("rel") or "").lower() == "stylesheet"
+    }
+    return document, external
+
+
+@pytest.fixture(scope="module")
+def origin_client(forum_app, news_app, classifieds_app):
+    return HttpClient(
+        {
+            FORUM_HOST: forum_app,
+            NEWS_HOST: news_app,
+            CLASSIFIEDS_HOST: classifieds_app,
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "url",
+    [
+        f"http://{FORUM_HOST}/index.php",
+        f"http://{NEWS_HOST}/",
+        f"http://{CLASSIFIEDS_HOST}/",
+    ],
+)
+def test_cascade_matches_linear_scan_on_origin_pages(origin_client, url):
+    document, external = fetch_page(origin_client, url)
+    sheets = collect_stylesheets(document, external)
+    assert sheets, "the page should bring its own stylesheet"
+    assert_agree(
+        document,
+        StyleResolver(list(sheets)),
+        reference.ReferenceStyleResolver(list(sheets)),
+    )
+
+
+CASCADE_HTML = """
+<html><body id="top" class="page wide">
+<div id="main" class="box wide"><p class="lead box">one <a href="/x">link</a>
+<a name="anchor">anchor</a> <span class="lead">s</span></p>
+<p id="second" style="color: teal; margin: 1px 2px !important">two</p>
+<ul class="box"><li class="item first">a</li><li class="item" lang="en">b</li>
+<li id="last" class="item box wide">c <b>bold</b></li></ul></div>
+<table class="wide"><tr><td class="item">x</td><td data-k="v">y</td></tr></table>
+<div class="box"><div class="box"><span id="deep" class="item lead">z</span>
+</div></div>
+</body></html>
+"""
+
+_RIGHTMOST = [
+    "#main", "#second", "#last", "#deep", "#nosuch",
+    ".box", ".item", ".lead", ".wide", ".box.wide", ".item.box", ".nosuch",
+    "p", "li", "a", "span", "td", "div", "b",
+    "*", "[lang]", "[data-k=v]", "[class~=item]", ":first-child", ":link",
+    "li:first-child", "a:link", "p.lead", "li#last", "span.lead#deep",
+    "td[data-k]", "*.wide", ":not(.item)", "li:not(.first)",
+]
+_LEFT = ["div", ".box", "#main", "ul", "body", "*", "p", "li", ".wide", "tr"]
+_COMBINATORS = [" ", " > ", " + ", " ~ "]
+_DECLARATIONS = [
+    "color: red", "color: blue", "color: green !important", "color: inherit",
+    "margin: 4px", "margin: 1px 2px 3px", "margin-left: 9px !important",
+    "padding: 2px 3px", "border: 2px solid black", "border: thin dotted",
+    "display: block", "display: none", "font-weight: bold",
+    "font-size: 12px", "font-size: 20px !important", "visibility: hidden",
+    "text-align: center",
+]
+
+
+@st.composite
+def _selectors(draw):
+    selector = draw(st.sampled_from(_RIGHTMOST))
+    for _ in range(draw(st.integers(0, 2))):
+        left = draw(st.sampled_from(_LEFT))
+        selector = left + draw(st.sampled_from(_COMBINATORS)) + selector
+    return selector
+
+
+_rules = st.builds(
+    lambda selectors, declarations: (
+        ", ".join(selectors) + " { " + "; ".join(declarations) + " }"
+    ),
+    st.lists(_selectors(), min_size=1, max_size=3),
+    st.lists(st.sampled_from(_DECLARATIONS), min_size=1, max_size=3),
+)
+_sheets = st.lists(_rules, min_size=1, max_size=12).map("\n".join)
+
+
+@given(first=_sheets, second=_sheets, later=_sheets)
+@settings(max_examples=150, deadline=None)
+def test_cascade_matches_linear_scan_on_generated_sheets(first, second, later):
+    document = parse_html(CASCADE_HTML)
+    sheets = [parse_stylesheet(first), parse_stylesheet(second)]
+    resolver = StyleResolver(list(sheets))
+    oracle = reference.ReferenceStyleResolver(list(sheets))
+    assert_agree(document, resolver, oracle)
+    # A sheet added after the first lookups must reach both the memoized
+    # styles and the rule hash.
+    resolver.add_stylesheet(parse_stylesheet(later))
+    oracle.add_stylesheet(parse_stylesheet(later))
+    assert_agree(document, resolver, oracle)
+
+
+# -- golden pixels ---------------------------------------------------------------------
+
+GOLDEN_SNAPSHOTS = [
+    (
+        f"http://{FORUM_HOST}/index.php",
+        (5317, 1024, 3),
+        "162b2bc56c2158d125378392a31eb4f93a666e72b44b502d1f75805829949ad9",
+    ),
+    (
+        f"http://{NEWS_HOST}/",
+        (850, 1024, 3),
+        "eb1eb33f259c404fd645d88755358c6f453a6155013820213658ff58f92d7114",
+    ),
+]
+
+
+@pytest.mark.parametrize("url,shape,digest", GOLDEN_SNAPSHOTS)
+def test_full_size_snapshot_pixels_are_unchanged(origin_client, url, shape, digest):
+    with ServerBrowser(origin_client, viewport_width=1024) as browser:
+        pixels = browser.load(url).snapshot.image.pixels
+    assert pixels.shape == shape
+    assert hashlib.sha256(pixels.tobytes()).hexdigest() == digest

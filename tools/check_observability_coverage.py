@@ -19,9 +19,11 @@ behind, the workload layer (``repro.workload`` and
 ``repro.sites.news``, both at 95%), whose determinism and 5xx
 accounting the scenario regression gate leans on,
 ``repro.renderfarm`` (95%), whose scheduling branches only run under
-backpressure or failure, and the HTML lexer with its tree builders
+backpressure or failure, the HTML lexer with its tree builders
 (``html/tokenizer.py``, ``html/parser.py``, ``html/entities.py``, 95%),
-whose recovery branches only run on tag soup.
+whose recovery branches only run on tag soup, and the browser render
+path (``repro.render`` + ``repro.css``, 95%), whose clipping and
+edge-norm branches decide the snapshot's bytes.
 
 Usage:  python tools/check_observability_coverage.py [--floor 0.80]
 
@@ -29,8 +31,9 @@ Usage:  python tools/check_observability_coverage.py [--floor 0.80]
 ``"floor"`` that overrides it.
 
 The end-to-end proxy tests are deliberately excluded — they cover the
-pipeline integration, not these packages, and real renders under a line
-tracer would blow the tier-1 time budget.  The unit suites exercise the
+pipeline integration, not these packages, and many real renders under a
+line tracer would blow the tier-1 time budget (the render entry's own
+suites render three pages, ~50 s traced in all).  The unit suites exercise the
 packages directly, which is what the floor is about.
 """
 
@@ -251,6 +254,24 @@ PACKAGES = [
         ],
     },
     {
+        # The browser render path: the cascade's rule hash, layout, the
+        # rasterizer's clipped blits and the image transforms, whose
+        # edge branches (a glyph half off the canvas, a 1-pixel-wide
+        # frame, an upscale) decide bytes every phone receives.  Three
+        # real page renders (the two golden snapshot pins, the budget
+        # guard) run under the tracer; the rest are unit-sized.
+        "label": "repro.render + repro.css",
+        "dirs": [
+            os.path.join(SRC_DIR, "repro", "render"),
+            os.path.join(SRC_DIR, "repro", "css"),
+        ],
+        "floor": 0.95,
+        "suites": [
+            "tests/render",
+            "tests/css",
+        ],
+    },
+    {
         # The news origin: the feed windowing / pagination surface the
         # adaptation attributes cut against.
         "label": "repro.sites.news",
@@ -268,8 +289,9 @@ def _package_files(pkg: dict) -> list[tuple[str, str]]:
     if "files" in pkg:
         return [(os.path.basename(path), path) for path in pkg["files"]]
     return [
-        (name, os.path.join(pkg["dir"], name))
-        for name in sorted(os.listdir(pkg["dir"]))
+        (name, os.path.join(directory, name))
+        for directory in pkg.get("dirs") or [pkg["dir"]]
+        for name in sorted(os.listdir(directory))
         if name.endswith(".py") and name != "__init__.py"
         # The package inits are pure re-exports; they are excluded so
         # the floors measure behaviour, not import plumbing.
