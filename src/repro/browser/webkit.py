@@ -104,7 +104,7 @@ class ServerBrowser:
                 f"browser load failed: {response.status} for {parsed}"
             )
         document = parse_html(response.text_body)
-        external_css, css_bytes = self._fetch_stylesheets(document, parsed)
+        external_css, css_bytes = self.fetch_stylesheets(document, parsed)
         script_bytes = self._fetch_scripts(document, parsed)
         image_bytes, image_count = self._fetch_images(document, parsed)
         if run_scripts:
@@ -130,9 +130,11 @@ class ServerBrowser:
 
     # -- subresources ------------------------------------------------------------
 
-    def _fetch_stylesheets(
+    def fetch_stylesheets(
         self, document: Document, base: URL
     ) -> tuple[dict[str, str], int]:
+        """``(href → stylesheet text, bytes fetched)`` for the linked
+        stylesheets of a document the caller already holds."""
         external: dict[str, str] = {}
         total = 0
         for element in document.all_elements():

@@ -60,6 +60,12 @@ from difflib import SequenceMatcher
 from typing import Any, Optional
 
 from repro.core import fastpath
+from repro.core.pipeline import PipelineContext, apply_steps
+from repro.core.subpages import (
+    ajax_injection_html,
+    assemble_entry,
+    menu_html,
+)
 from repro.dom import diff
 from repro.dom.document import Document
 from repro.dom.element import Element, VOID_ELEMENTS
@@ -766,14 +772,14 @@ class DeltaEngine:
         if not _is_subsequence(residual_keys, pristine_keys):
             return None
         residual_by_key = dict(zip(residual_keys, residual_children))
-        # Reconstruct the entry exactly as _emit_entry does and verify
-        # byte equality against the run that just happened — if the
-        # reconstruction recipe cannot reproduce *this* run, it cannot
-        # be trusted to reproduce a patched one.
-        menu = _menu_html(ctx)
-        ajax_injection = _ajax_injection_html(ctx)
+        # Assemble the entry with the builder the full run used and
+        # verify byte equality against the run that just happened — if
+        # re-serializing its residual cannot reproduce *this* run, it
+        # cannot be trusted to reproduce a patched one.
+        menu = menu_html(ctx)
+        ajax_injection = ajax_injection_html(ctx)
         body_html = serialize(ctx.document)
-        rebuilt = _rebuild_entry(body_html, menu, ajax_injection)
+        rebuilt = assemble_entry(body_html, menu, ajax_injection)
         if rebuilt != stash.entry_html:
             return None
         # Per-segment serialization: valid only if the document's
@@ -790,8 +796,8 @@ class DeltaEngine:
             shell_suffix = body_html[split + len(joined) :]
         else:
             entry_parts = None
-        # Not pipeline._relpath(): that strips the *storing* session's
-        # directory, and this pipeline belongs to the attempting one.
+        # The bundle's own relative path: the stashing run's session
+        # directory is not the attempting pipeline's.
         entry_rel = bundle.entry_rel
         if not any(item.relpath == entry_rel for item in bundle.files):
             return None
@@ -825,10 +831,8 @@ class DeltaEngine:
 
     def _filter_piece(self, pipeline, piece: str) -> str:
         """The plan's filter phase over one source slice."""
-        from repro.core.pipeline import PipelineContext
-
         ctx = PipelineContext(pipeline.spec, piece, pipeline.proxy_base)
-        pipeline._apply_phase(ctx, "filter")
+        apply_steps(pipeline.plan.filter_steps, ctx)
         return ctx.source
 
     def _piecewise_setup(
@@ -887,22 +891,13 @@ class DeltaEngine:
     # ------------------------------------------------------------------
     # the delta attempt
 
-    def attempt(
-        self,
-        pipeline,
-        source: str,
-        origin_bytes: int,
-        device_class: str,
-        etag: Optional[str],
-        bundle_key: str,
-        pointer_key: str,
-    ):
+    def attempt(self, pipeline, miss: fastpath.Miss):
         """Serve this warm miss by patching, or return ``None``.
 
         ``None`` sends the caller down the full pipeline (which will
         stash a new seed for the next change).
         """
-        key = self._memo_key(pipeline, device_class)
+        key = self._memo_key(pipeline, miss.device_class)
         with self._lock:
             memo = self._memos.get(key)
         if memo is None:
@@ -917,27 +912,22 @@ class DeltaEngine:
             if memo is None:
                 return None
         with memo.lock:
-            outcome = self._attempt_locked(
-                pipeline, memo, source, origin_bytes, etag,
-                bundle_key, pointer_key,
-            )
+            outcome = self._attempt_locked(pipeline, memo, miss)
         if outcome is _DROP_MEMO:
             self._drop(key, memo)
             return None
         return outcome
 
-    def _attempt_locked(
-        self, pipeline, memo, source, origin_bytes, etag,
-        bundle_key, pointer_key,
-    ):
+    def _attempt_locked(self, pipeline, memo, miss):
+        etag = miss.etag
         try:
             if memo.raw_scan is not None:
                 scan, refresh = self._refilter_piecewise(
-                    pipeline, memo, source
+                    pipeline, memo, miss.source
                 )
             else:
                 scan, refresh = self._refilter_global(
-                    pipeline, memo, source
+                    pipeline, memo, miss.source
                 )
         except _Fallback as bail:
             return self._fallback(bail.reason)
@@ -946,11 +936,15 @@ class DeltaEngine:
             # edit under strip_scripts, say): re-store the cached bundle
             # under the new content fingerprint, byte-for-byte.
             self._counter("identical").inc()
-            new_bundle = _rebundle(memo.bundle, memo.bundle.entry_html, etag)
-            self._store(pipeline, bundle_key, pointer_key, new_bundle, memo)
+            new_bundle = fastpath.rebundle(
+                memo.bundle, memo.bundle.entry_html, etag
+            )
+            self._store(pipeline, miss, new_bundle, memo)
             memo.bundle = new_bundle
             refresh()
-            return pipeline._replay_bundle(new_bundle, origin_bytes, etag)
+            return fastpath.replay_bundle(
+                pipeline, new_bundle, miss.origin_bytes, etag
+            )
         plan_steps = pipeline.plan.dom_steps
         try:
             patches = self._classify(memo, scan, plan_steps, pipeline)
@@ -962,11 +956,11 @@ class DeltaEngine:
             # The residual may be half-patched; the memo is unusable.
             self._counter("fallbacks").inc()
             return _DROP_MEMO
-        entry_html = _rebuild_entry(
+        entry_html = assemble_entry(
             self._render_body(memo), memo.menu, memo.ajax_injection
         )
-        new_bundle = _rebundle(memo.bundle, entry_html, etag)
-        self._store(pipeline, bundle_key, pointer_key, new_bundle, memo)
+        new_bundle = fastpath.rebundle(memo.bundle, entry_html, etag)
+        self._store(pipeline, miss, new_bundle, memo)
         # Refresh the memo in place: the residual already evolved, the
         # new scan becomes the baseline, and footprints update only for
         # the segments that changed.
@@ -976,7 +970,9 @@ class DeltaEngine:
         self._reindex(memo, patches)
         self._counter("applied").inc()
         self._counter("patched_segments").inc(len(patches))
-        return pipeline._replay_bundle(new_bundle, origin_bytes, etag)
+        return fastpath.replay_bundle(
+            pipeline, new_bundle, miss.origin_bytes, etag
+        )
 
     def _refilter_global(self, pipeline, memo, source):
         """Filter the whole page and rescan; ``(None, …)`` if identical.
@@ -985,12 +981,8 @@ class DeltaEngine:
         filter baseline forward once the delta has been applied, or a
         ``None`` scan when filtering erased the change entirely.
         """
-        from repro.core.pipeline import PipelineContext
-
-        ctx = PipelineContext(
-            pipeline.spec, source, pipeline.proxy_base
-        )
-        pipeline._apply_phase(ctx, "filter")
+        ctx = PipelineContext(pipeline.spec, source, pipeline.proxy_base)
+        apply_steps(pipeline.plan.filter_steps, ctx)
         filtered = ctx.source
         if filtered == memo.filtered_source:
             return None, lambda: None
@@ -1094,13 +1086,12 @@ class DeltaEngine:
         counter.inc()
         return None
 
-    def _store(self, pipeline, bundle_key, pointer_key, bundle, memo):
+    def _store(self, pipeline, miss, bundle, memo):
         # The re-stored bundle still embeds the memo's frozen artifacts,
         # so it may only live out their *remaining* freshness.
-        remaining = memo.deadline - pipeline.services.now
-        pipeline.store_bundle(
-            bundle_key, pointer_key, bundle, max(remaining, 0.0)
-        )
+        services = pipeline.services
+        remaining = memo.deadline - services.now
+        miss.store_bundle(services.cache, bundle, max(remaining, 0.0))
 
     # -- classification (no mutation) ----------------------------------
 
@@ -1198,8 +1189,6 @@ class DeltaEngine:
         self, pipeline, nodes: list[Node], step_indices, plan_steps
     ) -> list[Node]:
         """Re-run the implicated steps over the fragment in isolation."""
-        from repro.core.pipeline import PipelineContext
-
         scratch = Document()
         html_el = Element("html")
         body = Element("body")
@@ -1212,14 +1201,10 @@ class DeltaEngine:
             pipeline.spec, "", pipeline.proxy_base
         )
         ctx.document = scratch
-        for index in step_indices:
-            step = plan_steps[index]
-            try:
-                step.definition.applier(ctx, step.binding)
-            except Exception as exc:
-                raise _Fallback("localize") from exc
-            finally:
-                ctx.invalidate_index()
+        try:
+            apply_steps([plan_steps[index] for index in step_indices], ctx)
+        except Exception as exc:
+            raise _Fallback("localize") from exc
         survivors = list(body.children)
         if len(survivors) > 1:  # pragma: no cover - no such step today
             raise _Fallback("localize")
@@ -1337,77 +1322,3 @@ def _patchable_pair(old: Node, new: Node) -> bool:
 def _is_subsequence(needle: list, haystack: list) -> bool:
     it = iter(haystack)
     return all(item in it for item in needle)
-
-
-# ---------------------------------------------------------------------------
-# entry reconstruction (mirrors AdaptationPipeline._emit_entry)
-
-
-def _menu_html(ctx) -> str:
-    menu_items = "".join(
-        f'<li><a href="{ctx.page_url_for(d.subpage_id)}">'
-        f"{d.title}</a></li>"
-        for d in ctx.plan.top_level()
-        if not d.ajax
-    )
-    return f'<ul id="msite-menu">{menu_items}</ul>' if menu_items else ""
-
-
-def _ajax_injection_html(ctx) -> str:
-    from repro.core.subpages import AJAX_LOADER_JS, ajax_container_html
-
-    ajax_defs = [d for d in ctx.plan.top_level() if d.ajax]
-    if not ajax_defs:
-        return ""
-    containers = "".join(
-        ajax_container_html(d.subpage_id) for d in ajax_defs
-    )
-    return (
-        containers
-        + f'<script type="text/javascript">{AJAX_LOADER_JS}</script>'
-    )
-
-
-def _rebuild_entry(body_html: str, menu: str, ajax_injection: str) -> str:
-    entry_html = (
-        body_html.replace("<body>", f"<body>{menu}", 1)
-        if "<body>" in body_html
-        else menu + body_html
-    )
-    if ajax_injection:
-        if "</body>" in entry_html:
-            entry_html = entry_html.replace(
-                "</body>", ajax_injection + "</body>", 1
-            )
-        else:
-            entry_html = entry_html + ajax_injection
-    return entry_html
-
-
-def _rebundle(
-    bundle: fastpath.FastpathBundle, entry_html: str, etag: Optional[str]
-) -> fastpath.FastpathBundle:
-    """A copy of the bundle with the entry artifact swapped in."""
-    entry_bytes = entry_html.encode("utf-8")
-    files = [
-        fastpath.BundleFile(
-            item.relpath, item.content_type, entry_bytes
-        )
-        if item.relpath == bundle.entry_rel
-        else item
-        for item in bundle.files
-    ]
-    notes = [
-        note for note in bundle.notes if not note.startswith("delta:")
-    ]
-    notes.append("delta: entry patched incrementally")
-    return fastpath.FastpathBundle(
-        etag=etag or "",
-        entry_rel=bundle.entry_rel,
-        entry_html=entry_html,
-        files=files,
-        subpages=[dict(meta) for meta in bundle.subpages],
-        notes=notes,
-        snapshot_bytes=bundle.snapshot_bytes,
-        used_browser=False,
-    )

@@ -1,23 +1,20 @@
-"""The fast path: a content-addressed cache of whole adapted responses.
+"""The fast path: whole adapted responses, and the gate that guards them.
 
 The paper's throughput headroom (Figure 7: 224 → 29,038 req/min) comes
-from how much per-request work the proxy can avoid.  After PR 1-3 the
-renderer is pooled, cached, and breakered — but every request still pays
-parse → attributes → serialize.  This module provides the primitives for
-skipping all of it: once a page has been adapted, the complete response
-bundle (entry HTML plus every session artifact the run wrote) is stored
-in the shared pre-render cache, keyed by
+from how much per-request work the proxy can avoid.  Once a page has
+been adapted, the complete response bundle (entry HTML plus every
+session artifact the run wrote) is stored in the shared pre-render
+cache under
 
 ``fastpath:<site>:<path>:<device class>:<spec fp>:<content fp>``
 
-* **content fingerprint** — a digest of the *fetched origin source*, so
-  a changed page misses naturally.  Per-session origin differences
-  (login state rendered into the page) produce different digests, so
-  sessions can never be served each other's personalized bundles.
-* **device class** — phone/tablet/desktop/default from UA detection;
-  device-targeted variants never collide.
-* **spec fingerprint** — from the compiled transform plan; editing the
-  spec (or redeploying under a new proxy base) invalidates everything.
+— a digest of the *fetched origin source* (a changed or personalized
+page misses naturally), the UA-detected device class, and the compiled
+plan's fingerprint (a spec edit invalidates everything).  The ETag
+served to clients is derived from the same three, so a client 304 is
+exact.  A ``fastpath-latest`` pointer per (site, path, device, spec)
+names the newest content key: with the origin down there is no source
+to fingerprint, and the stale rung finds the last good bundle through it.
 
 The proxy still asks the origin on every request, but **conditional
 first**.  Beside every stored bundle sits a validator record,
@@ -25,30 +22,22 @@ first**.  Beside every stored bundle sits a validator record,
 ``fastpath-validator:<site>:<path>:<spec fp>:<requester identity>``
 
 holding the origin's strong ``ETag`` and the content fingerprint of the
-body it came with (same TTL as the bundle).  A non-forced request that
-finds a record sends ``If-None-Match``; a body-less 304 takes the
-content fingerprint from the record and replays the bundle with no
-body, no :func:`normalize_origin` and no SHA-256.  The fingerprint is
-only computed on a 200: no record yet, an origin without ``ETag``,
-``?refresh=1``, a changed page — and those proceed exactly as before
-(lookup, delta, full run).  The requester identity is a digest of what
-the session sends upstream (its ``Cookie`` header for the origin URL
-and any HTTP-basic credentials; ``anon`` when there is neither), so a
-record can never vouch across login states even for an origin whose
-ETag ignores the user.  A 304 is the origin's word, so it is sampled:
-every ``REVALIDATION_AUDIT_EVERY``-th revalidation per host goes out
-unconditional, and a body that changed under an unchanged ETag demotes
-the host to unconditional fetches (:mod:`repro.resilience.policy`).
+body it came with (same TTL as the bundle).  The requester identity is
+a digest of what the session sends upstream (``Cookie`` header and
+HTTP-basic credentials; ``anon`` when there is neither), so a record
+never vouches across login states.  A 304 is the origin's word, so it
+is sampled: every ``REVALIDATION_AUDIT_EVERY``-th revalidation per host
+goes out unconditional, and a body that changed under an unchanged ETag
+demotes the host (:mod:`repro.resilience.policy`).
 
-A companion ``fastpath-latest`` pointer entry records the most recent
-content key per (site, path, device, spec).  It is the stale-serve hook:
-when the origin is down there is no source to fingerprint, and the
-pointer lets the degradation ladder find the last good bundle without
-knowing its content hash.
-
-The ETag served to clients is derived from the same three components,
-which makes If-None-Match revalidation exact: a 304 means the origin
-bytes, the device class, and the spec are all unchanged.
+:func:`serve_or_miss` is the gate — everything that decides *whether*
+to adapt: validator record → conditional fetch → 304 replay (no body,
+no :func:`normalize_origin`, no SHA-256) → on a 200 fingerprint,
+validator verdict, bundle lookup, delta attempt.  It answers with an
+:class:`AdaptedPage` or a :class:`Miss`; the pipeline adapts a miss and
+:meth:`Miss.store` takes the result back (storability, TTL clamp,
+bundle + validator, delta seed).  The ``AdaptedPage`` ⇄
+:class:`FastpathBundle` codec lives here too.
 """
 
 from __future__ import annotations
@@ -58,10 +47,13 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 from repro.core.cache import PrerenderCache
+from repro.core.subpages import AdaptedPage, SubpageArtifact
 from repro.net.conditional import etag_matches  # noqa: F401  (re-export)
+from repro.net.messages import Response
+from repro.observability.tracing import span
 
 #: Bump when the bundle layout changes; old entries miss instead of
 #: deserializing wrongly.
@@ -320,6 +312,118 @@ def load_stale_bundle(
     return FastpathBundle.from_json(entry.data.decode("utf-8"))
 
 
+# ---------------------------------------------------------------------------
+# the adapted response, and its codec to and from a bundle
+
+
+def relpath(page_dir: str, path: str) -> str:
+    """``path`` relative to a session's page directory."""
+    prefix = f"{page_dir}/"
+    return path[len(prefix):] if path.startswith(prefix) else path
+
+
+def bundle_from(
+    result: AdaptedPage,
+    files: list[BundleFile],
+    page_dir: str,
+    etag: Optional[str],
+) -> FastpathBundle:
+    """Freeze a run's result and the artifacts it wrote."""
+    subpages = [
+        {
+            "subpage_id": artifact.subpage_id,
+            "title": artifact.title,
+            "relpath": relpath(page_dir, artifact.path),
+            "content_type": artifact.content_type,
+            "bytes_written": artifact.bytes_written,
+            "prerendered": artifact.prerendered,
+            "ajax": artifact.ajax,
+        }
+        for artifact in result.subpages
+    ]
+    return FastpathBundle(
+        etag=etag or "",
+        entry_rel=relpath(page_dir, result.entry_path),
+        entry_html=result.entry_html,
+        files=files,
+        subpages=subpages,
+        notes=list(result.notes),
+        snapshot_bytes=result.snapshot_bytes,
+        used_browser=result.used_browser,
+    )
+
+
+def replay_bundle(
+    run, bundle: FastpathBundle, origin_bytes: int, etag: Optional[str]
+) -> AdaptedPage:
+    """Restore a cached bundle into the run's session directory."""
+    services, page_dir = run.services, run.page_dir
+    for item in bundle.files:
+        services.storage.write(
+            f"{page_dir}/{item.relpath}",
+            item.data,
+            content_type=item.content_type,
+            now=services.now,
+        )
+    subpages = [
+        SubpageArtifact(
+            subpage_id=meta["subpage_id"],
+            title=meta["title"],
+            path=f"{page_dir}/{meta['relpath']}",
+            content_type=meta["content_type"],
+            bytes_written=meta["bytes_written"],
+            prerendered=meta["prerendered"],
+            ajax=meta["ajax"],
+        )
+        for meta in bundle.subpages
+    ]
+    result = AdaptedPage(
+        entry_path=f"{page_dir}/{bundle.entry_rel}",
+        entry_html=bundle.entry_html,
+        subpages=subpages,
+        snapshot_bytes=bundle.snapshot_bytes,
+        snapshot_from_cache=bundle.snapshot_bytes > 0,
+        used_browser=False,
+        lightweight_core_seconds=services.costs.lightweight_request_s,
+        origin_bytes=origin_bytes,
+        notes=[
+            *bundle.notes,
+            "fastpath: adapted response replayed from cache",
+        ],
+        etag=etag,
+        fastpath_hit=True,
+    )
+    run.session.pages_served += 1
+    return result
+
+
+def rebundle(
+    bundle: FastpathBundle, entry_html: str, etag: Optional[str]
+) -> FastpathBundle:
+    """A copy of the bundle with a delta-patched entry swapped in."""
+    entry_bytes = entry_html.encode("utf-8")
+    files = [
+        BundleFile(item.relpath, item.content_type, entry_bytes)
+        if item.relpath == bundle.entry_rel
+        else item
+        for item in bundle.files
+    ]
+    notes = [
+        note for note in bundle.notes if not note.startswith("delta:")
+    ]
+    notes.append("delta: entry patched incrementally")
+    return FastpathBundle(
+        etag=etag or "",
+        entry_rel=bundle.entry_rel,
+        entry_html=entry_html,
+        files=files,
+        subpages=[dict(meta) for meta in bundle.subpages],
+        notes=notes,
+        snapshot_bytes=bundle.snapshot_bytes,
+        used_browser=False,
+    )
+
+
 _COUNTER_HELP = {
     "hits": "Fast-path bundle cache hits (full adaptation skipped).",
     "misses": "Fast-path lookups that fell through to a full run.",
@@ -349,3 +453,246 @@ def revalidation_counter(registry, result: str):
         "Origin fetches that went out with a stored validator, by result.",
         labels={"result": result},
     )
+
+
+# ---------------------------------------------------------------------------
+# the gate: whether to adapt at all
+
+
+@dataclass(slots=True)
+class Miss:
+    """What the gate learned on its way to a miss.
+
+    The run adapts ``source``; :meth:`store` takes the result back.
+    Without the fast path only ``source`` and ``origin_bytes`` are set.
+    """
+
+    source: str
+    origin_bytes: int
+    device_class: str
+    etag: Optional[str] = None
+    bundle_key: Optional[str] = None
+    pointer_key: Optional[str] = None
+    #: Where this requester's origin-validator record lives, and what
+    #: the run's 200 proved (``None``: nothing to vouch with).
+    validator_key: str = ""
+    validator: Optional[OriginValidator] = None
+
+    def store_bundle(
+        self, cache: PrerenderCache, bundle: FastpathBundle, ttl_s: float
+    ) -> None:
+        """Store a bundle and, beside it and for as long, the origin
+        validator of the fetch it was adapted from."""
+        store_bundle(
+            cache, self.bundle_key, self.pointer_key, bundle, ttl_s=ttl_s
+        )
+        if self.validator is not None:
+            store_validator(cache, self.validator_key, self.validator, ttl_s)
+
+    def store(self, run, ctx, result: AdaptedPage, files) -> None:
+        """After the miss: stamp the ETag and, when the result may be
+        replayed, store bundle + validator and stash the delta seed.
+
+        ``files`` is every artifact the run wrote, as ``BundleFile``s.
+        """
+        result.etag = self.etag
+        services = run.services
+        if not (services.fastpath_enabled and _storable(ctx, result)):
+            return
+        # The bundle freezes every cached component it embeds, so it
+        # must expire no later than the shortest one.
+        ttl_s = ctx.cache_ttl_s
+        for definition in ctx.plan.subpages.values():
+            if definition.cacheable:
+                ttl_s = min(ttl_s, definition.cache_ttl_s)
+        with span("cache"):
+            bundle = bundle_from(result, files, run.page_dir, self.etag)
+            self.store_bundle(services.cache, bundle, ttl_s)
+        fastpath_counter(services.observability.registry, "stores").inc()
+        if services.delta is not None:
+            # Hands ctx over: the engine stashes it and proves a memo
+            # against ctx.document on a later warm miss, so nothing may
+            # mutate it from here on.
+            services.delta.seed(
+                run, ctx, result, bundle, ttl_s, self.device_class,
+                raw_source=self.source,
+            )
+
+
+def _storable(ctx, result: AdaptedPage) -> bool:
+    """Whether a run's output may be replayed for later requests.
+
+    Degraded results are never stored (a replay would pin the
+    degradation past the outage).  AJAX pages are skipped: their action
+    handlers are registered by the run itself, so a replayed entry after
+    a restart would serve links with no handlers.  And anything the spec
+    said to render per request — an uncached page snapshot, a
+    prerendered subpage without ``cacheable`` — keeps that semantic by
+    keeping the whole response out of the bundle cache.
+    """
+    if result.degraded is not None:
+        return False
+    if len(ctx.ajax_table):
+        return False
+    if ctx.prerender_page and not ctx.cache_snapshot:
+        return False
+    return all(
+        definition.cacheable
+        for definition in ctx.plan.subpages.values()
+        if definition.prerender
+    )
+
+
+def serve_or_miss(
+    run, fetch: Callable[[Optional[str]], Response],
+    force_refresh: bool, device_class: str,
+) -> Union[AdaptedPage, Miss]:
+    """Answer from a stored bundle, or say what to adapt.
+
+    ``run`` is the :class:`~repro.core.pipeline.AdaptationPipeline` in
+    flight (its spec, plan, services, session and page directory);
+    ``fetch(if_none_match)`` is the one place that talks to the origin.
+    The decision table is in docs/PERFORMANCE.md, "What runs on a miss".
+    """
+    services, spec = run.services, run.spec
+    spec_fp = run.plan.fingerprint
+    cache = services.cache
+    registry = services.observability.registry
+    resilience = services.resilience
+    record = None
+    audit = False
+    record_key = ""
+    trusted = services.fastpath_enabled and resilience.trusts_validators(
+        spec.origin_host
+    )
+    if trusted:
+        # Keyed by who the origin will think is asking: what ``fetch``
+        # is about to send for this session, digested.
+        session = run.session
+        record_key = validator_key(
+            spec.site, spec.page_path, spec_fp,
+            requester_identity(
+                session.jar.cookie_header(run.origin_url, services.now),
+                session.http_credentials.get(spec.origin_host),
+            ),
+        )
+        if not force_refresh:
+            record = load_validator(cache, record_key)
+        if record is not None:
+            # The audit sample is fetched in full *instead of*
+            # conditionally: a request never costs two fetches.
+            audit = resilience.audit_due(spec.origin_host)
+    # Spans are flat and sequential (never nested on this path) so their
+    # durations sum to at most the request wall time.
+    with span("detect") as detect:
+        response = fetch(
+            record.etag if record is not None and not audit else None
+        )
+        if response.status == 304 and detect is not None:
+            detect.annotate(revalidated=True)
+    if response.status == 304:  # the record names the bundle
+        revalidation_counter(registry, "not_modified").inc()
+        with span("fastpath"):
+            bundle = load_bundle(
+                cache,
+                fastpath_key(
+                    spec.site, spec.page_path, device_class, spec_fp,
+                    record.content_fp,
+                ),
+            )
+        if bundle is not None:
+            fastpath_counter(registry, "hits").inc()
+            return replay_bundle(
+                run, bundle, 0,
+                make_etag(spec_fp, device_class, record.content_fp),
+            )
+        # The origin vouches for a bundle that is gone (evicted,
+        # expired, invalidated, another device class's): fetch the body
+        # after all and carry on as a normal miss.
+        record = None
+        with span("detect"):
+            response = fetch(None)
+    # Cosmetic origin churn (template reindentation) must not bust the
+    # content fingerprint; applied unconditionally so the adapted output
+    # is identical whether or not the fast/delta paths are enabled.
+    source = normalize_origin(response.text_body)
+    origin_bytes = len(response.body)
+    etag = bundle_key = pointer_key = validator = None
+    warm = False
+    if services.fastpath_enabled:
+        # A 200: hashing the source *is* the revalidation — a changed
+        # page changes the content fingerprint and misses naturally.
+        content_fp = content_fingerprint(source)
+        if trusted:
+            validator = _judge_validator(
+                services, spec.origin_host, record_key, record, audit,
+                response.headers.get("ETag"), content_fp,
+            )
+        etag = make_etag(spec_fp, device_class, content_fp)
+        bundle_key = fastpath_key(
+            spec.site, spec.page_path, device_class, spec_fp, content_fp
+        )
+        pointer_key = latest_key(
+            spec.site, spec.page_path, device_class, spec_fp
+        )
+    if bundle_key is not None and not force_refresh:
+        with span("fastpath"):
+            bundle = load_bundle(cache, bundle_key)
+        if bundle is not None:
+            fastpath_counter(registry, "hits").inc()
+            if validator not in (None, record):
+                # This 200 landed on a bundle stored under another
+                # validator (a reindented template, a page that flipped
+                # back): vouch for it for as long as the bundle lives.
+                entry = cache.peek(bundle_key)
+                if entry is not None:
+                    store_validator(
+                        cache, record_key, validator,
+                        entry.stored_at + entry.ttl_s - services.now,
+                    )
+            return replay_bundle(run, bundle, origin_bytes, etag)
+        fastpath_counter(registry, "misses").inc()
+        warm = services.delta is not None
+    miss = Miss(
+        source, origin_bytes, device_class, etag, bundle_key, pointer_key,
+        record_key, validator,
+    )
+    if warm:
+        # The bundle scheme knows this page, only the content changed:
+        # try patching the cached response incrementally before paying
+        # for a full replay.
+        with span("delta"):
+            patched = services.delta.attempt(run, miss)
+        if patched is not None:
+            return patched
+    return miss
+
+
+def _judge_validator(
+    services, host: str, record_key: str,
+    record: Optional[OriginValidator], audit: bool,
+    origin_etag: Optional[str], content_fp: str,
+) -> Optional[OriginValidator]:
+    """What a 200 proved about the origin's validators.
+
+    ``record`` is what the request was (or, on an audit, would have
+    been) revalidated with.  The same ETag over a different fingerprint
+    is an origin that would have answered 304 to changed bytes: its
+    record goes, and so does its host's trust.  Returns the validator
+    worth storing beside this run's bundle, if any.
+    """
+    registry = services.observability.registry
+    if record is not None and origin_etag == record.etag:
+        if content_fp != record.content_fp:
+            revalidation_counter(registry, "audit_mismatch").inc()
+            services.cache.invalidate(record_key)
+            services.resilience.demote_origin(host)
+            return None
+        if audit:
+            revalidation_counter(registry, "audit_ok").inc()
+    elif record is not None:
+        revalidation_counter(registry, "modified").inc()
+    # Only a strong validator is worth a conditional request.
+    if origin_etag is not None and not origin_etag.startswith("W/"):
+        return OriginValidator(origin_etag, content_fp)
+    return None

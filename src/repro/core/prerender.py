@@ -5,19 +5,53 @@ completely rendered on the server side into a single graphic, saving much
 computational effort on the mobile device. ... In the index page of our
 test site, this technique can reduce wall-clock load time by a factor
 of 5."
+
+The heavyweight browser is reached through one **render-once ladder**
+(:func:`render_once`): a rendered artifact is a JSON manifest plus an
+image entry under one cache key, looked up with hit/miss accounting,
+cold-missed through a render-farm lane (or, without a farm, the cache's
+single flight) with an unaccounted double-check inside the loader, and
+stored as two ``put``s.  Its two callers are the page snapshot
+(:func:`obtain_snapshot`, which also owns the ``STALE`` → ``HTML_ONLY``
+degrade rungs) and the pre-rendered subpage object
+(:func:`prerender_subpage`); each hands it a render callable, a cache
+key, a farm key, a TTL and whether the artifact is cacheable at all.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
+from repro.core.search import (
+    build_word_index,
+    search_script,
+    search_trigger_html,
+    shift_index,
+)
+from repro.core.subpages import SubpageDefinition, build_subpage_document
 from repro.dom.document import Document
 from repro.dom.element import Element
 from repro.dom.node import Text
+from repro.errors import (
+    CircuitOpenError,
+    FetchError,
+    PoolTimeoutError,
+    RenderError,
+    RenderFarmError,
+)
+from repro.observability.tracing import span
 from repro.render.box import Rect
 from repro.render.image import EncodedImage, RasterImage, encode_jpeg, encode_png
 from repro.render.snapshot import PageSnapshot, render_snapshot
+from repro.renderfarm.job import (
+    INTERACTIVE as FARM_INTERACTIVE,
+    REFRESH as FARM_REFRESH,
+    RenderKey,
+)
+from repro.resilience.faults import inject_render_fault
+from repro.resilience.policy import HTML_ONLY, STALE
 
 
 @dataclass
@@ -78,9 +112,19 @@ def prerender_object(
     made up of simple pre-rendered images" (§3.3).
     """
     snapshot = render_snapshot(document, viewport_width=viewport_width)
-    rect = snapshot.geometry_of(element)
-    if rect is None or rect.width < 1 or rect.height < 1:
-        # The object did not lay out (display:none etc.): 1x1 blank.
+    return _encode_region(snapshot, snapshot.geometry_of(element), quality)
+
+
+def _laid_out(rect: Optional[Rect]) -> bool:
+    return rect is not None and rect.width >= 1 and rect.height >= 1
+
+
+def _encode_region(
+    snapshot: PageSnapshot, rect: Optional[Rect], quality: int
+) -> EncodedImage:
+    """One region of a rendered page as a JPEG; an object that did not
+    lay out (``display: none`` etc.) is a 1x1 blank."""
+    if not _laid_out(rect):
         return encode_jpeg(RasterImage.blank(1, 1), quality=quality)
     x, y, width, height = rect.rounded()
     width = max(1, min(width, snapshot.image.width - max(0, x)))
@@ -139,16 +183,7 @@ def partial_css_prerender(
         _replace_text_with_placeholders(target)
     blanked = render_snapshot(working, viewport_width=viewport_width)
     brect = blanked.geometry_of(target) if target is not None else None
-    if brect is None or brect.width < 1 or brect.height < 1:
-        background = encode_jpeg(RasterImage.blank(1, 1), quality=quality)
-    else:
-        x, y, width, height = brect.rounded()
-        width = max(1, min(width, blanked.image.width - max(0, x)))
-        height = max(1, min(height, blanked.image.height - max(0, y)))
-        background = encode_jpeg(
-            blanked.image.cropped(max(0, x), max(0, y), width, height),
-            quality=quality,
-        )
+    background = _encode_region(blanked, brect, quality)
     return PartialPrerender(background=background, text_runs=text_runs)
 
 
@@ -205,3 +240,305 @@ function msiteDrawText(containerId, runs) {
   }
 }
 """.strip()
+
+
+# ---------------------------------------------------------------------------
+# the render-once ladder (§3.3 object caching)
+
+
+def _image_key(key: str) -> str:
+    """Where a rendered artifact's image bytes live beside its manifest."""
+    return key + ":image"
+
+
+def load_rendered(cache, key: str, kind: str = "get") -> Optional[dict]:
+    """The manifest + image pair under ``key`` as one dict, or ``None``.
+
+    ``kind`` names the cache read: ``"get"`` (hit/miss accounted),
+    ``"peek"`` (unaccounted — single-flight double-checks) or
+    ``"load_stale"`` (fresh or within the stale grace — degrade rungs).
+    """
+    lookup = getattr(cache, kind)
+    manifest = lookup(key)
+    if manifest is None:
+        return None
+    image = lookup(_image_key(key))
+    if image is None:
+        return None
+    rendered = json.loads(manifest.data.decode("utf-8"))
+    rendered["image_bytes"] = image.data
+    return rendered
+
+
+def _store_rendered(cache, key: str, rendered: dict, ttl_s: float) -> None:
+    manifest = {
+        name: value
+        for name, value in rendered.items()
+        if name != "image_bytes"
+    }
+    cache.put(
+        key,
+        json.dumps(manifest),
+        content_type="application/json",
+        ttl_s=ttl_s,
+    )
+    cache.put(
+        _image_key(key),
+        rendered["image_bytes"],
+        content_type="image/jpeg",
+        ttl_s=ttl_s,
+    )
+
+
+def render_once(
+    services,
+    key: str,
+    farm_key: RenderKey,
+    render: Callable[[], dict],
+    ttl_s: float,
+    cacheable: bool,
+    force_refresh: bool = False,
+) -> tuple[dict, bool]:
+    """``(rendered, rendered_here)``: from the cache, or rendered once.
+
+    §3.3: "Once a cacheable object is rendered, it is placed into a
+    pre-render cache on the server and can be used by the attribute
+    system as needed."  Concurrent cold misses collapse into one
+    ``render()``; an uncacheable artifact renders per call.
+    """
+    if not cacheable:
+        return render(), True
+    cache = services.cache
+    rendered_here = False
+
+    def _render_and_store() -> dict:
+        nonlocal rendered_here
+        if not force_refresh:
+            cached = load_rendered(cache, key, "peek")
+            if cached is not None:
+                return cached
+        rendered_here = True
+        fresh = render()
+        with span("cache"):
+            _store_rendered(cache, key, fresh, ttl_s)
+        return fresh
+
+    if force_refresh:
+        # A forced refresh of a warm artifact rides the middle lane: it
+        # must not starve interactive cold misses.
+        lane = FARM_REFRESH
+    else:
+        with span("cache"):
+            rendered = load_rendered(cache, key)
+        if rendered is not None:
+            return rendered, False
+        lane = FARM_INTERACTIVE
+    farm = services.renderfarm
+    if farm is not None:
+        # The farm supersedes the cache's single flight: jobs sharing a
+        # (site, path, device, spec) key coalesce on one queued render,
+        # and a full queue raises into the caller's degradation ladder
+        # instead of parking this thread.
+        rendered = farm.render(farm_key, _render_and_store, lane=lane)
+    elif force_refresh:
+        rendered = _render_and_store()
+    else:
+        rendered = cache.load_or_join(key, _render_and_store)
+    return rendered, rendered_here
+
+
+def _farm_key(run, suffix: str = "") -> RenderKey:
+    """A run's coalescing identity for farm submissions."""
+    path = run.spec.page_path + (f"#{suffix}" if suffix else "")
+    return RenderKey(
+        site=run.spec.site,
+        path=path,
+        device_class=run.device_class,
+        spec_fp=run.plan.fingerprint,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the page snapshot (the heavyweight path + cache)
+
+
+def snapshot_cache_key(spec) -> str:
+    return (
+        f"snapshot:{spec.site}:{spec.page_path}:w{spec.viewport_width}"
+        f":s{spec.snapshot_scale}:q{spec.snapshot_quality}"
+    )
+
+
+def obtain_snapshot(run, ctx, result, force_refresh: bool) -> Optional[dict]:
+    """Cached/fresh snapshot, degrading down the render ladder.
+
+    Render fails (crash, hang, open breaker, exhausted pool) ⇒ serve
+    the stale snapshot if one survives in the cache's grace store ⇒
+    otherwise return ``None``, and the run builds the HTML-only menu
+    entry page.  ``run`` is the :class:`AdaptationPipeline` in flight.
+    """
+    services = run.services
+    key = snapshot_cache_key(run.spec)
+    try:
+        rendered, rendered_here = render_once(
+            services,
+            key,
+            _farm_key(run),
+            lambda: _render_page_snapshot(run, ctx, result),
+            ttl_s=ctx.cache_ttl_s,
+            cacheable=ctx.cache_snapshot,
+            force_refresh=force_refresh,
+        )
+    except (
+        RenderError,
+        FetchError,
+        CircuitOpenError,
+        PoolTimeoutError,
+        RenderFarmError,
+    ) as exc:
+        with span("degrade"):
+            rendered = (
+                load_rendered(services.cache, key, "load_stale")
+                if ctx.cache_snapshot
+                else None
+            )
+            rung = STALE if rendered is not None else HTML_ONLY
+            result.degraded = result.degraded or rung
+            services.resilience.record_degraded(rung)
+            if rendered is None:
+                ctx.note(
+                    f"degraded: html-only entry after render failure ({exc})"
+                )
+                return None
+            ctx.note(
+                f"degraded: stale snapshot served after render "
+                f"failure ({exc})"
+            )
+            rendered_here = False
+    if not rendered_here:
+        result.snapshot_from_cache = True
+        result.snapshot_bytes = len(rendered["image_bytes"])
+    return rendered
+
+
+def _render_page_snapshot(run, ctx, result) -> dict:
+    """The full browser path: launch, load subresources, paint."""
+    spec, services = run.spec, run.services
+    # The breaker check happens before a browser is even constructed:
+    # an open renderer breaker must never consume a pool slot.
+    with services.resilience.render_breaker.guard(
+        failure_on=(RenderError, FetchError, PoolTimeoutError)
+    ):
+        browser = services.make_browser(run.session.jar, spec.viewport_width)
+        with span("render"), browser:
+            external_css, _ = browser.fetch_stylesheets(
+                ctx.document, run.origin_url
+            )
+            snapshot = render_snapshot(
+                ctx.document,
+                viewport_width=spec.viewport_width,
+                external_css=external_css,
+            )
+    result.used_browser = True
+    result.browser_core_seconds += services.costs.browser_request_s
+
+    scale = float(ctx.prerender_params.get("scale", spec.snapshot_scale))
+    quality = int(ctx.prerender_params.get("quality", spec.snapshot_quality))
+    artifact = produce_snapshot(snapshot, scale=scale, quality=quality)
+    regions = {}
+    for definition in ctx.plan.top_level():
+        rect = None
+        for element in definition.elements:
+            geometry = snapshot.geometry_of(element)
+            if geometry is not None:
+                rect = geometry if rect is None else _union(rect, geometry)
+        if rect is not None:
+            regions[definition.subpage_id] = [
+                rect.x, rect.y, rect.width, rect.height,
+            ]
+    result.snapshot_bytes = artifact.encoded.size_bytes
+    return {
+        "scale": scale,
+        "width": artifact.scaled_width,
+        "height": artifact.scaled_height,
+        "page_height": snapshot.page_height,
+        "regions": regions,
+        "image_bytes": artifact.encoded.data,
+    }
+
+
+def _union(a: Rect, b: Rect) -> Rect:
+    x1 = min(a.x, b.x)
+    y1 = min(a.y, b.y)
+    x2 = max(a.right, b.right)
+    y2 = max(a.bottom, b.bottom)
+    return Rect(x1, y1, x2 - x1, y2 - y1)
+
+
+# ---------------------------------------------------------------------------
+# the pre-rendered subpage object
+
+
+def prerender_subpage(
+    run, ctx, result, definition: SubpageDefinition, taken: list
+) -> dict:
+    """Subpage + prerender: the subpage's content as one image.
+
+    Returns ``{"image_bytes", "width", "height", "search_block"}``; a
+    ``cacheable`` definition shares the render across sessions.
+    """
+    spec, services = run.spec, run.services
+    quality = int(ctx.fidelity.get("quality", 55))
+
+    def _render() -> dict:
+        with span("render"):
+            inject_render_fault(services.faults)
+            document = build_subpage_document(
+                definition, ctx.plan, ctx.page_url_for, taken
+            )
+            container = document.get_element_by_id(
+                f"msite-subpage-{definition.subpage_id}"
+            )
+            snapshot = render_snapshot(
+                document, viewport_width=spec.viewport_width
+            )
+            rect = snapshot.geometry_of(container)
+            encoded = _encode_region(snapshot, rect, quality)
+            result.used_browser = True
+            result.browser_core_seconds += services.costs.browser_request_s
+            search_block = ""
+            box = (
+                snapshot.layout_root.find_box_for(container)
+                if definition.searchable and _laid_out(rect)
+                else None
+            )
+            if box is not None:
+                # §3.3: "the search attribute effectively allows
+                # pre-rendered images to be searched" — index words at
+                # their rendered locations, translated into the cropped
+                # image's coordinates.
+                index = shift_index(
+                    build_word_index(box), dx=-int(rect.x), dy=-int(rect.y)
+                )
+                search_block = (
+                    f'<script type="text/javascript">'
+                    f"{search_script(index)}</script>"
+                    f"{search_trigger_html(definition.search_trigger_label)}"
+                )
+            return {
+                "image_bytes": encoded.data,
+                "width": encoded.width,
+                "height": encoded.height,
+                "search_block": search_block,
+            }
+
+    rendered, _ = render_once(
+        services,
+        f"objrender:{spec.site}:{spec.page_path}"
+        f":{definition.subpage_id}:q{quality}:w{spec.viewport_width}",
+        _farm_key(run, suffix=definition.subpage_id),
+        _render,
+        ttl_s=definition.cache_ttl_s,
+        cacheable=definition.cacheable,
+    )
+    return rendered

@@ -35,13 +35,13 @@ from repro.core.fastpath import etag_matches, fastpath_counter
 from repro.net.conditional import not_modified
 from repro.core.pipeline import (
     AdaptationPipeline,
-    AdaptedPage,
     AuthenticationRequired,
     ProxyServices,
 )
 from repro.core.plan import TransformPlan
 from repro.core.sessions import SESSION_COOKIE, MobileSession, SessionManager
 from repro.core.spec import AdaptationSpec
+from repro.core.subpages import AdaptedPage
 from repro.dom import diff
 from repro.errors import (
     AdaptationError,

@@ -10,13 +10,18 @@ subpage — the paper's improvement over repeat-the-head-content systems.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
+from repro.core.ajax import AjaxActionTable
 from repro.dom.document import Document, new_document
 from repro.dom.element import Element
 from repro.dom.node import Node, Text
+from repro.html.parser import parse_fragment
 from repro.html.serializer import serialize
+from repro.render.box import Rect
+from repro.render.imagemap import MapRegion, build_image_map
 
 
 @dataclass
@@ -128,8 +133,6 @@ def build_subpage_document(
     body.append(nav)
 
     for raw in definition.extras_top:
-        from repro.html.parser import parse_fragment
-
         for node in parse_fragment(raw):
             body.append(node)
 
@@ -150,8 +153,6 @@ def build_subpage_document(
         body.append(menu)
 
     for raw in definition.extras_bottom:
-        from repro.html.parser import parse_fragment
-
         for node in parse_fragment(raw):
             body.append(node)
 
@@ -195,3 +196,144 @@ def fragment_html(
     """Serialized fragment for asynchronous loads (no html/head wrapper)."""
     parts = [serialize(element) for element in taken]
     return "".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# what one adaptation produced
+
+
+@dataclass
+class SubpageArtifact:
+    """One emitted subpage."""
+
+    subpage_id: str
+    title: str
+    path: str
+    content_type: str
+    bytes_written: int
+    prerendered: bool
+    ajax: bool
+
+
+@dataclass
+class AdaptedPage:
+    """The result of one pipeline run."""
+
+    entry_path: str
+    entry_html: str
+    subpages: list[SubpageArtifact]
+    snapshot_bytes: int = 0
+    snapshot_from_cache: bool = False
+    used_browser: bool = False
+    browser_core_seconds: float = 0.0
+    lightweight_core_seconds: float = 0.0
+    origin_bytes: int = 0
+    notes: list[str] = field(default_factory=list)
+    ajax_table: Optional[AjaxActionTable] = None
+    #: ``None`` for a full-fidelity page, else the degradation mode that
+    #: produced it (``"stale"`` / ``"html_only"`` — see repro.resilience).
+    degraded: Optional[str] = None
+    #: Strong validator for If-None-Match revalidation; ``None`` when
+    #: the fast path is disabled or the page was served degraded.
+    etag: Optional[str] = None
+    #: True when this result was replayed from the fast-path cache
+    #: without running the adaptation at all.
+    fastpath_hit: bool = False
+
+    @property
+    def total_core_seconds(self) -> float:
+        return self.browser_core_seconds + self.lightweight_core_seconds
+
+
+# ---------------------------------------------------------------------------
+# the entry page: built here, for the full run, the stale rung and the
+# delta engine alike
+
+
+def menu_html(ctx) -> str:
+    """The subpage menu of an entry page with no snapshot (AJAX subpages
+    load in place and get no item); ``""`` when there is nothing to list.
+
+    ``ctx`` is the run's ``PipelineContext``: its subpage ``plan`` and
+    its ``page_url_for`` routing.
+    """
+    items = "".join(
+        f'<li><a href="{ctx.page_url_for(d.subpage_id)}">{d.title}</a></li>'
+        for d in ctx.plan.top_level()
+        if not d.ajax
+    )
+    return f'<ul id="msite-menu">{items}</ul>' if items else ""
+
+
+def ajax_injection_html(ctx) -> str:
+    """Hidden containers plus the loader script, ``""`` without AJAX."""
+    ajax_defs = [d for d in ctx.plan.top_level() if d.ajax]
+    if not ajax_defs:
+        return ""
+    containers = "".join(
+        ajax_container_html(d.subpage_id) for d in ajax_defs
+    )
+    return (
+        containers
+        + f'<script type="text/javascript">{AJAX_LOADER_JS}</script>'
+    )
+
+
+#: The serialized ``<body ...>`` open tag.  The serializer escapes ``>``
+#: inside attribute values, so the first ``>`` after the name ends it.
+_BODY_OPEN = re.compile(r"<body(?:\s[^>]*)?>")
+
+
+def assemble_entry(body_html: str, menu: str, ajax_injection: str) -> str:
+    """Menu just inside ``<body>``, AJAX support just before ``</body>``.
+
+    Input with no body element at all (a bare fragment) gets the menu in
+    front and the injection behind.
+    """
+    entry_html = body_html
+    if menu:
+        opened = _BODY_OPEN.search(body_html)
+        cut = opened.end() if opened is not None else 0
+        entry_html = body_html[:cut] + menu + body_html[cut:]
+    if ajax_injection:
+        if "</body>" in entry_html:
+            entry_html = entry_html.replace(
+                "</body>", ajax_injection + "</body>", 1
+            )
+        else:
+            entry_html += ajax_injection
+    return entry_html
+
+
+def snapshot_entry_html(
+    title: str,
+    links: Iterable[tuple[str, str, str]],
+    manifest: dict,
+    proxy_base: str,
+) -> str:
+    """The snapshot entry page: one image, one image map over it.
+
+    ``links`` is ``(subpage_id, href, alt)`` per region wanted; a subpage
+    the snapshot manifest has no geometry for gets none.
+    """
+    regions = [
+        MapRegion(
+            rect=Rect(*manifest["regions"][subpage_id]), href=href, alt=alt
+        )
+        for subpage_id, href, alt in links
+        if subpage_id in manifest["regions"]
+    ]
+    image_map = build_image_map(
+        regions,
+        snapshot_src=f"{proxy_base}?file=snapshot.jpg",
+        scale=manifest["scale"],
+        width=manifest["width"],
+        height=manifest["height"],
+    )
+    return (
+        f"<!DOCTYPE html><html><head><title>{title}</title>"
+        f'<meta name="viewport" content="width=device-width, '
+        f'initial-scale=1" /></head><body>'
+        f"{image_map}"
+        f"</body></html>"
+    )

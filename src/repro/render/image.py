@@ -33,6 +33,36 @@ import numpy as np
 _PNG_OVERHEAD = 57  # signature + IHDR + IEND + chunk headers
 _JPEG_OVERHEAD = 623  # JFIF headers + quantization/huffman tables
 
+_M_MMAP_THRESHOLD = -3  # <malloc.h>
+_FRAME_BLOCK_BYTES = 1 << 20
+
+
+def _return_frames_to_os() -> None:
+    """Pin glibc's mmap threshold so a dropped frame goes back to the OS.
+
+    A page-sized frame is 16 MB (32 MB while ``smoothed`` sums it).  Left
+    alone, glibc raises its mmap threshold to the size of the first such
+    block freed and its trim threshold to twice that (up to 64 MiB — a
+    whole arena heap), after which every frame is carved from, and then
+    stranded in, the malloc arena of whichever thread rendered it: 62 MiB
+    of resident memory per arena that ever hosted a render, and which
+    arena a worker thread gets is a race between the last pool's threads
+    exiting and the next pool's starting.  The same process read 175 or
+    236 MB at exit from one run to the next.  With the threshold fixed,
+    any block of a megabyte or more (a frame, a frame-sized temporary, a
+    band of one) is its own mapping and is unmapped when freed; smaller
+    blocks are untouched.  Elsewhere than glibc this does nothing.
+    """
+    try:
+        import ctypes
+
+        ctypes.CDLL(None).mallopt(_M_MMAP_THRESHOLD, _FRAME_BLOCK_BYTES)
+    except (ImportError, OSError, AttributeError):
+        pass
+
+
+_return_frames_to_os()
+
 
 @dataclass
 class EncodedImage:

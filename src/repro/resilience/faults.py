@@ -195,9 +195,9 @@ class FaultyBrowser:
     def _inject(self) -> None:
         inject_render_fault(self._plan)
 
-    def _fetch_stylesheets(self, document, base):
+    def fetch_stylesheets(self, document, base):
         self._inject()
-        return self._browser._fetch_stylesheets(document, base)
+        return self._browser.fetch_stylesheets(document, base)
 
     def load(self, *args, **kwargs):
         self._inject()

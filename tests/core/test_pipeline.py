@@ -1,5 +1,7 @@
 """The adaptation pipeline, run directly against the forum origin."""
 
+import hashlib
+
 import pytest
 
 from repro.core.pipeline import (
@@ -155,6 +157,40 @@ def test_partial_prerender_emits_artifacts(services, session):
     AdaptationPipeline(spec, services, session).run()
     assert services.storage.exists(f"{session.directory}/images/logo.jpg")
     assert services.storage.exists(f"{session.directory}/images/logo.json")
+
+
+def test_unnamed_partial_prerenders_are_numbered_by_position(
+    services, origins, clock
+):
+    # The default name used to be ``id(element) & 0xFFFF``: different on
+    # every run, and two unnamed targets could collide.
+    def artifacts(session):
+        AdaptationPipeline(spec, services, session).run()
+        images = f"{session.directory}/images"
+        return sorted(
+            (
+                name,
+                hashlib.sha256(
+                    services.storage.read(f"{images}/{name}").data
+                ).hexdigest(),
+            )
+            for name in services.storage.listdir(images)
+        )
+
+    spec = AdaptationSpec(site="SawmillCreek", origin_host=FORUM_HOST)
+    spec.add("partial_css_prerender", ObjectSelector.css("#logobar"))
+    spec.add("partial_css_prerender", ObjectSelector.css("#loginform"))
+    spec.add(
+        "partial_css_prerender", ObjectSelector.css("#stats"), name="stats"
+    )
+    manager = SessionManager(services.storage, clock=clock)
+    first = artifacts(manager.create())
+    assert [name for name, __ in first] == [
+        "partial1.jpg", "partial1.json",
+        "partial2.jpg", "partial2.json",
+        "stats.jpg", "stats.json",
+    ]
+    assert artifacts(manager.create()) == first
 
 
 def test_subpage_dependencies_copied(services, session):

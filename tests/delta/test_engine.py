@@ -253,6 +253,24 @@ def test_patch_rung_leaves_bytes_identical_to_a_full_adaptation():
     assert "goodbye" in second.entry_html
 
 
+@pytest.mark.parametrize(
+    "body_open", ['<body class="home">', '<body data-x="a&gt;b">']
+)
+def test_menu_lands_inside_a_body_that_has_attributes(body_open):
+    # The menu used to be looked for behind a literal "<body>" and,
+    # failing that, put in front of the doctype (quirks mode).
+    page = PAGE.replace("<body>", body_open)
+    origin, __, services, manager = deploy(page)
+    first = adapt(services, manager)
+    assert first.entry_html.startswith("<!DOCTYPE html>")
+    assert f'{body_open}<ul id="msite-menu">' in first.entry_html
+    origin.page = page.replace("hello", "goodbye")
+    second = adapt(services, manager)
+    assert counts(services, "applied", "fallbacks") == (1, 0)
+    assert second.entry_html == from_scratch(origin.page)
+    assert f'{body_open}<ul id="msite-menu">' in second.entry_html
+
+
 def test_identical_rung_when_the_filter_erases_the_change():
     origin, __, services, manager = deploy()
     first = adapt(services, manager)

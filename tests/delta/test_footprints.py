@@ -20,16 +20,16 @@ from repro.core.delta import (
     SubtreeSummary,
     _is_subsequence,
     _patchable_pair,
-    _rebuild_entry,
-    _rebundle,
     _selector_is_localizable,
     compound_may_match,
     step_touches,
     steps_touching,
     DeltaEngine,
 )
+from repro.core.fastpath import rebundle as _rebundle
 from repro.core.plan import TransformPlan
 from repro.core.spec import AdaptationSpec, ObjectSelector
+from repro.core.subpages import assemble_entry as _rebuild_entry
 from repro.dom.node import Comment, Text
 from repro.html.parser import parse_fragment, parse_html
 from repro.html.serializer import serialize

@@ -159,8 +159,7 @@ def test_degraded_results_are_never_stored():
 def test_origin_url_parsed_once_per_pipeline():
     __, services, manager = setup()
     pipeline = AdaptationPipeline(make_spec(), services, manager.create())
-    assert pipeline._origin_url() is pipeline._origin_url()
-    assert str(pipeline._origin_url().host) == HOST
+    assert str(pipeline.origin_url.host) == HOST
 
 
 def test_stream_eligible_spec_skips_the_parser():

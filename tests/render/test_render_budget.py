@@ -9,6 +9,9 @@ glyph; the float anti-alias peaked at ~16x the frame and the float
 integral image at ~20x.
 """
 
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -91,3 +94,45 @@ def test_transform_peak_memory_is_a_small_multiple_of_the_frame(transform):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * frame.nbytes
+
+
+_FRAMES_IN_THREADS = """
+import platform, sys, threading
+import numpy as np
+import repro.render.image
+
+def resident_mb():
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * 4096 / 2**20
+
+def frames():
+    # A page-sized frame and its uint16 sum, written so they are resident.
+    np.ones((5317, 1024, 3), dtype=np.uint8)
+    np.ones((5317, 1024, 3), dtype=np.uint16)
+
+before = resident_mb()
+for _ in range(4):
+    worker = threading.Thread(target=frames)
+    worker.start()
+    worker.join()
+print(platform.libc_ver()[0], resident_mb() - before)
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc/self/statm"
+)
+def test_frames_dropped_by_worker_threads_go_back_to_the_os():
+    """Left to its dynamic thresholds, glibc strands the freed frames in
+    the rendering thread's arena (62 MB here, as after a real render)
+    and a process's resident size depends on which threads have rendered;
+    see ``render.image._return_frames_to_os``."""
+    source = pathlib.Path(__file__).resolve().parents[2] / "src"
+    output = subprocess.run(
+        [sys.executable, "-c", _FRAMES_IN_THREADS],
+        env={"PYTHONPATH": str(source)},
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    if output[0] != "glibc":
+        pytest.skip(f"allocator is {output[0] or 'unknown'}, not glibc")
+    assert float(output[1]) < 8.0

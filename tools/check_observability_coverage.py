@@ -21,9 +21,12 @@ accounting the scenario regression gate leans on,
 ``repro.renderfarm`` (95%), whose scheduling branches only run under
 backpressure or failure, the HTML lexer with its tree builders
 (``html/tokenizer.py``, ``html/parser.py``, ``html/entities.py``, 95%),
-whose recovery branches only run on tag soup, and the browser render
+whose recovery branches only run on tag soup, the browser render
 path (``repro.render`` + ``repro.css``, 95%), whose clipping and
-edge-norm branches decide the snapshot's bytes.
+edge-norm branches decide the snapshot's bytes, and the gate with the
+render-once ladder (``core/fastpath.py`` + ``core/prerender.py``, 95%),
+whose audit, re-vouch and degrade branches only run when an origin
+lies, a tier evicts or a render fails.
 
 Usage:  python tools/check_observability_coverage.py [--floor 0.80]
 
@@ -90,6 +93,27 @@ PACKAGES = [
             "tests/sites/test_conditional.py",
             "tests/html/test_stream_units.py",
             "tests/dom/test_query_index.py",
+        ],
+    },
+    {
+        # The gate and the render-once ladder: whether to adapt at all,
+        # and the one road to the heavyweight browser.  The gate's
+        # audit-mismatch, bundle-gone-after-304 and re-vouch branches
+        # only run when an origin lies or a tier evicts, and the
+        # ladder's double-check, refresh lane and degrade rungs only
+        # under a race or an outage — exactly where an untested line is
+        # a wrong page.  The rest of tests/fastpath is listed above.
+        "label": "core fast path + render ladder",
+        "files": [
+            os.path.join(SRC_DIR, "repro", "core", "fastpath.py"),
+            os.path.join(SRC_DIR, "repro", "core", "prerender.py"),
+        ],
+        "floor": 0.95,
+        "suites": [
+            "tests/fastpath/test_proxy_304.py",
+            "tests/core/test_prerender.py",
+            "tests/core/test_object_caching.py",
+            "tests/core/test_render_ladder.py",
         ],
     },
     {
