@@ -37,15 +37,16 @@ validator verdict, bundle lookup, delta attempt.  It answers with an
 :class:`AdaptedPage` or a :class:`Miss`; the pipeline adapts a miss and
 :meth:`Miss.store` takes the result back (storability, TTL clamp,
 bundle + validator, delta seed).  The ``AdaptedPage`` ⇄
-:class:`FastpathBundle` codec lives here too.
+:class:`FastpathBundle` codec lives here too, and so does the bundle's
+one stored form: a binary container that is read, not parsed.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import re
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -57,9 +58,27 @@ from repro.observability.tracing import span
 
 #: Bump when the bundle layout changes; old entries miss instead of
 #: deserializing wrongly.
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
 
-_BUNDLE_CONTENT_TYPE = "application/x-msite-fastpath+json"
+_BUNDLE_CONTENT_TYPE = "application/x-msite-fastpath"
+
+#: A stored bundle is this prefix (magic, ``BUNDLE_VERSION``, header
+#: length), a small JSON header — the bundle's fields, in order, with
+#: each payload replaced by its length — then the entry HTML's UTF-8
+#: bytes and the file payloads back to back.
+_PREFIX = struct.Struct(">4sHI")
+_MAGIC = b"MSFP"
+_HEADER_TYPES = {
+    "etag": str, "entry_rel": str, "entry_html": int, "files": list,
+    "subpages": list, "notes": list, "snapshot_bytes": int,
+    "used_browser": bool,
+}
+_FILE_ROW_TYPES = [str, str, int]  # relpath, content type, length
+
+
+def _types(values) -> list[type]:
+    return list(map(type, values))
+
 
 #: Whitespace runs between two tags that contain at least one newline —
 #: template indentation, in other words.  Runs *without* a newline are
@@ -170,22 +189,12 @@ def load_validator(
     return OriginValidator(etag, content_fp)
 
 
-@dataclass
-class BundleFile:
+class BundleFile(NamedTuple):
     """One artifact the adaptation run wrote under the page directory."""
 
     relpath: str
     content_type: str
     data: bytes
-    #: Lazily cached base64 form.  Bundles share ``BundleFile`` objects
-    #: across delta re-stores, so every unchanged artifact is encoded
-    #: once per object instead of once per store.
-    _b64: Optional[str] = field(default=None, repr=False, compare=False)
-
-    def data_b64(self) -> str:
-        if self._b64 is None:
-            self._b64 = base64.b64encode(self.data).decode("ascii")
-        return self._b64
 
 
 @dataclass
@@ -208,54 +217,71 @@ class FastpathBundle:
     snapshot_bytes: int = 0
     used_browser: bool = False
 
-    def to_json(self) -> str:
-        return json.dumps(
+    def to_bytes(self) -> bytes:
+        html = self.entry_html.encode("utf-8")
+        header = json.dumps(
             {
-                "version": BUNDLE_VERSION,
-                "etag": self.etag,
-                "entry_rel": self.entry_rel,
-                "entry_html": self.entry_html,
+                **vars(self),
+                "entry_html": len(html),
                 "files": [
-                    {
-                        "relpath": item.relpath,
-                        "content_type": item.content_type,
-                        "data": item.data_b64(),
-                    }
+                    [item.relpath, item.content_type, len(item.data)]
                     for item in self.files
                 ],
-                "subpages": self.subpages,
-                "notes": self.notes,
-                "snapshot_bytes": self.snapshot_bytes,
-                "used_browser": self.used_browser,
             }
+        ).encode("ascii")
+        prefix = _PREFIX.pack(_MAGIC, BUNDLE_VERSION, len(header))
+        return b"".join(
+            [prefix, header, html, *[item.data for item in self.files]]
         )
 
     @classmethod
-    def from_json(cls, raw: str) -> Optional["FastpathBundle"]:
+    def from_bytes(cls, raw: bytes) -> Optional["FastpathBundle"]:
+        """The bundle ``raw`` holds, or ``None`` — a miss.
+
+        Total, and never lenient: another magic or version, a header of
+        any other shape (a ``bool`` is not a length), lengths that do
+        not sum to exactly ``len(raw)`` and entry HTML that is not
+        UTF-8 are all refused.
+        """
+        if len(raw) < _PREFIX.size:
+            return None
+        magic, version, header_len = _PREFIX.unpack_from(raw)
+        if magic != _MAGIC or version != BUNDLE_VERSION:
+            return None
+        at = _PREFIX.size + header_len
         try:
-            payload = json.loads(raw)
-        except (ValueError, TypeError):
+            header = json.loads(raw[_PREFIX.size:at])
+        except (ValueError, RecursionError):
             return None
-        if payload.get("version") != BUNDLE_VERSION:
+        if (
+            type(header) is not dict
+            or list(header) != list(_HEADER_TYPES)
+            or _types(header.values()) != list(_HEADER_TYPES.values())
+            or min(header["entry_html"], header["snapshot_bytes"]) < 0
+            or set(_types(header["subpages"])) - {dict}
+            or set(_types(header["notes"])) - {str}
+        ):
             return None
-        return cls(
-            etag=payload["etag"],
-            entry_rel=payload["entry_rel"],
-            entry_html=payload["entry_html"],
-            files=[
-                BundleFile(
-                    relpath=item["relpath"],
-                    content_type=item["content_type"],
-                    data=base64.b64decode(item["data"]),
-                    _b64=item["data"],
-                )
-                for item in payload.get("files", [])
-            ],
-            subpages=list(payload.get("subpages", [])),
-            notes=list(payload.get("notes", [])),
-            snapshot_bytes=int(payload.get("snapshot_bytes", 0)),
-            used_browser=bool(payload.get("used_browser", False)),
-        )
+        end = at + header["entry_html"]
+        try:
+            header["entry_html"] = str(raw[at:end], "utf-8")
+        except UnicodeDecodeError:
+            return None
+        files = []
+        for row in header["files"]:
+            if (
+                type(row) is not list
+                or _types(row) != _FILE_ROW_TYPES
+                or row[2] < 0
+            ):
+                return None
+            path, content_type, size = row
+            files.append(BundleFile(path, content_type, raw[end:end + size]))
+            end += size
+        if end != len(raw):
+            return None
+        header["files"] = files
+        return cls(**header)
 
 
 def store_bundle(
@@ -272,7 +298,7 @@ def store_bundle(
     """
     cache.put(
         key,
-        bundle.to_json(),
+        bundle.to_bytes(),
         content_type=_BUNDLE_CONTENT_TYPE,
         ttl_s=ttl_s,
     )
@@ -289,9 +315,7 @@ def load_bundle(
 ) -> Optional[FastpathBundle]:
     """A fresh bundle, or ``None`` (counted as a normal cache get)."""
     entry = cache.get(key)
-    if entry is None:
-        return None
-    return FastpathBundle.from_json(entry.data.decode("utf-8"))
+    return None if entry is None else FastpathBundle.from_bytes(entry.data)
 
 
 def load_stale_bundle(
@@ -305,11 +329,8 @@ def load_stale_bundle(
     pointer = cache.load_stale(pointer_key)
     if pointer is None:
         return None
-    content_key = pointer.data.decode("utf-8")
-    entry = cache.load_stale(content_key)
-    if entry is None:
-        return None
-    return FastpathBundle.from_json(entry.data.decode("utf-8"))
+    entry = cache.load_stale(pointer.data.decode("utf-8"))
+    return None if entry is None else FastpathBundle.from_bytes(entry.data)
 
 
 # ---------------------------------------------------------------------------
@@ -329,16 +350,8 @@ def bundle_from(
     etag: Optional[str],
 ) -> FastpathBundle:
     """Freeze a run's result and the artifacts it wrote."""
-    subpages = [
-        {
-            "subpage_id": artifact.subpage_id,
-            "title": artifact.title,
-            "relpath": relpath(page_dir, artifact.path),
-            "content_type": artifact.content_type,
-            "bytes_written": artifact.bytes_written,
-            "prerendered": artifact.prerendered,
-            "ajax": artifact.ajax,
-        }
+    subpages = [  # each artifact's fields, its path made relative
+        {**vars(artifact), "path": relpath(page_dir, artifact.path)}
         for artifact in result.subpages
     ]
     return FastpathBundle(
@@ -358,23 +371,9 @@ def replay_bundle(
 ) -> AdaptedPage:
     """Restore a cached bundle into the run's session directory."""
     services, page_dir = run.services, run.page_dir
-    for item in bundle.files:
-        services.storage.write(
-            f"{page_dir}/{item.relpath}",
-            item.data,
-            content_type=item.content_type,
-            now=services.now,
-        )
+    services.storage.write_files(page_dir, bundle.files, now=services.now)
     subpages = [
-        SubpageArtifact(
-            subpage_id=meta["subpage_id"],
-            title=meta["title"],
-            path=f"{page_dir}/{meta['relpath']}",
-            content_type=meta["content_type"],
-            bytes_written=meta["bytes_written"],
-            prerendered=meta["prerendered"],
-            ajax=meta["ajax"],
-        )
+        SubpageArtifact(**{**meta, "path": f"{page_dir}/{meta['path']}"})
         for meta in bundle.subpages
     ]
     result = AdaptedPage(

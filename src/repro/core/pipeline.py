@@ -276,13 +276,13 @@ class AdaptationPipeline:
         namespace: str = "",
         plan: Optional[TransformPlan] = None,
     ) -> None:
-        spec.validate()
         self.spec = spec
         self.services = services
         self.session = session
         self.proxy_base = proxy_base
         # The compiled plan is normally shared across requests by the
-        # proxy; direct pipeline constructions compile their own.
+        # proxy; direct pipeline constructions compile their own.  Either
+        # way ``compile`` has validated the spec, so a request does not.
         if plan is None or plan.spec is not spec:
             plan = TransformPlan.compile(
                 spec, proxy_base=proxy_base, namespace=namespace

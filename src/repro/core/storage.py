@@ -14,7 +14,7 @@ from __future__ import annotations
 import threading
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 
 @dataclass
@@ -108,6 +108,31 @@ class VirtualFileSystem:
             self._files[path] = stored
             self.bytes_written += len(data)
             return stored
+
+    def write_files(
+        self,
+        directory: str,
+        items: Iterable[tuple[str, str, bytes]],
+        now: float = 0.0,
+    ) -> None:
+        """:meth:`write` each ``(relpath, content_type, data)`` under
+        ``directory``, as one step: the directory is normalised once,
+        each distinct parent made once, the lock taken once."""
+        directory = self._normalize(directory).rstrip("/")
+        stored = [
+            StoredFile(
+                self._normalize(f"{directory}/{relpath}"), data,
+                content_type, now,
+            )
+            for relpath, content_type, data in items
+        ]
+        with self._lock:
+            for parent in {item.path.rsplit("/", 1)[0] for item in stored}:
+                if parent not in self._dirs:
+                    self.mkdir(parent)
+            for item in stored:
+                self._files[item.path] = item
+                self.bytes_written += len(item.data)
 
     def read(self, path: str) -> StoredFile:
         path = self._normalize(path)

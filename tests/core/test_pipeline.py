@@ -9,9 +9,10 @@ from repro.core.pipeline import (
     AuthenticationRequired,
     ProxyServices,
 )
+from repro.core.plan import TransformPlan
 from repro.core.sessions import SessionManager
 from repro.core.spec import AdaptationSpec, ObjectSelector
-from repro.errors import FetchError
+from repro.errors import CodegenError, FetchError
 from tests.conftest import FORUM_HOST
 
 
@@ -232,6 +233,23 @@ def test_unknown_host_raises(services, session):
     spec = AdaptationSpec(site="S", origin_host="nowhere.example")
     with pytest.raises(FetchError):
         AdaptationPipeline(spec, services, session).run()
+
+
+def test_a_bad_spec_is_refused_when_the_plan_compiles(services, session):
+    """A request does not re-validate the spec: ``MSiteProxy`` and
+    ``TransformPlan.compile`` do, and a pipeline handed no plan compiles
+    its own — so a bad spec still cannot get as far as ``run()``."""
+    bad = AdaptationSpec(site="S", origin_host="")
+    with pytest.raises(CodegenError):
+        AdaptationPipeline(bad, services, session)
+    with pytest.raises(CodegenError):
+        TransformPlan.compile(bad)
+    good = standard_spec()
+    plan = TransformPlan.compile(good)
+    validated = []
+    good.validate = lambda: validated.append(1)
+    AdaptationPipeline(good, services, session, plan=plan)
+    assert validated == []  # the compiled plan already vouches for it
 
 
 def test_http_auth_interposition(services, session):

@@ -87,3 +87,45 @@ def test_total_bytes_and_count(fs):
 def test_string_payload_utf8(fs):
     fs.write("/u", "héllo")
     assert fs.read("/u").data.decode("utf-8") == "héllo"
+
+
+def _listing(fs, root="/"):
+    tree = {root: fs.listdir(root)}
+    for name in tree[root]:
+        child = f"{root.rstrip('/')}/{name}"
+        if fs.is_dir(child):
+            tree.update(_listing(fs, child))
+    return tree
+
+
+def _state(fs):
+    return _listing(fs), sorted(fs._dirs), fs._files, fs.bytes_written
+
+
+@pytest.mark.parametrize("directory", ["/sessions/u1", "sessions//u1/", "/"])
+def test_write_files_is_the_same_writes_under_one_lock_hold(directory):
+    """Differential: one ``write_files`` against a ``write`` per item —
+    same ``StoredFile``s, same directories, same ``bytes_written``."""
+    items = [
+        ("index.html", "text/html; charset=utf-8", b"<html>entry</html>"),
+        ("login.html", "text/html", b"<p>login</p>"),
+        ("images/snapshot.jpg", "image/jpeg", bytes(range(256))),
+        ("images//thumb/a.jpg", "image/jpeg", b""),
+        ("nav/fragment.html", "text/html", "héllo".encode("utf-8")),
+        ("index.html", "text/html", b"written twice: the last one wins"),
+    ]
+    one_by_one, at_once = VirtualFileSystem(), VirtualFileSystem()
+    for fs in (one_by_one, at_once):
+        fs.write("/sessions/u1/stale.html", b"from an earlier run", now=1.0)
+    for relpath, content_type, data in items:
+        one_by_one.write(
+            f"{directory}/{relpath}", data, content_type=content_type, now=7.0
+        )
+    at_once.write_files(directory, items, now=7.0)
+    assert _state(at_once) == _state(one_by_one)
+    assert at_once.bytes_written == 19 + sum(len(d) for _, _, d in items)
+
+
+def test_write_files_of_nothing_changes_nothing(fs):
+    fs.write_files("/sessions/u1", [], now=3.0)
+    assert _state(fs) == _state(VirtualFileSystem())

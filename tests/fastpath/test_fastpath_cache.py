@@ -81,26 +81,19 @@ def make_bundle():
 
 def test_bundle_round_trips_binary_payloads():
     bundle = make_bundle()
-    restored = fastpath.FastpathBundle.from_json(bundle.to_json())
-    assert restored is not None
-    assert restored.etag == bundle.etag
-    assert restored.entry_html == bundle.entry_html
-    assert [f.relpath for f in restored.files] == [
-        "index.html", "images/x.jpg",
-    ]
+    restored = fastpath.FastpathBundle.from_bytes(bundle.to_bytes())
+    assert restored == bundle
     assert restored.files[1].data == bytes(range(256))
-    assert restored.subpages == bundle.subpages
-    assert restored.notes == ["note one"]
-    assert restored.snapshot_bytes == 7
     assert restored.used_browser is True
 
 
 def test_corrupt_or_versioned_out_bundles_miss():
-    assert fastpath.FastpathBundle.from_json("not json{") is None
-    stale_version = make_bundle().to_json().replace(
-        f'"version": {fastpath.BUNDLE_VERSION}', '"version": 0'
-    )
-    assert fastpath.FastpathBundle.from_json(stale_version) is None
+    """The table of refusals is in ``test_bundle_container.py``."""
+    assert fastpath.FastpathBundle.from_bytes(b"not json{") is None
+    stale_version = bytearray(make_bundle().to_bytes())
+    assert stale_version[4:6] == fastpath.BUNDLE_VERSION.to_bytes(2, "big")
+    stale_version[5] -= 1
+    assert fastpath.FastpathBundle.from_bytes(bytes(stale_version)) is None
 
 
 def test_store_and_load_through_cache():
