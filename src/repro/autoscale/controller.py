@@ -28,8 +28,8 @@ Discipline over reflexes:
   decision sequence, which is what makes the controller testable on
   the sim clock and the decision log trustworthy in production.
 
-Every action is appended to the fleet's :class:`OpsEventLog
-<repro.ops.OpsEventLog>` as a ``scale_decision`` event, so operators
+Every action is appended to the fleet's ops :class:`SequencedLog
+<repro.ops.SequencedLog>` as a ``scale_decision`` event, so operators
 (and the chaos suites) read the scaling history from ``/ops/events``
 instead of inferring it from gauge wiggles.
 """
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.observability.metrics import MetricsRegistry
-from repro.ops import SCALE_DECISION, OpsEventLog
+from repro.ops import SCALE_DECISION, SequencedLog
 
 #: Decision directions.
 UP = "up"
@@ -150,7 +150,7 @@ class Autoscaler:
         cluster: Optional[Any] = None,
         config: Optional[AutoscalerConfig] = None,
         clock: Optional[Any] = None,
-        ops: Optional[OpsEventLog] = None,
+        ops: Optional[SequencedLog] = None,
         sampler: Optional[Callable[[], ControllerInputs]] = None,
     ) -> None:
         if cluster is None and sampler is None:
@@ -164,7 +164,7 @@ class Autoscaler:
         elif cluster is not None:
             self.ops = cluster.ops
         else:
-            self.ops = OpsEventLog(clock=clock)
+            self.ops = SequencedLog(name="ops", clock=clock)
         self._sampler = sampler or self._sample_cluster
         self._last_tick_at: Optional[float] = None
         self._last_action_at: Optional[float] = None

@@ -29,20 +29,20 @@ from typing import Optional
 
 from repro.browser.costs import BrowserCostModel, DEFAULT_COST_MODEL
 from repro.errors import PoolTimeoutError
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import CounterView, MetricsRegistry
 
 
-class PoolStats:
-    """Counters for pool behaviour, backed by registry instruments.
+class PoolStats(CounterView):
+    """Counters for pool behaviour: a :class:`CounterView` table.
 
     The queue wait is a full latency histogram
     (``msite_pool_queue_wait_seconds``) rather than just a sum, so the
-    Figure 7 bench can report pool-wait percentiles; the historical
+    Figure 7 bench can report pool-wait percentiles; the
     ``queue_wait_total_s`` / ``queue_wait_max_s`` fields read through to
     it.
     """
 
-    _COUNTERS = {
+    FIELDS = {
         "hits": ("msite_pool_hits_total",
                  "Requests that reused an idle browser instance."),
         "misses": ("msite_pool_misses_total",
@@ -59,32 +59,14 @@ class PoolStats:
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         registry = registry or MetricsRegistry()
-        self._counters = {
-            field_name: registry.counter(metric_name, help_text)
-            for field_name, (metric_name, help_text) in self._COUNTERS.items()
-        }
-        self._queue_wait = registry.histogram(
+        super().__init__(registry)
+        self._queue_wait = self._own(registry.histogram(
             "msite_pool_queue_wait_seconds",
             "Time spent blocked waiting for a browser slot.",
-        )
-
-    def record(self, field_name: str, by: float = 1) -> None:
-        self._counters[field_name].inc(by)
+        ))
 
     def observe_queue_wait(self, waited_s: float) -> None:
         self._queue_wait.observe(waited_s)
-
-    def bind(self, registry: MetricsRegistry) -> None:
-        """Register these instruments into a shared registry."""
-        for counter in self._counters.values():
-            registry.register(counter)
-        registry.register(self._queue_wait)
-
-    def __getattr__(self, name: str):
-        counters = self.__dict__.get("_counters")
-        if counters is not None and name in counters:
-            return int(counters[name].value)
-        raise AttributeError(name)
 
     @property
     def queue_wait_total_s(self) -> float:

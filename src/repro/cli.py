@@ -387,7 +387,7 @@ def _cmd_autoscale_demo(args: argparse.Namespace) -> int:
     NDJSON — the same lines ``/ops/events.ndjson`` serves.
     """
     from repro.autoscale import Autoscaler, AutoscalerConfig, ControllerInputs
-    from repro.ops import OpsEventLog
+    from repro.ops import SequencedLog
     from repro.ops.stream import render_ndjson
     from repro.sim.clock import Clock
 
@@ -396,7 +396,7 @@ def _cmd_autoscale_demo(args: argparse.Namespace) -> int:
     backlog_trace = [0, 0, 3, 8, 12, 10, 6, 3, 1, 0, 0, 0, 0, 0, 0, 0]
 
     clock = Clock()
-    ops = OpsEventLog(clock=clock)
+    ops = SequencedLog(name="ops", clock=clock)
     config = AutoscalerConfig(
         min_workers=1,
         max_workers=4,
@@ -439,7 +439,7 @@ def _cmd_autoscale_demo(args: argparse.Namespace) -> int:
             f"{decision.reason}"
         )
         clock.advance(config.interval_s)
-    events, _ = ops.events_after(0)
+    events = ops.retained()
     print(f"\nops event log ({len(events)} events, NDJSON):")
     print(render_ndjson(events), end="")
     return 0

@@ -56,7 +56,7 @@ from repro.ops import (
     WORKER_ATTACHED,
     WORKER_DETACHED,
     WORKER_DRAINING,
-    OpsEventLog,
+    SequencedLog,
     ops_events_response,
 )
 from repro.resilience.policy import DEFAULT_RETRY_AFTER_S
@@ -86,7 +86,7 @@ class ClusterDeployment(Application):
         storage: Optional[VirtualFileSystem] = None,
         sessions: Optional[SessionManager] = None,
         worker_prefix: str = "",
-        ops: Optional[OpsEventLog] = None,
+        ops: Optional[SequencedLog] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("a cluster needs at least one worker")
@@ -109,8 +109,8 @@ class ClusterDeployment(Application):
         # invalidation appends one sequenced event here.  A multi-region
         # deployment passes one shared log in so the whole fleet's
         # history interleaves in a single sequence space.
-        self.ops = ops if ops is not None else OpsEventLog(
-            clock=clock, metrics=self.registry
+        self.ops = ops if ops is not None else SequencedLog(
+            name="ops", clock=clock, metrics=self.registry
         )
         self.shared_cache.bus.subscribe(self._emit_invalidation)
         # One session universe and one file store: a user keeps their

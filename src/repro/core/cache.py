@@ -43,7 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import CounterView, MetricsRegistry
 
 #: Event kinds the cache itself announces on its bus.
 INVALIDATE = "invalidate"  # an explicit single-key invalidation
@@ -78,8 +78,9 @@ class InvalidationEvent:
     """One fleet-wide cache invalidation announcement.
 
     ``replayed`` marks events re-delivered from the multi-region CDC
-    :class:`InvalidationLog <repro.regions.cdclog.InvalidationLog>`
-    during catch-up.  The regional pump appends only original events to
+    log (``RegionalDeployment.log``, a :class:`SequencedLog
+    <repro.ops.events.SequencedLog>` named ``"cdclog"``) during
+    catch-up.  The regional pump appends only original events to
     the log and ignores replayed ones, so a heal never re-appends (and
     re-replays) its own catch-up traffic.
     """
@@ -89,20 +90,20 @@ class InvalidationEvent:
     replayed: bool = False
 
 
-class CacheStats:
-    """Cache counters, delegated to :class:`MetricsRegistry` instruments.
+class CacheStats(CounterView):
+    """Cache counters: a :class:`CounterView` table.
 
-    The historical field names (``stats.hits`` etc.) remain readable
-    attributes; the numbers themselves live in thread-safe counters that
-    can be :meth:`bind`-ed into a deployment-wide registry so the
-    ``/metrics`` endpoint and the bench read the same values.
+    The field names (``stats.hits`` etc.) are readable attributes; the
+    numbers themselves live in thread-safe counters that can be
+    ``bind``-ed into a deployment-wide registry so the ``/metrics``
+    endpoint and the bench read the same values.
 
     Single-flight accounting: ``flights`` counts loader executions,
     ``stampedes_suppressed`` counts callers that joined an in-progress
     flight instead of rendering redundantly.
     """
 
-    _COUNTERS = {
+    FIELDS = {
         "hits": ("msite_cache_hits_total",
                  "Cache lookups served from a fresh entry."),
         "misses": ("msite_cache_misses_total",
@@ -136,38 +137,10 @@ class CacheStats:
             "stored, so the invalidation is not resurrected."),
     }
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        registry = registry or MetricsRegistry()
-        self._counters = {
-            field_name: registry.counter(metric_name, help_text)
-            for field_name, (metric_name, help_text) in self._COUNTERS.items()
-        }
-
-    def record(self, field_name: str, by: float = 1) -> None:
-        self._counters[field_name].inc(by)
-
-    def bind(self, registry: MetricsRegistry) -> None:
-        """Register these instruments into a shared registry."""
-        for counter in self._counters.values():
-            registry.register(counter)
-
-    def __getattr__(self, name: str):
-        counters = self.__dict__.get("_counters")
-        if counters is not None and name in counters:
-            return int(counters[name].value)
-        raise AttributeError(name)
-
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def __repr__(self) -> str:
-        body = ", ".join(
-            f"{name}={int(counter.value)}"
-            for name, counter in self._counters.items()
-        )
-        return f"CacheStats({body})"
 
 
 class Tier(Protocol):

@@ -109,8 +109,5 @@ class ProxyDeployment(Application):
     def total_counters(self) -> ProxyCounters:
         total = ProxyCounters()
         for entry in self._entries.values():
-            snap = entry.proxy.counters.snapshot()
-            total.add(
-                **{name: getattr(snap, name) for name in ProxyCounters.FIELDS}
-            )
+            total.add(**entry.proxy.counters.values())
         return total

@@ -61,6 +61,7 @@ from repro.observability.exposition import (
     PROMETHEUS_CONTENT_TYPE,
     render_prometheus,
 )
+from repro.observability.metrics import CounterView
 from repro.resilience.policy import DEFAULT_RETRY_AFTER_S, PASSTHROUGH, STALE
 
 #: Media type of a session patch manifest (a serialized
@@ -84,90 +85,42 @@ class CounterSnapshot:
     lightweight_core_seconds: float = 0.0
 
 
-class ProxyCounters:
+class ProxyCounters(CounterView):
     """Load accounting for the scalability analysis.
 
-    Delegates to :class:`~repro.observability.metrics.MetricsRegistry`
-    counters (each individually atomic), so the same numbers surface on
-    the ``/metrics`` endpoint; the historical attribute reads
-    (``counters.requests``) and the multi-field :meth:`add` remain, and
-    the bench layer still reads a view through :meth:`snapshot`.  In a
-    multi-page deployment each page proxy labels its series with
-    ``page="<namespace>"`` so they coexist in one registry.
+    A :class:`~repro.observability.metrics.CounterView` table (each
+    counter individually atomic), so the same numbers surface on the
+    ``/metrics`` endpoint; the bench layer reads a copy through
+    :meth:`snapshot`.  In a multi-page deployment each page proxy labels
+    its series with ``page="<namespace>"`` so they coexist in one
+    registry.
     """
 
-    FIELDS = (
-        "requests",
-        "entry_pages",
-        "subpages",
-        "ajax_actions",
-        "browser_renders",
-        "lightweight_requests",
-        "errors",
-        "browser_core_seconds",
-        "lightweight_core_seconds",
-    )
-
-    _HELP = {
-        "requests": "Requests handled by the generated proxy.",
-        "entry_pages": "Adapted entry pages served.",
-        "subpages": "Generated subpages served.",
-        "ajax_actions": "Rewritten AJAX actions proxied.",
-        "browser_renders": "Requests that paid a full browser render.",
-        "lightweight_requests": "Requests served on the lightweight path.",
-        "errors": "Requests that failed (fetch or adaptation).",
-        "browser_core_seconds": "Core seconds spent in browser renders.",
-        "lightweight_core_seconds":
-            "Core seconds spent on the lightweight path.",
+    FIELDS = {
+        "requests": ("msite_proxy_requests_total",
+                     "Requests handled by the generated proxy."),
+        "entry_pages": ("msite_proxy_entry_pages_total",
+                        "Adapted entry pages served."),
+        "subpages": ("msite_proxy_subpages_total",
+                     "Generated subpages served."),
+        "ajax_actions": ("msite_proxy_ajax_actions_total",
+                         "Rewritten AJAX actions proxied."),
+        "browser_renders": ("msite_proxy_browser_renders_total",
+                            "Requests that paid a full browser render."),
+        "lightweight_requests": (
+            "msite_proxy_lightweight_requests_total",
+            "Requests served on the lightweight path."),
+        "errors": ("msite_proxy_errors_total",
+                   "Requests that failed (fetch or adaptation)."),
+        "browser_core_seconds": ("msite_proxy_browser_core_seconds",
+                                 "Core seconds spent in browser renders."),
+        "lightweight_core_seconds": (
+            "msite_proxy_lightweight_core_seconds",
+            "Core seconds spent on the lightweight path."),
     }
 
-    def __init__(self, registry=None, labels=None, **initial: float) -> None:
-        from repro.observability.metrics import MetricsRegistry
-
-        registry = registry or MetricsRegistry()
-        self._counters = {}
-        for name in self.FIELDS:
-            suffix = "" if name.endswith("_seconds") else "_total"
-            self._counters[name] = registry.counter(
-                f"msite_proxy_{name}{suffix}", self._HELP[name], labels
-            )
-        for name, value in initial.items():
-            if name not in self.FIELDS:
-                raise TypeError(f"unknown counter {name!r}")
-            self._counters[name].inc(value)
-
-    def add(self, **deltas: float) -> None:
-        """Apply every ``field=delta``; each counter is atomic."""
-        for name in deltas:
-            if name not in self.FIELDS:
-                raise TypeError(f"unknown counter {name!r}")
-        for name, delta in deltas.items():
-            self._counters[name].inc(delta)
-
-    def bind(self, registry) -> None:
-        """Register these instruments into a shared registry."""
-        for counter in self._counters.values():
-            registry.register(counter)
-
-    def __getattr__(self, name: str):
-        counters = self.__dict__.get("_counters")
-        if counters is not None and name in counters:
-            value = counters[name].value
-            if name.endswith("_seconds"):
-                return value
-            return int(value)
-        raise AttributeError(name)
-
     def snapshot(self) -> CounterSnapshot:
-        return CounterSnapshot(
-            **{name: getattr(self, name) for name in self.FIELDS}
-        )
-
-    def __repr__(self) -> str:
-        body = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.FIELDS
-        )
-        return f"ProxyCounters({body})"
+        return CounterSnapshot(**self.values())
 
 
 class MSiteProxy(Application):

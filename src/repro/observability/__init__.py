@@ -7,7 +7,7 @@ deployment owns:
 
 * a :class:`MetricsRegistry` of thread-safe counters, gauges, and
   mergeable fixed-bucket latency histograms (p50/p90/p99) that every
-  legacy stats struct (``RuntimeStats``, ``CacheStats``,
+  :class:`CounterView` table (``RuntimeStats``, ``CacheStats``,
   ``ProxyCounters``, ``PoolStats``) registers its instruments into,
 * request-scoped :class:`Trace` objects with the named-span taxonomy
   ``session / detect / filter / adapt / render / cache / serialize``
@@ -31,6 +31,7 @@ from repro.observability.hub import Observability
 from repro.observability.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
+    CounterView,
     Gauge,
     Histogram,
     HistogramSnapshot,
@@ -47,6 +48,7 @@ from repro.observability.tracing import (
 
 __all__ = [
     "Counter",
+    "CounterView",
     "DEFAULT_LATENCY_BUCKETS",
     "Gauge",
     "Histogram",

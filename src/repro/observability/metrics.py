@@ -2,10 +2,11 @@
 
 One :class:`MetricsRegistry` per deployment is the single place every
 stats producer (executor, proxy, cache, browser pool, pipeline spans)
-registers its instruments.  The legacy ad-hoc structs
-(``RuntimeStats``, ``CacheStats``, ``ProxyCounters``, ``PoolStats``)
-survive as thin views whose instruments live here, so the Figure 7
-bench, the Prometheus endpoint, and the CLI all read the same numbers.
+registers its instruments.  :class:`CounterView` is the one way a
+producer keeps named fields over them: ``RuntimeStats``, ``CacheStats``,
+``ProxyCounters`` and ``PoolStats`` are each a ``{field: (metric,
+help)}`` table over it, so the Figure 7 bench, the Prometheus endpoint,
+and the CLI all read the same numbers.
 
 Design points:
 
@@ -241,7 +242,7 @@ class Histogram(Metric):
                 max=0.0 if empty else self._max,
             )
 
-    # Convenience views used by the legacy stats structs.
+    # Convenience reads for the stats views' read-through properties.
 
     @property
     def count(self) -> int:
@@ -387,3 +388,71 @@ class MetricsRegistry:
                         family.name, family.help_text, dict(metric.labels),
                         buckets=metric.buckets,
                     ).merge(metric)
+
+
+class CounterView:
+    """Named fields over registry counters — the one stats struct.
+
+    A subclass is its ``FIELDS`` table, ``{field: (metric name, help)}``.
+    Each field is one :class:`Counter` (individually atomic): write it
+    with :meth:`record` or the multi-field :meth:`add`, read it as an
+    attribute (``stats.hits``; ``*_seconds`` fields read as ``float``,
+    the rest as ``int``), and :meth:`bind` the same instrument objects
+    into a deployment-wide registry so ``/metrics`` and the bench read
+    one set of numbers.  A subclass that owns further instruments (a
+    queue-wait histogram, a depth gauge) lists them with
+    :meth:`_own` so they bind along.
+    """
+
+    FIELDS: Mapping[str, tuple[str, str]] = {}
+
+    def __init__(
+        self,
+        registry: Optional[MetricsRegistry] = None,
+        labels: Optional[LabelDict] = None,
+        **initial: float,
+    ) -> None:
+        registry = registry or MetricsRegistry()
+        self._counters = {
+            field: registry.counter(metric, help_text, labels)
+            for field, (metric, help_text) in self.FIELDS.items()
+        }
+        self._instruments: list[Metric] = list(self._counters.values())
+        self.add(**initial)
+
+    def _own(self, metric: Metric) -> Metric:
+        self._instruments.append(metric)
+        return metric
+
+    def record(self, field: str, by: float = 1) -> None:
+        self._counters[field].inc(by)
+
+    def add(self, **deltas: float) -> None:
+        """Apply every ``field=delta``; an unknown field refuses all."""
+        for field in deltas:
+            if field not in self._counters:
+                raise TypeError(
+                    f"unknown {type(self).__name__} field {field!r}"
+                )
+        for field, delta in deltas.items():
+            self._counters[field].inc(delta)
+
+    def bind(self, registry: MetricsRegistry) -> None:
+        """Register these instruments into a shared registry."""
+        for metric in self._instruments:
+            registry.register(metric)
+
+    def __getattr__(self, name: str):
+        counters = self.__dict__.get("_counters")
+        if counters is None or name not in counters:
+            raise AttributeError(name)
+        value = counters[name].value
+        return value if name.endswith("_seconds") else int(value)
+
+    def values(self) -> dict[str, float]:
+        """Every field's current reading, in table order."""
+        return {field: getattr(self, field) for field in self._counters}
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{k}={v!r}" for k, v in self.values().items())
+        return f"{type(self).__name__}({body})"

@@ -1,4 +1,4 @@
-"""NDJSON and SSE framings for the ops event log.
+"""NDJSON and SSE framings for the sequenced log's events.
 
 Two wire shapes over the same history (the run-event streaming spec the
 design follows — SNIPPETS.md Snippet 3 — uses both):
@@ -14,7 +14,7 @@ design follows — SNIPPETS.md Snippet 3 — uses both):
   exactly the missed suffix — no duplicates, no holes.
 
 Both framings round-trip: :func:`parse_ndjson` and :func:`parse_sse`
-reconstruct the precise :class:`OpsEvent` objects that were emitted,
+reconstruct the precise :class:`Event` objects that were emitted,
 which is what the golden tests in ``tests/ops/`` pin.
 """
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 
 from repro.net.messages import Request, Response
-from repro.ops.events import OpsEvent, OpsEventLog
+from repro.ops.events import Event, SequencedLog
 
 NDJSON_CONTENT_TYPE = "application/x-ndjson"
 SSE_CONTENT_TYPE = "text/event-stream; charset=utf-8"
@@ -31,7 +31,7 @@ SSE_CONTENT_TYPE = "text/event-stream; charset=utf-8"
 
 # -- NDJSON ----------------------------------------------------------------
 
-def event_to_json(event: OpsEvent) -> str:
+def event_to_json(event: Event) -> str:
     """One event as a canonical (sorted-key) JSON object, no newline."""
     return json.dumps(
         {
@@ -45,9 +45,9 @@ def event_to_json(event: OpsEvent) -> str:
     )
 
 
-def event_from_json(text: str) -> OpsEvent:
+def event_from_json(text: str) -> Event:
     data = json.loads(text)
-    return OpsEvent(
+    return Event(
         sequence=data["sequence"],
         type=data["type"],
         created_at=data["created_at"],
@@ -55,12 +55,12 @@ def event_from_json(text: str) -> OpsEvent:
     )
 
 
-def render_ndjson(events: list[OpsEvent]) -> str:
+def render_ndjson(events: list[Event]) -> str:
     """The events as NDJSON, one line each (trailing newline included)."""
     return "".join(event_to_json(event) + "\n" for event in events)
 
 
-def parse_ndjson(text: str) -> list[OpsEvent]:
+def parse_ndjson(text: str) -> list[Event]:
     return [
         event_from_json(line)
         for line in text.splitlines()
@@ -70,7 +70,7 @@ def parse_ndjson(text: str) -> list[OpsEvent]:
 
 # -- SSE -------------------------------------------------------------------
 
-def render_sse(events: list[OpsEvent]) -> str:
+def render_sse(events: list[Event]) -> str:
     """The events as ``text/event-stream`` frames.
 
     Each frame carries the sequence as its ``id`` (what a real
@@ -90,14 +90,14 @@ def render_sse(events: list[OpsEvent]) -> str:
     return "".join(frames)
 
 
-def parse_sse(text: str) -> list[OpsEvent]:
+def parse_sse(text: str) -> list[Event]:
     """Parse ``text/event-stream`` frames back to the emitted events.
 
     Tolerates the parts of the SSE grammar we never emit but a proxy
     might inject: comment lines (``:``), ``retry:`` fields, and extra
     blank lines between frames.
     """
-    events: list[OpsEvent] = []
+    events: list[Event] = []
     data_lines: list[str] = []
     for line in text.split("\n"):
         if line.startswith(":"):
@@ -117,7 +117,7 @@ def parse_sse(text: str) -> list[OpsEvent]:
 
 # -- the /ops endpoints ----------------------------------------------------
 
-def ops_events_response(log: OpsEventLog, request: Request) -> Response:
+def ops_events_response(log: SequencedLog, request: Request) -> Response:
     """Serve one ``/ops/events`` request off the log.
 
     * ``…/events.ndjson`` → the full retained history as NDJSON.
@@ -131,32 +131,38 @@ def ops_events_response(log: OpsEventLog, request: Request) -> Response:
       retained events.
     """
     if request.url.path.endswith(".ndjson"):
-        events, _ = log.events_after(0)
         return Response.binary(
-            render_ndjson(events).encode("utf-8"), NDJSON_CONTENT_TYPE
+            render_ndjson(log.retained()).encode("utf-8"),
+            NDJSON_CONTENT_TYPE,
         )
     if request.params.get("stream") in ("true", "1"):
         try:
-            after = int(request.params.get("after_sequence") or 0)
+            events, truncated = log.events_after(
+                int(request.params.get("after_sequence") or 0)
+            )
         except ValueError:
             return Response.text(
-                "after_sequence must be an integer", status=400
+                "after_sequence must be a non-negative integer", status=400
             )
-        events, truncated = log.events_after(after)
         body = ""
-        if truncated:
+        if truncated and events:
             # The client's offset predates retention: tell it so (an
             # SSE comment keeps the stream parseable) — it should
             # restart from 0 and accept the missing prefix.
             body += ": truncated — events before "
-            body += f"{events[0].sequence if events else log.head_seq + 1} "
-            body += "aged out of retention\n\n"
+            body += f"{events[0].sequence} aged out of retention\n\n"
+        elif truncated:
+            # No log handed that offset out (this one began again at 1
+            # since): the client must forget it and restart from 0.
+            body += ": truncated — after_sequence is past the head "
+            body += f"({log.head_seq}); restart from 0\n\n"
         body += render_sse(events)
         return Response.binary(body.encode("utf-8"), SSE_CONTENT_TYPE)
-    events, _ = log.events_after(0)
     snapshot = {
         "status": log.status(),
-        "events": [json.loads(event_to_json(event)) for event in events],
+        "events": [
+            json.loads(event_to_json(event)) for event in log.retained()
+        ],
     }
     return Response.binary(
         json.dumps(snapshot, indent=2, sort_keys=True).encode("utf-8"),

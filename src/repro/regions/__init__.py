@@ -1,13 +1,13 @@
 """Multi-region deployment: replicated snapshot fleets with CDC
 invalidation replay and warm failover.
 
-See :mod:`repro.regions.cdclog` for the event-sourced invalidation log,
-:mod:`repro.regions.deployment` for :class:`RegionalDeployment`, and
+See :mod:`repro.regions.deployment` for :class:`RegionalDeployment` and
+its event-sourced invalidation log (a :class:`SequencedLog
+<repro.ops.events.SequencedLog>` named ``"cdclog"``), and
 :mod:`repro.regions.chaos` for the ``msite chaos --region-faults``
 harness.  docs/REGIONS.md walks the whole design.
 """
 
-from repro.regions.cdclog import ChangeEvent, InvalidationLog
 from repro.regions.chaos import (
     RegionChaosReport,
     format_region_report,
@@ -16,8 +16,6 @@ from repro.regions.chaos import (
 from repro.regions.deployment import Region, RegionalDeployment
 
 __all__ = [
-    "ChangeEvent",
-    "InvalidationLog",
     "Region",
     "RegionalDeployment",
     "RegionChaosReport",

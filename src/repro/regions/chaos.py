@@ -194,7 +194,7 @@ def run_region_chaos(
         report.reroutes = _sum("msite_region_reroutes_total")
         report.replications = _sum("msite_region_replications_total")
         report.events_applied = _sum("msite_region_applied_total")
-        events, _ = deployment.ops.events_after(0)
+        events = deployment.ops.retained()
         report.ops_events = events
         report.ops_event_count = deployment.ops.head_seq
         for event in events:

@@ -14,15 +14,16 @@ serves the already-rendered snapshot from its own disk tier instead of
 re-rendering, and the response is marked with the ``remote_region``
 degradation rung (fully-adapted content, just not from the owner).
 
-Invalidation is event-sourced (:mod:`repro.regions.cdclog`): every
-region's bus pumps its original (non-replayed) events into one
-:class:`InvalidationLog`, and every connected region replays the log
-from its last acked offset.  A partitioned region buffers its local
-changes, serves what it has, and on heal (a) publishes its buffered
-changes into the log and (b) replays everything it missed — after
-which it serves zero stale content.  A region whose offset has aged
-out of the log full-resyncs (drop derived state, recopy a healthy
-peer's store) instead of replaying a gap it cannot see.
+Invalidation is event-sourced: every region's bus pumps its original
+(non-replayed) events into one :class:`SequencedLog
+<repro.ops.events.SequencedLog>` named ``"cdclog"``, and every
+connected region replays the log from its last acked offset.  A
+partitioned region buffers its local changes, serves what it has, and
+on heal (a) publishes its buffered changes into the log and (b)
+replays everything it missed — after which it serves zero stale
+content.  A region whose offset has aged out of the log full-resyncs
+(drop derived state, recopy a healthy peer's store) instead of
+replaying a gap it cannot see.
 """
 
 from __future__ import annotations
@@ -64,10 +65,10 @@ from repro.ops import (
     REGION_PARTITIONED,
     REGION_RESYNC,
     REGION_REVIVED,
-    OpsEventLog,
+    Event,
+    SequencedLog,
     ops_events_response,
 )
-from repro.regions.cdclog import ChangeEvent, InvalidationLog
 from repro.resilience.policy import DEFAULT_RETRY_AFTER_S, REMOTE_REGION
 
 
@@ -143,14 +144,19 @@ class RegionalDeployment(Application):
         self.observability = Observability(
             registry=self.registry, clock=obs_clock
         )
-        self.log = InvalidationLog(
-            retention=log_retention, clock=clock, metrics=self.registry
+        self.log = SequencedLog(
+            name="cdclog",
+            retention=log_retention,
+            clock=clock,
+            metrics=self.registry,
         )
         # One ops event log across every region's fleet: worker and
         # breaker events from all regions interleave in one sequence
         # space (worker ids are region-prefixed, so they stay
         # attributable), and region lifecycle events land beside them.
-        self.ops = OpsEventLog(clock=clock, metrics=self.registry)
+        self.ops = SequencedLog(
+            name="ops", clock=clock, metrics=self.registry
+        )
         if snapshot_root is None:
             snapshot_root = tempfile.mkdtemp(prefix="msite-regions-")
         self.snapshot_root = snapshot_root
@@ -255,7 +261,7 @@ class RegionalDeployment(Application):
             if not region.connected:
                 region.pending.append((event.kind, event.key))
                 return
-            self.log.append(event.kind, event.key, origin=region.name)
+            self.log.emit(event.kind, key=event.key, origin=region.name)
             self._drain()
 
         return pump
@@ -295,11 +301,11 @@ class RegionalDeployment(Application):
             region.acked_seq = self.log.head_seq
             return
         for event in events:
-            if event.origin != region.name:
+            if event.payload["origin"] != region.name:
                 self._apply(region, event)
-            region.acked_seq = event.seq
+            region.acked_seq = event.sequence
 
-    def _apply(self, region: Region, event: ChangeEvent) -> None:
+    def _apply(self, region: Region, event: Event) -> None:
         """Apply one replayed change to every tier of a region's cache.
 
         The purge itself is silent (``invalidate_matching`` publishes
@@ -308,7 +314,7 @@ class RegionalDeployment(Application):
         pump re-appending it.
         """
         cache = region.backend.cache
-        kind, key = event.kind, event.key
+        kind, key = event.type, event.payload["key"]
         if kind == CLEAR or key is None:
             cache.invalidate_matching(lambda k: True)
         elif kind == REFRESH:
@@ -400,7 +406,7 @@ class RegionalDeployment(Application):
         region.connected = True
         pending, region.pending = region.pending, []
         for kind, key in pending:
-            self.log.append(kind, key, origin=region.name)
+            self.log.emit(kind, key=key, origin=region.name)
         self._counter(
             "msite_region_heals_total",
             "Region partition heals (buffered events published, log "

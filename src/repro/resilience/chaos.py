@@ -147,9 +147,11 @@ def run_chaos(
     # Every breaker transition, degradation, and farm lifecycle change
     # lands on one ops event log — the chaos assertions read the story
     # from here, in order, instead of inferring it from counter deltas.
-    from repro.ops import OpsEventLog
+    from repro.ops import SequencedLog
 
-    ops = OpsEventLog(metrics=services.observability.registry)
+    ops = SequencedLog(
+        name="ops", metrics=services.observability.registry
+    )
     services.resilience.bind_ops(ops)
 
     farm = None
@@ -223,7 +225,7 @@ def run_chaos(
         registry, "msite_degraded_serves_total", "mode"
     )
     report.stale_hits = _family_sum(registry, "msite_cache_stale_hits_total")
-    events, _ = ops.events_after(0)
+    events = ops.retained()
     report.ops_events = events
     report.ops_event_count = ops.head_seq
     for event in events:

@@ -103,7 +103,7 @@ class ResiliencePolicy:
     def bind_ops(self, ops, worker: str = "") -> None:
         """Mirror breaker transitions and degradations into an ops log.
 
-        ``ops`` is an :class:`OpsEventLog <repro.ops.OpsEventLog>`;
+        ``ops`` is a :class:`SequencedLog <repro.ops.SequencedLog>`;
         ``worker`` labels the events with the emitting fleet member so
         a fleet-wide log stays attributable.  Existing breakers get the
         hook retroactively; breakers created later inherit it.

@@ -32,7 +32,7 @@ from repro.errors import (
 )
 from repro.net.messages import Request, Response
 from repro.net.server import Application
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import CounterView, MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -54,21 +54,17 @@ class RuntimeStatsSnapshot:
         return self.queue_wait_total_s / started if started else 0.0
 
 
-class RuntimeStats:
-    """Executor counters, delegated to registry instruments.
+class RuntimeStats(CounterView):
+    """Executor counters: a :class:`CounterView` table.
 
-    The counters keep their historical names; the queue wait is a full
-    latency histogram (``msite_executor_queue_wait_seconds``) so the
-    ``/metrics`` endpoint and the Figure 7 bench can report queue-wait
-    percentiles, and the peak queue depth is a high-watermark gauge.
+    The queue wait is a full latency histogram
+    (``msite_executor_queue_wait_seconds``) so the ``/metrics`` endpoint
+    and the Figure 7 bench can report queue-wait percentiles, and the
+    peak queue depth is a high-watermark gauge; :meth:`snapshot` reads
+    all of them into one :class:`RuntimeStatsSnapshot`.
     """
 
-    FIELDS = (
-        "submitted", "rejected", "completed", "failures", "timeouts",
-        "queue_wait_total_s", "queue_wait_max_s", "queue_depth_peak",
-    )
-
-    _COUNTERS = {
+    FIELDS = {
         "submitted": ("msite_executor_submitted_total",
                       "Requests offered to the admission queue."),
         "rejected": ("msite_executor_rejected_total",
@@ -83,26 +79,16 @@ class RuntimeStats:
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         registry = registry or MetricsRegistry()
-        self._counters = {
-            field_name: registry.counter(metric_name, help_text)
-            for field_name, (metric_name, help_text) in self._COUNTERS.items()
-        }
-        self._queue_wait = registry.histogram(
+        super().__init__(registry)
+        self._queue_wait = self._own(registry.histogram(
             "msite_executor_queue_wait_seconds",
             "Time requests sat in the admission queue before a worker "
             "picked them up.",
-        )
-        self._queue_depth_peak = registry.gauge(
+        ))
+        self._queue_depth_peak = self._own(registry.gauge(
             "msite_executor_queue_depth_peak",
             "High watermark of the admission queue depth.",
-        )
-
-    def add(self, **deltas: float) -> None:
-        for name, delta in deltas.items():
-            counter = self._counters.get(name)
-            if counter is None:
-                raise TypeError(f"unknown runtime stat {name!r}")
-            counter.inc(delta)
+        ))
 
     def observe_queue_wait(self, waited_s: float) -> None:
         self._queue_wait.observe(waited_s)
@@ -110,20 +96,9 @@ class RuntimeStats:
     def observe_queue_depth(self, depth: int) -> None:
         self._queue_depth_peak.track_max(depth)
 
-    def bind(self, registry: MetricsRegistry) -> None:
-        """Register these instruments into a shared registry."""
-        for counter in self._counters.values():
-            registry.register(counter)
-        registry.register(self._queue_wait)
-        registry.register(self._queue_depth_peak)
-
     def snapshot(self) -> RuntimeStatsSnapshot:
         return RuntimeStatsSnapshot(
-            submitted=int(self._counters["submitted"].value),
-            rejected=int(self._counters["rejected"].value),
-            completed=int(self._counters["completed"].value),
-            failures=int(self._counters["failures"].value),
-            timeouts=int(self._counters["timeouts"].value),
+            **self.values(),
             queue_wait_total_s=self._queue_wait.sum,
             queue_wait_max_s=self._queue_wait.max,
             queue_depth_peak=int(self._queue_depth_peak.value),

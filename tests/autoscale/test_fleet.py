@@ -21,7 +21,7 @@ from repro.autoscale import (
 )
 from repro.cluster import ClusterDeployment
 from repro.net.messages import Request, Response
-from repro.ops import OpsEventLog
+from repro.ops import SequencedLog
 from repro.sim.clock import Clock
 
 
@@ -169,7 +169,7 @@ def test_maybe_tick_enforces_the_control_cadence():
 
 
 def test_explicit_ops_log_wins_over_the_cluster_log():
-    private = OpsEventLog()
+    private = SequencedLog("ops")
     with ClusterDeployment(
         origins={}, workers=1, site="echo", make_app=EchoApp
     ) as cluster:

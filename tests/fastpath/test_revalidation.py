@@ -21,7 +21,7 @@ from repro.net.conditional import etag_matches, not_modified
 from repro.net.cookies import Cookie, CookieJar
 from repro.net.messages import Request, Response
 from repro.net.server import Application
-from repro.ops import OpsEventLog
+from repro.ops import SequencedLog
 from repro.resilience.breaker import CLOSED, OPEN
 from repro.resilience.policy import REVALIDATION_AUDIT_EVERY
 from repro.sim.clock import Clock
@@ -93,7 +93,7 @@ class Bench:
     def __init__(self, spec, host, origin, **flags):
         self.spec, self.host, self.origin = spec, host, origin
         self.clock = Clock()
-        self.ops = OpsEventLog(clock=self.clock)
+        self.ops = SequencedLog("ops", clock=self.clock)
         self.services = ProxyServices(
             origins={host: origin}, clock=self.clock, **flags
         )

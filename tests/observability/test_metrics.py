@@ -1,10 +1,13 @@
 """Unit behaviour of the metrics substrate."""
 
+import threading
+
 import pytest
 
 from repro.observability.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
+    CounterView,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -141,8 +144,8 @@ class TestRegistry:
             registry.register(Gauge("x"))
 
     def test_shared_object_means_shared_numbers(self):
-        # The bind() pattern used by the legacy stats structs: the same
-        # Counter object registered into a deployment registry shows the
+        # The bind() pattern CounterView uses: the same Counter object
+        # registered into a deployment registry shows the
         # struct's increments with no copying.
         private = MetricsRegistry()
         counter = private.counter("c_total")
@@ -172,3 +175,92 @@ class TestRegistry:
     def test_default_buckets_cover_lightweight_to_mobile_loads(self):
         assert DEFAULT_LATENCY_BUCKETS[0] <= 0.001
         assert DEFAULT_LATENCY_BUCKETS[-1] >= 30.0
+
+
+class _Tally(CounterView):
+    FIELDS = {
+        "hits": ("t_hits_total", "Hits."),
+        "busy_seconds": ("t_busy_seconds", "Seconds busy."),
+    }
+
+    def __init__(self, registry=None, labels=None, **initial):
+        registry = registry or MetricsRegistry()
+        super().__init__(registry, labels, **initial)
+        self.depth = self._own(registry.gauge("t_depth", "Depth."))
+
+
+class TestCounterView:
+    def test_table_becomes_instruments(self):
+        registry = MetricsRegistry()
+        _Tally(registry, labels={"page": "a"})
+        hits = registry.get("t_hits_total", labels={"page": "a"})
+        assert isinstance(hits, Counter)
+        assert hits.help_text == "Hits."
+        assert hits.labels == {"page": "a"}
+        busy = registry.get("t_busy_seconds", labels={"page": "a"})
+        assert busy.help_text == "Seconds busy."
+
+    def test_seconds_fields_read_as_float_and_the_rest_as_int(self):
+        tally = _Tally()
+        tally.record("hits")
+        tally.record("hits", 2)
+        tally.add(hits=1, busy_seconds=0.25)
+        assert tally.hits == 4 and isinstance(tally.hits, int)
+        assert tally.busy_seconds == 0.25
+        assert isinstance(tally.busy_seconds, float)
+        assert tally.values() == {"hits": 4, "busy_seconds": 0.25}
+        assert repr(tally) == "_Tally(hits=4, busy_seconds=0.25)"
+
+    def test_initial_values(self):
+        tally = _Tally(hits=3, busy_seconds=1.5)
+        assert tally.values() == {"hits": 3, "busy_seconds": 1.5}
+        with pytest.raises(TypeError):
+            _Tally(bogus=1)
+
+    def test_unknown_field_is_refused_whole(self):
+        tally = _Tally()
+        with pytest.raises(TypeError, match="bogus"):
+            tally.add(hits=1, bogus=1)
+        assert tally.hits == 0  # nothing was applied
+        with pytest.raises(AttributeError):
+            tally.bogus
+        with pytest.raises(KeyError):
+            tally.record("bogus")
+
+    def test_attribute_reads_before_init_do_not_recurse(self):
+        # copy / pickle probe attributes on an uninitialised instance.
+        with pytest.raises(AttributeError):
+            _Tally.__new__(_Tally).hits
+
+    def test_bind_shares_the_instruments_it_owns(self):
+        tally = _Tally()
+        shared = MetricsRegistry()
+        tally.bind(shared)
+        tally.bind(shared)  # idempotent
+        tally.depth.set(7)
+        assert shared.get("t_depth") is tally.depth
+        assert [f.name for f in shared.collect()] == [
+            "t_busy_seconds", "t_depth", "t_hits_total",
+        ]
+
+    def test_sixteen_thread_hammer_view_and_registry_agree(self):
+        tally = _Tally()
+        shared = MetricsRegistry()
+        tally.bind(shared)
+        barrier = threading.Barrier(16)
+
+        def hammer():
+            barrier.wait(timeout=5.0)
+            for _ in range(200):
+                tally.record("hits")
+                tally.add(hits=1, busy_seconds=0.5)
+
+        threads = [threading.Thread(target=hammer) for _ in range(16)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+        assert tally.hits == 16 * 200 * 2
+        assert shared.get("t_hits_total").value == tally.hits
+        assert shared.get("t_busy_seconds").value == tally.busy_seconds
+        assert tally.busy_seconds == 16 * 200 * 0.5

@@ -11,7 +11,8 @@ import json
 
 from repro.cluster import ClusterDeployment
 from repro.net.messages import Request, Response
-from repro.ops import OpsEventLog
+from repro.observability.metrics import MetricsRegistry
+from repro.ops import SequencedLog
 from repro.ops.stream import (
     NDJSON_CONTENT_TYPE,
     SSE_CONTENT_TYPE,
@@ -21,8 +22,8 @@ from repro.ops.stream import (
 )
 
 
-def _log(events: int = 5) -> OpsEventLog:
-    log = OpsEventLog()
+def _log(events: int = 5) -> SequencedLog:
+    log = SequencedLog("ops")
     for i in range(events):
         log.emit("invalidation", key=f"k{i}")
     return log
@@ -101,8 +102,67 @@ def test_bad_after_sequence_is_a_400():
     assert response.status == 400
 
 
+def test_negative_after_sequence_is_a_400():
+    """No log ever handed out a negative sequence; believing one used
+    to answer 200 with a truncation notice on a log that dropped
+    nothing."""
+    response = ops_events_response(
+        _log(3),
+        Request.get(
+            "http://fleet.local/ops/events?stream=true&after_sequence=-7"
+        ),
+    )
+    assert response.status == 400
+
+
+def test_resume_from_beyond_the_head_is_told_to_restart():
+    """A client resuming against a restarted proxy (whose log began
+    again at 1) holds an offset ahead of the head.  An empty 200 would
+    be "nothing, for ever"; the in-band notice tells it to start over."""
+    registry = MetricsRegistry()
+    log = SequencedLog("ops", metrics=registry)
+    for i in range(5):
+        log.emit("invalidation", key=f"k{i}")
+    response = ops_events_response(
+        log,
+        Request.get(
+            "http://fleet.local/ops/events?stream=true&after_sequence=99"
+        ),
+    )
+    assert response.status == 200
+    body = response.body.decode("utf-8")
+    assert body.startswith(": truncated") and "restart from 0" in body
+    assert parse_sse(body) == []
+    assert registry.get("msite_ops_truncated_reads_total").value == 1
+
+
+def test_history_scrapes_never_count_as_truncated_reads():
+    """``.ndjson`` and the JSON snapshot hold no offset; once anything
+    had aged out they used to bump the counter once per scrape, for
+    ever.  Only a resume from an offset retention has passed counts."""
+    registry = MetricsRegistry()
+    log = SequencedLog("ops", retention=3, metrics=registry)
+    for i in range(5):
+        log.emit("invalidation", key=f"k{i}")
+    truncated_reads = registry.get("msite_ops_truncated_reads_total")
+    for _ in range(2):
+        for path in ("ops/events.ndjson", "ops/events"):
+            response = ops_events_response(
+                log, Request.get(f"http://fleet.local/{path}")
+            )
+            assert response.status == 200
+    assert truncated_reads.value == 0
+    ops_events_response(
+        log,
+        Request.get(
+            "http://fleet.local/ops/events?stream=true&after_sequence=1"
+        ),
+    )
+    assert truncated_reads.value == 1
+
+
 def test_truncated_resume_says_so_in_band():
-    log = OpsEventLog(retention=3)
+    log = SequencedLog("ops", retention=3)
     for i in range(10):
         log.emit("invalidation", key=f"k{i}")
     response = ops_events_response(

@@ -11,7 +11,7 @@ payloads.
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.ops import OpsEvent, OpsEventLog
+from repro.ops import Event, SequencedLog
 from repro.ops.stream import (
     event_from_json,
     event_to_json,
@@ -22,13 +22,13 @@ from repro.ops.stream import (
 )
 
 GOLDEN_EVENTS = [
-    OpsEvent(
+    Event(
         sequence=1,
         type="worker_attached",
         created_at=0.0,
         payload={"worker": "w0", "fleet_size": 1},
     ),
-    OpsEvent(
+    Event(
         sequence=2,
         type="scale_decision",
         created_at=1.25,
@@ -86,7 +86,7 @@ def test_sse_parser_tolerates_comments_retry_and_blank_lines():
 
 def test_event_json_is_canonical():
     # Payload key order in the source dict must not leak to the wire.
-    scrambled = OpsEvent(
+    scrambled = Event(
         sequence=7,
         type="degradation",
         created_at=0.5,
@@ -129,7 +129,7 @@ payloads = st.dictionaries(
 def test_any_event_round_trips_both_framings(
     sequence, type_, created_at, payload
 ):
-    event = OpsEvent(
+    event = Event(
         sequence=sequence,
         type=type_,
         created_at=created_at,
@@ -140,7 +140,7 @@ def test_any_event_round_trips_both_framings(
 
 
 def test_log_to_ndjson_to_events_is_identity():
-    log = OpsEventLog()
+    log = SequencedLog("ops")
     for i in range(5):
         log.emit("invalidation", key=f"k{i}", replayed=bool(i % 2))
     events, _ = log.events_after(0)

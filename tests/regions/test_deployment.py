@@ -263,6 +263,27 @@ def test_truncated_offset_forces_full_resync(tmp_path):
         assert resyncs is not None and resyncs.value == 1
 
 
+def test_offset_ahead_of_the_log_forces_full_resync(deployment):
+    """An acked offset the log never handed out (it began again at 1
+    since) cannot be replayed from; believing it would skip every
+    change up to that sequence.  The region full-resyncs instead."""
+    east = deployment.region("east")
+    west = deployment.region("west")
+    west.acked_seq = 99
+    west.backend.cache.put("snap:derived", b"stale", ttl_s=60.0)
+    east.backend.cache.put("snap:x", b"v", ttl_s=60.0)
+    east.backend.invalidate("snap:x")
+    assert west.acked_seq == deployment.log.head_seq == 1
+    assert west.backend.cache.peek("snap:derived") is None
+    resyncs = deployment.rollup().get(
+        "msite_region_resyncs_total", labels={"region": "west"}
+    )
+    assert resyncs is not None and resyncs.value == 1
+    assert [
+        e.payload["region"] for e in deployment.ops.events_of("region_resync")
+    ] == ["west"]
+
+
 def test_ttl_expiry_appends_to_the_log(tmp_path, clock):
     with RegionalDeployment(
         regions=("east", "west"),
@@ -275,10 +296,9 @@ def test_ttl_expiry_appends_to_the_log(tmp_path, clock):
         east.backend.cache.put("snap:brief", b"v", ttl_s=5.0)
         clock.advance(10.0)
         assert east.backend.cache.get("snap:brief") is None  # retires
-        events, _ = deployment.log.events_after(0)
-        assert [(e.kind, e.key) for e in events] == [
-            ("expire", "snap:brief")
-        ]
+        assert [
+            (e.type, e.payload["key"]) for e in deployment.log.retained()
+        ] == [("expire", "snap:brief")]
 
 
 def test_disk_only_invalidation_reaches_the_peer_store(tmp_path):
@@ -306,10 +326,9 @@ def test_disk_only_invalidation_reaches_the_peer_store(tmp_path):
         west = restarted.region("west")
         assert east.backend.cache.peek("snap:shared") is None
         assert east.backend.invalidate("snap:shared") is True
-        events, _ = restarted.log.events_after(0)
-        assert [(e.kind, e.key, e.origin) for e in events] == [
-            ("invalidate", "snap:shared", "east")
-        ]
+        assert [
+            (e.type, e.payload) for e in restarted.log.retained()
+        ] == [("invalidate", {"key": "snap:shared", "origin": "east"})]
         # The pump drained: the peer no longer holds the snapshot.
         assert west.acked_seq == restarted.log.head_seq
         assert west.backend.store.get("snap:shared") is None

@@ -342,9 +342,9 @@ def test_elastic_consumers_emit_lifecycle_events():
     """The autoscaler's levers: add_consumer starts a thread and lands
     a consumer_started event; retire_consumer shrinks capacity between
     jobs without failing anyone, landing consumer_retired."""
-    from repro.ops import OpsEventLog
+    from repro.ops import SequencedLog
 
-    ops = OpsEventLog()
+    ops = SequencedLog("ops")
     with RenderFarm(consumers=1, ops=ops, name="elastic") as farm:
         started = farm.add_consumer()
         assert farm.consumers_alive == 2

@@ -13,9 +13,10 @@ routing/spill-over/rollup branches are exactly the lines that only
 matter when a worker is down or saturated (a per-package ``floor``
 raises its bar to 95%), the one cache class in ``core/cache.py`` (95%),
 whose single-flight and write-behind branches only run under a race or
-a restart, ``repro.regions`` (95%), whose CDC replay /
+a restart, ``repro.regions`` (95%), whose CDC pump and replay /
 partition-heal / failover branches only run when a region is down or
-behind, the workload layer (``repro.workload`` and
+behind (the log they replay is ``repro.ops``'s, 95%, measured by one
+contract suite collected once per role), the workload layer (``repro.workload`` and
 ``repro.sites.news``, both at 95%), whose determinism and 5xx
 accounting the scenario regression gate leans on,
 ``repro.renderfarm`` (95%), whose scheduling branches only run under
@@ -177,8 +178,9 @@ PACKAGES = [
         ],
     },
     {
-        # The multi-region layer: CDC pump/replay, partition/heal,
-        # failover routing, full resync — branches that only run when a
+        # The multi-region layer: CDC pump/replay (the log itself is
+        # measured with repro.ops below), partition/heal, failover
+        # routing, full resync — branches that only run when a
         # region is down or behind, which is exactly when they must
         # work.  Like the resilience package, a small seeded chaos run
         # rides along to drive the harness itself; the full failover
@@ -187,7 +189,6 @@ PACKAGES = [
         "dir": os.path.join(SRC_DIR, "repro", "regions"),
         "floor": 0.95,
         "suites": [
-            "tests/regions/test_cdclog.py",
             "tests/regions/test_deployment.py",
             "tests/regions/test_chaos_regions.py",
         ],
@@ -252,16 +253,18 @@ PACKAGES = [
         ],
     },
     {
-        # The ops event log and its wire framings: gap-free sequencing,
-        # retention/truncation, NDJSON/SSE round-trips, and resume.
-        # Every consumer (chaos assertions, dashboards, the SSE resume
-        # contract) leans on exactness here, so the floor matches the
-        # cluster package.
+        # The one sequenced log and its wire framings: gap-free
+        # sequencing, retention/truncation, NDJSON/SSE round-trips, and
+        # resume — the contract suite runs once per role (``ops``,
+        # ``cdclog``).  Every consumer (chaos assertions, dashboards,
+        # the SSE resume contract, a healed region's replay) leans on
+        # exactness here, so the floor matches the cluster package.
         "label": "repro.ops",
         "dir": os.path.join(SRC_DIR, "repro", "ops"),
         "floor": 0.95,
         "suites": [
             "tests/ops/test_events.py",
+            "tests/ops/test_events_cdclog.py",
             "tests/ops/test_stream.py",
             "tests/ops/test_endpoint.py",
         ],
