@@ -8,19 +8,33 @@ import numpy as np
 
 from repro.render import fonts
 from repro.render.box import Rect
+from repro.render.image import _fill
 
 Color = tuple[int, int, int]
 
+# One RGB pixel as a single 3-byte item.  A masked write through a view of
+# this dtype copies one item per lit pixel instead of broadcasting a
+# colour three bytes at a time.
+_PIXEL = np.dtype((np.void, 3))
+
+_GRADIENT_STRIP = 64  # columns per copy in ``fill_gradient``
+
+
+def _glyph_width(scale: int, bold: bool) -> int:
+    return fonts.GLYPH_COLUMNS * scale + (1 if bold else 0)
+
 
 @lru_cache(maxsize=512)
-def _glyph_mask(bitmap: tuple[int, ...], scale: int, bold: bool) -> np.ndarray:
-    """Read-only boolean mask of one glyph: each lit cell of the 5x7
-    bitmap covers ``scale`` rows and ``scale`` columns, one more column
-    when bold (so a bold mask is one column wider)."""
+def _glyph_cells(
+    bitmap: tuple[int, ...], scale: int, bold: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column indices of one glyph's lit pixels: each
+    lit cell of the 5x7 bitmap covers ``scale`` rows and ``scale``
+    columns, one more column when bold (so a bold glyph is one column
+    wider)."""
     thickness = scale + (1 if bold else 0)
     mask = np.zeros(
-        (fonts.GLYPH_ROWS * scale, (fonts.GLYPH_COLUMNS - 1) * scale + thickness),
-        dtype=bool,
+        (fonts.GLYPH_ROWS * scale, _glyph_width(scale, bold)), dtype=bool
     )
     for row_index, row_bits in enumerate(bitmap):
         for col_index in range(fonts.GLYPH_COLUMNS):
@@ -29,8 +43,10 @@ def _glyph_mask(bitmap: tuple[int, ...], scale: int, bold: bool) -> np.ndarray:
                     row_index * scale : (row_index + 1) * scale,
                     col_index * scale : col_index * scale + thickness,
                 ] = True
-    mask.flags.writeable = False
-    return mask
+    cells = np.nonzero(mask)
+    for index in cells:
+        index.flags.writeable = False
+    return cells
 
 
 class Canvas:
@@ -42,7 +58,7 @@ class Canvas:
         self.width = width
         self.height = height
         self.pixels = np.empty((height, width, 3), dtype=np.uint8)
-        self.pixels[:, :] = background
+        _fill(self.pixels, background)
 
     # ------------------------------------------------------------------
 
@@ -53,33 +69,21 @@ class Canvas:
         y1 = min(self.height, y + h)
         return x0, y0, x1, y1
 
-    def fill_rect(self, rect: Rect, color: Color) -> None:
-        x, y, w, h = rect.rounded()
+    def _fill_box(self, x: int, y: int, w: int, h: int, color: Color) -> None:
         x0, y0, x1, y1 = self._clip(x, y, w, h)
         if x1 > x0 and y1 > y0:
-            self.pixels[y0:y1, x0:x1] = color
+            _fill(self.pixels[y0:y1, x0:x1], color)
+
+    def fill_rect(self, rect: Rect, color: Color) -> None:
+        self._fill_box(*rect.rounded(), color)
 
     def stroke_rect(self, rect: Rect, color: Color, width: int = 1) -> None:
         x, y, w, h = rect.rounded()
         for offset in range(width):
-            self._hline(x, y + offset, w, color)
-            self._hline(x, y + h - 1 - offset, w, color)
-            self._vline(x + offset, y, h, color)
-            self._vline(x + w - 1 - offset, y, h, color)
-
-    def _hline(self, x: int, y: int, length: int, color: Color) -> None:
-        if 0 <= y < self.height:
-            x0 = max(0, x)
-            x1 = min(self.width, x + length)
-            if x1 > x0:
-                self.pixels[y, x0:x1] = color
-
-    def _vline(self, x: int, y: int, length: int, color: Color) -> None:
-        if 0 <= x < self.width:
-            y0 = max(0, y)
-            y1 = min(self.height, y + length)
-            if y1 > y0:
-                self.pixels[y0:y1, x] = color
+            self._fill_box(x, y + offset, w, 1, color)
+            self._fill_box(x, y + h - 1 - offset, w, 1, color)
+            self._fill_box(x + offset, y, 1, h, color)
+            self._fill_box(x + w - 1 - offset, y, 1, h, color)
 
     def draw_text(
         self,
@@ -90,43 +94,79 @@ class Canvas:
         color: Color,
         bold: bool = False,
     ) -> None:
-        """Draw text with the 5x7 bitmap font scaled to ``font_size``."""
+        """Draw text with the 5x7 bitmap font scaled to ``font_size``.
+
+        The run is stamped, not its glyphs: the lit cells of every glyph
+        are set in one boolean mask over the run, and the canvas takes
+        one masked write of the part inside it.  Glyphs of a run share a
+        colour, so where two overlap the mask paints what two writes
+        would.  A glyph wholly left or right of the canvas is skipped, so
+        the mask is never much wider than the canvas, however long the
+        run.
+        """
         scale = max(1, int(round(font_size / 8.0)))
         glyph_height = fonts.GLYPH_ROWS * scale
-        baseline_y = int(round(y + (fonts.line_height(font_size) - glyph_height) / 2))
+        glyph_width = _glyph_width(scale, bold)
+        top = int(round(y + (fonts.line_height(font_size) - glyph_height) / 2))
+        y0, y1 = max(0, top), min(self.height, top + glyph_height)
+        if y1 <= y0:
+            return
+        lefts, rows, cols = [], [], []
         cursor = x
         for char in text:
-            advance = fonts.char_width(char, font_size, bold)
-            if char != " ":
-                self._draw_glyph(
-                    int(round(cursor)), baseline_y, char, scale, color, bold
+            left = int(round(cursor))
+            if char != " " and -glyph_width < left < self.width:
+                glyph_rows, glyph_cols = _glyph_cells(
+                    fonts.glyph_bitmap(char), scale, bold
                 )
-            cursor += advance
-
-    def _draw_glyph(
-        self, x: int, y: int, char: str, scale: int, color: Color, bold: bool
-    ) -> None:
-        mask = _glyph_mask(fonts.glyph_bitmap(char), scale, bold)
-        height, width = mask.shape
-        x0, y0, x1, y1 = self._clip(x, y, width, height)
-        if x1 > x0 and y1 > y0:
-            self.pixels[y0:y1, x0:x1][mask[y0 - y : y1 - y, x0 - x : x1 - x]] = color
+                lefts.append(left)
+                rows.append(glyph_rows)
+                cols.append(glyph_cols)
+            cursor += fonts.char_width(char, font_size, bold)
+        if not lefts:
+            return
+        first, last = min(lefts), max(lefts)
+        x0, x1 = max(0, first), min(self.width, last + glyph_width)
+        run = np.zeros((glyph_height, last + glyph_width - first), dtype=bool)
+        shifts = np.repeat(np.subtract(lefts, first), [len(c) for c in cols])
+        run[np.concatenate(rows), np.concatenate(cols) + shifts] = True
+        ink = np.array(color, dtype=np.uint8).view(_PIXEL)[0]
+        visible = run[y0 - top : y1 - top, x0 - first : x1 - first]
+        self.pixels.view(_PIXEL)[y0:y1, x0:x1, 0][visible] = ink
 
     def fill_gradient(self, rect: Rect, base: Color, spread: int = 55) -> None:
         """Vertical gradient fill — how ``background: url(...) repeat-x``
-        chrome actually paints (lighter top, darker bottom)."""
+        chrome actually paints (lighter top, darker bottom).  The ramp
+        spans the whole box, so rows the canvas edge cuts off take their
+        share of it with them; only the rows the canvas shows are
+        computed, however tall the box.
+
+        Each row's colour is repeated into a strip of ``_GRADIENT_STRIP``
+        columns, and the strip is copied across the region: a copy of
+        whole strip rows, where assigning the column of colours would
+        broadcast it three bytes at a step.
+        """
         x, y, w, h = rect.rounded()
         x0, y0, x1, y1 = self._clip(x, y, w, h)
         if x1 <= x0 or y1 <= y0:
             return
-        rows = y1 - y0
-        # Per-row brightness ramp from +spread/2 to -spread/2.
-        ramp = np.linspace(spread / 2.0, -spread / 2.0, rows)
+        # Per-row brightness ramp from +spread/2 to -spread/2: the visible
+        # rows of ``np.linspace(start, stop, h)``, in its arithmetic.
+        start, stop = spread / 2.0, -spread / 2.0
+        ramp = np.arange(y0 - y, y1 - y, dtype=np.float64)
+        ramp *= (stop - start) / max(h - 1, 1)
+        ramp += start
+        if h > 1 and y1 - y == h:
+            ramp[-1] = stop
         base_arr = np.array(base, dtype=np.float32)
         block = np.clip(
             base_arr[None, :] + ramp[:, None], 0, 255
         ).astype(np.uint8)
-        self.pixels[y0:y1, x0:x1] = block[:, None, :]
+        region = self.pixels[y0:y1, x0:x1]
+        width = x1 - x0
+        strip = np.repeat(block[:, None, :], min(width, _GRADIENT_STRIP), axis=1)
+        for left in range(0, width, _GRADIENT_STRIP):
+            region[:, left : left + _GRADIENT_STRIP] = strip[:, : width - left]
 
     def draw_photo_placeholder(self, rect: Rect, seed: int = 0) -> None:
         """Continuous-tone stand-in for a real image: smooth 2D noise.

@@ -1,11 +1,11 @@
 """The render path's replaced loops, frozen as differential oracles.
 
-These are ``RasterImage.smoothed``, ``Canvas._draw_glyph``,
+These are ``RasterImage.smoothed``, ``Canvas``'s painting methods,
 ``encode_png`` and ``StyleResolver.computed_style`` as they stood before
-the rule-hash cascade, the glyph-mask blit, the integer anti-alias and
-the vectorised scanline filter replaced them, kept verbatim so the code
-under ``src/`` can be checked byte for byte against what it replaced.
-Nothing under ``src/`` imports this module.
+the rule-hash cascade, the row-copy fills and run stamps, the integer
+anti-alias and the vectorised scanline filter replaced them, kept
+verbatim so the code under ``src/`` can be checked byte for byte against
+what it replaced.  Nothing under ``src/`` imports this module.
 
 ``resized`` is the exception: the implementation it replaced summed the
 frame in float32 and got the box sums wrong on tall pages, so what is
@@ -14,7 +14,8 @@ exact answer, which the parent's output was not.
 
 The oracles share only data with the code under test: the UA sheet, the
 inherited-property set, the shorthand expanders (none of them touched
-by the rewrite), the 5x7 font and the unchanged ``Canvas`` methods.
+by the rewrite), the 5x7 font and ``Canvas``'s clip and photo
+placeholder, which no rewrite touched.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from repro.css.specificity import specificity
 from repro.dom.element import Element
 from repro.render import fonts
 from repro.render.image import _PNG_OVERHEAD, EncodedImage, RasterImage
+from repro.render.box import Rect
 from repro.render.raster import Canvas, Color
 
 
@@ -110,8 +112,89 @@ def encode_png(image: RasterImage) -> EncodedImage:
 
 
 class ReferenceCanvas(Canvas):
-    """``Canvas`` with the per-cell glyph loop: one slice assignment per
-    lit cell of the 5x7 bitmap."""
+    """``Canvas`` as it painted before fills became row copies and text
+    became one stamp per run: every fill a colour broadcast over its
+    region, every stroke four line broadcasts, every glyph its own
+    loop over the lit cells of its 5x7 bitmap, one slice assignment
+    each.  Only ``_clip`` and ``draw_photo_placeholder`` are inherited.
+
+    ``fill_gradient`` keeps its bug: it spreads the ramp over the rows
+    the canvas shows, not over the box, so it is an oracle only for
+    gradients that lie wholly inside the canvas."""
+
+    def __init__(self, width: int, height: int, background: Color = (255, 255, 255)):
+        if width < 1 or height < 1:
+            raise ValueError("canvas must be at least 1x1")
+        self.width = width
+        self.height = height
+        self.pixels = np.empty((height, width, 3), dtype=np.uint8)
+        self.pixels[:, :] = background
+
+    def fill_rect(self, rect: Rect, color: Color) -> None:
+        x, y, w, h = rect.rounded()
+        x0, y0, x1, y1 = self._clip(x, y, w, h)
+        if x1 > x0 and y1 > y0:
+            self.pixels[y0:y1, x0:x1] = color
+
+    def stroke_rect(self, rect: Rect, color: Color, width: int = 1) -> None:
+        x, y, w, h = rect.rounded()
+        for offset in range(width):
+            self._hline(x, y + offset, w, color)
+            self._hline(x, y + h - 1 - offset, w, color)
+            self._vline(x + offset, y, h, color)
+            self._vline(x + w - 1 - offset, y, h, color)
+
+    def _hline(self, x: int, y: int, length: int, color: Color) -> None:
+        if 0 <= y < self.height:
+            x0 = max(0, x)
+            x1 = min(self.width, x + length)
+            if x1 > x0:
+                self.pixels[y, x0:x1] = color
+
+    def _vline(self, x: int, y: int, length: int, color: Color) -> None:
+        if 0 <= x < self.width:
+            y0 = max(0, y)
+            y1 = min(self.height, y + length)
+            if y1 > y0:
+                self.pixels[y0:y1, x] = color
+
+    def draw_text(
+        self,
+        x: float,
+        y: float,
+        text: str,
+        font_size: float,
+        color: Color,
+        bold: bool = False,
+    ) -> None:
+        """Draw text with the 5x7 bitmap font scaled to ``font_size``."""
+        scale = max(1, int(round(font_size / 8.0)))
+        glyph_height = fonts.GLYPH_ROWS * scale
+        baseline_y = int(round(y + (fonts.line_height(font_size) - glyph_height) / 2))
+        cursor = x
+        for char in text:
+            advance = fonts.char_width(char, font_size, bold)
+            if char != " ":
+                self._draw_glyph(
+                    int(round(cursor)), baseline_y, char, scale, color, bold
+                )
+            cursor += advance
+
+    def fill_gradient(self, rect: Rect, base: Color, spread: int = 55) -> None:
+        """Vertical gradient fill — how ``background: url(...) repeat-x``
+        chrome actually paints (lighter top, darker bottom)."""
+        x, y, w, h = rect.rounded()
+        x0, y0, x1, y1 = self._clip(x, y, w, h)
+        if x1 <= x0 or y1 <= y0:
+            return
+        rows = y1 - y0
+        # Per-row brightness ramp from +spread/2 to -spread/2.
+        ramp = np.linspace(spread / 2.0, -spread / 2.0, rows)
+        base_arr = np.array(base, dtype=np.float32)
+        block = np.clip(
+            base_arr[None, :] + ramp[:, None], 0, 255
+        ).astype(np.uint8)
+        self.pixels[y0:y1, x0:x1] = block[:, None, :]
 
     def _draw_glyph(
         self, x: int, y: int, char: str, scale: int, color: Color, bold: bool

@@ -76,6 +76,39 @@ def test_fill_gradient_varies_vertically():
     assert (canvas.pixels[10, 0] == canvas.pixels[10, 9]).all()
 
 
+@pytest.mark.parametrize(
+    "top",
+    [0, 7, -50, -30, 50, -100],
+    ids=["bottom", "bottom-partly", "top", "both", "below", "above"],
+)
+def test_fill_gradient_cut_by_the_canvas_keeps_the_boxs_ramp(top):
+    # A 100-row box on a 50-row canvas: the rows the canvas shows read
+    # what the same rows of the box read when it is painted whole.
+    clipped = Canvas(8, 50)
+    clipped.fill_gradient(Rect(-3, top, 12, 100), (100, 120, 150))
+    whole = Canvas(12, 100)
+    whole.fill_gradient(Rect(0, 0, 12, 100), (100, 120, 150))
+    y0, y1 = max(0, top), min(50, top + 100)
+    assert (clipped.pixels[y0:y1] == whole.pixels[y0 - top : y1 - top, 3:11]).all()
+    assert (clipped.pixels[:y0] == 255).all()
+    assert (clipped.pixels[y1:] == 255).all()
+
+
+@pytest.mark.parametrize(
+    "top,expected",
+    [(0, (127, 147, 177)), (50 - 10**9, (72, 92, 122))],
+    ids=["first-rows", "last-rows"],
+)
+def test_fill_gradient_on_a_box_a_billion_rows_tall(top, expected):
+    # The box's height comes from page CSS and is not clamped; the canvas
+    # shows 50 of its rows, over which the ramp moves by ~3e-6, so they
+    # all read base + 27.5 (first rows) or base - 27.5 (last rows),
+    # truncated.
+    canvas = Canvas(8, 50)
+    canvas.fill_gradient(Rect(0, top, 8, 10**9), (100, 120, 150))
+    assert (canvas.pixels == expected).all()
+
+
 def test_photo_placeholder_is_textured_and_deterministic():
     a = Canvas(40, 40)
     a.draw_photo_placeholder(Rect(0, 0, 40, 40), seed=7)

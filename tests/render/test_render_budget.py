@@ -1,12 +1,14 @@
 """Machine-independent guards on what one browser render costs.
 
 Counts that repeat exactly, not timings: how many selector matches the
-cascade runs and how many array writes the glyph painter makes for the
-forum index, and how much memory the anti-alias and the downscale
-allocate beside the frame they read.  The linear-scan cascade ran
-275,800 matches on this page and the per-cell glyph loop ~15 writes per
-glyph; the float anti-alias peaked at ~16x the frame and the float
-integral image at ~20x.
+cascade runs and how many array writes the painter makes for the forum
+index, and how much memory the anti-alias and the downscale allocate
+beside the frame they read.  The linear-scan cascade ran 275,800
+matches on this page; the per-cell glyph loop made ~15 writes per glyph
+and the glyph-mask blit one per glyph (11,808 for 1,115 runs); every
+fill, the background and every vertical stroke line broadcast a colour
+tuple over its whole region; the float anti-alias peaked at ~16x the
+frame and the float integral image at ~20x.
 """
 
 import pathlib
@@ -21,6 +23,7 @@ import pytest
 from repro.dom.selectors import ComplexSelector
 from repro.net.client import HttpClient
 from repro.render import snapshot as snapshot_module
+from repro.render.box import Rect
 from repro.render.image import RasterImage
 from repro.render.raster import Canvas
 from repro.render.snapshot import render_snapshot
@@ -30,30 +33,64 @@ from tests.render.test_render_differential import fetch_page
 MAX_SELECTOR_MATCHES = 20_000
 
 
+def _rows_written(array, key):
+    """How many rows of ``array`` the index ``key`` writes to."""
+    first = key[0] if isinstance(key, tuple) else key
+    if first is Ellipsis:
+        return array.shape[0]
+    if isinstance(first, slice):
+        return len(range(*first.indices(array.shape[0])))
+    if isinstance(first, np.ndarray) and first.dtype == bool:
+        return int(first.reshape(len(first), -1).any(axis=1).sum())
+    if isinstance(first, np.ndarray):
+        return len(np.unique(first))
+    return 1
+
+
 def test_forum_render_stays_inside_its_match_and_write_budget(
     forum_app, monkeypatch
 ):
     counts = Counter()
+    writes = []  # (rows written, the value is a colour tuple) per write
 
     class CountingPixels(np.ndarray):
-        """Counts writes to the array and to every view of it (a view of
-        a subclass instance is an instance of the subclass)."""
+        """Records writes to the array and to every view of it (a view
+        of a subclass instance is an instance of the subclass)."""
 
         def __setitem__(self, key, value):
-            counts["writes"] += 1
+            writes.append(
+                (_rows_written(self, key), isinstance(value, (tuple, list)))
+            )
             super().__setitem__(key, value)
 
     class CountingCanvas(Canvas):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.pixels = self.pixels.view(CountingPixels)
+        def __setattr__(self, name, value):
+            # Wrapped as it is assigned, so the background fill counts.
+            if name == "pixels":
+                value = value.view(CountingPixels)
+            super().__setattr__(name, value)
 
-        def _draw_glyph(self, *args):
-            before = counts["writes"]
-            super()._draw_glyph(*args)
-            counts["glyphs"] += 1
-            counts["most_writes_per_glyph"] = max(
-                counts["most_writes_per_glyph"], counts["writes"] - before
+        def fill_rect(self, *args):
+            before = len(writes)
+            super().fill_rect(*args)
+            made = writes[before:]
+            counts["fills"] += 1
+            counts["most_writes_per_fill"] = max(
+                counts["most_writes_per_fill"], len(made)
+            )
+            counts["broadcast_fills"] += any(
+                colour and rows > 1 for rows, colour in made
+            )
+
+        def draw_text(self, x, y, text, *args):
+            before = len(writes)
+            super().draw_text(x, y, text, *args)
+            inked = len(text.replace(" ", ""))
+            counts["glyphs"] += inked
+            counts["inked_runs"] += inked > 0
+            counts["text_writes"] += len(writes) - before
+            counts["most_writes_per_run"] = max(
+                counts["most_writes_per_run"], len(writes) - before
             )
 
     real_matches = ComplexSelector.matches
@@ -73,7 +110,16 @@ def test_forum_render_stays_inside_its_match_and_write_budget(
     assert snapshot.stylesheet_count >= 1
     assert 0 < counts["matches"] <= MAX_SELECTOR_MATCHES
     assert counts["glyphs"] > 10_000  # the page is mostly text
-    assert counts["most_writes_per_glyph"] == 1
+    # A run is one stamp, however many glyphs it has.
+    assert counts["most_writes_per_run"] == 1
+    assert counts["text_writes"] <= counts["inked_runs"]
+    # A fill is a row and one copy of it, and no write -- a fill's, the
+    # background's, a stroke's -- broadcasts a colour tuple over a
+    # region taller than one row.
+    assert counts["fills"] > 200
+    assert counts["most_writes_per_fill"] <= 2
+    assert counts["broadcast_fills"] == 0
+    assert [rows for rows, colour in writes if colour and rows > 1] == []
     # The counting view must not leak into the snapshot's image.
     assert type(snapshot.image.pixels) is np.ndarray
 
@@ -94,6 +140,32 @@ def test_transform_peak_memory_is_a_small_multiple_of_the_frame(transform):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * frame.nbytes
+
+
+@pytest.mark.parametrize(
+    "paint",
+    [
+        lambda canvas: canvas.fill_gradient(
+            Rect(0, -(10**9) // 2, 200, 10**9), (100, 120, 150)
+        ),
+        lambda canvas: canvas.draw_text(
+            -50_000, 4, "MiW" * 10_000, 16.0, (0, 0, 0)
+        ),
+    ],
+    ids=["gradient-a-billion-rows-tall", "run-a-thousand-canvases-wide"],
+)
+def test_paint_memory_follows_the_canvas_not_the_box(paint):
+    # Box heights and run widths come from the page; only the canvas is
+    # clamped.  At ~200 MB (the run) or 8 GB (the gradient) a render
+    # would fail or take the host's memory with it.
+    canvas = Canvas(200, 40)
+    tracemalloc.start()
+    try:
+        paint(canvas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * canvas.pixels.nbytes
 
 
 _FRAMES_IN_THREADS = """

@@ -1,14 +1,19 @@
 """The render path against what it replaced, and against golden pixels.
 
 ``reference_render`` freezes the loops this layer used to run: the
-float32 anti-alias, the per-cell glyph painter, the scanline-loop PNG
-filter and the linear-scan cascade, plus the exact ``int64`` box
-resampler.  Each replacement must produce the same bytes:
+float32 anti-alias, the broadcast fills and per-cell glyph painter, the
+scanline-loop PNG filter and the linear-scan cascade, plus the exact
+``int64`` box resampler.  Each replacement must produce the same bytes:
 
 * ``RasterImage.smoothed`` on every frame shape whose edge norms differ
   (1x1 is 4 everywhere, 1xN and Nx1 are 6 with 4 at the ends, 2x2 is
   all corners) and on flat 0 / 255 frames;
-* ``Canvas.draw_text`` glyph for glyph, clipped at each canvas edge;
+* ``Canvas.draw_text`` for one-glyph and several-glyph runs clipped at
+  each canvas edge and for runs hundreds of canvases wide, and whole
+  display lists of fills, strokes, gradients and runs over any
+  background;
+* ``Canvas.fill_gradient`` cut by the canvas, against the rows of the
+  same box painted whole;
 * ``RasterImage.resized`` for down-, up- and mixed-scale targets — the
   one place the parent's output was wrong, pinned on a page-sized frame;
 * ``encode_png`` on random and flat images;
@@ -24,7 +29,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.browser.webkit import ServerBrowser
 from repro.css.cascade import StyleResolver
@@ -33,8 +38,10 @@ from repro.html.parser import parse_html
 from repro.net.client import HttpClient
 from repro.net.url import URL
 from repro.render import fonts
+from repro.render.box import Rect, TextRun
 from repro.render.image import RasterImage, encode_png
-from repro.render.raster import Canvas, _glyph_mask
+from repro.render.paint import FillCommand, StrokeCommand, TextCommand, paint_onto
+from repro.render.raster import Canvas, _glyph_cells
 from repro.render.snapshot import collect_stylesheets
 from tests.conftest import CLASSIFIEDS_HOST, FORUM_HOST, NEWS_HOST
 from tests.render import reference_render as reference
@@ -89,33 +96,47 @@ def test_smoothed_matches_float_blur_on_every_sum_and_norm():
     ).all()
 
 
-# -- glyph blits -----------------------------------------------------------------
+# -- run stamps and fills ----------------------------------------------------------
 
 GLYPH_CHARS = sorted(fonts._GLYPHS) + ["q", "☃"]  # lowercase, fallback
 CANVAS_W, CANVAS_H = 40, 36
+FONT_SIZES = [7.0, 9.0, 11.0, 13.0, 16.0, 19.0, 24.0, 32.0]
 
 
-def _edge_positions(mask_w, mask_h):
+def _edge_positions(glyph_w, glyph_h):
     """Top-left corners straddling each canvas edge, each corner, wholly
     inside, and wholly outside on every side."""
-    xs = [-mask_w - 1, -mask_w // 2, 3, CANVAS_W - mask_w // 2, CANVAS_W + 1]
-    ys = [-mask_h - 1, -mask_h // 2, 2, CANVAS_H - mask_h // 2, CANVAS_H + 1]
+    xs = [-glyph_w - 1, -glyph_w // 2, 3, CANVAS_W - glyph_w // 2, CANVAS_W + 1]
+    ys = [-glyph_h - 1, -glyph_h // 2, 2, CANVAS_H - glyph_h // 2, CANVAS_H + 1]
     return [(x, y) for x in xs for y in ys]
+
+
+def assert_paints_alike(paint, background=(255, 255, 255)):
+    """``paint(canvas)`` leaves the same bytes on a ``Canvas`` as on the
+    frozen ``ReferenceCanvas``."""
+    fast = Canvas(CANVAS_W, CANVAS_H, background)
+    slow = reference.ReferenceCanvas(CANVAS_W, CANVAS_H, background)
+    paint(fast)
+    paint(slow)
+    assert (fast.pixels == slow.pixels).all()
 
 
 @pytest.mark.parametrize("bold", [False, True])
 @pytest.mark.parametrize("scale", [1, 2, 3, 4])
 def test_glyph_blit_matches_cell_loop(scale, bold):
-    mask_w = fonts.GLYPH_COLUMNS * scale + (1 if bold else 0)
-    mask_h = fonts.GLYPH_ROWS * scale
+    # A font size of 8 * scale draws at ``scale``, and its glyph top is
+    # 1.5 * scale below the run's y.
+    glyph_w = fonts.GLYPH_COLUMNS * scale + (1 if bold else 0)
+    glyph_h = fonts.GLYPH_ROWS * scale
     color = (12, 140, 250)
     for char in GLYPH_CHARS:
-        for x, y in _edge_positions(mask_w, mask_h):
-            fast = Canvas(CANVAS_W, CANVAS_H)
-            slow = reference.ReferenceCanvas(CANVAS_W, CANVAS_H)
-            fast._draw_glyph(x, y, char, scale, color, bold)
-            slow._draw_glyph(x, y, char, scale, color, bold)
-            assert (fast.pixels == slow.pixels).all(), (char, x, y)
+        for x, top in _edge_positions(glyph_w, glyph_h):
+            for text in (char, char + "Mi" + char):
+                assert_paints_alike(
+                    lambda canvas: canvas.draw_text(
+                        x, top - 1.5 * scale, text, 8.0 * scale, color, bold
+                    )
+                )
 
 
 @given(
@@ -124,23 +145,113 @@ def test_glyph_blit_matches_cell_loop(scale, bold):
     ),
     x=st.floats(-30, 50),
     y=st.floats(-30, 45),
-    font_size=st.sampled_from([7.0, 9.0, 11.0, 13.0, 16.0, 19.0, 24.0, 32.0]),
+    font_size=st.sampled_from(FONT_SIZES),
     bold=st.booleans(),
 )
 @settings(max_examples=200, deadline=None)
 def test_draw_text_matches_cell_loop(text, x, y, font_size, bold):
-    fast = Canvas(CANVAS_W, CANVAS_H)
-    slow = reference.ReferenceCanvas(CANVAS_W, CANVAS_H)
-    fast.draw_text(x, y, text, font_size, (200, 10, 60), bold)
-    slow.draw_text(x, y, text, font_size, (200, 10, 60), bold)
-    assert (fast.pixels == slow.pixels).all()
+    assert_paints_alike(
+        lambda canvas: canvas.draw_text(x, y, text, font_size, (200, 10, 60), bold)
+    )
+
+
+LONG_RUN = "MiW" * 1000  # one unbroken token, hundreds of canvases wide
+
+
+@pytest.mark.parametrize("bold", [False, True])
+@pytest.mark.parametrize(
+    "place", ["runs-off-right", "crosses-canvas", "ends-inside", "wholly-left"]
+)
+def test_a_run_far_wider_than_the_canvas_matches_cell_loop(place, bold):
+    width = fonts.text_width(LONG_RUN, 16.0, bold)
+    x = {
+        "runs-off-right": 3.0,
+        "crosses-canvas": CANVAS_W / 2 - width / 2,
+        "ends-inside": CANVAS_W / 2 - width,
+        "wholly-left": -width - 20,
+    }[place]
+    assert_paints_alike(
+        lambda canvas: canvas.draw_text(x, 4, LONG_RUN, 16.0, (30, 90, 9), bold)
+    )
 
 
 def test_glyph_masks_are_shared_and_read_only():
-    mask = _glyph_mask(fonts.glyph_bitmap("A"), 1, False)
-    assert mask is _glyph_mask(fonts.glyph_bitmap("a"), 1, False)
-    with pytest.raises(ValueError):
-        mask[0, 0] = True
+    rows, cols = _glyph_cells(fonts.glyph_bitmap("A"), 1, False)
+    assert rows is _glyph_cells(fonts.glyph_bitmap("a"), 1, False)[0]
+    for index in (rows, cols):
+        with pytest.raises(ValueError):
+            index[0] = 0
+
+
+_colors = st.tuples(*[st.integers(0, 255)] * 3)
+_rects = st.builds(
+    Rect, st.floats(-30, 50), st.floats(-30, 50), st.floats(0, 60), st.floats(0, 60)
+)
+
+
+@st.composite
+def _in_canvas_gradients(draw):
+    # The frozen gradient spreads its ramp over the visible rows only,
+    # so it is an oracle for gradients the canvas does not cut.
+    x = draw(st.integers(0, CANVAS_W - 1))
+    y = draw(st.integers(0, CANVAS_H - 1))
+    w = draw(st.integers(1, CANVAS_W - x))
+    h = draw(st.integers(1, CANVAS_H - y))
+    return FillCommand(Rect(x, y, w, h), draw(_colors), gradient=True)
+
+
+_commands = st.one_of(
+    st.builds(FillCommand, _rects, _colors),
+    st.builds(StrokeCommand, _rects, _colors, st.integers(1, 4)),
+    _in_canvas_gradients(),
+    st.builds(
+        TextCommand,
+        st.builds(
+            TextRun,
+            st.text(alphabet=st.sampled_from(GLYPH_CHARS + [" "]), max_size=10),
+            # From wholly left of / above the canvas to wholly right / below.
+            st.builds(Rect, st.floats(-70, 50), st.floats(-40, 45), st.just(0), st.just(0)),
+            st.sampled_from(FONT_SIZES),
+            st.booleans(),
+            _colors,
+        ),
+    ),
+)
+
+
+@given(background=_colors, commands=st.lists(_commands, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_display_lists_paint_the_same_bytes_as_the_broadcast_canvas(
+    background, commands
+):
+    assert_paints_alike(lambda canvas: paint_onto(canvas, commands), background)
+
+
+@given(
+    height=st.integers(1, 300),
+    first=st.integers(0, 299),
+    rows=st.integers(1, 300),
+    base=_colors,
+    spread=st.sampled_from([0, 1, 7, 54, 55, 100, 255]),
+)
+# A one-row box is all top; for a 14-row box with an even spread the
+# last row is ``stop`` only because linspace sets it so.
+@example(height=1, first=0, rows=1, base=(100, 100, 100), spread=55)
+@example(height=14, first=0, rows=14, base=(100, 100, 100), spread=54)
+@example(height=14, first=10, rows=4, base=(100, 100, 100), spread=54)
+@settings(max_examples=150, deadline=None)
+def test_a_gradient_cut_by_the_canvas_shows_rows_of_the_whole_box(
+    height, first, rows, base, spread
+):
+    # The canvas shows rows [first, stop) of the box; the frozen gradient
+    # paints the box whole on a canvas its own height.
+    first = min(first, height - 1)
+    stop = min(first + rows, height)
+    shown = Canvas(3, stop - first)
+    shown.fill_gradient(Rect(0, -first, 3, height), base, spread)
+    whole = reference.ReferenceCanvas(3, height)
+    whole.fill_gradient(Rect(0, 0, 3, height), base, spread)
+    assert (shown.pixels == whole.pixels[first:stop]).all()
 
 
 # -- box resampling ----------------------------------------------------------------
