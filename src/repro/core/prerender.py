@@ -122,15 +122,18 @@ def _laid_out(rect: Optional[Rect]) -> bool:
 def _encode_region(
     snapshot: PageSnapshot, rect: Optional[Rect], quality: int
 ) -> EncodedImage:
-    """One region of a rendered page as a JPEG; an object that did not
-    lay out (``display: none`` etc.) is a 1x1 blank."""
-    if not _laid_out(rect):
-        return encode_jpeg(RasterImage.blank(1, 1), quality=quality)
-    x, y, width, height = rect.rounded()
-    width = max(1, min(width, snapshot.image.width - max(0, x)))
-    height = max(1, min(height, snapshot.image.height - max(0, y)))
-    cropped = snapshot.image.cropped(max(0, x), max(0, y), width, height)
-    return encode_jpeg(cropped, quality=quality)
+    """The part of a rendered page's frame an object covers, as a JPEG.
+
+    An object that did not lay out (``display: none`` etc.) or lies
+    wholly outside the frame -- laid out below the canvas's height clamp,
+    say -- is a 1x1 blank."""
+    region = RasterImage.blank(1, 1)
+    if _laid_out(rect):
+        try:
+            region = snapshot.image.cropped(*rect.rounded())
+        except ValueError:  # no part of the object is in the frame
+            pass
+    return encode_jpeg(region, quality=quality)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@
 import pytest
 
 from repro.core.prerender import (
+    _encode_region,
     partial_css_prerender,
     prerender_object,
     produce_snapshot,
 )
 from repro.html.parser import parse_html
+from repro.render.box import Rect
 from repro.render.snapshot import render_snapshot
 
 PAGE = """
@@ -95,3 +97,39 @@ def test_partial_prerender_leaves_original_document_untouched():
     before = hdr.text_content
     partial_css_prerender(document, hdr, viewport_width=600)
     assert hdr.text_content == before
+
+
+BELOW_THE_CLAMP = """
+<html><body>
+<div style="height:9000px"></div>
+<div id="target" style="background-color: #336699">below the canvas</div>
+</body></html>
+"""
+
+
+def test_an_object_laid_out_below_the_canvas_clamp_is_a_blank():
+    # The canvas stops at 8,192 rows; the object starts at row 9,000, so
+    # no pixel of it was painted.
+    document = parse_html(BELOW_THE_CLAMP)
+    target = document.get_element_by_id("target")
+    encoded = prerender_object(document, target, viewport_width=400)
+    assert (encoded.width, encoded.height) == (1, 1)
+    artifact = partial_css_prerender(document, target, viewport_width=400)
+    assert (artifact.background.width, artifact.background.height) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "rect,size",
+    [
+        (Rect(-10, 0, 50, 20), (40, 20)),  # starts left of the frame
+        (Rect(0, -5, 30, 20), (30, 15)),  # starts above it
+        (Rect(590, 10, 50, 20), (10, 20)),  # runs off its right edge
+        (Rect(-10, -5, 700, 20), (600, 15)),  # wider than the frame
+    ],
+    ids=["left", "above", "right", "both-sides"],
+)
+def test_an_object_partly_outside_the_frame_is_cropped_to_what_shows(
+    snapshot, rect, size
+):
+    encoded = _encode_region(snapshot, rect, quality=55)
+    assert (encoded.width, encoded.height) == size

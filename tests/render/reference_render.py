@@ -1,11 +1,13 @@
 """The render path's replaced loops, frozen as differential oracles.
 
-These are ``RasterImage.smoothed``, ``Canvas``'s painting methods,
-``encode_png`` and ``StyleResolver.computed_style`` as they stood before
-the rule-hash cascade, the row-copy fills and run stamps, the integer
-anti-alias and the vectorised scanline filter replaced them, kept
-verbatim so the code under ``src/`` can be checked byte for byte against
-what it replaced.  Nothing under ``src/`` imports this module.
+These are ``RasterImage.smoothed``, ``Canvas``'s painting methods (the
+photo placeholder included), ``encode_png``, ``encode_jpeg`` and
+``StyleResolver.computed_style`` as they stood before the rule-hash
+cascade, the row-copy fills and run stamps, the integer anti-alias, the
+vectorised scanline filter, the banded passes and the placeholder memo
+replaced them, kept verbatim so the code under ``src/`` can be checked
+byte for byte against what it replaced.  Nothing under ``src/`` imports
+this module.
 
 ``resized`` is the exception: the implementation it replaced summed the
 frame in float32 and got the box sums wrong on tall pages, so what is
@@ -14,8 +16,8 @@ exact answer, which the parent's output was not.
 
 The oracles share only data with the code under test: the UA sheet, the
 inherited-property set, the shorthand expanders (none of them touched
-by the rewrite), the 5x7 font and ``Canvas``'s clip and photo
-placeholder, which no rewrite touched.
+by the rewrite), the 5x7 font, the JPEG quantization tables and
+``Canvas``'s clip, which no rewrite touched.
 """
 
 from __future__ import annotations
@@ -38,7 +40,14 @@ from repro.css.parser import parse_declarations, parse_stylesheet
 from repro.css.specificity import specificity
 from repro.dom.element import Element
 from repro.render import fonts
-from repro.render.image import _PNG_OVERHEAD, EncodedImage, RasterImage
+from repro.render.image import (
+    _CHROMA_QUANT,
+    _JPEG_OVERHEAD,
+    _LUMA_QUANT,
+    _PNG_OVERHEAD,
+    EncodedImage,
+    RasterImage,
+)
 from repro.render.box import Rect
 from repro.render.raster import Canvas, Color
 
@@ -111,12 +120,100 @@ def encode_png(image: RasterImage) -> EncodedImage:
     )
 
 
+def _quality_scale(quality: int) -> float:
+    """The Annex K quality → table scaling law (IJG)."""
+    if quality < 50:
+        return 5000.0 / quality / 100.0
+    return (200.0 - 2.0 * quality) / 100.0
+
+
+def _block_dct_quantize(plane: np.ndarray, table: np.ndarray) -> bytes:
+    """8x8 block DCT-II, quantize by ``table``, serialize coefficients.
+
+    Smooth blocks collapse to a DC value and zero AC coefficients — the
+    energy compaction real JPEG gets, which is what makes page snapshots
+    small at low quality.
+    """
+    # Deferred: importing scipy costs ~29 MB of resident memory, which a
+    # proxy that never encodes an image (most of them) should not pay.
+    from scipy.fftpack import dctn
+
+    height, width = plane.shape
+    pad_h = (-height) % 8
+    pad_w = (-width) % 8
+    if pad_h or pad_w:
+        plane = np.pad(plane, ((0, pad_h), (0, pad_w)), mode="edge")
+    height, width = plane.shape
+    blocks = plane.reshape(height // 8, 8, width // 8, 8).transpose(0, 2, 1, 3)
+    coeffs = dctn(blocks - 128.0, axes=(2, 3), norm="ortho")
+    quantized = np.round(coeffs / table[None, None, :, :])
+    dc = quantized[:, :, 0, 0].astype(np.int16)
+    ac = np.clip(quantized, -127, 127).astype(np.int8)
+    ac[:, :, 0, 0] = 0
+    # Differential DC coding across blocks, as the standard does.
+    dc_flat = dc.reshape(-1)
+    dc_diff = np.empty_like(dc_flat)
+    dc_diff[0] = dc_flat[0]
+    dc_diff[1:] = dc_flat[1:] - dc_flat[:-1]
+    # Sparse AC serialization stands in for zigzag run-length + Huffman:
+    # per-block nonzero count, then (position, value) streams.
+    ac_blocks = ac.reshape(-1, 64)
+    mask = ac_blocks != 0
+    counts = np.minimum(mask.sum(axis=1), 255).astype(np.uint8)
+    positions = np.nonzero(mask)[1].astype(np.uint8)
+    values = ac_blocks[mask]
+    return (
+        dc_diff.tobytes()
+        + counts.tobytes()
+        + positions.tobytes()
+        + values.tobytes()
+    )
+
+
+def encode_jpeg(image: RasterImage, quality: int = 75) -> EncodedImage:
+    """Lossy encode: 4:2:0 subsampling, 8x8 DCT, Annex K quantization,
+    entropy coding.
+
+    ``quality`` follows the familiar 1-100 scale and drives the standard
+    table scaling, so byte counts respond to quality and image business
+    the way the paper's post-processor did.
+    """
+    if not 1 <= quality <= 100:
+        raise ValueError("quality must be in [1, 100]")
+    pixels = image.pixels.astype(np.float32)
+    # RGB -> YCbCr.
+    y = 0.299 * pixels[:, :, 0] + 0.587 * pixels[:, :, 1] + 0.114 * pixels[:, :, 2]
+    cb = 128 - 0.168736 * pixels[:, :, 0] - 0.331264 * pixels[:, :, 1] + 0.5 * pixels[:, :, 2]
+    cr = 128 + 0.5 * pixels[:, :, 0] - 0.418688 * pixels[:, :, 1] - 0.081312 * pixels[:, :, 2]
+    # 4:2:0 chroma subsampling.
+    cb_sub = cb[::2, ::2]
+    cr_sub = cr[::2, ::2]
+    scale = _quality_scale(quality)
+    luma_table = np.clip(_LUMA_QUANT * scale, 1, 255)
+    chroma_table = np.clip(_CHROMA_QUANT * scale, 1, 255)
+    payload = (
+        _block_dct_quantize(y, luma_table)
+        + _block_dct_quantize(cb_sub, chroma_table)
+        + _block_dct_quantize(cr_sub, chroma_table)
+    )
+    compressed = zlib.compress(payload, level=7)
+    return EncodedImage(
+        format="jpeg",
+        width=image.width,
+        height=image.height,
+        data=compressed + b"\x00" * _JPEG_OVERHEAD,
+        quality=quality,
+    )
+
+
 class ReferenceCanvas(Canvas):
-    """``Canvas`` as it painted before fills became row copies and text
-    became one stamp per run: every fill a colour broadcast over its
-    region, every stroke four line broadcasts, every glyph its own
-    loop over the lit cells of its 5x7 bitmap, one slice assignment
-    each.  Only ``_clip`` and ``draw_photo_placeholder`` are inherited.
+    """``Canvas`` as it painted before fills became row copies, text
+    became one stamp per run and placeholders were drawn in bands and
+    memoised: every fill a colour broadcast over its region, every
+    stroke four line broadcasts, every glyph its own loop over the lit
+    cells of its 5x7 bitmap, one slice assignment each, and every
+    placeholder's noise field drawn whole, fresh each time.  Only
+    ``_clip`` is inherited.
 
     ``fill_gradient`` keeps its bug: it spreads the ramp over the rows
     the canvas shows, not over the box, so it is an oracle only for
@@ -195,6 +292,46 @@ class ReferenceCanvas(Canvas):
             base_arr[None, :] + ramp[:, None], 0, 255
         ).astype(np.uint8)
         self.pixels[y0:y1, x0:x1] = block[:, None, :]
+
+    def draw_photo_placeholder(self, rect: Rect, seed: int = 0) -> None:
+        """Continuous-tone stand-in for a real image: smooth 2D noise.
+
+        Rendered pages spend most of their entropy in photographs and
+        anti-aliased imagery; a deterministic low-frequency noise field
+        gives the encoders honestly incompressible content to chew on.
+        """
+        x, y, w, h = rect.rounded()
+        x0, y0, x1, y1 = self._clip(x, y, w, h)
+        if x1 <= x0 or y1 <= y0:
+            return
+        height = y1 - y0
+        width = x1 - x0
+        rng = np.random.default_rng(seed & 0xFFFFFFFF or 0xA11CE)
+        # Low-res noise grid upsampled: smooth patches like a photo.
+        grid_h = max(2, height // 6 + 1)
+        grid_w = max(2, width // 6 + 1)
+        grid = rng.integers(40, 216, size=(grid_h, grid_w, 3))
+        rows = (np.arange(height) * (grid_h - 1) / max(1, height - 1))
+        cols = (np.arange(width) * (grid_w - 1) / max(1, width - 1))
+        row_lo = rows.astype(int)
+        col_lo = cols.astype(int)
+        row_frac = (rows - row_lo)[:, None, None]
+        col_frac = (cols - col_lo)[None, :, None]
+        row_hi = np.minimum(row_lo + 1, grid_h - 1)
+        col_hi = np.minimum(col_lo + 1, grid_w - 1)
+        top = (
+            grid[row_lo][:, col_lo] * (1 - col_frac)
+            + grid[row_lo][:, col_hi] * col_frac
+        )
+        bottom = (
+            grid[row_hi][:, col_lo] * (1 - col_frac)
+            + grid[row_hi][:, col_hi] * col_frac
+        )
+        patch = top * (1 - row_frac) + bottom * row_frac
+        # Fine grain on top, like sensor noise / dithering.
+        patch = patch + rng.normal(0, 3, size=patch.shape)
+        self.pixels[y0:y1, x0:x1] = np.clip(patch, 0, 255).astype(np.uint8)
+        self.stroke_rect(rect, (120, 120, 130))
 
     def _draw_glyph(
         self, x: int, y: int, char: str, scale: int, color: Color, bold: bool

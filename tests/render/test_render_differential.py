@@ -2,21 +2,30 @@
 
 ``reference_render`` freezes the loops this layer used to run: the
 float32 anti-alias, the broadcast fills and per-cell glyph painter, the
-scanline-loop PNG filter and the linear-scan cascade, plus the exact
+whole-field photo placeholder, the scanline-loop PNG filter, the
+whole-frame JPEG encoder and the linear-scan cascade, plus the exact
 ``int64`` box resampler.  Each replacement must produce the same bytes:
 
 * ``RasterImage.smoothed`` on every frame shape whose edge norms differ
   (1x1 is 4 everywhere, 1xN and Nx1 are 6 with 4 at the ends, 2x2 is
-  all corners) and on flat 0 / 255 frames;
+  all corners), on flat 0 / 255 frames, and on frames one row short of,
+  exactly and one row past a band (and two bands);
 * ``Canvas.draw_text`` for one-glyph and several-glyph runs clipped at
   each canvas edge and for runs hundreds of canvases wide, and whole
   display lists of fills, strokes, gradients and runs over any
   background;
 * ``Canvas.fill_gradient`` cut by the canvas, against the rows of the
   same box painted whole;
-* ``RasterImage.resized`` for down-, up- and mixed-scale targets — the
-  one place the parent's output was wrong, pinned on a page-sized frame;
-* ``encode_png`` on random and flat images;
+* ``Canvas.draw_photo_placeholder`` at any rect, clip and seed, drawn
+  twice so the memoised patch is compared as well as the fresh one, and
+  across the bands of its noise field;
+* ``RasterImage.resized`` for down-, up- and mixed-scale targets, on
+  one-row and one-column frames and on outputs a row either side of a
+  band — the one place the parent's output was wrong, pinned on a
+  page-sized frame;
+* ``encode_png`` on random and flat images, and ``encode_jpeg`` at odd
+  and even sizes, every quality, and heights either side of its luma
+  and chroma bands;
 * ``StyleResolver.computed_style`` for every element of the three origin
   families' front pages under their real stylesheets, and on generated
   sheets whose rightmost compounds land in every rule-hash bucket.
@@ -38,8 +47,9 @@ from repro.html.parser import parse_html
 from repro.net.client import HttpClient
 from repro.net.url import URL
 from repro.render import fonts
+from repro.render import image as image_module
 from repro.render.box import Rect, TextRun
-from repro.render.image import RasterImage, encode_png
+from repro.render.image import RasterImage, encode_jpeg, encode_png
 from repro.render.paint import FillCommand, StrokeCommand, TextCommand, paint_onto
 from repro.render.raster import Canvas, _glyph_cells
 from repro.render.snapshot import collect_stylesheets
@@ -94,6 +104,28 @@ def test_smoothed_matches_float_blur_on_every_sum_and_norm():
     assert (
         RasterImage(pixels).smoothed().pixels == reference.smoothed(pixels)
     ).all()
+
+
+def _around_bands(band):
+    """Heights one short of, exactly and one past one band and two."""
+    return sorted(
+        {max(1, rows + offset) for rows in (band, 2 * band) for offset in (-1, 0, 1)}
+    )
+
+
+# A frame this wide has bands of a few rows, so band edges are cheap to
+# reach; one column wide, a band is tens of thousands of rows.
+WIDE = 4096
+
+
+@pytest.mark.parametrize("width", [1, 2, WIDE])
+def test_smoothed_matches_float_blur_across_band_edges(width):
+    band = image_module._band_rows(width * 3 * 2)
+    for height in [1, 2] + _around_bands(band):
+        pixels = frame(height, width, seed=height)
+        assert (
+            RasterImage(pixels).smoothed().pixels == reference.smoothed(pixels)
+        ).all(), height
 
 
 # -- run stamps and fills ----------------------------------------------------------
@@ -181,6 +213,45 @@ def test_glyph_masks_are_shared_and_read_only():
     for index in (rows, cols):
         with pytest.raises(ValueError):
             index[0] = 0
+
+
+@given(
+    canvas_w=st.integers(1, 60),
+    canvas_h=st.integers(1, 60),
+    rect=st.builds(
+        Rect,
+        st.floats(-40, 70),
+        st.floats(-40, 70),
+        st.floats(0, 90),
+        st.floats(0, 90),
+    ),
+    seed=st.integers(0, 2**33),
+)
+@example(canvas_w=10, canvas_h=10, rect=Rect(0, 0, 10, 10), seed=0)
+@example(canvas_w=10, canvas_h=10, rect=Rect(0, 0, 10, 10), seed=2**32)
+@settings(max_examples=200, deadline=None)
+def test_photo_placeholder_matches_the_whole_field_draw(
+    canvas_w, canvas_h, rect, seed
+):
+    # Twice: the first draw may make the patch, the second reads it back
+    # from the memo.  Seeds 0 and 2**32 share a patch (both mask to 0).
+    fast = Canvas(canvas_w, canvas_h)
+    slow = reference.ReferenceCanvas(canvas_w, canvas_h)
+    for _ in range(2):
+        fast.draw_photo_placeholder(rect, seed)
+        slow.draw_photo_placeholder(rect, seed)
+        assert (fast.pixels == slow.pixels).all()
+
+
+@pytest.mark.parametrize("width", [1, 1000])
+def test_photo_placeholder_matches_across_noise_bands(width):
+    band = image_module._band_rows(width * 3 * 8)  # a float64 field
+    for height in _around_bands(band):
+        fast = Canvas(width, height)
+        slow = reference.ReferenceCanvas(width, height)
+        for canvas in (fast, slow):
+            canvas.draw_photo_placeholder(Rect(0, 0, width, height), seed=height)
+        assert (fast.pixels == slow.pixels).all(), height
 
 
 _colors = st.tuples(*[st.integers(0, 255)] * 3)
@@ -290,6 +361,30 @@ def test_resized_matches_exact_integral_on_named_shapes(size, target):
     assert (got == reference.resized(pixels, *target)).all()
 
 
+@pytest.mark.parametrize(
+    "width,new_width,height_for",
+    [
+        # Boxes 4 and 5 rows tall, so bands differ in their areas.
+        (WIDE, WIDE // 4, lambda rows: rows * 4 + rows // 2),  # down
+        (WIDE // 5, WIDE, lambda rows: max(1, rows // 3)),  # up on both
+        (WIDE // 3, WIDE, lambda rows: rows * 2 + rows // 2),  # mixed
+        (WIDE, WIDE // 4, lambda rows: 1),  # a one-row frame
+        (1, 7, lambda rows: rows * 2),  # a one-column frame
+    ],
+    ids=["down", "up", "mixed", "one-row", "one-column"],
+)
+def test_resized_matches_exact_integral_across_band_edges(
+    width, new_width, height_for
+):
+    # ``resized`` fills its output a band of rows at a time: as many as
+    # keep a band's row sums of the source (``uint16`` for every box
+    # here, at most 5 x 4 samples) under the budget.
+    for rows in _around_bands(image_module._band_rows(width * 3 * 2)):
+        pixels = frame(height_for(rows), width, seed=rows)
+        got = RasterImage(pixels).resized(new_width, rows).pixels
+        assert (got == reference.resized(pixels, new_width, rows)).all(), rows
+
+
 def test_scaled_page_sized_frame_has_exact_box_sums():
     # The float32 running sum this replaced reached ~1e9 on a frame this
     # size, where float32 is spaced 64-128 apart: about half the samples
@@ -321,6 +416,33 @@ def test_resized_box_sums_past_uint32_do_not_wrap():
 def test_encode_png_matches_scanline_loop(height, width, seed, fill):
     image = RasterImage(frame(height, width, seed, fill))
     assert encode_png(image) == reference.encode_png(image)
+
+
+@given(
+    height=st.integers(1, 40),
+    width=st.integers(1, 40),
+    quality=st.integers(1, 100),
+    seed=st.integers(0, 2**32 - 1),
+    fill=_fills,
+)
+@settings(max_examples=150, deadline=None)
+def test_encode_jpeg_matches_whole_frame_encoder(height, width, quality, seed, fill):
+    image = RasterImage(frame(height, width, seed, fill))
+    assert encode_jpeg(image, quality) == reference.encode_jpeg(image, quality)
+
+
+@pytest.mark.parametrize("quality", [1, 25, 75, 100])
+def test_encode_jpeg_matches_across_luma_and_chroma_bands(quality):
+    # Luma bands are whole blocks of rows as wide as the image; chroma
+    # bands count rows of the half-height 4:2:0 grid.
+    width = 1001
+    luma = image_module._band_rows(width * 3 * 4) // 8 * 8
+    chroma = image_module._band_rows((width + 1) // 2 * 3 * 4) // 8 * 8
+    for height in sorted(set(_around_bands(luma) + _around_bands(2 * chroma))):
+        image = RasterImage(frame(height, width, seed=height))
+        assert encode_jpeg(image, quality) == reference.encode_jpeg(
+            image, quality
+        ), height
 
 
 # -- the cascade ---------------------------------------------------------------------
