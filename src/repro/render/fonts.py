@@ -8,6 +8,12 @@ glyphs from a 5x7 bitmap font so snapshots show legible text patterns.
 
 from __future__ import annotations
 
+import sys
+from types import MappingProxyType
+from typing import Mapping
+
+from repro.render.memo import SharedMemo
+
 # Advance widths in 1/1000 em for printable ASCII (Helvetica-like).
 _DEFAULT_WIDTH = 600
 _WIDTHS: dict[str, int] = {
@@ -30,6 +36,8 @@ _WIDTHS: dict[str, int] = {
 _BOLD_FACTOR = 1.08
 LINE_HEIGHT_FACTOR = 1.25
 
+_ADVANCE_MEMO_BYTES = 256 << 10  # advance tables kept for reuse
+
 
 def char_width(char: str, font_size: float, bold: bool = False) -> float:
     """Advance width of one character in pixels."""
@@ -38,9 +46,40 @@ def char_width(char: str, font_size: float, bold: bool = False) -> float:
     return width * _BOLD_FACTOR if bold else width
 
 
+class _Advances(dict):
+    """``char_width`` of every character in ``_WIDTHS`` at one font size
+    and weight; any other character reads ``default``, the width
+    ``char_width`` gives every character outside ``_WIDTHS``."""
+
+    __slots__ = ("default", "nbytes")
+
+    def __missing__(self, char: str) -> float:
+        return self.default
+
+
+def _advance_table(font_size: float, bold: bool) -> _Advances:
+    table = _Advances(
+        (char, char_width(char, font_size, bold)) for char in _WIDTHS
+    )
+    table.default = char_width("\x00", font_size, bold)  # not in _WIDTHS
+    table.nbytes = sys.getsizeof(table) + len(table) * sys.getsizeof(0.0)
+    return table
+
+
+_ADVANCES: SharedMemo[_Advances] = SharedMemo(_advance_table, _ADVANCE_MEMO_BYTES)
+
+
+def advance_table(font_size: float, bold: bool = False) -> Mapping[str, float]:
+    """Advance widths by character at one font size and weight, read-only
+    and shared: ``advance_table(size, bold)[char] == char_width(char,
+    size, bold)`` for every character, the same float."""
+    return MappingProxyType(_ADVANCES.get(font_size, bold))
+
+
 def text_width(text: str, font_size: float, bold: bool = False) -> float:
-    """Advance width of a string in pixels."""
-    return sum(char_width(char, font_size, bold) for char in text)
+    """Advance width of a string in pixels: its characters' ``char_width``
+    summed in order, read from the advance table."""
+    return sum(map(_ADVANCES.get(font_size, bold).__getitem__, text))
 
 
 def line_height(font_size: float) -> float:

@@ -71,8 +71,22 @@ def _paint_box(box: LayoutBox, commands: list[PaintCommand]) -> None:
 
 
 def paint_onto(canvas: Canvas, commands: list[PaintCommand]) -> None:
-    """Execute a display list against a :class:`Canvas`."""
+    """Execute a display list against a :class:`Canvas`.
+
+    Fills, strokes and placeholders are painted one at a time; each
+    maximal sequence of consecutive text commands between them goes to
+    ``Canvas.draw_runs`` as one batch, which stamps its runs in order.
+    Nothing moves across a non-text command, so the canvas ends as if
+    every command were painted alone, in list order.
+    """
+    runs: list[TextRun] = []
     for command in commands:
+        if isinstance(command, TextCommand):
+            runs.append(command.run)
+            continue
+        if runs:
+            canvas.draw_runs(runs)
+            runs = []
         if isinstance(command, FillCommand):
             if command.gradient:
                 canvas.fill_gradient(command.rect, command.color)
@@ -82,15 +96,7 @@ def paint_onto(canvas: Canvas, commands: list[PaintCommand]) -> None:
             canvas.stroke_rect(command.rect, command.color, command.width)
         elif isinstance(command, PlaceholderCommand):
             canvas.draw_photo_placeholder(command.rect, command.texture_seed)
-        elif isinstance(command, TextCommand):
-            run = command.run
-            canvas.draw_text(
-                run.rect.x,
-                run.rect.y,
-                run.text,
-                run.font_size,
-                run.color,
-                run.bold,
-            )
         else:  # pragma: no cover - defensive
             raise TypeError(f"unknown paint command {command!r}")
+    if runs:
+        canvas.draw_runs(runs)

@@ -1,13 +1,13 @@
 """The render path's replaced loops, frozen as differential oracles.
 
 These are ``RasterImage.smoothed``, ``Canvas``'s painting methods (the
-photo placeholder included), ``encode_png``, ``encode_jpeg`` and
-``StyleResolver.computed_style`` as they stood before the rule-hash
-cascade, the row-copy fills and run stamps, the integer anti-alias, the
-vectorised scanline filter, the banded passes and the placeholder memo
-replaced them, kept verbatim so the code under ``src/`` can be checked
-byte for byte against what it replaced.  Nothing under ``src/`` imports
-this module.
+photo placeholder included), ``encode_png``, ``encode_jpeg``,
+``StyleResolver.computed_style`` and ``fonts.text_width`` as they stood
+before the rule-hash cascade, the row-copy fills and run stamps, the
+integer anti-alias, the vectorised scanline filter, the banded passes,
+the placeholder memo and the advance table replaced them, kept verbatim
+so the code under ``src/`` can be checked byte for byte against what it
+replaced.  Nothing under ``src/`` imports this module.
 
 ``resized`` is the exception: the implementation it replaced summed the
 frame in float32 and got the box sums wrong on tall pages, so what is
@@ -204,6 +204,11 @@ def encode_jpeg(image: RasterImage, quality: int = 75) -> EncodedImage:
         data=compressed + b"\x00" * _JPEG_OVERHEAD,
         quality=quality,
     )
+
+
+def text_width(text: str, font_size: float, bold: bool = False) -> float:
+    """Advance width of a string in pixels."""
+    return sum(fonts.char_width(char, font_size, bold) for char in text)
 
 
 class ReferenceCanvas(Canvas):

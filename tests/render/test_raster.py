@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.render.box import Rect
+from repro.render.box import Rect, TextRun
 from repro.render.raster import Canvas
 
 
@@ -125,3 +125,30 @@ def test_photo_placeholder_seed_changes_texture():
     b = Canvas(40, 40)
     b.draw_photo_placeholder(Rect(0, 0, 40, 40), seed=2)
     assert (a.pixels != b.pixels).any()
+
+
+BACKGROUND = (9, 8, 7)
+
+
+@pytest.mark.parametrize(
+    "paint",
+    [
+        lambda canvas: canvas.fill_rect(Rect(2, 2, 3, 3), (0, 0, 0)),
+        lambda canvas: canvas.fill_gradient(Rect(0, 0, 30, 20), (100, 120, 150)),
+        lambda canvas: canvas.stroke_rect(Rect(1, 1, 10, 10), (0, 0, 0)),
+        lambda canvas: canvas.draw_text(2, 2, "Hi", 16.0, (0, 0, 0)),
+        lambda canvas: canvas.draw_runs(
+            [TextRun("ok", Rect(2, 2, 0, 0), 16.0, color=(1, 1, 1))]
+        ),
+        lambda canvas: canvas.draw_photo_placeholder(Rect(0, 0, 30, 20), seed=4),
+    ],
+    ids=["fill", "gradient", "stroke", "text", "runs", "placeholder"],
+)
+def test_a_background_fill_after_any_paint_is_written(paint):
+    # An untouched canvas skips a fill of its background colour; once
+    # anything is painted, that fill paints over it.
+    canvas = Canvas(30, 20, background=BACKGROUND)
+    paint(canvas)
+    assert (canvas.pixels != BACKGROUND).any()
+    canvas.fill_rect(Rect(0, 0, 30, 20), BACKGROUND)
+    assert (canvas.pixels == BACKGROUND).all()

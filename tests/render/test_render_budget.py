@@ -4,10 +4,12 @@ Counts that repeat exactly, not timings: how many selector matches the
 cascade runs and how many array writes the painter makes for the forum
 index, how much memory the anti-alias, the downscale, the JPEG encoder
 and the photo placeholder allocate beside what they read and return,
-and how much the placeholder memo keeps.  The linear-scan cascade ran
-275,800 matches on this page; the per-cell glyph loop made ~15 writes
-per glyph and the glyph-mask blit one per glyph (11,808 for 1,115
-runs); every fill, the background and every vertical stroke line
+and how much the placeholder memo and the text tables keep.  The
+linear-scan cascade ran 275,800 matches on this page; the per-cell
+glyph loop made ~15 writes per glyph, the glyph-mask blit one per glyph
+(11,808 for 1,115 runs) and the run stamp one per run; the viewport's
+white fill rewrote the white frame; every fill, the background and
+every vertical stroke line
 broadcast a colour tuple over its whole region; the float anti-alias
 peaked at ~16x the frame and the float integral image at ~20x; the
 whole-frame passes that replaced them at 3.0x (anti-alias), 2.1x
@@ -26,10 +28,12 @@ import pytest
 
 from repro.dom.selectors import ComplexSelector
 from repro.net.client import HttpClient
+from repro.render import fonts
 from repro.render import raster as raster_module
 from repro.render import snapshot as snapshot_module
 from repro.render.box import Rect
 from repro.render.image import RasterImage, encode_jpeg
+from repro.render.memo import SharedMemo
 from repro.render.raster import Canvas
 from repro.render.snapshot import render_snapshot
 from tests.conftest import FORUM_HOST
@@ -52,16 +56,12 @@ def _rows_written(array, key):
     return 1
 
 
-def test_forum_render_stays_inside_its_match_and_write_budget(
-    forum_app, monkeypatch
-):
-    counts = Counter()
-    writes = []  # (rows written, the value is a colour tuple) per write
+def _counting_canvas(writes):
+    """A ``Canvas`` whose frame records each write to it and to every
+    view of it, as (rows written, the value is a colour tuple)."""
 
     class CountingPixels(np.ndarray):
-        """Records writes to the array and to every view of it (a view
-        of a subclass instance is an instance of the subclass)."""
-
+        # A view of a subclass instance is an instance of the subclass.
         def __setitem__(self, key, value):
             writes.append(
                 (_rows_written(self, key), isinstance(value, (tuple, list)))
@@ -75,6 +75,22 @@ def test_forum_render_stays_inside_its_match_and_write_budget(
                 value = value.view(CountingPixels)
             super().__setattr__(name, value)
 
+    return CountingCanvas
+
+
+def _forum_page(forum_app):
+    return fetch_page(
+        HttpClient({FORUM_HOST: forum_app}), f"http://{FORUM_HOST}/index.php"
+    )
+
+
+def test_forum_render_stays_inside_its_match_and_write_budget(
+    forum_app, monkeypatch
+):
+    counts = Counter()
+    writes = []
+
+    class BudgetCanvas(_counting_canvas(writes)):
         def fill_rect(self, *args):
             before = len(writes)
             super().fill_rect(*args)
@@ -87,16 +103,18 @@ def test_forum_render_stays_inside_its_match_and_write_budget(
                 colour and rows > 1 for rows, colour in made
             )
 
-        def draw_text(self, x, y, text, *args):
+        def draw_runs(self, runs):
             before = len(writes)
-            super().draw_text(x, y, text, *args)
-            inked = len(text.replace(" ", ""))
-            counts["glyphs"] += inked
-            counts["inked_runs"] += inked > 0
-            counts["text_writes"] += len(writes) - before
-            counts["most_writes_per_run"] = max(
-                counts["most_writes_per_run"], len(writes) - before
+            super().draw_runs(runs)
+            counts["batches"] += 1
+            inked = [run for run in runs if run.text.strip(" ")]
+            counts["glyphs"] += sum(len(run.text.replace(" ", "")) for run in inked)
+            counts["inked_runs"] += len(inked)
+            counts["stretches"] += sum(
+                index == 0 or run.color != inked[index - 1].color
+                for index, run in enumerate(inked)
             )
+            counts["text_writes"] += len(writes) - before
 
     real_matches = ComplexSelector.matches
 
@@ -105,19 +123,19 @@ def test_forum_render_stays_inside_its_match_and_write_budget(
         return real_matches(self, element)
 
     monkeypatch.setattr(ComplexSelector, "matches", counting_matches)
-    monkeypatch.setattr(snapshot_module, "Canvas", CountingCanvas)
-    document, external = fetch_page(
-        HttpClient({FORUM_HOST: forum_app}), f"http://{FORUM_HOST}/index.php"
-    )
+    monkeypatch.setattr(snapshot_module, "Canvas", BudgetCanvas)
+    document, external = _forum_page(forum_app)
 
     snapshot = render_snapshot(document, 1024, external_css=external)
 
     assert snapshot.stylesheet_count >= 1
     assert 0 < counts["matches"] <= MAX_SELECTOR_MATCHES
     assert counts["glyphs"] > 10_000  # the page is mostly text
-    # A run is one stamp, however many glyphs it has.
-    assert counts["most_writes_per_run"] == 1
-    assert counts["text_writes"] <= counts["inked_runs"]
+    # The runs between two other commands are one batch (160 for 1,115
+    # inked runs), and a batch is one store per stretch of consecutive
+    # runs of one colour, however many glyphs it has.
+    assert 4 * counts["batches"] <= counts["inked_runs"]
+    assert counts["text_writes"] <= counts["stretches"]
     # A fill is a row and one copy of it, and no write -- a fill's, the
     # background's, a stroke's -- broadcasts a colour tuple over a
     # region taller than one row.
@@ -127,6 +145,30 @@ def test_forum_render_stays_inside_its_match_and_write_budget(
     assert [rows for rows, colour in writes if colour and rows > 1] == []
     # The counting view must not leak into the snapshot's image.
     assert type(snapshot.image.pixels) is np.ndarray
+
+
+def test_the_forum_render_writes_its_frame_once_before_painting(
+    forum_app, monkeypatch
+):
+    # The page's first command fills the viewport white; the canvas is
+    # white already, so the fill writes nothing.
+    writes = []
+    rows_before = []
+    commands = []
+
+    class FirstPaintCanvas(_counting_canvas(writes)):
+        def fill_rect(self, rect, color):
+            commands.append(tuple(color))
+            if tuple(color) != (255, 255, 255) and not rows_before:
+                rows_before.append(sum(rows for rows, _ in writes))
+            super().fill_rect(rect, color)
+
+    monkeypatch.setattr(snapshot_module, "Canvas", FirstPaintCanvas)
+    document, external = _forum_page(forum_app)
+    snapshot = render_snapshot(document, 1024, external_css=external)
+
+    assert commands[0] == (255, 255, 255)
+    assert rows_before == [snapshot.page_height]
 
 
 def _peak_bytes(call):
@@ -176,6 +218,10 @@ def test_a_canvas_sized_placeholder_peaks_at_twice_its_patch():
     assert peak <= 2 * patch_bytes
 
 
+def _kept(memo):
+    return sum(value.nbytes for value in memo._values.values())
+
+
 def test_the_placeholder_memo_keeps_no_more_than_its_budget():
     # However many distinct placeholders a page has: here 3x the budget's
     # worth, each a different seed.
@@ -184,16 +230,54 @@ def test_the_placeholder_memo_keeps_no_more_than_its_budget():
     patch_bytes = 200 * 300 * 3
     for seed in range(3 * memo.budget // patch_bytes):
         canvas.draw_photo_placeholder(Rect(0, 0, 300, 200), seed=10_000 + seed)
-        kept = sum(patch.nbytes for patch in memo._patches.values())
-        assert kept <= memo.budget
+        assert _kept(memo) <= memo.budget
     # Full, not emptied: only the least recently used went.
-    assert kept > memo.budget - patch_bytes
+    assert _kept(memo) > memo.budget - patch_bytes
+
+
+@pytest.mark.parametrize(
+    "memo,step,key",
+    [
+        # Every font size and weight has its own advance table...
+        (fonts._ADVANCES, 0.25, lambda size, width: (size, False)),
+        # ... and every glyph scale and weight, on a canvas this wide, its
+        # own offsets (a font size of 8 * scale draws at ``scale``).
+        (
+            raster_module._GLYPH_TABLES,
+            8.0,
+            lambda size, width: (int(size // 8), False, width),
+        ),
+    ],
+    ids=["advances", "glyph-offsets"],
+)
+def test_each_text_table_keeps_no_more_than_its_budget(memo, step, key):
+    # 3x the budget's worth of tables, one per distinct font size.
+    canvas = Canvas(64, 32)
+    built, font_size = 0, 8.0
+    while built < 3 * memo.budget:
+        canvas.draw_text(0, 0, "Ab", font_size, (0, 0, 0))
+        built += memo.get(*key(font_size, canvas.width)).nbytes
+        assert _kept(memo) <= memo.budget
+        font_size += step
+
+
+def test_a_glyph_offset_array_is_read_only_and_shared():
+    table = raster_module._GLYPH_TABLES.get(2, True, 1024)
+    assert raster_module._GLYPH_TABLES.get(2, True, 1024) is table
+    # Lowercase draws its capital; a letter outside ASCII reads the same
+    # array through its bitmap.
+    assert table["a"] is table["A"]
+    assert table["ı"] is table["I"]
+    for array in (table["A"], table.masks):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 def test_a_memoised_patch_is_read_only_and_shared():
     memo = raster_module._NOISE_PATCHES
-    patch = memo.get(30, 40, seed=123)
-    assert memo.get(30, 40, seed=123) is patch
+    patch = memo.get(30, 40, 123)
+    assert memo.get(30, 40, 123) is patch
     assert not patch.flags.writeable
     with pytest.raises(ValueError):
         patch[0, 0] = 0
@@ -204,11 +288,11 @@ def test_a_memoised_patch_is_read_only_and_shared():
 
 
 def test_a_cleared_memo_draws_the_same_patch_again():
-    memo = raster_module._PatchMemo(budget=1 << 20)
-    patch = memo.get(30, 40, seed=123)
+    memo = SharedMemo(raster_module._noise_patch, budget=1 << 20)
+    patch = memo.get(30, 40, 123)
     memo.clear()
-    assert not memo._patches
-    redrawn = memo.get(30, 40, seed=123)
+    assert not memo._values
+    redrawn = memo.get(30, 40, 123)
     assert redrawn is not patch
     assert np.array_equal(redrawn, patch)
 
@@ -222,13 +306,19 @@ def test_a_cleared_memo_draws_the_same_patch_again():
         lambda canvas: canvas.draw_text(
             -50_000, 4, "MiW" * 10_000, 16.0, (0, 0, 0)
         ),
+        lambda canvas: canvas.draw_text(0, 0, "AB", 6000.0, (0, 0, 0)),
     ],
-    ids=["gradient-a-billion-rows-tall", "run-a-thousand-canvases-wide"],
+    ids=[
+        "gradient-a-billion-rows-tall",
+        "run-a-thousand-canvases-wide",
+        "glyphs-a-hundred-canvases-tall",
+    ],
 )
 def test_paint_memory_follows_the_canvas_not_the_box(paint):
-    # Box heights and run widths come from the page; only the canvas is
-    # clamped.  At ~200 MB (the run) or 8 GB (the gradient) a render
-    # would fail or take the host's memory with it.
+    # Box heights, run widths and font sizes come from the page; only the
+    # canvas is clamped.  At ~200 MB (the run), 8 GB (the gradient) or
+    # 425 MB (two 6,000 px glyphs, each lit pixel an index) a render would
+    # fail or take the host's memory with it.
     canvas = Canvas(200, 40)
     assert _peak_bytes(lambda: paint(canvas)) <= 8 * canvas.pixels.nbytes
 

@@ -11,9 +11,13 @@ whole-frame JPEG encoder and the linear-scan cascade, plus the exact
   all corners), on flat 0 / 255 frames, and on frames one row short of,
   exactly and one row past a band (and two bands);
 * ``Canvas.draw_text`` for one-glyph and several-glyph runs clipped at
-  each canvas edge and for runs hundreds of canvases wide, and whole
-  display lists of fills, strokes, gradients and runs over any
-  background;
+  each canvas edge, for runs hundreds of canvases wide and for glyphs
+  far larger than the canvas, and whole display lists of fills, strokes,
+  gradients and batches of runs (overlapping in different colours, cut
+  by every edge) painted by ``paint_onto`` against the same commands
+  painted one at a time, over any background;
+* ``fonts.text_width`` through the advance table, against the sum of
+  ``char_width`` it replaced, bit for bit;
 * ``Canvas.fill_gradient`` cut by the canvas, against the rows of the
   same box painted whole;
 * ``Canvas.draw_photo_placeholder`` at any rect, clip and seed, drawn
@@ -50,8 +54,14 @@ from repro.render import fonts
 from repro.render import image as image_module
 from repro.render.box import Rect, TextRun
 from repro.render.image import RasterImage, encode_jpeg, encode_png
-from repro.render.paint import FillCommand, StrokeCommand, TextCommand, paint_onto
-from repro.render.raster import Canvas, _glyph_cells
+from repro.render.paint import (
+    FillCommand,
+    PlaceholderCommand,
+    StrokeCommand,
+    TextCommand,
+    paint_onto,
+)
+from repro.render.raster import Canvas
 from repro.render.snapshot import collect_stylesheets
 from tests.conftest import CLASSIFIEDS_HOST, FORUM_HOST, NEWS_HOST
 from tests.render import reference_render as reference
@@ -130,7 +140,8 @@ def test_smoothed_matches_float_blur_across_band_edges(width):
 
 # -- run stamps and fills ----------------------------------------------------------
 
-GLYPH_CHARS = sorted(fonts._GLYPHS) + ["q", "☃"]  # lowercase, fallback
+# Lowercase, the fallback box, a letter outside ASCII, an astral character.
+GLYPH_CHARS = sorted(fonts._GLYPHS) + ["q", "☃", "ı", "𝔸"]
 CANVAS_W, CANVAS_H = 40, 36
 FONT_SIZES = [7.0, 9.0, 11.0, 13.0, 16.0, 19.0, 24.0, 32.0]
 
@@ -207,12 +218,58 @@ def test_a_run_far_wider_than_the_canvas_matches_cell_loop(place, bold):
     )
 
 
-def test_glyph_masks_are_shared_and_read_only():
-    rows, cols = _glyph_cells(fonts.glyph_bitmap("A"), 1, False)
-    assert rows is _glyph_cells(fonts.glyph_bitmap("a"), 1, False)[0]
-    for index in (rows, cols):
-        with pytest.raises(ValueError):
-            index[0] = 0
+_MEASURED = st.text(
+    alphabet=st.one_of(
+        st.characters(min_codepoint=32, max_codepoint=126),
+        st.sampled_from(["ı", "ſ", "ß", "𝔸", "é", "\t", "\xa0"]),
+        st.characters(),
+    ),
+    max_size=40,
+)
+
+
+@given(
+    text=_MEASURED,
+    font_size=st.one_of(st.sampled_from(FONT_SIZES), st.floats(0.5, 500)),
+    bold=st.booleans(),
+)
+@example(text="ıſß𝔸 Hello", font_size=13.0, bold=True)
+@settings(max_examples=300, deadline=None)
+def test_text_width_through_the_table_is_the_sum_of_char_widths(
+    text, font_size, bold
+):
+    # The same floats in the same order: equal bits, not nearly equal.
+    assert fonts.text_width(text, font_size, bold) == reference.text_width(
+        text, font_size, bold
+    )
+    advances = fonts.advance_table(font_size, bold)
+    assert [advances[char] for char in text] == [
+        fonts.char_width(char, font_size, bold) for char in text
+    ]
+
+
+@given(
+    text=st.text(alphabet=st.sampled_from(GLYPH_CHARS + [" "]), min_size=1, max_size=3),
+    font_size=st.floats(100, 3000),
+    across=st.floats(0, 1),
+    down=st.floats(0, 1),
+    bold=st.booleans(),
+)
+@example(text="AB", font_size=6000.0, across=0.0, down=0.0, bold=False)
+@settings(max_examples=60, deadline=None)
+def test_glyphs_larger_than_the_canvas_match_cell_loop(
+    text, font_size, across, down, bold
+):
+    # The canvas shows a window anywhere over the run: glyphs up to
+    # ~240 px are tabled, larger ones are filled cell by cell.
+    scale = max(1, int(round(font_size / 8.0)))
+    glyph_h = fonts.GLYPH_ROWS * scale
+    top = (fonts.line_height(font_size) - glyph_h) / 2
+    x = -across * fonts.text_width(text, font_size, bold)
+    y = -top - down * glyph_h
+    assert_paints_alike(
+        lambda canvas: canvas.draw_text(x, y, text, font_size, (5, 99, 201), bold)
+    )
 
 
 @given(
@@ -271,31 +328,105 @@ def _in_canvas_gradients(draw):
     return FillCommand(Rect(x, y, w, h), draw(_colors), gradient=True)
 
 
-_commands = st.one_of(
-    st.builds(FillCommand, _rects, _colors),
-    st.builds(StrokeCommand, _rects, _colors, st.integers(1, 4)),
-    _in_canvas_gradients(),
-    st.builds(
-        TextCommand,
-        st.builds(
-            TextRun,
-            st.text(alphabet=st.sampled_from(GLYPH_CHARS + [" "]), max_size=10),
-            # From wholly left of / above the canvas to wholly right / below.
-            st.builds(Rect, st.floats(-70, 50), st.floats(-40, 45), st.just(0), st.just(0)),
-            st.sampled_from(FONT_SIZES),
-            st.booleans(),
-            _colors,
-        ),
-    ),
+_runs = st.builds(
+    TextRun,
+    st.text(alphabet=st.sampled_from(GLYPH_CHARS + [" "]), max_size=10),
+    # From wholly left of / above the canvas to wholly right / below, at
+    # fractional positions.
+    st.builds(Rect, st.floats(-70, 50), st.floats(-40, 45), st.just(0), st.just(0)),
+    st.one_of(st.sampled_from(FONT_SIZES), st.floats(4, 40), st.just(300.0)),
+    st.booleans(),
+    _colors,
 )
 
 
-@given(background=_colors, commands=st.lists(_commands, max_size=12))
+@st.composite
+def _overlapping_runs(draw):
+    """A run, then one a few pixels from it in another colour."""
+    first = draw(_runs)
+    second = TextRun(
+        draw(st.text(alphabet=st.sampled_from(GLYPH_CHARS), min_size=1, max_size=6)),
+        Rect(
+            first.rect.x + draw(st.floats(-4, 4)),
+            first.rect.y + draw(st.floats(-4, 4)),
+            0,
+            0,
+        ),
+        draw(st.sampled_from(FONT_SIZES)),
+        draw(st.booleans()),
+        draw(_colors.filter(lambda color: color != first.color)),
+    )
+    return [TextCommand(first), TextCommand(second)]
+
+
+_single_commands = st.one_of(
+    st.builds(FillCommand, _rects, _colors),
+    st.builds(StrokeCommand, _rects, _colors, st.integers(1, 4)),
+    _in_canvas_gradients(),
+    st.builds(PlaceholderCommand, _rects, st.integers(0, 3)),
+    st.builds(TextCommand, _runs),
+)
+_display_lists = st.lists(
+    st.one_of(
+        _single_commands.map(lambda command: [command]),
+        st.lists(st.builds(TextCommand, _runs), min_size=2, max_size=5),
+        _overlapping_runs(),
+    ),
+    max_size=8,
+).map(lambda groups: [command for group in groups for command in group])
+
+
+def paint_each(canvas, commands):
+    """The display list painted one command at a time, as before runs
+    were batched."""
+    for command in commands:
+        if isinstance(command, FillCommand):
+            if command.gradient:
+                canvas.fill_gradient(command.rect, command.color)
+            else:
+                canvas.fill_rect(command.rect, command.color)
+        elif isinstance(command, StrokeCommand):
+            canvas.stroke_rect(command.rect, command.color, command.width)
+        elif isinstance(command, PlaceholderCommand):
+            canvas.draw_photo_placeholder(command.rect, command.texture_seed)
+        else:
+            run = command.run
+            canvas.draw_text(
+                run.rect.x, run.rect.y, run.text, run.font_size, run.color, run.bold
+            )
+
+
+def _run(text, x, y, color, font_size=16.0, bold=False):
+    return TextCommand(TextRun(text, Rect(x, y, 0, 0), font_size, bold, color))
+
+
+# One batch with a run cut by each canvas edge (left, top, right,
+# bottom), two overlapping runs of different colours and a glyph far
+# larger than the canvas between them.
+_EDGE_BATCH = [
+    FillCommand(Rect(0, 0, CANVAS_W, CANVAS_H), (250, 250, 250)),
+    _run("WM", -7.5, 5, (200, 0, 0)),
+    _run("Hi", 3, -9.25, (0, 200, 0), bold=True),
+    _run("AMW", CANVAS_W - 11.4, 10, (0, 0, 200)),
+    _run("q8", 12, CANVAS_H - 12.6, (90, 90, 0), 24.0),
+    _run("OO", 4.2, 14, (10, 10, 10)),
+    _run("XX", 5.7, 15.5, (240, 20, 200)),
+    _run("I", -20, -100, (1, 2, 3), 300.0),
+    _run("ſ", 6, 12, (10, 10, 10), 19.0),
+]
+
+
+@given(background=_colors, commands=_display_lists)
+@example(background=(255, 255, 255), commands=_EDGE_BATCH)
 @settings(max_examples=200, deadline=None)
 def test_display_lists_paint_the_same_bytes_as_the_broadcast_canvas(
     background, commands
 ):
-    assert_paints_alike(lambda canvas: paint_onto(canvas, commands), background)
+    fast = Canvas(CANVAS_W, CANVAS_H, background)
+    slow = reference.ReferenceCanvas(CANVAS_W, CANVAS_H, background)
+    paint_onto(fast, commands)
+    paint_each(slow, commands)
+    assert (fast.pixels == slow.pixels).all()
 
 
 @given(

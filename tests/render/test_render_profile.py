@@ -1,7 +1,7 @@
 """Smoke test of ``tools/render_profile.py``, a few runs a page.
 
 The tool must render the pages the golden pins hold -- the same frame
-and the same JPEG, warm or with the placeholder memo emptied -- and
+and the same JPEG, warm or with its memos emptied (``--cold``) -- and
 every function it times must be reached, so its stages account for the
 whole render.
 """
@@ -12,6 +12,7 @@ import pathlib
 import statistics
 import sys
 
+from repro.render import fonts, raster
 from tests.render.test_render_differential import GOLDEN_SNAPSHOTS
 
 TOOL = pathlib.Path(__file__).resolve().parents[2] / "tools/render_profile.py"
@@ -67,7 +68,13 @@ def test_render_profile_renders_the_golden_pages_and_its_stages_add_up():
 
 
 def test_render_profile_with_cold_placeholders_renders_the_same_bytes():
+    # Cold: the placeholder memo and both text tables emptied before
+    # every render, so each render rebuilds what it draws.
     tool = _load_tool()
-    forum = tool.PAGES[0]
-    _, shape, frame_digest = GOLDEN_SNAPSHOTS[0]
-    _check_digests(tool.profile_page(*forum, runs=1, cold=True), shape, frame_digest)
+    memos = (raster._NOISE_PATCHES, raster._GLYPH_TABLES, fonts._ADVANCES)
+    tool.forget_memos()
+    assert not any(memo._values for memo in memos)
+    for page, (_, shape, frame_digest) in zip(tool.PAGES, GOLDEN_SNAPSHOTS):
+        profile = tool.profile_page(*page, runs=1, cold=True)
+        _check_digests(profile, shape, frame_digest)
+        assert profile.calls["Canvas.draw_runs"] > 0

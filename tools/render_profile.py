@@ -1,6 +1,6 @@
 """Print where one server-side render of a real page spends its time.
 
-Usage:  PYTHONPATH=src python tools/render_profile.py [--runs 9]
+Usage:  PYTHONPATH=src python tools/render_profile.py [--runs 9] [--cold]
 
 Renders the forum index and the news front page, each fetched from its
 synthetic origin, the way a snapshot is made: ``render_snapshot`` (the
@@ -12,19 +12,19 @@ the functions they reach are timed in place and added up by stage:
   (which computes the styles it reads) and ``build_display_list``;
 * paint, split by ``Canvas`` method: fills (the canvas's background,
   ``fill_rect`` and ``fill_gradient``), strokes (``stroke_rect``), text
-  (``draw_text``) and placeholders (``draw_photo_placeholder``, its
-  frame stroke included);
+  (``draw_runs``, which stamps each batch of runs) and placeholders
+  (``draw_photo_placeholder``, its frame stroke included);
 * anti-alias (``RasterImage.smoothed``), downscale
   (``RasterImage.scaled``) and encode (``encode_jpeg``).
 
 A call made inside another timed call counts once, for the outer one.
 The whole is the two calls' wall time in the same run, so what the
 stages leave out is what the sum falls short by.  One untimed render per
-page comes first, so the glyph and placeholder caches are as warm as in
-a proxy that has rendered the page before.  With ``--cold-placeholders``
-the placeholder memo is emptied before every render, as in a process
-that has not drawn this page's placeholders yet; a repeat within the
-page still hits (the glyph cache stays warm either way).  For each stage
+page comes first, so the text tables and the placeholder memo are as
+warm as in a proxy that has rendered the page before.  With ``--cold``
+the placeholder memo, the advance tables and the glyph offset tables are
+emptied before every render, as in a process that has not rendered this
+page yet; a repeat within the page still hits.  For each stage
 it prints the median and quartiles over the runs in milliseconds, the
 sum of the stages beside the whole, and the SHA-256 of the full-size
 frame and of the JPEG the render produced.
@@ -46,7 +46,7 @@ from repro.core import prerender
 from repro.html.parser import parse_html
 from repro.net.client import HttpClient
 from repro.net.url import URL
-from repro.render import raster
+from repro.render import fonts, raster
 from repro.render import snapshot as snapshot_module
 from repro.render.image import RasterImage
 from repro.render.layout import LayoutEngine
@@ -75,7 +75,7 @@ TIMED = (
     (Canvas, "fill_rect", "fills"),
     (Canvas, "fill_gradient", "fills"),
     (Canvas, "stroke_rect", "strokes"),
-    (Canvas, "draw_text", "text"),
+    (Canvas, "draw_runs", "text"),
     (Canvas, "draw_photo_placeholder", "placeholders"),
     (RasterImage, "smoothed", "anti-alias"),
     (RasterImage, "scaled", "downscale"),
@@ -160,19 +160,18 @@ def fetch(host: str, app_class, url: str) -> tuple[str, dict[str, str]]:
     return html, external
 
 
-def forget_placeholders() -> None:
-    """Empty the placeholder memo (a tree from before it has none)."""
-    memo = getattr(raster, "_NOISE_PATCHES", None)
-    if memo is not None:
+def forget_memos() -> None:
+    """Empty the placeholder memo and both text tables."""
+    for memo in (raster._NOISE_PATCHES, raster._GLYPH_TABLES, fonts._ADVANCES):
         memo.clear()
 
 
 def render(html: str, external: dict[str, str], cold: bool = False):
     """``(seconds, snapshot, artifact)`` for one render of the page;
-    ``cold`` empties the placeholder memo first, outside the timing."""
+    ``cold`` empties the memos first, outside the timing."""
     document = parse_html(html)
     if cold:
-        forget_placeholders()
+        forget_memos()
     started = time.perf_counter()
     snapshot = snapshot_module.render_snapshot(
         document, viewport_width=VIEWPORT_WIDTH, external_css=external
@@ -235,8 +234,8 @@ def main(argv: list[str] | None = None) -> int:
         "--runs", type=int, default=9, help="timed runs per page (default 9)"
     )
     parser.add_argument(
-        "--cold-placeholders", action="store_true",
-        help="empty the placeholder memo before every render",
+        "--cold", action="store_true",
+        help="empty the placeholder memo and the text tables before every render",
     )
     args = parser.parse_args(argv)
     if args.runs < 1:
@@ -244,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     for index, page in enumerate(PAGES):
         if index:
             print()
-        profile = profile_page(*page, runs=args.runs, cold=args.cold_placeholders)
+        profile = profile_page(*page, runs=args.runs, cold=args.cold)
         print(format_profile(profile))
     return 0
 
