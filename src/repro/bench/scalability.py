@@ -38,7 +38,6 @@ from repro.cluster.deployment import ClusterDeployment
 from repro.core.cache import PrerenderCache
 from repro.observability.metrics import Histogram, HistogramSnapshot
 from repro.runtime.executor import ConcurrentProxy
-from repro.sim.metrics import Tally, WindowedCounter
 from repro.sim.process import Acquire, Delay, Release, Simulation
 from repro.sim.resources import Resource
 from repro.sim.rng import DeterministicRandom
@@ -91,7 +90,7 @@ def run_scalability_experiment(config: ScalabilityConfig) -> ScalabilityResult:
     """Run ``config.runs`` one-minute windows and aggregate throughput."""
     if not 0.0 <= config.browser_fraction <= 1.0:
         raise ValueError("browser_fraction must be within [0, 1]")
-    tally = Tally("throughput")
+    satisfied = []  # per run, in run order
     browser_total = 0
     lightweight_total = 0
     pool_hits = 0.0
@@ -104,17 +103,20 @@ def run_scalability_experiment(config: ScalabilityConfig) -> ScalabilityResult:
         # exercises the same bucket-wise merge /metrics relies on.
         run_phases = phase_histograms()
         outcome = _run_window(config, rng, run_phases)
-        tally.observe(outcome["satisfied"])
+        satisfied.append(outcome["satisfied"])
         browser_total += outcome["browser"]
         lightweight_total += outcome["lightweight"]
         pool_hits += outcome["pool_hit_rate"]
         for phase, histogram in run_phases.items():
             phases[phase].merge(histogram)
+    per_minute = 60.0 / config.window_s
     return ScalabilityResult(
         browser_fraction=config.browser_fraction,
-        mean_requests_per_minute=tally.mean * (60.0 / config.window_s),
-        min_requests_per_minute=tally.minimum * (60.0 / config.window_s),
-        max_requests_per_minute=tally.maximum * (60.0 / config.window_s),
+        mean_requests_per_minute=(
+            sum(satisfied) / len(satisfied) * per_minute
+        ),
+        min_requests_per_minute=min(satisfied) * per_minute,
+        max_requests_per_minute=max(satisfied) * per_minute,
         browser_requests=browser_total,
         lightweight_requests=lightweight_total,
         pool_hit_rate=pool_hits / config.runs,
@@ -138,8 +140,8 @@ def _run_window(
 ) -> dict:
     sim = Simulation()
     cores = Resource(config.cores, name="cpu-cores")
-    window = WindowedCounter(start=0.0, duration=config.window_s)
-    counts = {"browser": 0, "lightweight": 0}
+    # Completions inside the [0, window_s) measurement window.
+    counts = {"satisfied": 0, "browser": 0, "lightweight": 0}
     pool = (
         BrowserPool(max_instances=config.pool_size, costs=config.costs)
         if config.use_pool
@@ -170,16 +172,15 @@ def _run_window(
             if pool is not None and needs_browser:
                 pool.release(f"user{client_id}")
             yield Release(cores)
-            if window.record(sim.now):
+            if sim.now < config.window_s:
+                counts["satisfied"] += 1
                 counts["browser" if needs_browser else "lightweight"] += 1
 
     for client_id in range(config.client_count):
         sim.spawn(client(client_id), name=f"client-{client_id}")
     sim.run(until=config.window_s)
     return {
-        "satisfied": window.count,
-        "browser": counts["browser"],
-        "lightweight": counts["lightweight"],
+        **counts,
         "pool_hit_rate": pool.hit_rate if pool is not None else 0.0,
     }
 

@@ -1,9 +1,13 @@
 """Concurrency-safe merge-writes for ``BENCH_pipeline.json``.
 
-The bench report is one JSON file shared by every writer: ``bench-adapt``
-owns the hot-path keys, the cluster sweep owns ``cluster_scalability``,
-and every workload scenario upserts one row under ``workload``.  The
-original read-update-write in the CLI was neither locked nor atomic, so
+The bench report is one JSON file of sections shared by every writer:
+each top-level key names a section dict that one command owns — the
+cluster sweep ``cluster_scalability``, the region bench
+``region_failover``, and so on — and every workload scenario upserts
+one row under ``workload``.  A writer never puts a non-dict at the top
+level: :func:`deep_merge` replaces a dict with a non-dict, so one would
+wipe a section.  The original read-update-write in the CLI was neither
+locked nor atomic, so
 two scenario runs finishing together could clobber each other's rows or
 tear the file.  This module gives every writer the same three
 guarantees:

@@ -249,82 +249,6 @@ def _cmd_bench_regions(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _cmd_bench_adapt(args: argparse.Namespace) -> int:
-    from repro.bench.hotpath import format_report, run_hotpath_bench
-
-    try:
-        results = run_hotpath_bench(requests=args.requests)
-    except (ValueError, MSiteError) as exc:
-        print(f"bench-adapt run failed: {exc}", file=sys.stderr)
-        return 1
-    print(format_report(results))
-    _write_bench(args, None, None, results)
-    if not args.require_hits:
-        return 0
-    if results["warm"]["fastpath_hit_ratio"] <= 0:
-        print(
-            "FAIL: warm forum workload never hit the fast path",
-            file=sys.stderr,
-        )
-        return 1
-    if results["warm"]["origin_not_modified"] <= 0:
-        print(
-            "FAIL: warm forum workload never revalidated with a 304 — "
-            "every hit still fetched the origin page",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_bench_delta(args: argparse.Namespace) -> int:
-    from repro.bench.delta import format_report, run_delta_bench
-
-    requests = 60 if args.smoke else args.requests
-    try:
-        results = run_delta_bench(requests=requests, churn=args.churn)
-    except (RuntimeError, ValueError, MSiteError) as exc:
-        print(f"bench-delta run failed: {exc}", file=sys.stderr)
-        return 1
-    print(format_report(results))
-    delta = results["delta"]
-    failed = False
-    if delta.get("delta_applied", 0) <= 0:
-        print(
-            "FAIL: the churn workload never took the delta patch path",
-            file=sys.stderr,
-        )
-        failed = True
-    if not args.smoke and results["readapt_speedup"] < args.min_speedup:
-        print(
-            f"FAIL: re-adaptation p50 speedup is "
-            f"{results['readapt_speedup']:.1f}x "
-            f"(need >= {args.min_speedup:.1f}x over full replay)",
-            file=sys.stderr,
-        )
-        failed = True
-    if not args.smoke:
-        key = f"churn{round(args.churn * 100)}pct@{requests}"
-        row = {
-            "requests": requests,
-            "churn": args.churn,
-            "byte_identical": results["byte_identical"],
-            "readapt_speedup": round(results["readapt_speedup"], 2),
-            "delta_readapt_p50_ms": round(delta["readapt_p50_ms"], 3),
-            "full_readapt_p50_ms": round(
-                results["full"]["readapt_p50_ms"], 3
-            ),
-            "delta_applied": delta.get("delta_applied", 0),
-            "delta_fallbacks": delta.get("delta_fallbacks", 0),
-            "patched_segments": delta.get("delta_patched_segments", 0),
-            "session_wire_fraction": round(
-                results["session"]["wire_fraction"], 4
-            ),
-        }
-        _write_bench(args, "delta_churn", key, row)
-    return 1 if failed else 0
-
-
 def _cmd_bench_autoscale(args: argparse.Namespace) -> int:
     from repro.bench.autoscale import (
         AutoscaleBenchConfig,
@@ -749,57 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="requests to issue before scraping /metrics (default 8)",
     )
     metrics.set_defaults(fn=_cmd_metrics)
-
-    bench = commands.add_parser(
-        "bench-adapt",
-        help="benchmark the adaptation hot path (fast path vs full runs)",
-    )
-    bench.add_argument(
-        "--requests", type=int, default=60,
-        help="requests per configuration (default 60)",
-    )
-    bench.add_argument(
-        "-o", "--output", default="BENCH_pipeline.json",
-        help="write the JSON results here (default BENCH_pipeline.json; "
-        "empty string to skip)",
-    )
-    bench.add_argument(
-        "--require-hits", action="store_true",
-        help="exit 1 if the warm workload's fast-path hit ratio is 0 "
-        "or it recorded no origin 304 (the tier-1 gate uses this)",
-    )
-    bench.set_defaults(fn=_cmd_bench_adapt)
-
-    bench_delta = commands.add_parser(
-        "bench-delta",
-        help="benchmark incremental re-adaptation under content churn "
-        "(delta patch vs full replay)",
-    )
-    bench_delta.add_argument(
-        "--requests", type=int, default=220,
-        help="requests per configuration (default 220)",
-    )
-    bench_delta.add_argument(
-        "--churn", type=float, default=0.1,
-        help="fraction of requests that coincide with an origin "
-        "revision (default 0.1)",
-    )
-    bench_delta.add_argument(
-        "--min-speedup", type=float, default=3.0,
-        help="fail below this re-adaptation p50 speedup over full "
-        "replay (default 3.0; not enforced with --smoke)",
-    )
-    bench_delta.add_argument(
-        "--smoke", action="store_true",
-        help="small run for the tier-1 gate: checks byte equality and "
-        "that deltas apply, skips the speedup gate and the BENCH write",
-    )
-    bench_delta.add_argument(
-        "-o", "--output", default="BENCH_pipeline.json",
-        help="merge the delta_churn row here (default "
-        "BENCH_pipeline.json; empty string to skip)",
-    )
-    bench_delta.set_defaults(fn=_cmd_bench_delta)
 
     trace = commands.add_parser(
         "trace",

@@ -586,8 +586,6 @@ def delta_counter(registry, name: str):
 
 def _seedable(pipeline, ctx, result) -> bool:
     """The refusals a full run can afford: flags and the plan's steps."""
-    if ctx.document is None or ctx.streamed_html is not None:
-        return False
     if ctx.prerender_page or ctx.partial_prerender_targets:
         return False
     if ctx.media_thumbnails:

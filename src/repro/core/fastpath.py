@@ -428,10 +428,6 @@ _COUNTER_HELP = {
     "misses": "Fast-path lookups that fell through to a full run.",
     "stores": "Adapted-response bundles stored into the fast path.",
     "not_modified": "Entry requests answered 304 via If-None-Match.",
-    "stream": "Adaptations emitted by the streaming serializer.",
-    "dom": "Adaptations emitted through the full DOM round-trip.",
-    "stream_fallback":
-        "Streaming attempts that fell back to the DOM path.",
     "stale_serves": "Degraded requests served from a stale bundle.",
 }
 

@@ -73,7 +73,6 @@ from repro.errors import (
 )
 from repro.html.parser import parse_fragment, parse_html
 from repro.html.serializer import serialize
-from repro.html.stream import StreamUnsupported, stream_serialize
 from repro.net.client import HttpClient
 from repro.net.messages import Request, Response
 from repro.net.url import URL
@@ -112,9 +111,6 @@ class ProxyServices:
     #: Whole-adapted-response cache (content-addressed; see
     #: :mod:`repro.core.fastpath`).  Off ⇒ every request adapts fully.
     fastpath_enabled: bool = True
-    #: One-pass streaming emission for filter-only specs (falls back to
-    #: the DOM round-trip automatically when unsupported).
-    stream_enabled: bool = True
     #: Incremental re-adaptation of warm cache misses (see
     #: :mod:`repro.core.delta`).  Off ⇒ every content change replays the
     #: full pipeline.  Requires the fastpath.
@@ -200,9 +196,6 @@ class PipelineContext:
         self.http_auth_enabled = False
         self.http_auth_realm = "restricted"
         self.form_login: Optional[dict[str, Any]] = None
-        #: Entry HTML produced by the one-pass streaming serializer;
-        #: set instead of ``document`` for stream-eligible specs.
-        self.streamed_html: Optional[str] = None
         self._index: Optional[QueryIndex] = None
 
     def note(self, message: str) -> None:
@@ -344,22 +337,9 @@ class AdaptationPipeline:
         plan = self.plan
         with span("filter"):
             apply_steps(plan.steps_for("filter"), ctx)
-        use_stream = self.services.stream_enabled and plan.stream_eligible
         with span("adapt"):
-            if use_stream:
-                # Filter-only spec: the adapted output is the filtered
-                # source normalized — one tokenizer pass, no tree.
-                try:
-                    ctx.streamed_html = stream_serialize(ctx.source)
-                except StreamUnsupported as exc:
-                    self._counter("stream_fallback").inc()
-                    ctx.note(f"stream fallback: {exc}")
-            if ctx.streamed_html is None:
-                ctx.document = parse_html(ctx.source)
-                apply_steps(plan.steps_for("dom"), ctx)
-                self._counter("dom").inc()
-            else:
-                self._counter("stream").inc()
+            ctx.document = parse_html(ctx.source)
+            apply_steps(plan.steps_for("dom"), ctx)
             apply_steps(plan.steps_for("page"), ctx)
 
         result = AdaptedPage(
@@ -801,14 +781,8 @@ class AdaptationPipeline:
             menu = menu_html(ctx)
             with span("serialize"):
                 # Serialized exactly once (inside the span) and reused
-                # below for both the stored file and entry_html.  The
-                # stream path already produced the normalized HTML.
-                if ctx.streamed_html is not None:
-                    body_html = ctx.streamed_html
-                elif ctx.document is not None:
-                    body_html = serialize(ctx.document)
-                else:
-                    body_html = ctx.source
+                # below for both the stored file and entry_html.
+                body_html = serialize(ctx.document)
         entry_html = assemble_entry(body_html, menu, ajax_injection_html(ctx))
         with span("serialize"):
             self._write(

@@ -8,13 +8,9 @@ between requests, so all of that is compile-once work.
 :class:`TransformPlan` resolves every binding to its
 :class:`~repro.core.attributes.AttributeDefinition`, groups the steps by
 phase in spec order, pre-parses CSS selectors through the memoized
-:func:`~repro.dom.selectors.parse_selector`, and classifies the spec:
-
-* ``filter_only`` — no DOM-phase steps at all;
-* ``stream_eligible`` — additionally, every page-phase step only sets
-  pipeline flags (no prerender), so the whole adaptation is the paper's
-  "source filter" case and the pipeline may emit through the one-pass
-  streaming serializer instead of parse+serialize.
+:func:`~repro.dom.selectors.parse_selector`.  Every adaptation parses
+the (filtered) source into a tree, whatever its phases: a filter-only
+spec takes the same DOM emission as any other.
 
 The plan also carries the spec *fingerprint* used by the fast-path
 response cache: a change to the spec (or to the proxy base URL it is
@@ -34,12 +30,6 @@ from repro.core.spec import AdaptationSpec, AttributeBinding
 from repro.dom.selectors import SelectorGroup, parse_selector
 from repro.errors import AdaptationError, ParseError
 from repro.observability.tracing import span
-
-# Page-phase attributes that only set pipeline flags: running them does
-# not require (or mutate) a parsed document, so they are compatible with
-# the streaming emission path.  ``prerender`` is deliberately absent —
-# it routes the request through the browser/snapshot machinery.
-_STREAM_SAFE_PAGE = frozenset({"cacheable", "http_auth", "form_login"})
 
 
 @dataclass(frozen=True)
@@ -135,19 +125,6 @@ class TransformPlan:
         if phase == "page":
             return self.page_steps
         raise ValueError(f"unknown phase {phase!r}")
-
-    @property
-    def filter_only(self) -> bool:
-        """No DOM-phase steps: nothing ever queries the parsed tree."""
-        return not self.dom_steps
-
-    @property
-    def stream_eligible(self) -> bool:
-        """The whole adaptation is source filters plus pipeline flags."""
-        return self.filter_only and all(
-            step.definition.name in _STREAM_SAFE_PAGE
-            for step in self.page_steps
-        )
 
 
 def compute_fingerprint(

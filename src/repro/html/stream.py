@@ -11,13 +11,19 @@ replays the builder's soup-recovery rules (implied closers,
 html/head/body scaffolding, attribute merging on repeated
 ``<html>``/``<body>`` tags) as emission rules instead of tree edits.
 
-Byte-identity with the DOM round-trip is the contract — it is what lets
-the pipeline pick either path per request without changing rendered
-output.  Two soup shapes cannot be emitted in source order because the
-tree builder reorders them (a comment or a second head-level tag
-arriving while a ``<noscript>``-style head element is still open
-becomes a *sibling after* the open element); those raise
-:class:`StreamUnsupported` and the caller falls back to the DOM path.
+Byte-identity with the DOM round-trip is the contract.  Two soup shapes
+cannot be emitted in source order because the tree builder reorders
+them (a comment or a second head-level tag arriving while a
+``<noscript>``-style head element is still open becomes a *sibling
+after* the open element); those raise :class:`StreamUnsupported`.
+
+No code in ``src/`` calls this module any more: the adaptation pipeline
+emits through the one DOM path for every spec, filter-only included
+(none of the benchmark's workloads ever took the streaming fork; see
+docs/PERFORMANCE.md).  It stays only because ``perfbench/stages.py``
+times it as its ``html.stream_serialize`` stage; it goes together with
+that stage.  ``tests/core/test_pipeline_structure.py`` keeps new
+importers out of ``src/``.
 """
 
 from __future__ import annotations

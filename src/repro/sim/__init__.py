@@ -15,7 +15,6 @@ from repro.sim.events import Event, EventQueue
 from repro.sim.process import Delay, Acquire, Release, Simulation, Process
 from repro.sim.resources import Resource, ResourceBusy
 from repro.sim.rng import DeterministicRandom
-from repro.sim.metrics import Counter, Tally, WindowedCounter
 
 __all__ = [
     "Clock",
@@ -29,7 +28,4 @@ __all__ = [
     "Resource",
     "ResourceBusy",
     "DeterministicRandom",
-    "Counter",
-    "Tally",
-    "WindowedCounter",
 ]

@@ -75,36 +75,3 @@ def test_demo_runs_end_to_end(capsys):
     out = capsys.readouterr().out
     assert "entry page:" in out
     assert "snapshot image:" in out
-
-
-def _hotpath_results(hit_ratio, not_modified):
-    row = {"p50_ms": 1.0, "p99_ms": 2.0, "adapts_per_sec": 100.0}
-    warm = dict(
-        row, fastpath_hit_ratio=hit_ratio, fastpath_hits=19.0,
-        fastpath_misses=1.0, origin_not_modified=not_modified,
-    )
-    stream = {"stream_on": row, "stream_off": row, "speedup": 1.0}
-    return {"warm": warm, "baseline": row, "speedup": 2.0, "stream": stream}
-
-
-@pytest.mark.parametrize(
-    "hit_ratio, not_modified, exit_code, complaint",
-    [
-        (0.95, 19.0, 0, ""),
-        (0.0, 19.0, 1, "never hit the fast path"),
-        (0.95, 0.0, 1, "never revalidated with a 304"),
-    ],
-)
-def test_bench_adapt_require_hits_gates_on_hits_and_origin_304s(
-    monkeypatch, capsys, hit_ratio, not_modified, exit_code, complaint
-):
-    import repro.bench.hotpath as hotpath
-
-    monkeypatch.setattr(
-        hotpath, "run_hotpath_bench",
-        lambda requests: _hotpath_results(hit_ratio, not_modified),
-    )
-    argv = ["bench-adapt", "--requests", "1", "--output", ""]
-    assert main(argv) == 0  # without the flag nothing is gated
-    assert main([*argv, "--require-hits"]) == exit_code
-    assert complaint in capsys.readouterr().err

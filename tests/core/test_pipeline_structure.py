@@ -124,6 +124,35 @@ def test_the_manifest_image_pair_is_keyed_in_one_place():
     ]
 
 
+def _imported_modules(path, tree):
+    """Dotted names of every module ``tree`` imports, relative ones
+    resolved against the package of ``path`` (``src/repro/...``)."""
+    package = list(path.with_suffix("").parts[1:-1])
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) + 1 - node.level]
+            if not node.level:
+                base = []
+            module = ".".join(base + ([node.module] if node.module else []))
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def test_nothing_in_src_imports_the_stream_serializer():
+    # One emission path: every adaptation parses.  The streaming
+    # serializer is kept only as the benchmark's stage, never as a fork.
+    importers = [
+        f"{path} {module}"
+        for path, tree in _trees(("src",))
+        for module in _imported_modules(path, tree)
+        if module == "repro.html.stream"
+        or module.startswith("repro.html.stream.")
+    ]
+    assert importers == []
+
+
 def test_the_second_copies_stay_deleted():
     sightings = []
     for path, tree in _trees():

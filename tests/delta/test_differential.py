@@ -7,18 +7,20 @@ patching cached bundles; the delta-disabled side replays the full
 pipeline every time.  Any divergence in status or body is a delta
 invariant violation.
 
-The news fast-path spec rides along as a fifth case because it is the
-one whose bundles are storable *and* whose origin churns — the delta
-engine must genuinely apply patches there, not just stay out of the
-way (the final assertion checks it did).  The two news cases also
-interleave what replaces or ages a stashed seed (``?refresh=1``, the
-clock) with the revisions that build a memo from one.
+The news fast-path spec and a filter-only news spec (no DOM-phase step)
+ride along because their bundles are storable *and* their origin
+churns — the delta engine must genuinely apply patches there, not just
+stay out of the way (the final assertions check it did, with no
+fallback).  The news cases also interleave what replaces or ages a
+stashed seed (``?refresh=1``, the clock) with the revisions that build
+a memo from one.
 """
 
 import pytest
 
 from repro.core.codegen import generate_proxy_source, load_generated_proxy
 from repro.core.pipeline import ProxyServices
+from repro.core.spec import AdaptationSpec
 from repro.net.client import HttpClient
 from repro.net.cookies import CookieJar
 from repro.sim.clock import Clock
@@ -26,7 +28,7 @@ from repro.sites.classifieds.app import ClassifiedsApplication
 from repro.sites.forum.app import ForumApplication
 from repro.sites.news.app import NewsApplication
 from repro.sites.news.data import Newsroom
-from repro.sites.news.spec import news_fastpath_spec
+from repro.sites.news.spec import NEWS_SITE, news_fastpath_spec
 
 from tests.cluster.specs import SPEC_CASES, subpage_ids
 from tests.conftest import CLASSIFIEDS_HOST, FORUM_HOST, NEWS_HOST
@@ -59,10 +61,28 @@ INTERLEAVED = [
     "refresh", ("advance", 3600.0), "revise", "visit",
 ]
 
+def news_filter_only_spec() -> AdaptationSpec:
+    """Source filters and a cache flag, no DOM-phase step: the paper's
+    filter-only adaptation, seeded and patched like any other."""
+    spec = AdaptationSpec(
+        site=NEWS_SITE, origin_host=NEWS_HOST, page_path="/section/tech/"
+    )
+    spec.add("strip_scripts")
+    spec.add("cacheable", ttl_s=3600)
+    return spec
+
+
+#: The storable news specs whose churn the engine must patch.
+PATCHED = {
+    "news_fastpath": news_fastpath_spec,
+    "news_filter_only": news_filter_only_spec,
+}
+
 CASES = [
     (name, factory, INTERLEAVED if name.startswith("news") else ROUNDS)
     for name, factory in SPEC_CASES + [
-        ("news_fastpath", lambda origins, clock: news_fastpath_spec()),
+        (name, lambda origins, clock, make=make: make())
+        for name, make in PATCHED.items()
     ]
 ]
 
@@ -136,7 +156,7 @@ def test_delta_deployment_is_byte_identical_to_full_replay(
                 f"{name}: delta output diverged on {path} "
                 f"(step {position}: {step})"
             )
-    if name == "news_fastpath":
+    if name in PATCHED:
         registry = delta_services.observability.registry
 
         def count(counter: str) -> float:
@@ -145,6 +165,7 @@ def test_delta_deployment_is_byte_identical_to_full_replay(
         assert count("applied") > 0, (
             "the churn rounds never exercised the engine"
         )
+        assert count("fallbacks") == 0, "a revision fell back to a replay"
         # Seven full runs stashed (the cold miss, four refreshes, two
         # expiries); only the three met by a revision inside their TTL
         # were ever built.

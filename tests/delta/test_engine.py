@@ -229,15 +229,6 @@ def test_soup_pages_are_not_memoized():
     assert result.entry_html == from_scratch(origin.page, spec)
 
 
-def test_streamed_pages_are_not_memoized():
-    spec = AdaptationSpec(site="Delta", origin_host=HOST)
-    spec.add("cacheable", ttl_s=600)
-    spec.add("strip_scripts")
-    __, __, services, manager = deploy()
-    adapt(services, manager, spec=spec)  # filter-only -> streamed
-    assert counts(services, "seeds", "seed_skips") == (0, 1)
-
-
 # -- the rungs -------------------------------------------------------------
 
 

@@ -243,7 +243,6 @@ MEMO_SRC = (
 def _memo_ctx(**overrides):
     ctx = SimpleNamespace(
         document=parse_html(MEMO_SRC),
-        streamed_html=None,
         prerender_page=None,
         partial_prerender_targets=(),
         media_thumbnails=(),
@@ -275,7 +274,6 @@ def test_memo_refuses_prerender_and_thumbnail_runs():
         _memo_ctx(prerender_page="p2"),
         _memo_ctx(partial_prerender_targets=("t",)),
         _memo_ctx(media_thumbnails=("t",)),
-        _memo_ctx(streamed_html="<html></html>"),
     ):
         assert not _seedable(_memo_pipeline(), ctx, healthy)
     assert not _seedable(

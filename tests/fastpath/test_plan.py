@@ -1,4 +1,4 @@
-"""Compiled transform plans: grouping, classification, fingerprints."""
+"""Compiled transform plans: grouping, selector parsing, fingerprints."""
 
 import pytest
 
@@ -58,25 +58,6 @@ def test_unknown_attribute_fails_compilation():
     # (AdaptationError) — either way compilation refuses to deploy.
     with pytest.raises(MSiteError, match="unknown attribute"):
         TransformPlan.compile(spec)
-
-
-def test_stream_eligibility_classification():
-    filters_only = AdaptationSpec(site="S", origin_host="o.example")
-    filters_only.add("strip_scripts")
-    filters_only.add("cacheable", ttl_s=10)
-    assert TransformPlan.compile(filters_only).stream_eligible
-
-    with_dom = make_spec()
-    plan = TransformPlan.compile(with_dom)
-    assert not plan.filter_only
-    assert not plan.stream_eligible
-
-    with_prerender = AdaptationSpec(site="S", origin_host="o.example")
-    with_prerender.add("strip_scripts")
-    with_prerender.add("prerender")
-    plan = TransformPlan.compile(with_prerender)
-    assert plan.filter_only  # no dom steps...
-    assert not plan.stream_eligible  # ...but prerender needs the tree
 
 
 def test_fingerprint_tracks_spec_base_and_namespace():

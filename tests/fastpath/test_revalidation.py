@@ -25,9 +25,11 @@ from repro.ops import SequencedLog
 from repro.resilience.breaker import CLOSED, OPEN
 from repro.resilience.policy import REVALIDATION_AUDIT_EVERY
 from repro.sim.clock import Clock
+from repro.sites.forum.app import ForumApplication
 from repro.sites.news.app import NewsApplication
 from repro.sites.news.data import Newsroom
 from repro.sites.news.spec import NEWS_HOST, news_fastpath_spec
+from tests.conftest import FORUM_HOST
 
 PROXY_HOST = "m.example.test"
 HOST = "scripted.example"
@@ -159,6 +161,21 @@ def scripted():
     return Bench(scripted_spec(), HOST, ScriptedOrigin())
 
 
+def forum_spec():
+    """The forum split into subpages, no browser render."""
+    spec = AdaptationSpec(site="SawmillCreek", origin_host=FORUM_HOST)
+    spec.add("cacheable", ttl_s=3600)
+    spec.add(
+        "subpage", ObjectSelector.css("#loginform"),
+        subpage_id="login", title="Log in",
+    )
+    spec.add(
+        "subpage", ObjectSelector.css("#forumbits"),
+        subpage_id="forums", title="Forums",
+    )
+    return spec
+
+
 # -- the warm hit ------------------------------------------------------------
 
 
@@ -183,6 +200,23 @@ def test_304_replay_is_byte_identical_and_moves_no_body(news):
     assert page.fastpath_hit and page.origin_bytes == 0
     assert page.etag == first.headers.get("ETag")
     assert page.entry_html.encode("utf-8") == first.body
+
+
+def test_forum_visitors_are_served_hits_revalidated_with_304s():
+    forum = Bench(forum_spec(), FORUM_HOST, ForumApplication())
+    bodies = {forum.visit().body for _ in range(20)}  # a new session each
+    assert bodies == {forum.oracle()}
+    registry = forum.services.observability.registry
+    hits, misses = (
+        fastpath.fastpath_counter(registry, name).value
+        for name in ("hits", "misses")
+    )
+    assert hits > 0, "the forum never hit the fast path"
+    assert hits >= misses, "a warm workload should be hit-dominated"
+    # All but the audit sample (1 in 32) of the hits.
+    assert forum.revalidations("not_modified") >= 0.9 * hits, (
+        "a warm hit should revalidate with a 304, not re-fetch the page"
+    )
 
 
 def test_first_fetch_carries_no_validator_and_no_attr(scripted):

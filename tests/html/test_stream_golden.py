@@ -1,17 +1,11 @@
-"""Golden byte-identity: streaming output vs DOM round-trip, end to end.
+"""Golden byte-identity: streaming output vs DOM round-trip.
 
 Every page of the synthetic forum corpus must stream to exactly the
-bytes the parse+serialize path produces, and a filter-only deployment
-must emit identical entry pages whichever path it takes.  Structural
-specs (anything with a DOM-phase attribute) must keep routing through
-the tree.
+bytes the parse+serialize path produces.
 """
 
 import pytest
 
-from repro.core.pipeline import AdaptationPipeline, ProxyServices
-from repro.core.sessions import SessionManager
-from repro.core.spec import AdaptationSpec, ObjectSelector
 from repro.html.parser import parse_html
 from repro.html.serializer import serialize
 from repro.html.stream import stream_serialize
@@ -53,51 +47,3 @@ def test_corpus_streams_byte_identical(corpus):
         assert stream_serialize(source) == expected, (
             f"stream output diverged from the DOM round-trip on {path}"
         )
-
-
-def filter_only_spec():
-    spec = AdaptationSpec(site="SawmillCreek", origin_host=FORUM_HOST)
-    spec.add("strip_scripts")
-    spec.add("rewrite_images", quality="low")
-    spec.add("cacheable", ttl_s=60)
-    return spec
-
-
-def adapt_entry(spec, forum_app, **flags):
-    services = ProxyServices(
-        origins={FORUM_HOST: forum_app}, fastpath_enabled=False, **flags
-    )
-    manager = SessionManager(services.storage)
-    adapted = AdaptationPipeline(spec, services, manager.create()).run()
-    return adapted, services
-
-
-def test_filter_only_adaptation_identical_on_both_paths(forum_app_module):
-    streamed, stream_services = adapt_entry(
-        filter_only_spec(), forum_app_module
-    )
-    full, dom_services = adapt_entry(
-        filter_only_spec(), forum_app_module, stream_enabled=False
-    )
-    assert streamed.entry_html == full.entry_html
-    counters = stream_services.observability.registry
-    assert counters.counter("msite_fastpath_stream_total").value == 1
-    assert (
-        dom_services.observability.registry.counter(
-            "msite_fastpath_dom_total"
-        ).value
-        == 1
-    )
-
-
-def test_structural_spec_routes_through_dom(forum_app_module):
-    spec = filter_only_spec()
-    spec.add(
-        "subpage", ObjectSelector.css("#loginform"),
-        subpage_id="login", title="Log in",
-    )
-    adapted, services = adapt_entry(spec, forum_app_module)
-    registry = services.observability.registry
-    assert registry.counter("msite_fastpath_stream_total").value == 0
-    assert registry.counter("msite_fastpath_dom_total").value == 1
-    assert any(s.subpage_id == "login" for s in adapted.subpages)

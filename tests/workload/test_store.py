@@ -6,10 +6,27 @@ import threading
 
 from repro.bench.store import deep_merge, merge_report, upsert_row
 
+COMMITTED_REPORT = os.path.join(
+    os.path.dirname(__file__), os.pardir, os.pardir, "BENCH_pipeline.json"
+)
+
 
 def _read(path):
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def test_committed_report_holds_sections_only():
+    # A top-level scalar or list would be replaced, not merged, and a
+    # writer merging one over a section's name would wipe its rows.
+    report = _read(COMMITTED_REPORT)
+    assert report
+    stray = {
+        key: type(value).__name__
+        for key, value in report.items()
+        if not isinstance(value, dict)
+    }
+    assert stray == {}, f"top-level keys that are not sections: {stray}"
 
 
 def test_deep_merge_merges_dicts_and_replaces_scalars():
