@@ -217,91 +217,6 @@ def _cmd_region_chaos(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _cmd_bench_regions(args: argparse.Namespace) -> int:
-    """``msite bench-regions``: measure warm-failover latency and the
-    disk warm-start fraction; upsert the ``region_failover`` row."""
-    from repro.bench.regions import format_report, run_region_failover_bench
-
-    try:
-        report = run_region_failover_bench(smoke=args.smoke)
-    except (ValueError, MSiteError) as exc:
-        print(f"bench-regions run failed: {exc}", file=sys.stderr)
-        return 1
-    print(format_report(report))
-    failed = False
-    if report.warm_start_fraction < 0.9:
-        print(
-            f"FAIL: warm restart recovered only "
-            f"{report.warm_start_fraction * 100:.0f}% of the working set "
-            "from disk (need >= 90%)",
-            file=sys.stderr,
-        )
-        failed = True
-    if not args.smoke and report.wrong_over_owner_p99 > 25.0:
-        print(
-            f"FAIL: wrong-region p99 is {report.wrong_over_owner_p99:.1f}x "
-            "the owner-region p99 — failover is not warm",
-            file=sys.stderr,
-        )
-        failed = True
-    if not args.smoke:
-        _write_bench(args, "region_failover", report.key, report.bench_row())
-    return 1 if failed else 0
-
-
-def _cmd_bench_autoscale(args: argparse.Namespace) -> int:
-    from repro.bench.autoscale import (
-        AutoscaleBenchConfig,
-        format_comparison,
-        run_autoscale_comparison,
-        smoke_config,
-    )
-
-    config = smoke_config() if args.smoke else AutoscaleBenchConfig()
-    try:
-        comparison = run_autoscale_comparison(config)
-    except (RuntimeError, ValueError, MSiteError) as exc:
-        print(f"bench-autoscale run failed: {exc}", file=sys.stderr)
-        return 1
-    print(format_comparison(comparison))
-    auto = comparison.candidate
-    failed = False
-    if auto.non_degraded_5xx:
-        print(
-            f"FAIL: autoscaled fleet returned {auto.non_degraded_5xx} "
-            f"non-degraded 5xx under the crowd",
-            file=sys.stderr,
-        )
-        failed = True
-    if auto.p99_ms > config.p99_budget_ms:
-        print(
-            f"FAIL: autoscaled p99 {auto.p99_ms:.1f} ms over the "
-            f"{config.p99_budget_ms:.0f} ms budget",
-            file=sys.stderr,
-        )
-        failed = True
-    if auto.peak_workers <= config.start_workers:
-        print(
-            "FAIL: the controller never scaled the fleet above its "
-            f"starting size ({config.start_workers})",
-            file=sys.stderr,
-        )
-        failed = True
-    if not args.smoke and comparison.baseline.non_degraded_5xx <= 0:
-        print(
-            "FAIL: the static fleet absorbed the crowd without "
-            "rejecting — the flash crowd is not saturating",
-            file=sys.stderr,
-        )
-        failed = True
-    if not args.smoke:
-        section = comparison.section
-        _write_bench(
-            args, section, None, comparison.bench_record()[section]
-        )
-    return 1 if failed else 0
-
-
 def _cmd_autoscale_demo(args: argparse.Namespace) -> int:
     """A deterministic, sim-clock tour of the control loop.
 
@@ -369,32 +284,6 @@ def _cmd_autoscale_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_bench(
-    args: argparse.Namespace,
-    section: Optional[str],
-    key: Optional[str],
-    row: dict,
-) -> None:
-    """Merge ``row`` into the report at ``--output`` (empty: no write).
-
-    The row lands at ``section`` -> ``key``; without a key it is the
-    section itself, and without a section its own top-level keys are
-    the sections.  BENCH_pipeline.json is shared by every bench
-    command; the store module locks the file, merges keyed rows
-    recursively, and replaces it atomically so concurrent or repeated
-    runs never duplicate or clobber each other's entries.
-    """
-    if not args.output:
-        return
-    from repro.bench.store import merge_report
-
-    if key is not None:
-        row = {key: row}
-    merge_report(args.output, {section: row} if section else row)
-    label = ".".join(part for part in (section, key) if part)
-    print(f"wrote {args.output}" + (f" ({label})" if label else ""))
-
-
 def _cmd_workload(args: argparse.Namespace) -> int:
     from repro.workload import format_report, run_scenario, scenario_names
     from repro.workload.scenarios import get_scenario
@@ -421,12 +310,6 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         print(f"workload run failed: {exc}", file=sys.stderr)
         return 1
     print(format_report(report))
-    _write_bench(
-        args,
-        "workload",
-        f"{report.scenario}@{report.fingerprint}",
-        report.bench_row(),
-    )
     failed = False
     if report.non_degraded_5xx:
         print(
@@ -518,8 +401,7 @@ def _run_farm_burst(args: argparse.Namespace) -> int:
     architecture and against the render farm, and holds the farm side
     to zero non-degraded 5xx.  The full run additionally requires the
     inline baseline to saturate admission under the identical schedule
-    (otherwise the burst was not a burst) and merge-writes the
-    ``renderfarm_burst`` record into BENCH_pipeline.json.
+    (otherwise the burst was not a burst).
     """
     from repro.bench.burst import (
         format_comparison,
@@ -545,8 +427,6 @@ def _run_farm_burst(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         failed = True
-    if not smoke:
-        _write_bench(args, None, None, comparison.bench_record())
     return 1 if failed else 0
 
 
@@ -554,8 +434,6 @@ def _run_cluster_scalability(
     args: argparse.Namespace, percentages: Optional[list[float]]
 ) -> int:
     """The Figure 7 sweep per fleet size (``--workers N`` cluster mode)."""
-    from dataclasses import asdict
-
     from repro.bench.scalability import run_cluster_sweep
 
     smoke = getattr(args, "smoke", False)
@@ -600,7 +478,6 @@ def _run_cluster_scalability(
                     f"pairs — duplicate renders in the fleet",
                     file=sys.stderr,
                 )
-    speedup = None
     if len(fleet_sizes) > 1:
         base = {r.browser_fraction: r for r in sweep[1]}
         top = {r.browser_fraction: r for r in sweep[fleet_sizes[-1]]}
@@ -614,20 +491,6 @@ def _run_cluster_scalability(
                 f"speedup at {zero * 100:.0f}% browser: "
                 f"{speedup:.2f}x ({fleet_sizes[-1]} workers vs 1)"
             )
-    if not smoke:
-        record = {
-            "cluster_scalability": {
-                "fleet_workers": args.workers,
-                "percentages": percentages,
-                "requests_per_point": total_requests,
-                "speedup_at_lowest_browser_fraction": speedup,
-                "sweep": {
-                    str(fleet): [asdict(result) for result in sweep[fleet]]
-                    for fleet in fleet_sizes
-                },
-            }
-        }
-        _write_bench(args, None, None, record)
     return 1 if failed else 0
 
 
@@ -736,23 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.set_defaults(fn=_cmd_chaos)
 
-    bench_regions = commands.add_parser(
-        "bench-regions",
-        help="benchmark region failover (owner vs wrong-region latency, "
-        "disk warm-start fraction) and record the region_failover row",
-    )
-    bench_regions.add_argument(
-        "--smoke", action="store_true",
-        help="small fast run for the tier-1 gate (skips the "
-        "BENCH_pipeline.json write and the latency-ratio bar)",
-    )
-    bench_regions.add_argument(
-        "-o", "--output", default="BENCH_pipeline.json",
-        help="upsert the region_failover row into this JSON file "
-        "(default BENCH_pipeline.json; empty string skips the write)",
-    )
-    bench_regions.set_defaults(fn=_cmd_bench_regions)
-
     scalability = commands.add_parser(
         "scalability", help="run the Figure 7 scalability sweep"
     )
@@ -799,12 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     scalability.add_argument(
         "--smoke", action="store_true",
         help="cluster mode: small fast run (200 requests, two "
-        "percentages) that skips the BENCH_pipeline.json record",
-    )
-    scalability.add_argument(
-        "-o", "--output", default="BENCH_pipeline.json",
-        help="cluster mode: merge the sweep record into this JSON file "
-        "(default BENCH_pipeline.json; other keys are preserved)",
+        "percentages)",
     )
     scalability.set_defaults(fn=_cmd_scalability)
 
@@ -851,32 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail if p99 exceeds this many milliseconds "
         "(default 1000; 0 disables)",
     )
-    workload.add_argument(
-        "-o", "--output", default="BENCH_pipeline.json",
-        help="upsert the scenario row into this JSON file keyed by "
-        "scenario name + config fingerprint (default "
-        "BENCH_pipeline.json; empty string skips the write)",
-    )
     workload.set_defaults(fn=_cmd_workload)
-
-    bench_autoscale = commands.add_parser(
-        "bench-autoscale",
-        help="flash-crowd bench: autoscaled fleet vs same-size static "
-        "fleet under one seeded arrival schedule",
-    )
-    bench_autoscale.add_argument(
-        "--smoke", action="store_true",
-        help="seconds-scale run for the tier-1 gate (gates only the "
-        "autoscaled side; the full run also requires the static fleet "
-        "to saturate, and writes the BENCH row)",
-    )
-    bench_autoscale.add_argument(
-        "-o", "--output", default="BENCH_pipeline.json",
-        help="merge the autoscale_flashcrowd record into this JSON "
-        "file on a full run (default BENCH_pipeline.json; empty "
-        "string skips the write)",
-    )
-    bench_autoscale.set_defaults(fn=_cmd_bench_autoscale)
 
     autoscale_demo = commands.add_parser(
         "autoscale-demo",

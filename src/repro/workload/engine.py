@@ -11,8 +11,8 @@ uses.
 A request is counted as a *non-degraded 5xx* when its status is >= 500
 and the response carries no ``X-MSite-Degraded`` marker: honest
 degradation under injected faults is acceptable, a bare server error at
-warm cache is not.  The tier-1 scenario smokes gate on that count being
-zero.
+warm cache is not.  ``tests/workload/test_engine.py`` holds that count
+at zero for the smoke variants of the named scenarios.
 """
 
 from __future__ import annotations
@@ -61,37 +61,6 @@ class ScenarioReport:
     final_workers: int = 0
     scale_ups: int = 0
     scale_downs: int = 0
-
-    def bench_row(self) -> dict:
-        """The row merge-written into ``BENCH_pipeline.json``."""
-        row = {
-            "scenario": self.scenario,
-            "site": self.site,
-            "seed": self.seed,
-            "workers": self.workers,
-            "requests": self.requests,
-            "completed": self.completed,
-            "wall_clock_s": round(self.wall_clock_s, 4),
-            "sim_duration_s": round(self.sim_duration_s, 3),
-            "throughput_rps": round(self.throughput_rps, 2),
-            "p50_ms": round(self.p50_ms, 3),
-            "p99_ms": round(self.p99_ms, 3),
-            "error_rate": round(self.error_rate, 5),
-            "errors_5xx": self.errors_5xx,
-            "non_degraded_5xx": self.non_degraded_5xx,
-            "degraded": self.degraded,
-            "statuses": {
-                str(status): count
-                for status, count in sorted(self.statuses.items())
-            },
-        }
-        if self.autoscaled:
-            row["autoscaled"] = True
-            row["peak_workers"] = self.peak_workers
-            row["final_workers"] = self.final_workers
-            row["scale_ups"] = self.scale_ups
-            row["scale_downs"] = self.scale_downs
-        return row
 
 
 def build_scenario_spec(scenario: Scenario) -> AdaptationSpec:
@@ -334,6 +303,7 @@ def format_report(report: ScenarioReport) -> str:
 
     rows = [
         ["scenario", report.scenario],
+        ["fingerprint", report.fingerprint],
         ["site", report.site],
         ["workers", str(report.workers)],
         ["requests", str(report.requests)],

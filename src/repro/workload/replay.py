@@ -3,7 +3,7 @@
 Every wall-clock harness in :mod:`repro.bench` and the scenario engine
 replay their requests through the two functions here, so a status
 count, a degraded count, a latency sample and a "p99" mean the same
-thing in every BENCH row.
+thing in every report and every test that gates on one.
 
 * :func:`replay_open` sends each request at its offset on the arrival
   schedule whether or not earlier ones have been answered.  Saturation
@@ -32,7 +32,7 @@ import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 from repro.core.detect import device_class
@@ -408,24 +408,14 @@ class SyntheticRenderApp(Application):
 
 
 # ---------------------------------------------------------------------------
-# The comparison record
+# The comparison
 
 
 @dataclass
 class Comparison:
     """A baseline and a candidate measured under one config; each side
-    is a result dataclass whose ``mode`` names it in the BENCH row."""
+    is a result dataclass whose ``mode`` names it in the printed table."""
 
-    section: str
     config: Any
     baseline: Any
     candidate: Any
-
-    def bench_record(self) -> dict:
-        return {
-            self.section: {
-                "config": asdict(self.config),
-                self.baseline.mode: asdict(self.baseline),
-                self.candidate.mode: asdict(self.candidate),
-            }
-        }

@@ -131,12 +131,13 @@ class Scenario:
         }
         if self.mutate_fraction:
             # Included only when set so the read-only scenarios keep
-            # their pre-churn fingerprints (stable BENCH row keys).
+            # their pre-churn fingerprints.
             knobs["mutate_fraction"] = self.mutate_fraction
         return knobs
 
     def fingerprint(self, workers: int) -> str:
-        """Stable key suffix for the BENCH upsert (config + fleet)."""
+        """Stable identity of one run's config + fleet size; the
+        scenario report prints it."""
         payload = json.dumps(
             {"config": self.knobs(), "workers": workers},
             sort_keys=True,

@@ -75,3 +75,80 @@ def test_demo_runs_end_to_end(capsys):
     out = capsys.readouterr().out
     assert "entry page:" in out
     assert "snapshot image:" in out
+
+
+def test_no_subcommand_records_a_bench_row():
+    # A bench gate is a test now, not a row a subcommand writes: no
+    # `bench-*` command is left, and only `generate` writes a file.
+    from repro.cli import build_parser
+
+    (commands,) = [
+        action
+        for action in build_parser()._actions
+        if action.dest == "command"
+    ]
+    assert not [name for name in commands.choices if name.startswith("bench")]
+    writers = sorted(
+        name
+        for name, sub in commands.choices.items()
+        for action in sub._actions
+        if "--output" in action.option_strings
+    )
+    assert writers == ["generate"]
+
+
+def test_workload_smoke_prints_its_report_and_writes_nothing(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    assert main(["workload", "--scenario", "zipf-news", "--smoke"]) == 0
+    out = capsys.readouterr().out
+    assert "zipf-news" in out and "fingerprint" in out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cluster_sweep_smoke_prints_the_speedup_and_writes_nothing(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    assert main(["scalability", "--workers", "2", "--smoke"]) == 0
+    out = capsys.readouterr().out
+    assert "-- 2 workers" in out and "speedup at 0% browser" in out
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, inline_5xx, farm_5xx, status, failure",
+    [
+        (["--smoke"], 0, 0, 0, None),
+        (["--smoke"], 3, 1, 1, "farm served 1 non-degraded 5xx"),
+        ([], 0, 0, 1, "inline baseline absorbed the burst"),
+        ([], 3, 0, 0, None),
+    ],
+)
+def test_farm_burst_exit_status_follows_its_gates(
+    monkeypatch, capsys, argv, inline_5xx, farm_5xx, status, failure
+):
+    from repro.bench import burst
+    from repro.workload.replay import Comparison
+
+    def side(mode, non_degraded_5xx):
+        return burst.BurstResult(
+            mode=mode, offered=9, completed_200=9, degraded_200=0,
+            rejected_5xx=0, other_5xx=0, non_degraded_5xx=non_degraded_5xx,
+            renders=1, p50_ms=1.0, p99_ms=2.0, max_ms=3.0, wall_clock_s=0.1,
+            queue_depth_peak=0,
+        )
+
+    monkeypatch.setattr(
+        burst,
+        "run_burst_comparison",
+        lambda config=None: Comparison(
+            config or burst.BurstConfig(),
+            side("inline", inline_5xx),
+            side("farm", farm_5xx),
+        ),
+    )
+    assert main(["scalability", "--farm", *argv]) == status
+    err = capsys.readouterr().err
+    assert (failure in err) if failure else err == ""

@@ -1,7 +1,5 @@
 """Engine replay: small scenarios against a real cluster deployment."""
 
-import json
-
 import pytest
 
 from repro.sim.clock import Clock
@@ -159,16 +157,6 @@ def test_named_scenario_lookup_path(monkeypatch):
     assert report.non_degraded_5xx == 0
 
 
-def test_bench_row_is_json_serializable():
-    report = run_scenario(_tiny_forum(), workers=1, client_threads=2)
-    row = report.bench_row()
-    payload = json.loads(json.dumps(row))
-    assert payload["scenario"] == "tiny-forum"
-    assert payload["workers"] == 1
-    assert payload["statuses"] == {"200": 8}
-    assert payload["non_degraded_5xx"] == 0
-
-
 def test_spec_and_origin_builders_reject_unknown_sites():
     stranger = Scenario(
         name="x",
@@ -222,6 +210,7 @@ def test_format_report_is_readable():
     report = run_scenario(_tiny_forum(), workers=1, client_threads=2)
     text = format_report(report)
     assert "tiny-forum" in text
+    assert report.fingerprint in text
     assert "p99" in text
     assert "non-degraded 5xx" in text
 
@@ -229,7 +218,7 @@ def test_format_report_is_readable():
 def test_autoscaled_scenario_reports_its_scaling_story():
     """``autoscale=True`` starts the fleet at the floor, scales inside
     [min_workers, workers], and the report carries the story: peak and
-    final sizes, decision counts, and the bench-row / format extras."""
+    final sizes, decision counts, and the printed extras."""
     scenario = _tiny_news()
     report = run_scenario(
         scenario, workers=3, client_threads=4,
@@ -246,12 +235,6 @@ def test_autoscaled_scenario_reports_its_scaling_story():
     assert report.non_degraded_5xx == 0
     assert set(report.statuses) == {200}
 
-    row = report.bench_row()
-    assert row["autoscaled"] is True
-    for key in ("peak_workers", "final_workers", "scale_ups", "scale_downs"):
-        assert key in row
-    json.dumps(row)
-
     rendered = format_report(report)
     assert "peak workers" in rendered
     assert "scale actions" in rendered
@@ -260,6 +243,6 @@ def test_autoscaled_scenario_reports_its_scaling_story():
 def test_static_scenario_report_omits_the_autoscale_keys():
     report = run_scenario(_tiny_forum(), workers=1)
     assert not report.autoscaled
-    row = report.bench_row()
-    assert "peak_workers" not in row
-    assert "autoscaled" not in row
+    rendered = format_report(report)
+    assert "peak workers" not in rendered
+    assert "scale actions" not in rendered

@@ -434,19 +434,17 @@ def test_shared_cache_render_renders_each_page_and_device_once():
 
 
 def test_comparison_names_each_side_by_its_mode():
-    from repro.bench.burst import BurstConfig, BurstResult
+    from repro.bench.burst import BurstConfig, BurstResult, format_comparison
 
-    def side(mode):
+    def side(mode, non_degraded_5xx):
         return BurstResult(
             mode=mode, offered=1, completed_200=1, degraded_200=0,
-            rejected_5xx=0, other_5xx=0, non_degraded_5xx=0, renders=0,
-            p50_ms=1.0, p99_ms=1.0, max_ms=1.0, wall_clock_s=0.1,
+            rejected_5xx=0, other_5xx=0, non_degraded_5xx=non_degraded_5xx,
+            renders=0, p50_ms=1.0, p99_ms=1.0, max_ms=1.0, wall_clock_s=0.1,
             queue_depth_peak=0,
         )
 
-    record = Comparison(
-        "renderfarm_burst", BurstConfig(), side("inline"), side("farm")
-    ).bench_record()
-    assert set(record) == {"renderfarm_burst"}
-    assert set(record["renderfarm_burst"]) == {"config", "inline", "farm"}
-    assert record["renderfarm_burst"]["farm"]["mode"] == "farm"
+    comparison = Comparison(BurstConfig(), side("inline", 7), side("farm", 0))
+    rows = format_comparison(comparison).splitlines()[2:4]
+    assert [row.split()[0] for row in rows] == ["inline", "farm"]
+    assert [row.split()[3] for row in rows] == ["7", "0"]

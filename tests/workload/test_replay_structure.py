@@ -5,7 +5,8 @@ schedule, fanning requests over client threads, the stand-in
 ``Application`` and the sample percentile live in
 ``repro/workload/replay.py`` and nowhere else under ``repro.bench`` /
 ``repro.workload``, and the names that module replaced do not come back
-— not as definitions, not as imports, not as aliases.
+— not as definitions, not as imports, not as aliases.  What a harness
+measures is gated by a test or printed, never written to a report file.
 """
 
 import ast
@@ -14,6 +15,16 @@ import pathlib
 REPO = pathlib.Path(__file__).resolve().parents[2]
 DRIVER = pathlib.Path("src/repro/workload/replay.py")
 HARNESS_DIRS = ("src/repro/bench", "src/repro/workload")
+#: The retired bench report's writer, its merge and the row builders
+#: that fed it.
+REPORT_WRITERS = {
+    "merge_report",
+    "upsert_row",
+    "deep_merge",
+    "bench_row",
+    "bench_record",
+    "_write_bench",
+}
 RETIRED = {
     "_InlineRenderApplication",
     "_FarmRenderApplication",
@@ -134,4 +145,26 @@ def test_retired_harness_names_are_gone():
                 for name in names
                 if name in RETIRED or name == "DEGRADED_HEADER"
             ]
+    assert sightings == []
+
+
+def test_no_harness_writes_a_bench_report():
+    """What a ``BENCH_pipeline.json`` row recorded is a test now: the
+    file is gone, no harness dumps JSON or replaces a file, no writer is
+    defined again, and nothing under ``src`` or ``tools`` names it."""
+    assert not (REPO / "BENCH_pipeline.json").exists()
+    sightings = []
+    for path, tree in _trees("src", "tools"):
+        in_harness = str(path).startswith(HARNESS_DIRS)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                if node.name in REPORT_WRITERS:
+                    sightings.append(f"{path}:{node.lineno} {node.name}")
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if "BENCH_pipeline" in node.value:
+                    sightings.append(f"{path}:{node.lineno} names the file")
+            elif isinstance(node, ast.Call) and in_harness:
+                called = _dotted(node.func) or ""
+                if called in {"json.dump", "os.replace"}:
+                    sightings.append(f"{path}:{node.lineno} {called}")
     assert sightings == []
