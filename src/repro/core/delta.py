@@ -12,27 +12,28 @@ a near-hit:
     stashes are never read — a refresh, a TTL expiry or a newer run
     replaces them — so nothing is computed from one until a warm miss
     asks.  The first such miss builds the *memo* from it: the
-    post-filter source split into top-level **segments** (the
-    ``<body>``'s direct children, each keyed by stable identity), the
-    post-run residual document whose serialization produced the entry
-    page, per-step selector footprints (which segments each compiled
-    plan step may touch), and the stored bundle itself.
+    origin source split into top-level **segments** (the ``<body>``'s
+    direct children, each keyed by stable identity) with each one's
+    filter output, the post-run residual document whose serialization
+    produced the entry page, per-step selector footprints (which
+    segments each compiled plan step may touch), and the stored bundle
+    itself.
 
 2.  On a warm miss for the same key, :meth:`DeltaEngine.attempt`
-    re-runs only the filter phase over the new origin source, re-scans
-    its segments, and aligns them against the memo by identity.  Each
-    changed segment is handled by the cheapest sound rung:
+    rescans the new origin source, runs the filter phase over just the
+    segments whose raw bytes changed (every filter step is piecewise —
+    a plan whose filter phase is not is never stashed, and a page whose
+    piecewise proof fails is never memoized), and aligns the segments
+    against the memo by identity.  The attempt then takes one of three
+    rungs:
 
-    * **identical** — the filtered sources are byte-equal (the change
+    * **identical** — the filtered pieces are byte-equal (the change
       was filtered away): the old bundle is re-stored under the new
       content fingerprint, nothing is recomputed;
-    * **patch** — no plan step's footprint intersects the segment: the
-      residual's subtree is patched in place with a stable-identity
-      change-set from :mod:`repro.dom.diff`;
-    * **localize** — every implicated step is a *localizable* transform
-      confined to this one segment: the steps re-run on the parsed new
-      fragment in a scratch document and the result splices into the
-      residual;
+    * **replace** — every changed segment takes one path: its new raw
+      slice is parsed, the plan steps implicated in it (none, or only
+      *localizable* transforms confined to this one segment) re-run on
+      the fragment, and the result swaps into the residual;
     * **fallback** — anything else (structural upheaval, a non-local
       step, a scanner bail) falls through to the full pipeline replay.
 
@@ -45,8 +46,9 @@ The hard invariant — enforced by the differential suites — is that a
 delta-patched response is **byte-identical** to a from-scratch full
 adaptation of the new origin.  Every shortcut in this module is either
 verified when the memo is built (the segment scanner is cross-checked
-against the real parser; the entry reconstruction is cross-checked
-against the run that was stashed) or guarded by a conservative bail
+against the real parser; the entry reconstruction against the run that
+was stashed; the per-segment filter output against the whole-page
+filter, concatenated and spliced) or guarded by a conservative bail
 that takes the full-replay path instead.
 """
 
@@ -69,7 +71,7 @@ from repro.core.subpages import (
 from repro.dom import diff
 from repro.dom.document import Document
 from repro.dom.element import Element, VOID_ELEMENTS
-from repro.dom.node import Comment, Node, Text
+from repro.dom.node import Node
 from repro.html.parser import _IMPLIED_CLOSERS, parse_fragment, parse_html
 from repro.html.serializer import serialize
 from repro.html.tokenizer import scan
@@ -86,7 +88,8 @@ LOCALIZABLE_STEPS = frozenset({"feed_window", "remove_object", "hide_object"})
 #: same bytes as filtering the whole page.  Attributes with insertion
 #: or first-match semantics (``doctype_rewrite``, ``title_rewrite``,
 #: counted ``source_replace``) are excluded — their output depends on
-#: content elsewhere in the page.
+#: content elsewhere in the page — and a plan that has one is never
+#: memoized.
 PIECEWISE_FILTERS = frozenset(
     {"strip_scripts", "strip_css", "rewrite_images"}
 )
@@ -327,40 +330,16 @@ class _SegmentSink:
 
 
 def _assign_identities(merged: list[_Facts]) -> list[Segment]:
-    """Identity keys mirroring :func:`repro.dom.diff.child_keys`."""
-    segments: list[Segment] = []
-    ordinals: dict[tuple, int] = {}
-
-    def _next(bucket: tuple) -> int:
-        ordinal = ordinals.get(bucket, 0)
-        ordinals[bucket] = ordinal + 1
-        return ordinal
-
-    for kind, raw, tag, elem_id, assigned, classes in merged:
-        if kind == "element":
-            if elem_id is not None:
-                identity = ("e", tag, "#", elem_id)
-            elif assigned is not None:
-                identity = ("e", tag, "@", assigned)
-            else:
-                shape = (tag, classes)
-                identity = ("e", *shape, _next(("e", *shape)))
-        elif kind == "text":
-            identity = ("t", _next(("t",)))
-        else:
-            identity = ("c", _next(("c",)))
-        segments.append(
-            Segment(
-                identity=identity,
-                raw=raw,
-                kind=kind,
-                tag=tag,
-                elem_id=elem_id,
-                assigned=assigned,
-                classes=classes,
-            )
-        )
-    return segments
+    """Segments keyed by :func:`repro.dom.diff.shape_keys`."""
+    keys = diff.shape_keys(
+        (kind, tag, elem_id, assigned, classes)
+        for kind, __, tag, elem_id, assigned, classes in merged
+    )
+    return [
+        Segment(identity, raw, kind, tag, elem_id, assigned, classes)
+        for identity, (kind, raw, tag, elem_id, assigned, classes)
+        in zip(keys, merged)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -396,79 +375,35 @@ def _rightmost_compounds(step) -> list:
     return [alt.compounds[-1] for alt in group.alternatives]
 
 
-def step_touches(step, nodes: list[Node]) -> bool:
-    """May this plan step select anything inside these subtrees?"""
-    compounds = _rightmost_compounds(step)
-    if not compounds:
-        return False
+def steps_touching(plan_steps, nodes: list[Node]) -> set[int]:
+    """Indices of steps whose footprint may intersect these subtrees.
+
+    One walk: every element is tested against the rightmost compounds
+    of each step not yet known to touch, so a step's verdict is exactly
+    "some single element may match it" — never widened by facts drawn
+    from different elements.
+    """
+    pending = [
+        (index, compounds)
+        for index, step in enumerate(plan_steps)
+        if (compounds := _rightmost_compounds(step))
+    ]
+    touching: set[int] = set()
     for node in nodes:
         if not isinstance(node, Element):
             continue
         for element in (node, *node.descendant_elements()):
-            for compound in compounds:
-                if compound_may_match(compound, element):
-                    return True
-    return False
-
-
-@dataclass
-class SubtreeSummary:
-    """Aggregate facts about a forest, for batched footprint tests.
-
-    Loses the per-element conjunction (an element that is ``div`` and
-    an element that is ``#feed`` satisfy a ``div#feed`` probe even if
-    they are different elements), which only *widens* footprints —
-    still sound, one walk instead of one per step.
-    """
-
-    tags: set
-    ids: set
-    classes: set
-
-    @classmethod
-    def of(cls, nodes: list[Node]) -> "SubtreeSummary":
-        tags: set = set()
-        ids: set = set()
-        classes: set = set()
-        for node in nodes:
-            if not isinstance(node, Element):
-                continue
-            for element in (node, *node.descendant_elements()):
-                tags.add(element.tag)
-                elem_id = element.id
-                if elem_id is not None:
-                    ids.add(elem_id)
-                class_attr = element.attributes.get("class")
-                if class_attr:
-                    classes.update(class_attr.split())
-        return cls(tags=tags, ids=ids, classes=classes)
-
-    def may_contain_match(self, compound) -> bool:
-        if compound.tag is not None and compound.tag not in self.tags:
-            return False
-        if (
-            compound.element_id is not None
-            and compound.element_id not in self.ids
-        ):
-            return False
-        for class_name in compound.class_names:
-            if class_name not in self.classes:
-                return False
-        # Attribute and pseudo tests are conservatively assumed to pass.
-        return True
-
-
-def steps_touching(plan_steps, nodes: list[Node]) -> set[int]:
-    """Indices of steps whose footprint may intersect these subtrees."""
-    summary = SubtreeSummary.of(nodes)
-    return {
-        index
-        for index, step in enumerate(plan_steps)
-        if any(
-            summary.may_contain_match(compound)
-            for compound in _rightmost_compounds(step)
-        )
-    }
+            if not pending:
+                return touching
+            hits = {
+                index
+                for index, compounds in pending
+                if any(compound_may_match(c, element) for c in compounds)
+            }
+            if hits:
+                touching |= hits
+                pending = [p for p in pending if p[0] not in hits]
+    return touching
 
 
 def _selector_is_localizable(step) -> bool:
@@ -496,20 +431,17 @@ def _selector_is_localizable(step) -> bool:
 class DeltaMemo:
     """Everything needed to re-adapt one page incrementally."""
 
-    #: The full filtered source, kept only in *global-filter* mode
-    #: (``raw_scan is None``) where it is the identical-rung baseline.
-    filtered_source: Optional[str]
+    #: The filtered source's segments: the baseline the next delta's
+    #: segments are aligned against.
     scan: ScanResult
-    #: Piecewise-filter mode: a scan of the *unfiltered* (normalized)
-    #: origin source, plus each raw segment's filter output and that
-    #: output's scanned facts.  A delta then rescans the cheap raw
-    #: source and runs the filter phase only over segments whose raw
-    #: bytes changed; the build verified that the pieces concatenate to
-    #: exactly the globally filtered page.  ``None`` when the plan's
-    #: filter phase is not piecewise-safe.
-    raw_scan: Optional[ScanResult]
-    pieces: Optional[list]
-    piece_facts: Optional[list]
+    #: A scan of the *unfiltered* (normalized) origin source, plus each
+    #: raw segment's filter output and that output's scanned facts.  A
+    #: delta rescans the raw source and runs the filter phase only over
+    #: segments whose raw bytes changed; the build verified that the
+    #: pieces concatenate to exactly the globally filtered page.
+    raw_scan: ScanResult
+    pieces: list
+    piece_facts: list
     #: The post-run document whose serialization is the entry body; it
     #: is patched in place on every applied delta.
     residual: Document
@@ -552,7 +484,7 @@ class _Stash:
     entry_html: str
     bundle: fastpath.FastpathBundle
     ttl_s: float
-    raw_source: Optional[str]
+    raw_source: str
     #: Only the storing run knows when its artifacts stop being fresh.
     deadline: float
     memo: Optional[DeltaMemo] = None
@@ -568,7 +500,7 @@ _COUNTER_HELP = {
     "identical":
         "Warm misses where filtering erased the origin change entirely.",
     "fallbacks": "Delta attempts that fell back to a full replay.",
-    "patched_segments": "Segments patched in place across all deltas.",
+    "patched_segments": "Segments replaced, inserted or removed by deltas.",
     "no_memo": "Warm misses with no memo to delta against.",
     "expired": "Delta memos dropped because their freshness lapsed.",
     "session_served": "Entry responses shipped as session patch manifests.",
@@ -592,7 +524,13 @@ def _seedable(pipeline, ctx, result) -> bool:
         return False
     if result.degraded is not None:
         return False
-    for step in pipeline.plan.dom_steps:
+    plan = pipeline.plan
+    if any(
+        step.definition.name not in PIECEWISE_FILTERS
+        for step in plan.filter_steps
+    ):
+        return False
+    for step in plan.dom_steps:
         if step.definition.name in _TOPLEVEL_REWRITERS:
             return False
         if step.selector_group is None:
@@ -652,7 +590,7 @@ class DeltaEngine:
         bundle: fastpath.FastpathBundle,
         ttl_s: float,
         device_class: str,
-        raw_source: Optional[str] = None,
+        raw_source: str,
     ) -> bool:
         """Stash a just-completed full run for a later memo build.
 
@@ -663,9 +601,8 @@ class DeltaEngine:
         followed by none.
 
         ``raw_source`` is the normalized origin source *before* the
-        filter phase ran; when given (and the filter phase is
-        piecewise-safe) the memo also captures per-segment filter
-        output so deltas can filter only what changed.
+        filter phase ran: the memo captures per-segment filter output
+        from it, so deltas filter only what changed.
 
         Returns ``False`` (and counts ``seed_skips``) when the run is
         not delta-eligible; the run itself is unaffected.
@@ -736,27 +673,20 @@ class DeltaEngine:
         # A step whose rightmost compound could select the scaffolding
         # (or anything in the head) has effects the segment model cannot
         # scope; skip the memo for such "global" plans.
-        html_el = pristine.document_element
         head = pristine.head
-        scaffold: list[Node] = [n for n in (html_el, head, body) if n is not None]
-        for step in steps:
-            for compound in _rightmost_compounds(step):
-                for element in scaffold:
-                    if compound_may_match(compound, element):
-                        return None
-                if head is not None and any(
-                    compound_may_match(compound, el)
-                    for el in head.descendant_elements()
-                ):
-                    return None
+        scaffold = [pristine.document_element, body]
+        if any(
+            compound_may_match(compound, element)
+            for step in steps
+            for compound in _rightmost_compounds(step)
+            for element in scaffold
+            if element is not None
+        ) or (head is not None and steps_touching(steps, [head])):
+            return None
         # Per-segment step footprints over the pristine subtrees.
         seg_steps: dict[tuple, set[int]] = {}
         for segment, child in zip(scan.segments, pristine_children):
-            touching = {
-                index
-                for index, step in enumerate(steps)
-                if step_touches(step, [child])
-            }
+            touching = steps_touching(steps, [child])
             if touching:
                 seg_steps[segment.identity] = touching
         # Residual mapping: every top-level survivor of the run must be
@@ -799,16 +729,13 @@ class DeltaEngine:
         entry_rel = bundle.entry_rel
         if not any(item.relpath == entry_rel for item in bundle.files):
             return None
-        filtered_source: Optional[str] = ctx.source
-        raw_scan = pieces = piece_facts = None
         piecewise = self._piecewise_setup(
             pipeline, stash.raw_source, ctx.source, scan
         )
-        if piecewise is not None:
-            raw_scan, pieces, piece_facts = piecewise
-            filtered_source = None
+        if piecewise is None:
+            return None
+        raw_scan, pieces, piece_facts = piecewise
         return DeltaMemo(
-            filtered_source=filtered_source,
             scan=scan,
             raw_scan=raw_scan,
             pieces=pieces,
@@ -834,24 +761,17 @@ class DeltaEngine:
         return ctx.source
 
     def _piecewise_setup(
-        self, pipeline, raw_source, filtered_source, filtered_scan
+        self, pipeline, raw_source, filtered, filtered_scan
     ):
         """Per-segment filter state, or ``None`` if unverifiable.
 
-        The scheme is admitted only when (a) every filter step is in
-        :data:`PIECEWISE_FILTERS`, and (b) filtering this page's raw
-        prelude, segments, and tail one by one concatenates to exactly
-        the globally filtered source *and* splices to exactly its
-        direct scan — a per-page proof that segment filtering commutes
-        with concatenation here.
+        Every filter step is in :data:`PIECEWISE_FILTERS` (the plan was
+        not stashed otherwise); the scheme is admitted only when
+        filtering this page's raw prelude, segments, and tail one by
+        one concatenates to exactly the globally filtered source *and*
+        splices to exactly its direct scan — a per-page proof that
+        segment filtering commutes with concatenation here.
         """
-        if raw_source is None:
-            return None
-        if any(
-            step.definition.name not in PIECEWISE_FILTERS
-            for step in pipeline.plan.filter_steps
-        ):
-            return None
         raw_scan = scan_segments(raw_source)
         if raw_scan is None:
             return None
@@ -866,7 +786,7 @@ class DeltaEngine:
             return None
         if prelude != filtered_scan.prelude or tail != filtered_scan.tail:
             return None
-        if prelude + "".join(pieces) + tail != filtered_source:
+        if prelude + "".join(pieces) + tail != filtered:
             return None
         piece_facts: list = []
         spliced: list = []
@@ -919,14 +839,7 @@ class DeltaEngine:
     def _attempt_locked(self, pipeline, memo, miss):
         etag = miss.etag
         try:
-            if memo.raw_scan is not None:
-                scan, refresh = self._refilter_piecewise(
-                    pipeline, memo, miss.source
-                )
-            else:
-                scan, refresh = self._refilter_global(
-                    pipeline, memo, miss.source
-                )
+            scan, refresh = self._refilter(pipeline, memo, miss.source)
         except _Fallback as bail:
             return self._fallback(bail.reason)
         if scan is None:
@@ -949,7 +862,7 @@ class DeltaEngine:
         except _Fallback as bail:
             return self._fallback(bail.reason)
         try:
-            patched = self._apply(memo, scan, patches)
+            self._apply(memo, patches)
         except Exception:
             # The residual may be half-patched; the memo is unusable.
             self._counter("fallbacks").inc()
@@ -959,51 +872,29 @@ class DeltaEngine:
         )
         new_bundle = fastpath.rebundle(memo.bundle, entry_html, etag)
         self._store(pipeline, miss, new_bundle, memo)
-        # Refresh the memo in place: the residual already evolved, the
-        # new scan becomes the baseline, and footprints update only for
-        # the segments that changed.
+        # Refresh the memo in place: the residual and the footprints of
+        # the changed segments already evolved, the new scan becomes the
+        # baseline.
         memo.scan = scan
         memo.bundle = new_bundle
         refresh()
-        self._reindex(memo, patches)
         self._counter("applied").inc()
         self._counter("patched_segments").inc(len(patches))
         return fastpath.replay_bundle(
             pipeline, new_bundle, miss.origin_bytes, etag
         )
 
-    def _refilter_global(self, pipeline, memo, source):
-        """Filter the whole page and rescan; ``(None, …)`` if identical.
-
-        Returns ``(scan, refresh)`` where ``refresh`` moves the memo's
-        filter baseline forward once the delta has been applied, or a
-        ``None`` scan when filtering erased the change entirely.
-        """
-        ctx = PipelineContext(pipeline.spec, source, pipeline.proxy_base)
-        apply_steps(pipeline.plan.filter_steps, ctx)
-        filtered = ctx.source
-        if filtered == memo.filtered_source:
-            return None, lambda: None
-        scan = rescan_segments(filtered, memo.scan)
-        if scan is None:
-            raise _Fallback("scan")
-        if scan.prelude != memo.scan.prelude or scan.tail != memo.scan.tail:
-            raise _Fallback("structure")
-
-        def refresh() -> None:
-            memo.filtered_source = filtered
-
-        return scan, refresh
-
-    def _refilter_piecewise(self, pipeline, memo, source):
+    def _refilter(self, pipeline, memo, source):
         """Rescan the raw source and filter only what changed.
 
-        The whole-page filter run is the delta path's largest fixed
-        cost; this replaces it with a raw rescan (which already scales
-        with the change) plus a filter pass over just the changed
-        segments, splicing memoized filter output for everything else.
-        The build proved piecewise filtering byte-equal to the global
-        pass for this page and plan (:meth:`_piecewise_setup`).
+        Returns ``(scan, refresh)``: the filtered page's segments (or
+        ``None`` when filtering erased the change entirely) and a
+        callable that moves the memo's filter baseline forward once the
+        delta has been served.  A raw rescan scales with the change;
+        the filter phase runs over just the changed segments, splicing
+        memoized filter output for everything else.  The build proved
+        piecewise filtering byte-equal to the whole-page pass for this
+        page and plan (:meth:`_piecewise_setup`).
         """
         raw_scan = rescan_segments(source, memo.raw_scan)
         if raw_scan is None:
@@ -1123,8 +1014,7 @@ class DeltaEngine:
         for action, identity in changed:
             patches.append(
                 self._classify_one(
-                    action, identity, memo, old_by_key, new_by_key,
-                    plan_steps, pipeline,
+                    action, identity, memo, new_by_key, plan_steps, pipeline
                 )
             )
         # Inserts need an anchor: the first *following* new segment that
@@ -1137,56 +1027,57 @@ class DeltaEngine:
         return patches
 
     def _classify_one(
-        self, action, identity, memo, old_by_key, new_by_key,
-        plan_steps, pipeline,
+        self, action, identity, memo, new_by_key, plan_steps, pipeline
     ) -> "_Patch":
+        """One changed segment's patch: parse it, run its steps on it.
+
+        The steps implicated are those whose footprint touched the old
+        segment or touches the new one; each must be a localizable
+        transform whose footprint is this segment alone.  A removed
+        segment may have none.
+        """
         implicated: set[int] = set(memo.seg_steps.get(identity, ()))
-        new_nodes: list[Node] = []
-        new_touching: set[int] = set()
-        if action in ("mutate", "insert"):
-            new_nodes = parse_fragment(new_by_key[identity].raw)
-            if len(new_nodes) != 1:
-                # One segment must parse to exactly one node, or the
-                # residual map (and part cache) would lose track.
-                raise _Fallback("fragment")
-            new_touching = steps_touching(plan_steps, new_nodes)
-            implicated |= new_touching
         if action == "remove":
             if implicated:
                 raise _Fallback("steps")
-            return _Patch(action, identity, steps=frozenset())
-        if not implicated:
-            return _Patch(
-                action, identity, nodes=new_nodes,
-                new_touching=frozenset(new_touching),
-            )
+            return _Patch(action, identity)
+        nodes = parse_fragment(new_by_key[identity].raw)
+        if len(nodes) != 1:
+            # One segment must parse to exactly one node, or the
+            # residual map (and part cache) would lose track.
+            raise _Fallback("fragment")
+        new_touching = steps_touching(plan_steps, nodes)
+        implicated |= new_touching
         for index in implicated:
             step = plan_steps[index]
             if step.definition.name not in LOCALIZABLE_STEPS:
                 raise _Fallback("steps")
             if not _selector_is_localizable(step):
                 raise _Fallback("steps")
-            footprint = {
-                seg_id
+            if any(
+                index in touching
                 for seg_id, touching in memo.seg_steps.items()
-                if index in touching
-            }
-            footprint.add(identity)
-            if footprint != {identity}:
+                if seg_id != identity
+            ):
                 raise _Fallback("steps")
-        transformed = self._localize(
-            pipeline, new_nodes, sorted(implicated), plan_steps
-        )
         return _Patch(
-            action, identity, nodes=transformed,
-            steps=frozenset(implicated),
+            action, identity,
+            nodes=self._localize(
+                pipeline, nodes, sorted(implicated), plan_steps
+            ),
             new_touching=frozenset(new_touching),
         )
 
     def _localize(
         self, pipeline, nodes: list[Node], step_indices, plan_steps
     ) -> list[Node]:
-        """Re-run the implicated steps over the fragment in isolation."""
+        """Re-run the implicated steps over the fragment in isolation.
+
+        With no step implicated there is nothing to run: the pristine
+        parse is the segment's adapted form.
+        """
+        if not step_indices:
+            return nodes
         scratch = Document()
         html_el = Element("html")
         body = Element("body")
@@ -1226,65 +1117,33 @@ class DeltaEngine:
 
     # -- application (mutates the residual) ----------------------------
 
-    def _apply(self, memo, scan, patches) -> int:
-        count = 0
+    def _apply(self, memo, patches) -> None:
+        """Swap each patch's nodes into the residual, in place of (or,
+        for an insert, before the anchor of) the segment's old node,
+        and bring the part cache and the footprints along."""
         for patch in patches:
-            count += 1
-            if patch.action == "remove":
-                node = memo.residual_by_key.pop(patch.identity, None)
-                if node is not None:
-                    node.detach()
-            elif patch.action == "mutate" and not patch.steps:
-                node = memo.residual_by_key.get(patch.identity)
-                if (
-                    node is not None
-                    and len(patch.nodes) == 1
-                    and _patchable_pair(node, patch.nodes[0])
-                ):
-                    # Stable-identity diff against the untouched
-                    # residual subtree: small edits stay small.
-                    diff.apply(
-                        node, diff.changeset(node, patch.nodes[0])
-                    )
-                else:
-                    self._swap(memo, patch)
-            else:
-                self._swap(memo, patch)
-            if memo.entry_parts is not None:
-                survivor = memo.residual_by_key.get(patch.identity)
-                if survivor is None:
-                    memo.entry_parts.pop(patch.identity, None)
-                else:
-                    memo.entry_parts[patch.identity] = serialize(survivor)
-        return count
-
-    def _swap(self, memo, patch) -> None:
-        """Replace (or insert) a segment's residual nodes outright."""
-        old_node = memo.residual_by_key.pop(patch.identity, None)
-        nodes = patch.nodes
-        if old_node is not None:
-            anchor_parent = old_node.parent
-            for node in nodes:
-                old_node.insert_before(node)
-            old_node.detach()
-        else:
-            body = memo.residual.body
-            anchor = patch.anchor
-            for node in nodes:
+            old_node = memo.residual_by_key.pop(patch.identity, None)
+            anchor = old_node if old_node is not None else patch.anchor
+            for node in patch.nodes:
                 if anchor is not None:
                     anchor.insert_before(node)
                 else:
-                    body.append(node)
-        if len(nodes) == 1:
-            memo.residual_by_key[patch.identity] = nodes[0]
-        # A localized step may legitimately empty the segment (e.g. a
-        # remove_object matching the root): the key simply stays absent.
-
-    def _reindex(self, memo, patches) -> None:
-        """Refresh footprints for changed keys (pristine-new subtrees)."""
-        for patch in patches:
+                    memo.residual.body.append(node)
+            if old_node is not None:
+                old_node.detach()
+            # A localized step may legitimately empty the segment (e.g.
+            # a remove_object matching the root): the key stays absent.
+            if len(patch.nodes) == 1:
+                memo.residual_by_key[patch.identity] = patch.nodes[0]
+            if memo.entry_parts is not None:
+                if patch.nodes:
+                    memo.entry_parts[patch.identity] = serialize(
+                        patch.nodes[0]
+                    )
+                else:
+                    memo.entry_parts.pop(patch.identity, None)
             memo.seg_steps.pop(patch.identity, None)
-            if patch.action != "remove" and patch.new_touching:
+            if patch.new_touching:
                 memo.seg_steps[patch.identity] = set(patch.new_touching)
 
 
@@ -1301,20 +1160,13 @@ class _Fallback(Exception):
 class _Patch:
     action: str  # 'mutate' | 'insert' | 'remove'
     identity: tuple
+    #: The segment's adapted nodes (none for a remove, or when a
+    #: localized step removed the whole segment).
     nodes: list[Node] = field(default_factory=list)
-    steps: frozenset = frozenset()
     #: Steps whose footprint intersects the *pristine* new fragment —
     #: the segment's footprint entry for subsequent deltas.
     new_touching: frozenset = frozenset()
     anchor: Optional[Node] = None
-
-
-def _patchable_pair(old: Node, new: Node) -> bool:
-    if isinstance(old, Element) and isinstance(new, Element):
-        return old.tag == new.tag
-    return type(old) is type(new) and isinstance(
-        old, (Text, Comment, Element)
-    )
 
 
 def _is_subsequence(needle: list, haystack: list) -> bool:

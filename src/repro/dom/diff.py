@@ -1,10 +1,12 @@
 """Stable-identity DOM diffing: change-sets between two parsed trees.
 
-The delta fast path (``repro.core.delta``) and the proxy's session
-deltas both need the same primitive: given the tree a client (or the
-bundle cache) already holds and the tree we just produced, compute a
-*change-set* that is small when the trees are close and that can be
-applied to the old tree to reproduce the new one exactly.
+The proxy's session deltas need one primitive: given the tree a client
+already holds and the tree we just produced, compute a *change-set*
+that is small when the trees are close and that can be applied to the
+old tree to reproduce the new one exactly.  The delta fast path
+(``repro.core.delta``) shares only the identity keys below: its
+segments are keyed by :func:`shape_keys`, the policy
+:func:`child_keys` applies to parsed siblings.
 
 Children are aligned by **stable identity keys** rather than raw
 position, so an inserted sibling does not cascade into "everything
@@ -65,8 +67,15 @@ IDENTITY_ATTRIBUTE = "data-msite-key"
 # identity keys
 
 
-def child_keys(children: list[Node]) -> list[tuple]:
-    """Stable identity keys for one sibling list, in document order."""
+def shape_keys(shapes) -> list[tuple]:
+    """Stable identity keys for one sibling list, in document order.
+
+    Each sibling is given by its shape ``(kind, tag, id, assigned,
+    class)``: ``kind`` is ``"element"``, ``"text"``, ``"comment"`` or
+    ``"doctype"`` (whose name rides in ``tag``).  Parsed trees key
+    through :func:`child_keys`; the delta engine's segment scanner keys
+    the same shapes read straight off the source.
+    """
     keys: list[tuple] = []
     ordinals: dict[tuple, int] = {}
 
@@ -75,27 +84,45 @@ def child_keys(children: list[Node]) -> list[tuple]:
         ordinals[bucket] = ordinal + 1
         return ordinal
 
-    for child in children:
-        if isinstance(child, Element):
-            element_id = child.attributes.get("id")
+    for kind, tag, element_id, assigned, classes in shapes:
+        if kind == "element":
             if element_id is not None:
-                keys.append(("e", child.tag, "#", element_id))
-                continue
-            assigned = child.attributes.get(IDENTITY_ATTRIBUTE)
-            if assigned is not None:
-                keys.append(("e", child.tag, "@", assigned))
-                continue
-            shape = (child.tag, child.attributes.get("class", ""))
-            keys.append(("e", *shape, _next(("e", *shape))))
-        elif isinstance(child, Text):
+                keys.append(("e", tag, "#", element_id))
+            elif assigned is not None:
+                keys.append(("e", tag, "@", assigned))
+            else:
+                keys.append(("e", tag, classes, _next(("e", tag, classes))))
+        elif kind == "text":
             keys.append(("t", _next(("t",))))
-        elif isinstance(child, Comment):
+        elif kind == "comment":
             keys.append(("c", _next(("c",))))
-        elif isinstance(child, Doctype):
-            keys.append(("d", child.name))
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"cannot key {child!r}")
+        else:
+            keys.append(("d", tag))
     return keys
+
+
+def child_keys(children: list[Node]) -> list[tuple]:
+    """Stable identity keys for one sibling list of parsed nodes."""
+    return shape_keys([_shape(child) for child in children])
+
+
+def _shape(node: Node) -> tuple:
+    if isinstance(node, Element):
+        attributes = node.attributes
+        return (
+            "element",
+            node.tag,
+            attributes.get("id"),
+            attributes.get(IDENTITY_ATTRIBUTE),
+            attributes.get("class", ""),
+        )
+    if isinstance(node, Text):
+        return ("text", "", None, None, "")
+    if isinstance(node, Comment):
+        return ("comment", "", None, None, "")
+    if isinstance(node, Doctype):
+        return ("doctype", node.name, None, None, "")
+    raise TypeError(f"cannot key {node!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from repro.core.delta import UPHEAVAL_FRACTION, DeltaEngine, DeltaMemo, _Stash
 from repro.core.pipeline import AdaptationPipeline, ProxyServices
 from repro.core.sessions import SessionManager
 from repro.core.spec import AdaptationSpec, ObjectSelector
-from repro.dom import diff
 from repro.net.messages import Request, Response
 from repro.net.server import Application
 from repro.sim.clock import Clock
@@ -61,14 +60,6 @@ def make_spec() -> AdaptationSpec:
     )
     spec.add("remove_object", ObjectSelector.css(".promo"))
     spec.add("hide_object", ObjectSelector.css(".alert"))
-    return spec
-
-
-def make_global_spec() -> AdaptationSpec:
-    # title_rewrite is not piecewise-safe, so the memo keeps the whole
-    # filtered source as its baseline (global-filter mode).
-    spec = make_spec()
-    spec.add("title_rewrite", title="Mobile Delta")
     return spec
 
 
@@ -136,20 +127,47 @@ def test_full_run_seeds_a_piecewise_memo():
     assert counts(services, "deferred", "seeds", "seed_skips") == (1, 1, 0)
     assert builds(services) == 1
     memo = the_memo(services)
-    assert memo.raw_scan is not None  # strip_scripts is piecewise-safe
-    assert memo.filtered_source is None
+    assert len(memo.pieces) == len(memo.raw_scan.segments)
     assert memo.entry_parts is not None
 
 
-def test_non_piecewise_filters_fall_back_to_global_mode():
+#: Filter steps whose output depends on content elsewhere in the page,
+#: so the filter phase cannot run segment by segment.
+NON_PIECEWISE_FILTERS = {
+    "title_rewrite": lambda spec: spec.add("title_rewrite", title="Mobile"),
+    "doctype_rewrite": lambda spec: spec.add("doctype_rewrite"),
+    "source_replace": lambda spec: spec.add(
+        "source_replace", ObjectSelector.regex("notice"),
+        replacement="NOTICE", count=1,
+    ),
+}
+
+#: A body edit, a title edit, a revision to soup and a grown head.
+REVISIONS = [
+    ("hello", "changed"),
+    ("<title>Delta</title>", "<title>X</title>"),
+    ('<p id="plain">hello</p>', "<p>one<p>two"),
+    ("<head>", '<head><meta name="x">'),
+]
+
+
+@pytest.mark.parametrize("attribute", sorted(NON_PIECEWISE_FILTERS))
+def test_non_piecewise_filter_plans_are_not_memoized(attribute):
+    spec = make_spec()
+    NON_PIECEWISE_FILTERS[attribute](spec)
     origin, __, services, manager = deploy()
-    adapt(services, manager, spec=make_global_spec())
-    origin.page = PAGE.replace("hello", "goodbye")
-    adapt(services, manager, spec=make_global_spec())
-    assert counts(services, "seeds") == (1,)
-    memo = the_memo(services)
-    assert memo.raw_scan is None
-    assert memo.filtered_source is not None
+    adapt(services, manager, spec=spec)
+    for runs, (old, new) in enumerate(REVISIONS, start=2):
+        origin.page = PAGE.replace(old, new)
+        result = adapt(services, manager, spec=spec)
+        assert result.entry_html == from_scratch(origin.page, spec)
+        # Refused by every full run, before anything is stashed.
+        assert counts(services, "seed_skips") == (runs,)
+        assert not services.delta._memos
+    assert counts(
+        services, "deferred", "seeds", "applied", "identical", "fallbacks"
+    ) == (0, 0, 0, 0, 0)
+    assert builds(services) == 0
 
 
 def test_disabling_delta_or_fastpath_removes_the_engine():
@@ -275,28 +293,6 @@ def test_identical_rung_when_the_filter_erases_the_change():
     assert third.fastpath_hit and third.entry_html == first.entry_html
 
 
-def test_identical_rung_in_global_filter_mode():
-    origin, __, services, manager = deploy()
-    spec = make_global_spec()
-    first = adapt(services, manager, spec=spec)
-    # title_rewrite replaces the whole <title>, so a title edit is
-    # erased by the filter phase.
-    origin.page = PAGE.replace("<title>Delta</title>", "<title>X</title>")
-    second = adapt(services, manager, spec=spec)
-    assert counts(services, "identical") == (1,)
-    assert second.entry_html == first.entry_html
-
-
-def test_patch_rung_in_global_filter_mode():
-    origin, __, services, manager = deploy()
-    spec = make_global_spec()
-    adapt(services, manager, spec=spec)
-    origin.page = PAGE.replace("hello", "changed")
-    second = adapt(services, manager, spec=spec)
-    assert counts(services, "applied") == (1,)
-    assert second.entry_html == from_scratch(origin.page, make_global_spec())
-
-
 def test_localize_rung_reruns_the_confined_step():
     origin, __, services, manager = deploy()
     adapt(services, manager)
@@ -363,6 +359,36 @@ def test_successive_deltas_keep_tracking_the_origin():
         result = adapt(services, manager)
         assert counts(services, "applied") == (round_number,)
         assert result.entry_html == from_scratch(page)
+
+
+def test_a_segments_footprint_after_a_delta_is_a_fresh_builds():
+    # The box holds a <div> and, on another element, id="lead": no one
+    # element is div#lead, so a fresh build gives the box no footprint
+    # for that step.  Nor may the delta that revised the box.
+    spec = make_spec()
+    spec.add("hide_object", ObjectSelector.css("div#lead"))
+    box = (
+        '<div id="box"><div class="a">inside</div>'
+        '<span id="lead">y</span></div>'
+    )
+    page = PAGE.replace('<p id="plain">', box + '<p id="plain">')
+    revised = page.replace("inside", "inside too")
+
+    def footprints(first: str, second: str) -> dict:
+        origin, __, services, manager = deploy(first)
+        adapt(services, manager, spec=spec)
+        origin.page = second
+        result = adapt(services, manager, spec=spec)
+        assert counts(services, "applied") == (1,)
+        assert result.entry_html == from_scratch(second, spec)
+        return the_memo(services).seg_steps
+
+    after_delta = footprints(page, revised)
+    # Built over the revised box; the delta edits a segment no step
+    # touches.
+    fresh = footprints(revised, revised.replace("hello", "goodbye"))
+    assert ("e", "div", "#", "box") not in fresh
+    assert after_delta == fresh
 
 
 # -- fallbacks and the memo lifecycle --------------------------------------
@@ -438,11 +464,13 @@ def test_a_built_memo_expires_when_its_run_does():
 def test_apply_failure_drops_the_memo(monkeypatch):
     origin, __, services, manager = deploy()
     adapt(services, manager)
+    apply = DeltaEngine._apply
 
-    def boom(old, changes):
+    def half_then_boom(self, memo, patches):
+        apply(self, memo, patches)
         raise RuntimeError("injected apply failure")
 
-    monkeypatch.setattr(diff, "apply", boom)
+    monkeypatch.setattr(DeltaEngine, "_apply", half_then_boom)
     origin.page = PAGE.replace("hello", "goodbye")
     result = adapt(services, manager)
     assert counts(services, "fallbacks", "applied") == (1, 0)
@@ -610,37 +638,14 @@ def test_head_edit_falls_back_in_piecewise_mode():
     assert "Renamed" in second.entry_html
 
 
-def test_revision_to_soup_falls_back_in_global_mode():
-    origin, __, services, manager = deploy()
-    spec = make_global_spec()
-    adapt(services, manager, spec=spec)
-    origin.page = PAGE.replace("<p id=\"plain\">hello</p>", "<p>one<p>two")
-    second = adapt(services, manager, spec=spec)
-    assert counts(services, "fallback_scan") == (1,)
-    assert second.entry_html == from_scratch(
-        origin.page, make_global_spec()
-    )
-
-
-def test_head_edit_falls_back_in_global_mode():
-    origin, __, services, manager = deploy()
-    spec = make_global_spec()
-    adapt(services, manager, spec=spec)
-    # title_rewrite would erase a title edit, so grow the head instead.
-    origin.page = PAGE.replace("<head>", '<head><meta name="x">')
-    second = adapt(services, manager, spec=spec)
-    assert counts(services, "fallback_structure") == (1,)
-    assert second.entry_html == from_scratch(
-        origin.page, make_global_spec()
-    )
-
-
-def test_crashing_filter_falls_back_then_reseeds_globally(monkeypatch):
+def test_crashing_filter_falls_back_then_the_rebuild_is_refused(
+    monkeypatch,
+):
     origin, __, services, manager = deploy()
     adapt(services, manager)
     origin.page = PAGE.replace("hello", "hello again")
     adapt(services, manager)
-    assert the_memo(services).raw_scan is not None
+    the_memo(services)
 
     def boom(self, pipeline, piece):
         raise RuntimeError("filter exploded")
@@ -650,12 +655,12 @@ def test_crashing_filter_falls_back_then_reseeds_globally(monkeypatch):
     second = adapt(services, manager)
     assert counts(services, "fallback_scan") == (1,)
     assert second.entry_html == from_scratch(origin.page)
-    # The next build cannot prove piecewise filtering either, so the
-    # replacement memo holds the whole filtered source.
+    # The next build cannot prove piecewise filtering either: refused,
+    # the miss takes the full pipeline, which stashes once more.
     origin.page = PAGE.replace("hello", "farewell")
     third = adapt(services, manager)
-    assert counts(services, "seeds", "applied") == (2, 2)
-    assert the_memo(services).filtered_source is not None
+    assert counts(services, "seeds", "seed_skips", "applied") == (1, 1, 1)
+    assert the_stash(services).ctx is not None
     assert third.entry_html == from_scratch(origin.page)
 
 
@@ -677,7 +682,7 @@ def test_text_runs_merging_across_a_stripped_script_fall_back():
     adapt(services, manager, spec=spec)
     origin.page = page.replace("masthead", "the masthead")
     adapt(services, manager, spec=spec)
-    assert the_memo(services).raw_scan is not None
+    the_memo(services)
     # Both paragraphs become bare text runs; once the script between
     # them is stripped they would merge in a direct scan, which the
     # splice model cannot represent.

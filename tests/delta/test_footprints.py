@@ -17,12 +17,9 @@ from repro.core.delta import (
     _Stash,
     _seedable,
     scan_segments,
-    SubtreeSummary,
     _is_subsequence,
-    _patchable_pair,
     _selector_is_localizable,
     compound_may_match,
-    step_touches,
     steps_touching,
     DeltaEngine,
 )
@@ -30,7 +27,7 @@ from repro.core.fastpath import rebundle as _rebundle
 from repro.core.plan import TransformPlan
 from repro.core.spec import AdaptationSpec, ObjectSelector
 from repro.core.subpages import assemble_entry as _rebuild_entry
-from repro.dom.node import Comment, Text
+from repro.dom.node import Text
 from repro.html.parser import parse_fragment, parse_html
 from repro.html.serializer import serialize
 from repro.observability import Observability
@@ -75,17 +72,15 @@ def test_pseudo_classes_are_conservatively_assumed_to_match():
     assert compound_may_match(compound, element)
 
 
-# -- step_touches / steps_touching ----------------------------------------
+# -- steps_touching ------------------------------------------------------
 
 
-def test_step_touches_finds_matches_anywhere_in_the_subtree():
+def test_footprints_find_matches_anywhere_in_the_subtree():
     nodes = _forest('<div><ul><li class="hot">x</li></ul></div>')
-    (hot,) = _steps(".hot")
-    (cold,) = _steps(".cold")
-    assert step_touches(hot, nodes)
-    assert not step_touches(cold, nodes)
+    hot, cold = _steps(".hot", ".cold")
+    assert steps_touching([hot, cold], nodes) == {0}
     # Non-element nodes never match anything.
-    assert not step_touches(hot, [Text("plain")])
+    assert steps_touching([hot], [Text("plain")]) == set()
 
 
 def test_step_without_a_parsed_selector_touches_nothing():
@@ -93,38 +88,28 @@ def test_step_without_a_parsed_selector_touches_nothing():
     spec.add("hide_object", ObjectSelector.css("#unclosed["))
     (step,) = TransformPlan.compile(spec).dom_steps
     assert step.selector_group is None
-    assert not step_touches(step, _forest("<div id='unclosed'></div>"))
+    assert not steps_touching([step], _forest("<div id='unclosed'></div>"))
 
 
 def test_batched_footprints_agree_with_per_step_probes():
-    steps = _steps("#feed", ".teaser", "aside", "#absent")
+    steps = _steps("#feed", ".teaser", "aside", "#absent", "p", "div.teaser")
     nodes = _forest(
         '<div id="feed"><div class="teaser">t</div></div><p>text</p>'
     )
-    batched = steps_touching(steps, nodes)
     individual = {
         index for index, step in enumerate(steps)
-        if step_touches(step, nodes)
+        if steps_touching([step], nodes)
     }
-    assert batched >= individual  # widening is allowed...
-    assert 3 not in batched  # ...but absent probes must stay out
+    assert steps_touching(steps, nodes) == individual == {0, 1, 4, 5}
 
 
-def test_summary_widens_across_elements_but_stays_sound():
-    # One element is a <div>, a different one carries id="feed": the
-    # summary satisfies a div#feed probe (documented widening) even
-    # though the exact walk rejects it.
+def test_footprints_keep_the_per_element_conjunction():
+    # One element is a <div>, a different one carries id="feed": no
+    # single element is div#feed, so the step touches nothing here.
     nodes = _forest('<div class="a">x</div><span id="feed">y</span>')
-    (step,) = _steps("div#feed")
-    compound = step.selector_group.alternatives[0].compounds[-1]
-    summary = SubtreeSummary.of(nodes)
-    assert summary.may_contain_match(compound)
-    assert not step_touches(step, nodes)
-    # A probe naming anything truly absent is rejected outright.
-    (absent,) = _steps("nav.missing")
-    missing = absent.selector_group.alternatives[0].compounds[-1]
-    assert not summary.may_contain_match(missing)
-    assert not SubtreeSummary.of([Text("just text")]).tags
+    probes = _steps("div#feed", "span#feed", "nav.missing")
+    assert steps_touching(probes, nodes) == {1}
+    assert steps_touching(probes, [Text("just text")]) == set()
 
 
 # -- localizability --------------------------------------------------------
@@ -157,17 +142,6 @@ def test_is_subsequence():
     assert _is_subsequence(["a", "c"], ["a", "b", "c"])
     assert not _is_subsequence(["c", "a"], ["a", "b", "c"])
     assert not _is_subsequence(["x"], ["a", "b"])
-
-
-def test_patchable_pairs_require_matching_kinds_and_tags():
-    div, = _forest("<div>x</div>")
-    div2, = _forest("<div>y</div>")
-    span, = _forest("<span>z</span>")
-    assert _patchable_pair(div, div2)
-    assert not _patchable_pair(div, span)
-    assert _patchable_pair(Text("a"), Text("b"))
-    assert _patchable_pair(Comment("a"), Comment("b"))
-    assert not _patchable_pair(Text("a"), Comment("b"))
 
 
 def test_rebuild_entry_mirrors_emit_entry_shapes():
@@ -254,14 +228,16 @@ def _memo_ctx(**overrides):
     return ctx
 
 
-def _memo_pipeline():
-    return SimpleNamespace(plan=SimpleNamespace(dom_steps=[]))
+def _memo_pipeline(filter_steps=()):
+    return SimpleNamespace(
+        plan=SimpleNamespace(dom_steps=[], filter_steps=list(filter_steps))
+    )
 
 
 def _build(engine, ctx, entry_html="", bundle=None):
     stash = _Stash(
         ctx=ctx, entry_html=entry_html, bundle=bundle,
-        ttl_s=0.0, raw_source=None, deadline=0.0,
+        ttl_s=0.0, raw_source=MEMO_SRC, deadline=0.0,
     )
     return engine._build_memo(_memo_pipeline(), stash)
 
@@ -270,6 +246,9 @@ def test_memo_refuses_prerender_and_thumbnail_runs():
     # Decided from flags alone, so the full run itself refuses these.
     healthy = SimpleNamespace(degraded=None)
     assert _seedable(_memo_pipeline(), _memo_ctx(), healthy)
+    # So is a filter phase that cannot be run segment by segment.
+    title = SimpleNamespace(definition=SimpleNamespace(name="title_rewrite"))
+    assert not _seedable(_memo_pipeline([title]), _memo_ctx(), healthy)
     for ctx in (
         _memo_ctx(prerender_page="p2"),
         _memo_ctx(partial_prerender_targets=("t",)),
@@ -333,7 +312,6 @@ def _identity_filter(monkeypatch, mapping=None):
 
 def test_piecewise_setup_needs_a_scannable_raw_source(monkeypatch):
     engine = DeltaEngine(Observability().registry)
-    assert engine._piecewise_setup(None, None, "x", None) is None
     assert (
         engine._piecewise_setup(
             _piecewise_pipeline(), "<p>no body here</p>", "x", None
@@ -441,7 +419,7 @@ def test_multi_node_segment_raw_is_a_fragment_fallback():
     key = ("e", "div", "#", "a")
     with pytest.raises(_Fallback) as bail:
         engine._classify_one(
-            "mutate", key, SimpleNamespace(seg_steps={}), {},
+            "mutate", key, SimpleNamespace(seg_steps={}),
             {key: SimpleNamespace(raw="<p>a</p><p>b</p>")}, [], None,
         )
     assert bail.value.reason == "fragment"
@@ -468,15 +446,16 @@ def test_localize_wraps_step_crashes_in_a_fallback():
 
 def test_apply_swaps_when_the_residual_node_is_gone():
     # A mutate patch whose residual node has vanished (defensive: the
-    # classifier only emits these for live keys) swaps the new nodes
-    # in rather than diffing against nothing.
+    # classifier only emits these for live keys) appends the new nodes
+    # rather than replacing nothing.
     engine = DeltaEngine(Observability().registry)
     residual = parse_html("<html><body></body></html>")
     memo = SimpleNamespace(
-        residual_by_key={}, residual=residual, entry_parts=None
+        residual_by_key={}, residual=residual, entry_parts=None,
+        seg_steps={},
     )
     (node,) = parse_fragment("<em>new</em>")
     patch = _Patch("mutate", ("e", "em", "", 0), nodes=[node])
-    assert engine._apply(memo, None, [patch]) == 1
+    engine._apply(memo, [patch])
     assert memo.residual_by_key[patch.identity] is node
     assert "<em>new</em>" in serialize(residual)

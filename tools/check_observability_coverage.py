@@ -231,7 +231,7 @@ PACKAGES = [
     },
     {
         # The delta fast path: segment scanning, footprint analysis,
-        # and the patch/localize/fallback rungs.  Every shortcut here
+        # and the identical/replace/fallback rungs.  Every shortcut here
         # is a soundness bet on rarely-taken guard branches, so the
         # floor matches the cluster package.  The suites are the dom
         # diff units + properties and the delta scanner/engine/
