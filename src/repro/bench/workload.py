@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 
 from repro.core.pipeline import ProxyServices
 from repro.core.proxy import MSiteProxy
-from repro.core.spec import AdaptationSpec, ObjectSelector
+from repro.core.spec import AdaptationSpec
 from repro.net.client import HttpClient
 from repro.net.cookies import CookieJar
 from repro.sim.clock import Clock
 from repro.sim.rng import DeterministicRandom
+from repro.sites.forum.spec import standard_forum_spec
 
 
 @dataclass
@@ -54,25 +55,6 @@ class WorkloadReport:
         return self.browser_renders / max(1e-9, self._hours)
 
     _hours: float = field(default=1.0, repr=False)
-
-
-def standard_forum_spec(host: str) -> AdaptationSpec:
-    spec = AdaptationSpec(site="SawmillCreek", origin_host=host)
-    spec.add("prerender")
-    spec.add("cacheable", ttl_s=3600)
-    spec.add(
-        "subpage", ObjectSelector.css("#loginform"),
-        subpage_id="login", title="Log in",
-    )
-    spec.add(
-        "subpage", ObjectSelector.css("#forumbits"),
-        subpage_id="forums", title="Forums",
-    )
-    spec.add(
-        "subpage", ObjectSelector.css("#wol"),
-        subpage_id="online", title="Who's online",
-    )
-    return spec
 
 
 def run_workload(

@@ -429,42 +429,54 @@ class MSiteProxy(Application):
     def _handle_entry(
         self, session: MobileSession, request: Request, force: bool = False
     ) -> Response:
-        adapted = self._ensure_adapted(
-            session, force=force, device_class=self._device_class(request)
-        )
-        self.counters.add(entry_pages=1)
-        etag = adapted.etag
-        if etag is not None and not force:
-            validator = request.headers.get("If-None-Match")
-            if validator and etag_matches(validator, etag):
-                # The adapted result is current for these origin bytes,
-                # this device class, and this spec — nothing to resend.
-                fastpath_counter(
-                    self.services.observability.registry, "not_modified"
-                ).inc()
-                return self._mark_degraded(not_modified(etag), adapted)
-        stored = self.services.storage.read(adapted.entry_path)
-        body: Optional[str] = None
-        if etag is not None and not force:
-            body = stored.data.decode("utf-8")
-            patched = self._entry_delta(session, request, body, etag, adapted)
-            if patched is not None:
-                session.last_entry_html = body
-                session.last_entry_etag = etag
-                return patched
-        response = Response.binary(stored.data, "text/html; charset=utf-8")
-        if etag is not None:
-            response.headers.set("ETag", etag)
-            if self.services.delta_enabled:
-                # Remember what this session now holds, so its next
-                # visit can be answered with a patch manifest.
-                session.last_entry_html = (
-                    body
-                    if body is not None
-                    else stored.data.decode("utf-8")
+        # One adaptation per response: the body, its ETag and the
+        # session's patch baseline are read and written under the
+        # session lock (reentrant; ``_ensure_adapted`` takes it too), so
+        # a same-session refresh cannot overwrite the stored entry
+        # between them.
+        with session.lock:
+            adapted = self._ensure_adapted(
+                session, force=force,
+                device_class=self._device_class(request),
+            )
+            self.counters.add(entry_pages=1)
+            etag = adapted.etag
+            if etag is not None and not force:
+                validator = request.headers.get("If-None-Match")
+                if validator and etag_matches(validator, etag):
+                    # The adapted result is current for these origin
+                    # bytes, this device class, and this spec — nothing
+                    # to resend.
+                    fastpath_counter(
+                        self.services.observability.registry, "not_modified"
+                    ).inc()
+                    return self._mark_degraded(not_modified(etag), adapted)
+            stored = self.services.storage.read(adapted.entry_path)
+            body: Optional[str] = None
+            if etag is not None and not force:
+                body = stored.data.decode("utf-8")
+                patched = self._entry_delta(
+                    session, request, body, etag, adapted
                 )
-                session.last_entry_etag = etag
-        return self._mark_degraded(response, adapted)
+                if patched is not None:
+                    session.last_entry_html = body
+                    session.last_entry_etag = etag
+                    return patched
+            response = Response.binary(
+                stored.data, "text/html; charset=utf-8"
+            )
+            if etag is not None:
+                response.headers.set("ETag", etag)
+                if self.services.delta_enabled:
+                    # Remember what this session now holds, so its next
+                    # visit can be answered with a patch manifest.
+                    session.last_entry_html = (
+                        body
+                        if body is not None
+                        else stored.data.decode("utf-8")
+                    )
+                    session.last_entry_etag = etag
+            return self._mark_degraded(response, adapted)
 
     def _entry_delta(
         self,

@@ -107,18 +107,18 @@ def run_region_chaos(
     """
     # Imported here like the resilience harness: the regions package
     # must not put the whole proxy stack on its import-time graph.
-    from repro.cli import _build_forum_spec
     from repro.net.client import HttpClient
     from repro.net.cookies import CookieJar
     from repro.regions.deployment import RegionalDeployment
+    from repro.sites.forum.app import ForumApplication
+    from repro.sites.forum.spec import FORUM_HOST, forum_demo_spec
 
-    spec, origins = _build_forum_spec()
     owns_root = snapshot_root is None
     deployment = RegionalDeployment(
         regions=region_names,
         snapshot_root=snapshot_root,
-        spec=spec,
-        origins=origins,
+        spec=forum_demo_spec(),
+        origins={FORUM_HOST: ForumApplication()},
         workers_per_region=workers_per_region,
     )
     mobile = HttpClient(

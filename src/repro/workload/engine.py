@@ -66,7 +66,7 @@ class ScenarioReport:
 def build_scenario_spec(scenario: Scenario) -> AdaptationSpec:
     """The adaptation spec a scenario's site family runs under."""
     if scenario.site == "forum":
-        from repro.bench.workload import standard_forum_spec
+        from repro.sites.forum.spec import standard_forum_spec
 
         spec = standard_forum_spec(FORUM_HOST)
         spec.add("ajax_rewrite")

@@ -1,6 +1,8 @@
 """The msite command-line interface."""
 
+import ast
 import json
+import pathlib
 
 import pytest
 
@@ -75,6 +77,36 @@ def test_demo_runs_end_to_end(capsys):
     out = capsys.readouterr().out
     assert "entry page:" in out
     assert "snapshot image:" in out
+
+
+def _imports_the_cli(node) -> bool:
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.module == "repro":
+        names = [f"repro.{alias.name}" for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    else:
+        return False
+    return any(
+        name == "repro.cli" or name.startswith("repro.cli.")
+        for name in names
+    )
+
+
+def test_only_the_cli_imports_the_cli():
+    # The CLI sits on top of the library: a builder two commands share
+    # with a library module lives beside what it builds (the forum's
+    # specs in repro.sites.forum.spec), not among the CLI's privates.
+    package = pathlib.Path(__file__).resolve().parents[2] / "src/repro"
+    importers = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        if path != package / "cli.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _imports_the_cli(node)
+    ]
+    assert importers == []
 
 
 def test_no_subcommand_records_a_bench_row():

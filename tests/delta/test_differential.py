@@ -78,6 +78,22 @@ PATCHED = {
     "news_filter_only": news_filter_only_spec,
 }
 
+#: Every case's delta counters at the end of its script, in
+#: ``COUNTED`` order, recorded before the engine's second copies were
+#: folded: a fold that moves an attempt to another rung changes a row.
+COUNTED = (
+    "deferred", "seeds", "seed_skips", "applied", "identical",
+    "fallbacks", "patched_segments", "no_memo", "expired",
+)
+COUNTERS = {
+    "standard": (0, 0, 1, 0, 0, 0, 0, 1, 0),
+    "forum_mobilization": (0, 0, 1, 0, 0, 0, 0, 1, 0),
+    "hierarchical_navigation": (0, 0, 0, 0, 0, 0, 0, 4, 0),
+    "news_mobilization": (0, 0, 0, 0, 0, 0, 0, 7, 0),
+    "news_fastpath": (7, 3, 0, 4, 0, 0, 4, 1, 2),
+    "news_filter_only": (7, 3, 0, 4, 0, 0, 4, 1, 2),
+}
+
 CASES = [
     (name, factory, INTERLEAVED if name.startswith("news") else ROUNDS)
     for name, factory in SPEC_CASES + [
@@ -156,12 +172,13 @@ def test_delta_deployment_is_byte_identical_to_full_replay(
                 f"{name}: delta output diverged on {path} "
                 f"(step {position}: {step})"
             )
+    registry = delta_services.observability.registry
+
+    def count(counter: str) -> float:
+        return registry.counter(f"msite_delta_{counter}_total").value
+
+    assert tuple(count(counter) for counter in COUNTED) == COUNTERS[name]
     if name in PATCHED:
-        registry = delta_services.observability.registry
-
-        def count(counter: str) -> float:
-            return registry.counter(f"msite_delta_{counter}_total").value
-
         assert count("applied") > 0, (
             "the churn rounds never exercised the engine"
         )

@@ -8,9 +8,12 @@ check here is closed-loop: applying the shipped manifest to the
 client's old tree must reproduce the current page exactly.
 """
 
+import threading
+
 from repro.core.codegen import generate_proxy_source, load_generated_proxy
 from repro.core.pipeline import ProxyServices
 from repro.core.proxy import SESSION_DELTA_CONTENT_TYPE
+from repro.core.sessions import SESSION_COOKIE
 from repro.dom import diff
 from repro.html.parser import parse_html
 from repro.html.serializer import serialize
@@ -167,3 +170,44 @@ def test_disabled_delta_never_ships_manifests():
     assert response.status == 200
     assert response.headers.get("Content-Type").startswith("text/html")
     assert counter(services, "session_served") == 0
+
+
+def test_a_same_session_refresh_cannot_split_an_entry_response():
+    # The entry's body, its ETag and the session's patch baseline come
+    # from one adaptation.  A same-session ?refresh=1 of a revised page
+    # that arrives while the entry is being read must wait for it, not
+    # overwrite the stored body in between.
+    proxy, services, app, client = deploy()
+    first = client.get(ENTRY_URL)
+    read = services.storage.read
+    racers: list = []
+    refreshes: list = []
+
+    def racing_read(path):
+        if not racers:
+            app.newsroom.revise()
+            racer = threading.Thread(
+                target=lambda: refreshes.append(
+                    client.get(f"{ENTRY_URL}?refresh=1")
+                )
+            )
+            racers.append(racer)
+            racer.start()
+            racer.join(timeout=1.0)
+        return read(path)
+
+    services.storage.read = racing_read
+    second = client.get(ENTRY_URL)
+    (racer,) = racers
+    racer.join(timeout=30)
+    assert not racer.is_alive()
+    (refresh,) = refreshes
+    assert refresh.status == second.status == 200
+    assert refresh.body != first.body  # the refresh did see the revision
+    assert (second.headers.get("ETag"), second.body) == (
+        first.headers.get("ETag"), first.body
+    )
+    # The session's baseline pairs the refreshed body with its own ETag.
+    session = proxy.sessions.get(client.jar.get(SESSION_COOKIE).value)
+    assert session.last_entry_etag == refresh.headers.get("ETag")
+    assert session.last_entry_html == refresh.body.decode("utf-8")

@@ -8,13 +8,14 @@ fleet restart warm-starts at least 90% of the working set from disk.
 
 import pytest
 
-from repro.cli import _build_forum_spec
 from repro.net.client import HttpClient
 from repro.net.cookies import CookieJar
 from repro.net.messages import Request
 from repro.regions.chaos import run_region_chaos
 from repro.regions.deployment import RegionalDeployment
 from repro.resilience.policy import REMOTE_REGION
+from repro.sites.forum.app import ForumApplication
+from repro.sites.forum.spec import FORUM_HOST, forum_demo_spec
 
 HOST = "m.sawmillcreek.org"
 BASE = f"http://{HOST}/proxy.php"
@@ -22,9 +23,14 @@ FORUMS = BASE + "?page=forums"
 IMAGE = BASE + "?file=snapshot.jpg"
 
 
+def _forum_spec():
+    """The built-in SawmillCreek spec plus a fresh origin map."""
+    return forum_demo_spec(), {FORUM_HOST: ForumApplication()}
+
+
 @pytest.fixture()
 def rig(tmp_path):
-    spec, origins = _build_forum_spec()
+    spec, origins = _forum_spec()
     with RegionalDeployment(
         snapshot_root=str(tmp_path), spec=spec, origins=origins
     ) as deployment:
@@ -115,7 +121,7 @@ def test_partitioned_owner_buffered_refresh_replays_on_heal(rig):
 
 
 def test_full_fleet_restart_warm_starts_working_set(tmp_path):
-    spec, origins = _build_forum_spec()
+    spec, origins = _forum_spec()
     root = str(tmp_path)
     paths = ("", "?page=forums", "?page=login", "?file=snapshot.jpg")
     with RegionalDeployment(

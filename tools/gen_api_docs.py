@@ -1,10 +1,12 @@
 """Generate docs/API.md from package and module docstrings.
 
-Usage:  python tools/gen_api_docs.py
+Usage:  python tools/gen_api_docs.py           (rewrite docs/API.md)
+        python tools/gen_api_docs.py --check   (exit 1 if it is stale)
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import os
 import pkgutil
@@ -15,6 +17,10 @@ sys.path.insert(
 )
 
 import repro  # noqa: E402
+
+API_MD = os.path.normpath(
+    os.path.join(os.path.dirname(__file__), os.pardir, "docs", "API.md")
+)
 
 
 def first_paragraph(doc: str | None) -> str:
@@ -42,25 +48,50 @@ def walk(package) -> list[tuple[str, str]]:
     return sorted(entries)
 
 
-def main() -> int:
+def render(entries: list[tuple[str, str]]) -> str:
+    """The whole index, as docs/API.md holds it."""
+    lines = [
+        "# API index\n\n",
+        "One line per module, taken from its docstring.  Regenerate "
+        "with `python tools/gen_api_docs.py`.\n\n"
+        "For the threading model, lock ordering, and single-flight "
+        "rendering design behind `repro.runtime`, see "
+        "[CONCURRENCY.md](CONCURRENCY.md).\n\n",
+        "| Module | Purpose |\n|---|---|\n",
+    ]
+    for name, summary in entries:
+        summary = summary.replace("|", "\\|")
+        lines.append(f"| `{name}` | {summary} |\n")
+    return "".join(lines)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check", action="store_true",
+        help="compare with the committed index instead of writing it",
+    )
+    args = parser.parse_args(argv)
     entries = walk(repro)
-    out_dir = os.path.join(os.path.dirname(__file__), os.pardir, "docs")
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "API.md")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("# API index\n\n")
-        handle.write(
-            "One line per module, taken from its docstring.  Regenerate "
-            "with `python tools/gen_api_docs.py`.\n\n"
-            "For the threading model, lock ordering, and single-flight "
-            "rendering design behind `repro.runtime`, see "
-            "[CONCURRENCY.md](CONCURRENCY.md).\n\n"
-        )
-        handle.write("| Module | Purpose |\n|---|---|\n")
-        for name, summary in entries:
-            summary = summary.replace("|", "\\|")
-            handle.write(f"| `{name}` | {summary} |\n")
-    print(f"wrote {path} ({len(entries)} modules)")
+    index = render(entries)
+    if args.check:
+        try:
+            with open(API_MD, "r", encoding="utf-8") as handle:
+                committed = handle.read()
+        except FileNotFoundError:
+            committed = ""
+        if committed != index:
+            print(
+                f"{API_MD} is stale: run python tools/gen_api_docs.py",
+                file=sys.stderr,
+            )
+            return 1
+        print(f"{API_MD} is current ({len(entries)} modules)")
+        return 0
+    os.makedirs(os.path.dirname(API_MD), exist_ok=True)
+    with open(API_MD, "w", encoding="utf-8") as handle:
+        handle.write(index)
+    print(f"wrote {API_MD} ({len(entries)} modules)")
     return 0
 
 
