@@ -9,12 +9,12 @@ leak exposure a pool would create.
 
 import pytest
 
-from repro.bench.reporting import format_table
 from repro.bench.scalability import (
     ScalabilityConfig,
     run_browser_percentage_sweep,
     run_scalability_experiment,
 )
+from repro.workload.reporting import format_table
 
 
 @pytest.fixture(scope="module")

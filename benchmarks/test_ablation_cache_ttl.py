@@ -9,9 +9,9 @@ reports how many heavyweight renders the proxy performs per hour.
 import pytest
 
 from repro.core.cache import PrerenderCache
-from repro.bench.reporting import format_table
 from repro.sim.clock import Clock
 from repro.sim.rng import DeterministicRandom
+from repro.workload.reporting import format_table
 
 
 def renders_per_hour(ttl_s: float, visitors_per_hour: int = 600,

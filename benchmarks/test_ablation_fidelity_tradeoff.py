@@ -8,7 +8,6 @@ the paper's 25-50 KB recommendation sits on.
 
 import pytest
 
-from repro.bench.reporting import format_table
 from repro.bench.wallclock import snapshot_page_stats
 from repro.browser.webkit import ServerBrowser
 from repro.devices.profiles import BLACKBERRY_TOUR
@@ -16,6 +15,7 @@ from repro.devices.timing import estimate_load_time
 from repro.net.client import HttpClient
 from repro.net.cookies import CookieJar
 from repro.render.image import encode_jpeg
+from repro.workload.reporting import format_table
 
 from conftest import FORUM_HOST
 

@@ -8,10 +8,10 @@ entry page and reports first-visit bytes and per-task bytes.
 
 import pytest
 
-from repro.bench.reporting import format_table
 from repro.core.pipeline import AdaptationPipeline, ProxyServices
 from repro.core.sessions import SessionManager
 from repro.core.spec import AdaptationSpec, ObjectSelector
+from repro.workload.reporting import format_table
 
 from conftest import FORUM_HOST
 

@@ -13,9 +13,9 @@ throughput against the m.Site architecture on the same host.
 
 import pytest
 
-from repro.bench.reporting import format_table
 from repro.bench.scalability import ScalabilityConfig, run_scalability_experiment
 from repro.browser.costs import DEFAULT_COST_MODEL
+from repro.workload.reporting import format_table
 
 
 def highlight_max_concurrent_users(host_memory_mb: float = 2048.0) -> int:

@@ -8,12 +8,12 @@ Anchors: 224 requests at 100%, 29,038 at 0% — two orders of magnitude.
 
 import pytest
 
-from repro.bench.reporting import format_series
 from repro.bench.scalability import (
     ScalabilityConfig,
     run_browser_percentage_sweep,
     run_scalability_experiment,
 )
+from repro.workload.reporting import format_series
 
 PAPER_ANCHORS = {1.0: 224, 0.0: 29_038}
 
@@ -119,7 +119,10 @@ def test_bench_one_measurement_window(benchmark):
 
 @pytest.fixture(scope="module")
 def real_sweep():
-    from repro.bench.scalability import run_real_threadpool_sweep
+    from repro.bench.scalability import (
+        ClosedLoopConfig,
+        run_closed_loop_sweep,
+    )
 
     # Scaled-down service times (the shape lives in the browser-vs-
     # lightweight ratio, not the absolute seconds); enough requests per
@@ -127,13 +130,15 @@ def real_sweep():
     # distinct_pages is large so nearly every browser-marked request
     # pays a full render, matching the paper's cache-free protocol (the
     # single-flight collapse is reported, not relied on for shape).
-    return run_real_threadpool_sweep(
+    return run_closed_loop_sweep(
+        ClosedLoopConfig(
+            total_requests=600,
+            workers=8,
+            client_threads=8,
+            browser_service_s=0.030,
+            distinct_pages=64,
+        ),
         [1.0, 0.75, 0.50, 0.25, 0.10, 0.0],
-        total_requests=600,
-        workers=8,
-        client_threads=8,
-        browser_service_s=0.030,
-        distinct_pages=64,
     )
 
 

@@ -12,8 +12,8 @@ Paper rows:
 
 import pytest
 
-from repro.bench.reporting import format_table
 from repro.bench.wallclock import entry_page_stats, in_text_rows, table1_rows
+from repro.workload.reporting import format_table
 
 
 @pytest.fixture(scope="module")

@@ -7,11 +7,11 @@ Measured on real encoded bytes from the rendered entry page.
 
 import pytest
 
-from repro.bench.reporting import format_table
 from repro.browser.webkit import ServerBrowser
 from repro.net.client import HttpClient
 from repro.net.cookies import CookieJar
 from repro.render.image import encode_jpeg, encode_png
+from repro.workload.reporting import format_table
 
 from conftest import FORUM_HOST
 

@@ -10,8 +10,8 @@ stays on the lightweight path.
 
 import pytest
 
-from repro.bench.reporting import format_table
 from repro.bench.workload import WorkloadConfig, run_workload
+from repro.workload.reporting import format_table
 
 from conftest import FORUM_HOST
 

@@ -8,8 +8,8 @@ plus the §4.2 in-text iPod Touch measurements.
 Run:  python examples/device_timing.py
 """
 
-from repro.bench.reporting import format_table
 from repro.bench.wallclock import entry_page_stats, in_text_rows, table1_rows
+from repro.workload.reporting import format_table
 
 
 def main() -> None:

@@ -8,8 +8,8 @@ the paper declined for security reasons: what a browser pool would buy.
 Run:  python examples/scalability_demo.py
 """
 
-from repro.bench.reporting import format_table
 from repro.bench.scalability import run_browser_percentage_sweep
+from repro.workload.reporting import format_table
 
 
 def main() -> None:

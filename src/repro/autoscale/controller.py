@@ -40,7 +40,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.observability.metrics import MetricsRegistry
 from repro.ops import SCALE_DECISION, SequencedLog
 
 #: Decision directions.
@@ -180,15 +179,6 @@ class Autoscaler:
 
     # -- sampling --------------------------------------------------------
 
-    @staticmethod
-    def _sum_counter(registry: MetricsRegistry, name: str) -> float:
-        total = 0.0
-        for family in registry.collect():
-            if family.name == name:
-                for child in family.sorted_children():
-                    total += child.value
-        return total
-
     def _sample_cluster(self) -> ControllerInputs:
         cluster = self.cluster
         workers = cluster.workers
@@ -197,12 +187,9 @@ class Autoscaler:
         # Degraded-serve rate over the window since the last sample:
         # both totals are cumulative, so the deltas give the recent mix.
         degraded = sum(
-            self._sum_counter(w.registry, "msite_degraded_serves_total")
-            for w in workers
+            w.registry.total("msite_degraded_serves_total") for w in workers
         )
-        requests = self._sum_counter(
-            cluster.registry, "msite_cluster_requests_total"
-        )
+        requests = cluster.registry.total("msite_cluster_requests_total")
         degraded_delta = degraded - self._prev_degraded
         requests_delta = requests - self._prev_requests
         self._prev_degraded = degraded

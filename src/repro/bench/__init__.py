@@ -1,4 +1,4 @@
-"""Benchmark harness helpers: workloads, experiments, report formatting."""
+"""Benchmark harness helpers: workloads and experiments."""
 
 from repro.bench.scalability import (
     ScalabilityConfig,
@@ -7,7 +7,6 @@ from repro.bench.scalability import (
     run_browser_percentage_sweep,
 )
 from repro.bench.wallclock import table1_rows, Table1Row
-from repro.bench.reporting import format_table, format_series
 from repro.bench.workload import (
     WorkloadConfig,
     WorkloadReport,
@@ -24,6 +23,4 @@ __all__ = [
     "run_browser_percentage_sweep",
     "table1_rows",
     "Table1Row",
-    "format_table",
-    "format_series",
 ]

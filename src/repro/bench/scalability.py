@@ -19,17 +19,18 @@ of clients issues requests back-to-back; each request occupies one of two
 cores for its service time (browser launch+render, or the lightweight
 proxy path); completions inside the measurement window are counted.
 
-A second, wall-clock mode (:func:`run_real_threadpool_experiment`) drives
+A second, wall-clock mode (:func:`run_closed_loop_experiment`) drives
 the same workload through the real concurrent runtime — OS threads, the
 bounded-admission executor, the semaphore-bounded browser pool, and the
-single-flight pre-render cache — with sleeps standing in for service
-times, so Figure 7 can also be reproduced on actual thread contention
-with queue-wait and stampede-suppression metrics.
+single-flight pre-render cache, or a whole worker fleet over one shared
+cache — with sleeps standing in for service times, so Figure 7 can also
+be reproduced on actual thread contention with queue-wait and
+stampede-suppression metrics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.browser.costs import BrowserCostModel, DEFAULT_COST_MODEL
@@ -52,6 +53,10 @@ from repro.workload.replay import (
     replay_closed,
     shared_cache_render,
 )
+
+
+#: The paper's browser-render percentages, the sweeps' default points.
+FIGURE7_PERCENTAGES = (1.0, 0.75, 0.50, 0.25, 0.10, 0.05, 0.01, 0.0)
 
 
 @dataclass
@@ -128,9 +133,12 @@ def run_scalability_experiment(config: ScalabilityConfig) -> ScalabilityResult:
 
 
 def id_hash(config) -> int:
-    """Stable per-configuration stream id (fraction enters the seed);
-    the simulated and the real-thread sweeps share it."""
-    return int(config.browser_fraction * 10_000) * 2_654_435_761 & 0xFFFFFFFF
+    """Stable per-configuration stream id: the browser fraction enters
+    the seed, and so does the fleet size of a config that has one.  The
+    simulated and the real-thread sweeps share it."""
+    fraction = int(config.browser_fraction * 10_000) * 2_654_435_761
+    fleet = getattr(config, "fleet_workers", 0) * 0x9E3779B9
+    return (fraction ^ fleet) & 0xFFFFFFFF
 
 
 def _run_window(
@@ -193,7 +201,7 @@ def run_browser_percentage_sweep(
 ) -> list[ScalabilityResult]:
     """The Figure 7 sweep over browser-render percentages."""
     if percentages is None:
-        percentages = [1.0, 0.75, 0.50, 0.25, 0.10, 0.05, 0.01, 0.0]
+        percentages = FIGURE7_PERCENTAGES
     results = []
     for fraction in percentages:
         config = ScalabilityConfig(
@@ -207,12 +215,21 @@ def run_browser_percentage_sweep(
 
 
 # ---------------------------------------------------------------------------
-# The real-thread-pool reproduction (wall clock, actual contention)
+# Figure 7 on real threads (wall clock, actual contention)
 
 
-@dataclass
-class RealThreadPoolConfig:
-    """One wall-clock run through the concurrent runtime.
+@dataclass(frozen=True)
+class ClosedLoopConfig:
+    """One wall-clock closed-loop run of the marked workload.
+
+    ``fleet_workers`` picks the target.  At 0 it is one
+    :class:`ConcurrentProxy` rendering through the single-flight cache
+    and the semaphore-bounded browser pool, storing nothing: the
+    paper's cache-free protocol.  At N it is an N-worker
+    :class:`ClusterDeployment` whose workers fill one fleet-shared
+    cache, so the run measures render amortization *across the fleet*
+    (each (page, device) pair rendered exactly once, whichever worker
+    fields the cold request) on top of the horizontal throughput gain.
 
     Service times are scaled down from the paper's (a ~266 ms browser
     render would make the sweep take minutes); what matters for the
@@ -220,8 +237,9 @@ class RealThreadPoolConfig:
     paths, which the defaults keep at two-plus orders of magnitude.
     """
 
-    browser_fraction: float
-    workers: int = 8
+    browser_fraction: float = 1.0
+    fleet_workers: int = 0
+    workers: int = 8  # request threads per proxy
     client_threads: int = 8
     total_requests: int = 400
     queue_limit: int = 0  # 0 -> sized to client_threads (no rejections)
@@ -229,15 +247,31 @@ class RealThreadPoolConfig:
     browser_service_s: float = 0.020
     lightweight_service_s: float = 0.0
     distinct_pages: int = 8
-    pool_size: int = 4
+    pool_size: int = 4  # browser slots of the one-proxy target
     seed: int = 0xF16_7
 
 
+#: The cluster sweep's shape (``msite scalability --workers N``): every
+#: request additionally pays ``lightweight_service_s`` of serving work,
+#: so the fleet-size speedup is visible at every browser fraction.
+FLEET = ClosedLoopConfig(
+    fleet_workers=4,
+    workers=2,
+    client_threads=16,
+    total_requests=600,
+    browser_service_s=0.010,
+    lightweight_service_s=0.002,
+    distinct_pages=16,
+)
+
+
 @dataclass
-class RealThreadPoolResult:
-    """What one wall-clock run measured."""
+class ClosedLoopResult:
+    """What one closed-loop run measured.  A field the target does not
+    have stays 0."""
 
     browser_fraction: float
+    fleet_workers: int
     requests_per_minute: float
     wall_clock_s: float
     completed: int
@@ -247,59 +281,22 @@ class RealThreadPoolResult:
     browser_requests: int
     lightweight_requests: int
     renders: int  # actual browser renders after single-flight collapse
+    unique_render_keys: int  # distinct pages (per device on a fleet)
     stampedes_suppressed: int
-    queue_wait_mean_s: float
-    queue_wait_max_s: float
-    queue_depth_peak: int
-    pool_queue_waits: int
-    pool_queue_wait_mean_s: float
-    pool_queue_wait_max_s: float
-    # Wall-clock per-phase service histograms, measured inside the app.
-    phases: dict[str, HistogramSnapshot] = field(default_factory=dict)
+    # The one-proxy target: its admission queue and browser pool.
+    queue_wait_mean_s: float = 0.0
+    queue_wait_max_s: float = 0.0
+    queue_depth_peak: int = 0
+    pool_queue_waits: int = 0
+    # A fleet: its shard router's counters.
+    spillovers: int = 0
+    offshard: int = 0
+    unrouteable: int = 0
 
 
-def _closed_loop_fields(config, requests, replayed) -> dict:
-    """The result fields every closed-loop Figure 7 run reports."""
-    completed = replayed.statuses.get(200, 0)
-    elapsed = replayed.wall_clock_s
-    browser_requests = browser_marked(requests)
-    return {
-        "browser_fraction": config.browser_fraction,
-        "requests_per_minute": (
-            completed * 60.0 / elapsed if elapsed else 0.0
-        ),
-        "wall_clock_s": elapsed,
-        "completed": completed,
-        "rejected": replayed.statuses.get(503, 0),
-        "timeouts": replayed.statuses.get(504, 0),
-        "errors": replayed.statuses.get(500, 0),
-        "browser_requests": browser_requests,
-        "lightweight_requests": len(requests) - browser_requests,
-    }
-
-
-def run_real_threadpool_experiment(
-    config: RealThreadPoolConfig,
-) -> RealThreadPoolResult:
-    """Drive the marked workload through real threads and measure.
-
-    The app renders "snapshots" through the single-flight cache and the
-    semaphore-bounded pool (:func:`~repro.workload.replay.pool_render`):
-    nothing is stored, so every non-overlapping browser request pays
-    the full render — the paper's cache-free Figure 7 protocol — while
-    *concurrent* misses on one page collapse, which is exactly what the
-    stampede counters measure.
-    """
-    requests = marked_requests(
-        "proxy.local",
-        config.total_requests,
-        config.browser_fraction,
-        config.distinct_pages,
-        DeterministicRandom(config.seed ^ id_hash(config)),
-    )
+def _on_one_proxy(config: ClosedLoopConfig, requests, ledger) -> tuple:
     pool = BrowserPool(max_instances=config.pool_size)
     cache = PrerenderCache()
-    ledger = RenderLedger()
     app = SyntheticRenderApp(
         pool_render(pool, cache, ledger),
         config.browser_service_s,
@@ -317,124 +314,26 @@ def run_real_threadpool_experiment(
             executor.handle, requests, config.client_threads
         )
         runtime = executor.stats.snapshot()
-
-    return RealThreadPoolResult(
-        **_closed_loop_fields(config, requests, replayed),
-        renders=ledger.renders,
+    return replayed, dict(
         stampedes_suppressed=cache.stats.stampedes_suppressed,
         queue_wait_mean_s=runtime.mean_queue_wait_s,
         queue_wait_max_s=runtime.queue_wait_max_s,
         queue_depth_peak=runtime.queue_depth_peak,
         pool_queue_waits=pool.stats.queue_waits,
-        pool_queue_wait_mean_s=pool.stats.mean_queue_wait_s,
-        pool_queue_wait_max_s=pool.stats.queue_wait_max_s,
-        phases={
-            phase: histogram.snapshot()
-            for phase, histogram in app.phases.items()
-        },
     )
 
 
-# ---------------------------------------------------------------------------
-# The cluster reproduction (fleet of workers over one shared cache)
-
-
-@dataclass
-class ClusterScalabilityConfig:
-    """One wall-clock run through a :class:`ClusterDeployment` fleet.
-
-    Unlike the cache-free single-proxy protocol, the cluster run keeps
-    the shared cache on: the point being measured is m.Site's
-    render-amortization *across the fleet* — each (page, device) pair
-    is rendered exactly once no matter which worker fields the cold
-    request — on top of the horizontal throughput gain.  Every request
-    additionally pays ``lightweight_service_s`` of serving work, so the
-    fleet-size speedup is visible at every browser fraction.
-    """
-
-    browser_fraction: float
-    fleet_workers: int = 4
-    worker_threads: int = 2
-    client_threads: int = 16
-    total_requests: int = 600
-    queue_limit: int = 0  # 0 -> sized to client_threads (no rejections)
-    spill_depth: int | None = None  # None -> worker_threads (steal work)
-    request_timeout_s: float | None = None
-    browser_service_s: float = 0.010
-    lightweight_service_s: float = 0.002
-    distinct_pages: int = 16
-    seed: int = 0xF16_7
-
-
-@dataclass
-class ClusterScalabilityResult:
-    """What one cluster run measured."""
-
-    browser_fraction: float
-    fleet_workers: int
-    requests_per_minute: float
-    wall_clock_s: float
-    completed: int
-    rejected: int
-    timeouts: int
-    errors: int
-    browser_requests: int
-    lightweight_requests: int
-    renders: int  # fleet-total renders after shared single-flight
-    unique_render_keys: int  # distinct (page, device) pairs rendered
-    stampedes_suppressed: int
-    spillovers: int
-    offshard: int
-    unrouteable: int
-
-
-def id_hash_cluster(config: ClusterScalabilityConfig) -> int:
-    """Stable per-configuration stream id (fraction + fleet size)."""
-    return (id_hash(config) ^ config.fleet_workers * 0x9E3779B9) & 0xFFFFFFFF
-
-
-def _registry_total(registry, name: str) -> int:
-    """Sum a counter family's children (labelled series included)."""
-    for family in registry.collect():
-        if family.name == name:
-            return int(sum(m.value for m in family.sorted_children()))
-    return 0
-
-
-def run_cluster_experiment(
-    config: ClusterScalabilityConfig,
-) -> ClusterScalabilityResult:
-    """Drive the marked workload through a worker fleet and measure.
-
-    Each worker's app fills ``services.cache`` — the *fleet-shared*
-    cache the deployment attached — so a render performed on one worker
-    is a hit (or a joined flight) on every other: the property the
-    acceptance criterion "total renders == unique (page, device) pairs"
-    pins down.  The shard key and the render key both derive the device
-    class from the User-Agent, exactly as the real deployment does.
-    """
-    requests = marked_requests(
-        "cluster.local",
-        config.total_requests,
-        config.browser_fraction,
-        config.distinct_pages,
-        DeterministicRandom(config.seed ^ id_hash_cluster(config)),
-        agents=(PHONE_UA, DESKTOP_UA),
-    )
-    ledger = RenderLedger()
+def _on_a_fleet(config: ClosedLoopConfig, requests, ledger) -> tuple:
+    """The shard key and the render key both derive the device class
+    from the User-Agent, exactly as the real deployment does."""
     with ClusterDeployment(
         origins={},
         workers=config.fleet_workers,
-        worker_threads=config.worker_threads,
+        worker_threads=config.workers,
         queue_limit=(
-            config.queue_limit
-            or max(config.client_threads, config.worker_threads)
+            config.queue_limit or max(config.client_threads, config.workers)
         ),
-        spill_depth=(
-            config.spill_depth
-            if config.spill_depth is not None
-            else config.worker_threads
-        ),
+        spill_depth=config.workers,
         request_timeout_s=config.request_timeout_s,
         site="bench",
         make_app=lambda services: SyntheticRenderApp(
@@ -448,67 +347,75 @@ def run_cluster_experiment(
         replayed = replay_closed(
             cluster.handle, requests, config.client_threads
         )
-        routing = {
-            name: _registry_total(
-                cluster.registry, f"msite_cluster_{name}_total"
-            )
+        counts = {
+            name: int(cluster.registry.total(f"msite_cluster_{name}_total"))
             for name in ("spillovers", "offshard", "unrouteable")
         }
-        stampedes = cluster.shared_cache.cache.stats.stampedes_suppressed
+        cache = cluster.shared_cache.cache
+        counts["stampedes_suppressed"] = cache.stats.stampedes_suppressed
+    return replayed, counts
 
-    return ClusterScalabilityResult(
-        **_closed_loop_fields(config, requests, replayed),
-        fleet_workers=config.fleet_workers,
+
+def run_closed_loop_experiment(config: ClosedLoopConfig) -> ClosedLoopResult:
+    """Drive the marked workload through real threads and measure.
+
+    On one proxy nothing is stored, so every non-overlapping browser
+    request pays the full render while *concurrent* misses on one page
+    collapse — exactly what the stampede counters measure.  On a fleet
+    the acceptance criterion is "total renders == unique (page, device)
+    pairs".
+    """
+    fleet = config.fleet_workers
+    requests = marked_requests(
+        "cluster.local" if fleet else "proxy.local",
+        config.total_requests,
+        config.browser_fraction,
+        config.distinct_pages,
+        DeterministicRandom(config.seed ^ id_hash(config)),
+        agents=(PHONE_UA, DESKTOP_UA) if fleet else (),
+    )
+    ledger = RenderLedger()
+    target = _on_a_fleet if fleet else _on_one_proxy
+    replayed, counts = target(config, requests, ledger)
+    completed = replayed.statuses.get(200, 0)
+    elapsed = replayed.wall_clock_s
+    browser_requests = browser_marked(requests)
+    return ClosedLoopResult(
+        browser_fraction=config.browser_fraction,
+        fleet_workers=fleet,
+        requests_per_minute=completed * 60.0 / elapsed if elapsed else 0.0,
+        wall_clock_s=elapsed,
+        completed=completed,
+        rejected=replayed.statuses.get(503, 0),
+        timeouts=replayed.statuses.get(504, 0),
+        errors=replayed.statuses.get(500, 0),
+        browser_requests=browser_requests,
+        lightweight_requests=len(requests) - browser_requests,
         renders=ledger.renders,
         unique_render_keys=len(ledger.keys),
-        stampedes_suppressed=stampedes,
-        **routing,
+        **counts,
     )
 
 
-def run_cluster_sweep(
+def run_closed_loop_sweep(
+    shape: ClosedLoopConfig = ClosedLoopConfig(),
     percentages: list[float] | None = None,
-    fleet_sizes: tuple[int, ...] = (1, 4),
-    **overrides,
-) -> dict[int, list[ClusterScalabilityResult]]:
-    """The Figure 7 sweep per fleet size.
+    fleet_sizes: tuple[int, ...] | None = None,
+) -> list[ClosedLoopResult]:
+    """The Figure 7 sweep on real threads: ``shape`` at each browser
+    percentage (the paper's by default), once per fleet size (default:
+    ``shape.fleet_workers``), fleet-major.
 
-    Returns ``{fleet_size: [result per percentage]}``; comparing the
-    0%-browser rows across fleet sizes is the horizontal-scaling
-    headline (acceptance: 4 workers ≥ 3x one worker), and the render
-    counts in every row pin the fleet-wide single-render property.
+    Comparing the lowest-fraction rows across fleet sizes is the
+    horizontal-scaling headline; the render counts in every fleet row
+    pin the fleet-wide single-render property.
     """
     if percentages is None:
-        percentages = [1.0, 0.50, 0.25, 0.10, 0.0]
-    sweep: dict[int, list[ClusterScalabilityResult]] = {}
-    for fleet in fleet_sizes:
-        sweep[fleet] = [
-            run_cluster_experiment(
-                ClusterScalabilityConfig(
-                    browser_fraction=fraction,
-                    fleet_workers=fleet,
-                    **overrides,
-                )
-            )
-            for fraction in percentages
-        ]
-    return sweep
-
-
-def run_real_threadpool_sweep(
-    percentages: list[float] | None = None,
-    **overrides,
-) -> list[RealThreadPoolResult]:
-    """The Figure 7 sweep on real threads.
-
-    ``overrides`` are forwarded to every :class:`RealThreadPoolConfig`
-    (e.g. ``total_requests=2000, browser_service_s=0.05``).
-    """
-    if percentages is None:
-        percentages = [1.0, 0.75, 0.50, 0.25, 0.10, 0.05, 0.01, 0.0]
+        percentages = FIGURE7_PERCENTAGES
     return [
-        run_real_threadpool_experiment(
-            RealThreadPoolConfig(browser_fraction=fraction, **overrides)
+        run_closed_loop_experiment(
+            replace(shape, browser_fraction=fraction, fleet_workers=fleet)
         )
+        for fleet in fleet_sizes or (shape.fleet_workers,)
         for fraction in percentages
     ]

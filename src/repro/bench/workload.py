@@ -30,7 +30,6 @@ class WorkloadConfig:
     duration_hours: float = 4.0
     subpages_per_visit: tuple[int, int] = (1, 3)  # uniform range
     returning_fraction: float = 0.3  # chance a visit reuses a session
-    snapshot_ttl_s: float = 3600.0
     seed: int = 0x7AFF1C
 
 
@@ -69,8 +68,6 @@ def run_workload(
     proxy = MSiteProxy(
         spec or standard_forum_spec(origin_host), services
     )
-    if spec is not None:
-        proxy.spec.snapshot_ttl_s = config.snapshot_ttl_s
     rng = DeterministicRandom(config.seed)
     mean_gap = config.duration_hours * 3600.0 / config.visits
     proxy_host = "m.example"

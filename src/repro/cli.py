@@ -308,18 +308,21 @@ def _run_scalability(args: argparse.Namespace) -> int:
     if args.workers is not None and not args.real:
         return _run_cluster_scalability(args, percentages)
     if args.real:
-        from repro.bench.scalability import run_real_threadpool_sweep
+        from repro.bench.scalability import (
+            ClosedLoopConfig,
+            run_closed_loop_sweep,
+        )
 
-        results = run_real_threadpool_sweep(
-            percentages,
+        shape = ClosedLoopConfig(
             workers=args.workers or 8,
-            client_threads=args.clients,
+            client_threads=8 if args.clients is None else args.clients,
             total_requests=args.requests,
             browser_service_s=args.browser_service_s,
         )
+        results = run_closed_loop_sweep(shape, percentages)
         print(
             "Figure 7 (real thread pool): "
-            f"{args.workers or 8} workers, {args.clients} clients, "
+            f"{shape.workers} workers, {shape.client_threads} clients, "
             f"{args.requests} requests per point"
         )
         print(
@@ -364,14 +367,15 @@ def _run_farm_burst(args: argparse.Namespace) -> int:
     inline baseline to saturate admission under the identical schedule
     (otherwise the burst was not a burst).
     """
-    from repro.bench.burst import (
+    from repro.bench.crowd import (
+        BURST,
+        BURST_SMOKE,
         format_comparison,
-        run_burst_comparison,
-        smoke_config,
+        run_crowd_comparison,
     )
 
     smoke = getattr(args, "smoke", False)
-    comparison = run_burst_comparison(smoke_config() if smoke else None)
+    comparison = run_crowd_comparison(BURST_SMOKE if smoke else BURST)
     print(format_comparison(comparison))
     failed = False
     if comparison.candidate.non_degraded_5xx:
@@ -395,7 +399,9 @@ def _run_cluster_scalability(
     args: argparse.Namespace, percentages: Optional[list[float]]
 ) -> int:
     """The Figure 7 sweep per fleet size (``--workers N`` cluster mode)."""
-    from repro.bench.scalability import run_cluster_sweep
+    from dataclasses import replace
+
+    from repro.bench.scalability import FLEET, run_closed_loop_sweep
 
     smoke = getattr(args, "smoke", False)
     if percentages is None:
@@ -404,12 +410,19 @@ def _run_cluster_scalability(
     fleet_sizes = (
         (1,) if args.workers == 1 else (1, args.workers)
     )
-    sweep = run_cluster_sweep(
+    results = run_closed_loop_sweep(
+        replace(
+            FLEET,
+            client_threads=16 if args.clients is None else args.clients,
+            total_requests=total_requests,
+        ),
         percentages,
-        fleet_sizes=fleet_sizes,
-        client_threads=args.clients if args.clients != 8 else 16,
-        total_requests=total_requests,
+        fleet_sizes,
     )
+    sweep = {
+        fleet: [r for r in results if r.fleet_workers == fleet]
+        for fleet in fleet_sizes
+    }
     print(
         f"Figure 7 (cluster): fleet sizes {list(fleet_sizes)}, "
         f"{total_requests} requests per point, shared render cache"
@@ -589,9 +602,9 @@ def build_parser() -> argparse.ArgumentParser:
         "behind the shard router",
     )
     scalability.add_argument(
-        "--clients", type=int, default=8,
-        help="closed-loop client threads (default 8; cluster mode "
-        "defaults to 16 unless overridden)",
+        "--clients", type=int, default=None,
+        help="closed-loop client threads (default 8 with --real, 16 in "
+        "cluster mode)",
     )
     scalability.add_argument(
         "--requests", type=int, default=400,

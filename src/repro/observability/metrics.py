@@ -364,6 +364,17 @@ class MetricsRegistry:
                 return None
             return family.children.get(_label_key(labels))
 
+    def children(self, name: str) -> list[Metric]:
+        """Every labelled child of family ``name``, label-sorted; ``[]``
+        when the family is absent."""
+        with self._lock:
+            family = self._families.get(name)
+        return family.sorted_children() if family is not None else []
+
+    def total(self, name: str) -> float:
+        """The sum of family ``name``'s children; 0 when it is absent."""
+        return sum(metric.value for metric in self.children(name))
+
     def collect(self) -> list[MetricFamily]:
         """Families sorted by name, for stable exposition."""
         with self._lock:

@@ -16,17 +16,6 @@ import shutil
 from dataclasses import dataclass, field
 from typing import Optional
 
-#: The deterministic request mix, cycled.  ``?refresh=1`` keeps the
-#: invalidation log busy so the healed region has real events to replay.
-WORKLOAD = (
-    "",
-    "?page=forums",
-    "?file=snapshot.jpg",
-    "?refresh=1",
-    "?page=login",
-    "",
-)
-
 
 @dataclass
 class RegionChaosReport:
@@ -111,7 +100,12 @@ def run_region_chaos(
     from repro.net.cookies import CookieJar
     from repro.regions.deployment import RegionalDeployment
     from repro.sites.forum.app import ForumApplication
-    from repro.sites.forum.spec import FORUM_HOST, forum_demo_spec
+    from repro.sites.forum.spec import (
+        CHAOS_WARMUP,
+        CHAOS_WORKLOAD,
+        FORUM_HOST,
+        forum_demo_spec,
+    )
 
     owns_root = snapshot_root is None
     deployment = RegionalDeployment(
@@ -136,8 +130,7 @@ def run_region_chaos(
         # Warm every workload path; the entry response names the region
         # that owns the hot key — that is the one we will kill.
         victim = None
-        for suffix in ("", "?page=forums", "?page=login",
-                       "?file=snapshot.jpg"):
+        for suffix in CHAOS_WARMUP:
             response = mobile.get(base + suffix)
             if suffix == "":
                 victim = response.headers.get("X-MSite-Region")
@@ -158,7 +151,7 @@ def run_region_chaos(
             elif index == revive_at:
                 deployment.revive(victim)  # heals: replays the log
             response = mobile.get(
-                base + WORKLOAD[index % len(WORKLOAD)]
+                base + CHAOS_WORKLOAD[index % len(CHAOS_WORKLOAD)]
             )
             report.statuses[response.status] = (
                 report.statuses.get(response.status, 0) + 1
@@ -180,20 +173,11 @@ def run_region_chaos(
             region.name: len(region.backend.store)
             for region in deployment.regions
         }
-        registry = deployment.rollup()
-
-        def _sum(name: str) -> int:
-            return sum(
-                int(metric.value)
-                for family in registry.collect()
-                if family.name == name
-                for metric in family.sorted_children()
-            )
-
-        report.failovers = _sum("msite_region_failovers_total")
-        report.reroutes = _sum("msite_region_reroutes_total")
-        report.replications = _sum("msite_region_replications_total")
-        report.events_applied = _sum("msite_region_applied_total")
+        total = deployment.rollup().total
+        report.failovers = int(total("msite_region_failovers_total"))
+        report.reroutes = int(total("msite_region_reroutes_total"))
+        report.replications = int(total("msite_region_replications_total"))
+        report.events_applied = int(total("msite_region_applied_total"))
         events = deployment.ops.retained()
         report.ops_events = events
         report.ops_event_count = deployment.ops.head_seq

@@ -16,18 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-#: The deterministic request mix, cycled.  ``?refresh=1`` forces renders
-#: so the render fault schedule (and its degradation ladder) is actually
-#: exercised against the warm cache.
-WORKLOAD = (
-    "",
-    "?page=forums",
-    "?file=snapshot.jpg",
-    "?refresh=1",
-    "?page=login",
-    "",
-)
-
 
 @dataclass
 class ChaosReport:
@@ -84,24 +72,12 @@ class ChaosReport:
 def _labeled_totals(registry, name: str, *label_names: str) -> dict[str, int]:
     """``{joined-label-values: count}`` for every child of one family."""
     totals: dict[str, int] = {}
-    for family in registry.collect():
-        if family.name != name:
-            continue
-        for metric in family.sorted_children():
-            key = "/".join(
-                metric.labels.get(label, "?") for label in label_names
-            ) or "total"
-            totals[key] = totals.get(key, 0) + int(metric.value)
+    for metric in registry.children(name):
+        key = "/".join(
+            metric.labels.get(label, "?") for label in label_names
+        ) or "total"
+        totals[key] = totals.get(key, 0) + int(metric.value)
     return {key: value for key, value in totals.items() if value}
-
-
-def _family_sum(registry, name: str) -> int:
-    return sum(
-        int(metric.value)
-        for family in registry.collect()
-        if family.name == name
-        for metric in family.sorted_children()
-    )
 
 
 def run_chaos(
@@ -138,7 +114,11 @@ def run_chaos(
         FaultPlan,
         origin_target,
     )
-    from repro.sites.forum.spec import forum_demo_proxy
+    from repro.sites.forum.spec import (
+        CHAOS_WARMUP,
+        CHAOS_WORKLOAD,
+        forum_demo_proxy,
+    )
 
     proxy, mobile = forum_demo_proxy()
     services = proxy.services
@@ -167,8 +147,7 @@ def run_chaos(
         services.renderfarm = farm
 
     if warm:
-        for suffix in ("", "?page=forums", "?page=login",
-                       "?file=snapshot.jpg"):
+        for suffix in CHAOS_WARMUP:
             mobile.get(base + suffix)
 
     plan = FaultPlan(seed=seed)
@@ -196,7 +175,9 @@ def run_chaos(
             # with it.  No restart — the rest of the run is served by a
             # degraded farm.
             farm.crash_consumer()
-        response = mobile.get(base + WORKLOAD[index % len(WORKLOAD)])
+        response = mobile.get(
+            base + CHAOS_WORKLOAD[index % len(CHAOS_WORKLOAD)]
+        )
         report.statuses[response.status] = (
             report.statuses.get(response.status, 0) + 1
         )
@@ -211,20 +192,19 @@ def run_chaos(
     report.faults_injected = _labeled_totals(
         registry, "msite_faults_injected_total", "target", "mode"
     )
-    report.retry_attempts = _family_sum(registry, "msite_retry_attempts_total")
-    report.retries_exhausted = _family_sum(
-        registry, "msite_retry_exhausted_total"
-    )
+    total = registry.total
+    report.retry_attempts = int(total("msite_retry_attempts_total"))
+    report.retries_exhausted = int(total("msite_retry_exhausted_total"))
     report.breaker_transitions = _labeled_totals(
         registry, "msite_breaker_transitions_total", "breaker", "to"
     )
-    report.breaker_short_circuits = _family_sum(
-        registry, "msite_breaker_short_circuits_total"
+    report.breaker_short_circuits = int(
+        total("msite_breaker_short_circuits_total")
     )
     report.degraded_serves = _labeled_totals(
         registry, "msite_degraded_serves_total", "mode"
     )
-    report.stale_hits = _family_sum(registry, "msite_cache_stale_hits_total")
+    report.stale_hits = int(total("msite_cache_stale_hits_total"))
     events = ops.retained()
     report.ops_events = events
     report.ops_event_count = ops.head_seq
@@ -244,18 +224,16 @@ def run_chaos(
             )
     if farm is not None:
         report.farm_consumers_alive = farm.consumers_alive
-        report.farm_consumer_crashes = _family_sum(
-            registry, "msite_renderfarm_consumer_crashes_total"
+        report.farm_consumer_crashes = int(
+            total("msite_renderfarm_consumer_crashes_total")
         )
-        report.farm_dead_letters = _family_sum(
-            registry, "msite_renderfarm_dead_lettered_total"
+        report.farm_dead_letters = int(
+            total("msite_renderfarm_dead_lettered_total")
         )
-        report.farm_dead_letter_refusals = _family_sum(
-            registry, "msite_renderfarm_dead_letter_refusals_total"
+        report.farm_dead_letter_refusals = int(
+            total("msite_renderfarm_dead_letter_refusals_total")
         )
-        report.farm_coalesced = _family_sum(
-            registry, "msite_renderfarm_coalesced_total"
-        )
+        report.farm_coalesced = int(total("msite_renderfarm_coalesced_total"))
     metrics_page = mobile.get("http://m.sawmillcreek.org/metrics")
     report.metrics_exposition_lines = len(
         metrics_page.text_body.splitlines()

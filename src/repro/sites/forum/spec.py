@@ -9,7 +9,10 @@ Two builders over the SawmillCreek front page:
 * :func:`standard_forum_spec` — the same plus the who's-online box, the
   workload simulator's and the named forum scenarios' spec.
 
-:func:`forum_demo_proxy` deploys the first behind a generated proxy.
+:func:`forum_demo_proxy` deploys the first behind a generated proxy;
+``CHAOS_WARMUP`` and ``CHAOS_WORKLOAD`` are the paths both chaos
+harnesses (``msite chaos`` and ``msite chaos --region-faults``) visit
+on it.
 """
 
 from __future__ import annotations
@@ -62,3 +65,19 @@ def forum_demo_proxy():
     ).create_proxy(ProxyServices(origins={FORUM_HOST: ForumApplication()}))
     mobile = HttpClient({"m.sawmillcreek.org": proxy}, jar=CookieJar())
     return proxy, mobile
+
+
+#: The chaos runs' request mix over the demo proxy, cycled.
+#: ``?refresh=1`` forces renders, so a render fault schedule is actually
+#: exercised against the warm cache and the invalidation log stays busy.
+CHAOS_WORKLOAD = (
+    "",
+    "?page=forums",
+    "?file=snapshot.jpg",
+    "?refresh=1",
+    "?page=login",
+    "",
+)
+
+#: The paths a chaos run visits once to warm the cache before its faults.
+CHAOS_WARMUP = ("", "?page=forums", "?page=login", "?file=snapshot.jpg")

@@ -29,6 +29,7 @@ from repro.net.cookies import CookieJar
 from repro.sim.clock import Clock
 from repro.workload.population import DEVICE_AGENTS
 from repro.workload.replay import percentile, replay_closed
+from repro.workload.reporting import format_table
 from repro.workload.scenarios import PlannedRequest, Scenario, get_scenario
 
 FORUM_HOST = "www.sawmillcreek.org"
@@ -299,8 +300,6 @@ def run_scenario(
 
 def format_report(report: ScenarioReport) -> str:
     """Human-readable scenario summary for the CLI."""
-    from repro.bench.reporting import format_table
-
     rows = [
         ["scenario", report.scenario],
         ["fingerprint", report.fingerprint],

@@ -406,16 +406,3 @@ class SyntheticRenderApp(Application):
         self.phases[phase].observe(time.perf_counter() - started)
         return response
 
-
-# ---------------------------------------------------------------------------
-# The comparison
-
-
-@dataclass
-class Comparison:
-    """A baseline and a candidate measured under one config; each side
-    is a result dataclass whose ``mode`` names it in the printed table."""
-
-    config: Any
-    baseline: Any
-    candidate: Any

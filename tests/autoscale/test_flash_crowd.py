@@ -1,6 +1,6 @@
 """The autoscale flash crowd: an elastic fleet against a static one.
 
-One seeded open-loop crowd (:func:`repro.bench.autoscale.smoke_config`)
+One seeded open-loop crowd (:data:`repro.bench.crowd.AUTOSCALE_SMOKE`)
 is replayed against two fleets that start at one worker and one render
 consumer.  The autoscaled fleet must grow, hold p99 inside the budget
 and serve zero non-degraded 5xx; the static fleet of the starting size
@@ -9,16 +9,16 @@ must shed under the identical schedule, or the crowd proved nothing.
 
 import pytest
 
-from repro.bench.autoscale import (
+from repro.bench.crowd import (
+    AUTOSCALE_SMOKE,
     format_comparison,
-    run_autoscale_comparison,
-    smoke_config,
+    run_crowd_comparison,
 )
 
 
 @pytest.fixture(scope="module")
 def comparison():
-    return run_autoscale_comparison(smoke_config())
+    return run_crowd_comparison(AUTOSCALE_SMOKE)
 
 
 def test_the_autoscaled_fleet_grows_under_the_crowd(comparison):

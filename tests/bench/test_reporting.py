@@ -1,6 +1,6 @@
 """Report formatting."""
 
-from repro.bench.reporting import format_series, format_table
+from repro.workload.reporting import format_series, format_table
 
 
 def test_table_alignment():

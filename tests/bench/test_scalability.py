@@ -99,12 +99,12 @@ def test_sweep_covers_requested_points():
 
 def test_real_threadpool_smoke():
     from repro.bench.scalability import (
-        RealThreadPoolConfig,
-        run_real_threadpool_experiment,
+        ClosedLoopConfig,
+        run_closed_loop_experiment,
     )
 
-    heavy = run_real_threadpool_experiment(
-        RealThreadPoolConfig(
+    heavy = run_closed_loop_experiment(
+        ClosedLoopConfig(
             browser_fraction=1.0,
             total_requests=80,
             workers=8,
@@ -112,8 +112,8 @@ def test_real_threadpool_smoke():
             browser_service_s=0.005,
         )
     )
-    light = run_real_threadpool_experiment(
-        RealThreadPoolConfig(
+    light = run_closed_loop_experiment(
+        ClosedLoopConfig(
             browser_fraction=0.0,
             total_requests=80,
             workers=8,
@@ -139,25 +139,28 @@ def test_real_threadpool_smoke():
 
 def test_real_threadpool_fraction_bounds():
     from repro.bench.scalability import (
-        RealThreadPoolConfig,
-        run_real_threadpool_experiment,
+        ClosedLoopConfig,
+        run_closed_loop_experiment,
     )
 
     with pytest.raises(ValueError):
-        run_real_threadpool_experiment(
-            RealThreadPoolConfig(browser_fraction=2.0)
-        )
+        run_closed_loop_experiment(ClosedLoopConfig(browser_fraction=2.0))
 
 
 def test_real_threadpool_sweep_covers_points():
-    from repro.bench.scalability import run_real_threadpool_sweep
+    from repro.bench.scalability import (
+        ClosedLoopConfig,
+        run_closed_loop_sweep,
+    )
 
-    results = run_real_threadpool_sweep(
+    results = run_closed_loop_sweep(
+        ClosedLoopConfig(
+            total_requests=40,
+            workers=4,
+            client_threads=4,
+            browser_service_s=0.002,
+        ),
         [1.0, 0.0],
-        total_requests=40,
-        workers=4,
-        client_threads=4,
-        browser_service_s=0.002,
     )
     assert [r.browser_fraction for r in results] == [1.0, 0.0]
     assert all(r.completed == 40 for r in results)
@@ -169,12 +172,19 @@ def test_real_threadpool_sweep_covers_points():
 
 @pytest.fixture(scope="module")
 def cluster_sweep():
-    from repro.bench.scalability import run_cluster_sweep
+    from dataclasses import replace
 
-    return run_cluster_sweep(
-        [1.0, 0.0], fleet_sizes=(1, 2), client_threads=16,
-        total_requests=200,
+    from repro.bench.scalability import FLEET, run_closed_loop_sweep
+
+    results = run_closed_loop_sweep(
+        replace(FLEET, client_threads=16, total_requests=200),
+        [1.0, 0.0],
+        fleet_sizes=(1, 2),
     )
+    return {
+        fleet: [r for r in results if r.fleet_workers == fleet]
+        for fleet in (1, 2)
+    }
 
 
 def test_cluster_fleet_renders_each_page_and_device_once(cluster_sweep):

@@ -150,6 +150,30 @@ def test_cluster_sweep_smoke_prints_the_speedup_and_writes_nothing(
 
 
 @pytest.mark.parametrize(
+    "argv, clients",
+    [
+        (["--workers", "1", "--clients", "8"], 8),
+        (["--workers", "1"], 16),
+        (["--workers", "1", "--clients", "3"], 3),
+        (["--real"], 8),
+        (["--real", "--clients", "16"], 16),
+    ],
+)
+def test_scalability_clients_resolve_per_mode(monkeypatch, argv, clients):
+    from repro.bench import scalability
+
+    shapes = []
+
+    def sweep(shape, percentages=None, fleet_sizes=None):
+        shapes.append(shape)
+        return []
+
+    monkeypatch.setattr(scalability, "run_closed_loop_sweep", sweep)
+    assert main(["scalability", "--smoke", *argv]) == 0
+    assert [shape.client_threads for shape in shapes] == [clients]
+
+
+@pytest.mark.parametrize(
     "argv, inline_5xx, farm_5xx, status, failure",
     [
         (["--smoke"], 0, 0, 0, None),
@@ -161,22 +185,21 @@ def test_cluster_sweep_smoke_prints_the_speedup_and_writes_nothing(
 def test_farm_burst_exit_status_follows_its_gates(
     monkeypatch, capsys, argv, inline_5xx, farm_5xx, status, failure
 ):
-    from repro.bench import burst
-    from repro.workload.replay import Comparison
+    from repro.bench import crowd
 
     def side(mode, non_degraded_5xx):
-        return burst.BurstResult(
+        return crowd.CrowdRow(
             mode=mode, offered=9, completed_200=9, degraded_200=0,
-            rejected_5xx=0, other_5xx=0, non_degraded_5xx=non_degraded_5xx,
-            renders=1, p50_ms=1.0, p99_ms=2.0, max_ms=3.0, wall_clock_s=0.1,
+            non_degraded_5xx=non_degraded_5xx,
+            renders=1, p50_ms=1.0, p99_ms=2.0,
             queue_depth_peak=0,
         )
 
     monkeypatch.setattr(
-        burst,
-        "run_burst_comparison",
-        lambda config=None: Comparison(
-            config or burst.BurstConfig(),
+        crowd,
+        "run_crowd_comparison",
+        lambda config: crowd.Comparison(
+            config,
             side("inline", inline_5xx),
             side("farm", farm_5xx),
         ),

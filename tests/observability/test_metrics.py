@@ -154,6 +154,18 @@ class TestRegistry:
         counter.inc(7)
         assert shared.get("c_total").value == 7
 
+    def test_total_sums_labelled_children_and_is_zero_when_absent(self):
+        registry = MetricsRegistry()
+        registry.counter("c_total", labels={"page": "b"}).inc(2)
+        registry.counter("c_total", labels={"page": "a"}).inc(3)
+        registry.counter("c_total").inc(0.5)
+        registry.counter("other_total").inc(100)
+        assert registry.total("c_total") == 5.5
+        pages = [m.labels.get("page") for m in registry.children("c_total")]
+        assert pages == [None, "a", "b"]
+        assert registry.total("missing_total") == 0
+        assert registry.children("missing_total") == []
+
     def test_collect_is_name_sorted(self):
         registry = MetricsRegistry()
         registry.counter("b_total")

@@ -6,19 +6,21 @@ architecture sheds arrivals as bare 503s while the farm-backed
 configuration serves every one of them with zero non-degraded 5xx.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.bench.burst import (
-    BurstConfig,
+from repro.bench.crowd import (
+    BURST,
+    BURST_SMOKE,
     format_comparison,
-    run_burst_comparison,
-    smoke_config,
+    run_crowd_comparison,
 )
 
 
 @pytest.fixture(scope="module")
 def comparison():
-    return run_burst_comparison(smoke_config())
+    return run_crowd_comparison(BURST_SMOKE)
 
 
 def test_farm_serves_zero_non_degraded_5xx_under_burst(comparison):
@@ -47,4 +49,4 @@ def test_inline_renders_shed_the_same_burst(comparison):
 
 def test_burst_config_rejects_sub_threshold_browser_fraction():
     with pytest.raises(ValueError):
-        run_burst_comparison(BurstConfig(browser_fraction=0.1))
+        run_crowd_comparison(replace(BURST, browser_fraction=0.1))

@@ -15,7 +15,6 @@ from repro.renderfarm import RenderFarm
 from repro.sim.rng import DeterministicRandom
 from repro.workload.population import DESKTOP_UA, PHONE_UA
 from repro.workload.replay import (
-    Comparison,
     RenderLedger,
     ReplayResult,
     SyntheticRenderApp,
@@ -224,27 +223,27 @@ def test_on_arrival_errors_propagate_too():
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("module_name", ["burst", "autoscale"])
+@pytest.mark.parametrize("shape_name", ["burst", "autoscale"])
 def test_a_failed_replay_still_closes_the_harness_target(
-    monkeypatch, module_name
+    monkeypatch, shape_name
 ):
     """The farm's consumers, the executor's workers and the fleet all
     live in ``with`` blocks, so a raising request cannot leak them."""
-    import importlib
+    from repro.bench import crowd
 
-    module = importlib.import_module(f"repro.bench.{module_name}")
+    shape = {"burst": crowd.BURST_SMOKE, "autoscale": crowd.AUTOSCALE_SMOKE}[
+        shape_name
+    ]
 
     def failing_replay(send, arrivals, requests, on_arrival=None):
         assert send(requests[0]).status == 200  # the target is live
         raise _Boom("mid-replay")
 
-    monkeypatch.setattr(module, "replay_open", failing_replay)
+    monkeypatch.setattr(crowd, "replay_open", failing_replay)
     before = threading.active_count()
-    for mode in ("inline", "farm") if module_name == "burst" else (
-        "static", "autoscaled"
-    ):
+    for mode in shape.sides:
         with pytest.raises(_Boom):
-            module._measure(module.smoke_config(), mode)
+            crowd._measure(shape, mode)
         assert threading.active_count() == before
 
 
@@ -290,23 +289,20 @@ def test_marking_rejects_a_fraction_outside_the_unit_interval(fraction):
 
 
 def test_seeded_inputs_match_the_values_the_old_harnesses_produced():
-    """Captured from the parent commit's ``bench.burst`` /
-    ``bench.autoscale`` / ``bench.scalability`` for these configs."""
-    from repro.bench.autoscale import AutoscaleBenchConfig
-    from repro.bench.burst import BurstConfig
-    from repro.bench.scalability import (
-        ClusterScalabilityConfig,
-        RealThreadPoolConfig,
-        id_hash,
-        id_hash_cluster,
-    )
+    """Captured from the retired ``bench.burst`` / ``bench.autoscale``
+    harnesses and the two retired closed-loop configs of
+    ``bench.scalability`` for these configs."""
+    from dataclasses import replace
+
+    from repro.bench.crowd import AUTOSCALE, BURST
+    from repro.bench.scalability import ClosedLoopConfig, id_hash
 
     shape = dict(
         base_rps=20, peak_rps=60, ramp_s=0.1, hold_s=0.1, duration_s=0.4,
         distinct_pages=4,
     )
     arrivals, requests = flash_crowd_stream(
-        BurstConfig(**shape), "burst.local"
+        replace(BURST, **shape), "burst.local"
     )
     assert arrivals == pytest.approx(
         [
@@ -326,7 +322,7 @@ def test_seeded_inputs_match_the_values_the_old_harnesses_produced():
     ]
 
     arrivals, requests = flash_crowd_stream(
-        AutoscaleBenchConfig(**shape), "autoscale.local"
+        replace(AUTOSCALE, **shape), "autoscale.local"
     )
     assert arrivals == pytest.approx(
         [
@@ -340,14 +336,14 @@ def test_seeded_inputs_match_the_values_the_old_harnesses_produced():
     assert [r.params["browser"] for r in requests] == list("1101101010")
     assert str(requests[5].url) == "http://autoscale.local/?page=p1&browser=0"
 
-    cluster = ClusterScalabilityConfig(
+    cluster = ClosedLoopConfig(
         browser_fraction=0.5, fleet_workers=2, total_requests=10,
         distinct_pages=4,
     )
-    assert id_hash_cluster(cluster) == 401488506
+    assert id_hash(cluster) == 401488506
     requests = marked_requests(
         "cluster.local", 10, 0.5, 4,
-        DeterministicRandom(cluster.seed ^ id_hash_cluster(cluster)),
+        DeterministicRandom(cluster.seed ^ id_hash(cluster)),
         agents=(PHONE_UA, DESKTOP_UA),
     )
     assert [r.params["browser"] for r in requests] == list("0011011111")
@@ -355,7 +351,7 @@ def test_seeded_inputs_match_the_values_the_old_harnesses_produced():
         [PHONE_UA] * 4 + [DESKTOP_UA] * 4 + [PHONE_UA] * 2
     )
 
-    real = RealThreadPoolConfig(
+    real = ClosedLoopConfig(
         browser_fraction=0.25, total_requests=12, distinct_pages=4
     )
     assert id_hash(real) == 364930180
@@ -434,17 +430,22 @@ def test_shared_cache_render_renders_each_page_and_device_once():
 
 
 def test_comparison_names_each_side_by_its_mode():
-    from repro.bench.burst import BurstConfig, BurstResult, format_comparison
+    from repro.bench.crowd import (
+        BURST,
+        Comparison,
+        CrowdRow,
+        format_comparison,
+    )
 
     def side(mode, non_degraded_5xx):
-        return BurstResult(
+        return CrowdRow(
             mode=mode, offered=1, completed_200=1, degraded_200=0,
-            rejected_5xx=0, other_5xx=0, non_degraded_5xx=non_degraded_5xx,
-            renders=0, p50_ms=1.0, p99_ms=1.0, max_ms=1.0, wall_clock_s=0.1,
+            non_degraded_5xx=non_degraded_5xx,
+            renders=0, p50_ms=1.0, p99_ms=1.0,
             queue_depth_peak=0,
         )
 
-    comparison = Comparison(BurstConfig(), side("inline", 7), side("farm", 0))
+    comparison = Comparison(BURST, side("inline", 7), side("farm", 0))
     rows = format_comparison(comparison).splitlines()[2:4]
     assert [row.split()[0] for row in rows] == ["inline", "farm"]
     assert [row.split()[3] for row in rows] == ["7", "0"]

@@ -7,6 +7,9 @@ schedule, fanning requests over client threads, the stand-in
 ``repro.workload``, and the names that module replaced do not come back
 — not as definitions, not as imports, not as aliases.  What a harness
 measures is gated by a test or printed, never written to a report file.
+The dependency runs one way: ``repro.bench`` builds on
+``repro.workload``, never the reverse, and a counter family is summed by
+``MetricsRegistry.total``, not by a private walk over ``collect()``.
 """
 
 import ast
@@ -33,6 +36,28 @@ RETIRED = {
     "_ClusterServiceApplication",
     "BurstComparison",
     "AutoscaleComparison",
+    # Folded into repro.bench.crowd (one flash-crowd comparison) and
+    # repro.bench.scalability's one closed-loop sweep.
+    "BurstConfig",
+    "AutoscaleBenchConfig",
+    "BurstResult",
+    "AutoscaleResult",
+    "run_burst_comparison",
+    "run_autoscale_comparison",
+    "RealThreadPoolConfig",
+    "RealThreadPoolResult",
+    "ClusterScalabilityConfig",
+    "ClusterScalabilityResult",
+    "run_real_threadpool_experiment",
+    "run_real_threadpool_sweep",
+    "run_cluster_experiment",
+    "run_cluster_sweep",
+    "id_hash_cluster",
+    "_closed_loop_fields",
+    "_registry_total",
+    # Replaced by MetricsRegistry.total.
+    "_family_sum",
+    "_sum_counter",
 }
 
 
@@ -167,4 +192,65 @@ def test_no_harness_writes_a_bench_report():
                 called = _dotted(node.func) or ""
                 if called in {"json.dump", "os.replace"}:
                     sightings.append(f"{path}:{node.lineno} {called}")
+    assert sightings == []
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield node.lineno, [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.lineno, [node.module]
+
+
+def test_the_workload_package_never_imports_the_bench_package():
+    sightings = [
+        f"{path}:{lineno} {module}"
+        for path, tree in _trees("src/repro/workload")
+        for lineno, modules in _imported_modules(tree)
+        for module in modules
+        if module == "repro.bench" or module.startswith("repro.bench.")
+    ]
+    assert sightings == []
+
+
+def _filters_by_family_name(node):
+    """``family.name == ...`` (or ``!=``, either side)."""
+    return (
+        isinstance(node, ast.Compare)
+        and isinstance(node.ops[0], (ast.Eq, ast.NotEq))
+        and any(
+            isinstance(side, ast.Attribute) and side.attr == "name"
+            for side in (node.left, *node.comparators)
+        )
+    )
+
+
+def test_only_the_registry_looks_up_a_family_by_walking_collect():
+    """Outside ``repro/observability/`` a loop over ``collect()`` may
+    fold every family (a rollup, an exposition) but never picks one out
+    by name: that is ``MetricsRegistry.children`` / ``total``."""
+    sightings = []
+    for path, tree in _trees("src/repro"):
+        if path.parts[:3] == ("src", "repro", "observability"):
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.For, ast.comprehension)):
+                continue
+            called = node.iter
+            if not (
+                isinstance(called, ast.Call)
+                and isinstance(called.func, ast.Attribute)
+                and called.func.attr == "collect"
+            ):
+                continue
+            scope = node.ifs if isinstance(node, ast.comprehension) else [
+                node
+            ]
+            sightings += [
+                f"{path}:{inner.lineno}"
+                for part in scope
+                for inner in ast.walk(part)
+                if _filters_by_family_name(inner)
+            ]
     assert sightings == []

@@ -210,6 +210,7 @@ PACKAGES = [
             "tests/workload/test_properties.py",
             "tests/workload/test_engine.py",
             "tests/workload/test_replay.py",
+            "tests/bench/test_reporting.py",
         ],
     },
     {
