@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol
 
 from repro.observability.metrics import CounterView, MetricsRegistry
@@ -59,6 +59,10 @@ class CacheEntry:
     stored_at: float
     ttl_s: float
     hits: int = 0
+    #: What a reader made of ``data``, kept so it is made once per
+    #: entry; an overwrite, eviction or invalidation drops it with the
+    #: entry.  The cache neither fills nor reads it.
+    decoded: object = field(default=None, compare=False, repr=False)
 
     def fresh(self, now: float) -> bool:
         """Strictly-less-than freshness: an entry whose TTL has *exactly*

@@ -38,7 +38,8 @@ validator verdict, bundle lookup, delta attempt.  It answers with an
 :meth:`Miss.store` takes the result back (storability, TTL clamp,
 bundle + validator, delta seed).  The ``AdaptedPage`` ⇄
 :class:`FastpathBundle` codec lives here too, and so does the bundle's
-one stored form: a binary container that is read, not parsed.
+one stored form: a binary container that is read, not parsed — and
+read once per cache entry, not once per replay.
 """
 
 from __future__ import annotations
@@ -47,10 +48,10 @@ import hashlib
 import json
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
-from repro.core.cache import PrerenderCache
+from repro.core.cache import CacheEntry, PrerenderCache
 from repro.core.subpages import AdaptedPage, SubpageArtifact
 from repro.net.conditional import etag_matches  # noqa: F401  (re-export)
 from repro.net.messages import Response
@@ -197,7 +198,7 @@ class BundleFile(NamedTuple):
     data: bytes
 
 
-@dataclass
+@dataclass(frozen=True)
 class FastpathBundle:
     """Everything needed to replay one adapted response.
 
@@ -206,16 +207,27 @@ class FastpathBundle:
     restores the session directory for the ``?page=``/``?file=``
     handlers — no listing of the live directory, which could leak stale
     files from an earlier, different run.
+
+    Read-only: a stored bundle is decoded once per cache entry and that
+    one decode is replayed into every session that hits it, each
+    session's files holding the same ``bytes`` objects.  So the fields
+    cannot be assigned, and the sequences are tuples whatever the
+    caller passed; whoever needs a changed bundle builds a new one
+    (:func:`rebundle`).
     """
 
     etag: str
     entry_rel: str
     entry_html: str
-    files: list[BundleFile] = field(default_factory=list)
-    subpages: list[dict] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    files: tuple[BundleFile, ...] = ()
+    subpages: tuple[dict, ...] = ()
+    notes: tuple[str, ...] = ()
     snapshot_bytes: int = 0
     used_browser: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("files", "subpages", "notes"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     def to_bytes(self) -> bytes:
         html = self.entry_html.encode("utf-8")
@@ -310,12 +322,28 @@ def store_bundle(
     )
 
 
+def _decoded(entry: Optional[CacheEntry]) -> Optional[FastpathBundle]:
+    """The bundle ``entry`` holds, decoded on its first load only.
+
+    The decode lives on the entry, so it goes wherever the entry goes:
+    an overwrite, eviction or invalidation takes it away too.  Two
+    threads racing on the first load decode equal bundles and one
+    write wins, which is harmless.  A refused container stays ``None``
+    and is decoded again on its next load; the miss it causes stores a
+    good one over it.
+    """
+    if entry is None:
+        return None
+    if entry.decoded is None:
+        entry.decoded = FastpathBundle.from_bytes(entry.data)
+    return entry.decoded
+
+
 def load_bundle(
     cache: PrerenderCache, key: str
 ) -> Optional[FastpathBundle]:
     """A fresh bundle, or ``None`` (counted as a normal cache get)."""
-    entry = cache.get(key)
-    return None if entry is None else FastpathBundle.from_bytes(entry.data)
+    return _decoded(cache.get(key))
 
 
 def load_stale_bundle(
@@ -329,8 +357,11 @@ def load_stale_bundle(
     pointer = cache.load_stale(pointer_key)
     if pointer is None:
         return None
-    entry = cache.load_stale(pointer.data.decode("utf-8"))
-    return None if entry is None else FastpathBundle.from_bytes(entry.data)
+    try:
+        key = pointer.data.decode("utf-8")
+    except UnicodeDecodeError:  # not a pointer this module wrote: a miss
+        return None
+    return _decoded(cache.load_stale(key))
 
 
 # ---------------------------------------------------------------------------

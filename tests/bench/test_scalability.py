@@ -103,13 +103,17 @@ def test_real_threadpool_smoke():
         run_closed_loop_experiment,
     )
 
+    # The heavy side is sized so that render service time (~50 renders
+    # x 20 ms over 4 slots, a sleep) dominates its wall clock, not CPU:
+    # a busy machine slows the light side's CPU work without closing
+    # the 3x gap.
     heavy = run_closed_loop_experiment(
         ClosedLoopConfig(
             browser_fraction=1.0,
             total_requests=80,
             workers=8,
             client_threads=8,
-            browser_service_s=0.005,
+            browser_service_s=0.020,
         )
     )
     light = run_closed_loop_experiment(
@@ -118,7 +122,7 @@ def test_real_threadpool_smoke():
             total_requests=80,
             workers=8,
             client_threads=8,
-            browser_service_s=0.005,
+            browser_service_s=0.020,
         )
     )
     # All requests answered, none dropped.
@@ -176,8 +180,14 @@ def cluster_sweep():
 
     from repro.bench.scalability import FLEET, run_closed_loop_sweep
 
+    # 6 ms of serving sleep per request (FLEET's is 2 ms): the 0%
+    # browser runs last ~0.6 s / ~0.3 s, so a CPU stall of tens of ms on
+    # a busy machine cannot close the fleet-size gap on its own.
     results = run_closed_loop_sweep(
-        replace(FLEET, client_threads=16, total_requests=200),
+        replace(
+            FLEET, client_threads=16, total_requests=200,
+            lightweight_service_s=0.006,
+        ),
         [1.0, 0.0],
         fleet_sizes=(1, 2),
     )

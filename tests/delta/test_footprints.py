@@ -189,9 +189,9 @@ def test_rebundle_swaps_only_the_entry_artifact():
     assert patched.entry_html == "new"
     assert [f.data for f in patched.files] == [b"new", b"sub"]
     assert patched.files[1] is other  # unchanged artifacts are shared
-    assert patched.subpages == [{"id": "sub"}]
+    assert patched.subpages == ({"id": "sub"},)
     assert patched.subpages[0] is not bundle.subpages[0]
-    assert patched.notes == ["kept", "delta: entry patched incrementally"]
+    assert patched.notes == ("kept", "delta: entry patched incrementally")
     assert not patched.used_browser
     # The original bundle is untouched.
     assert bundle.entry_html == "old" and bundle.files[0].data == b"old"

@@ -9,6 +9,7 @@ is pinned by ``golden/make_bundle.v2.bin`` so it cannot drift without a
 ``BUNDLE_VERSION`` bump.
 """
 
+import dataclasses
 import json
 import pathlib
 import random
@@ -192,7 +193,9 @@ def test_payloads_are_never_decoded_leniently():
     """Base64 skipped what it did not know (``'!!!'`` came back as an
     empty file); a container's payload is the bytes themselves."""
     bundle = make_bundle()
-    bundle.files[0] = bundle.files[0]._replace(data=b"!!!")
+    bundle = dataclasses.replace(
+        bundle, files=(bundle.files[0]._replace(data=b"!!!"),)
+    )
     assert FastpathBundle.from_bytes(bundle.to_bytes()).files[0].data == b"!!!"
 
 

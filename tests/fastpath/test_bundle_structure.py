@@ -3,7 +3,9 @@
 Structural guards, read off the AST: the JSON + base64 codec the
 container replaced does not come back beside it — not as an import, a
 method or a cached field — and the cache keeps holding opaque bytes
-(no decoded bundle on ``CacheEntry``, no codec in ``core/cache.py``).
+(``CacheEntry.decoded`` is filled by the fast path alone, and there is
+no codec in ``core/cache.py``), and a stored bundle is decoded in one
+place, the per-entry decode every load goes through.
 Then the counts that make the container worth having, on the forum
 paper-spec bundle (the one ``warm-arrivals`` replays): one small
 ``json.loads`` per decode, and a container barely larger than its
@@ -75,6 +77,8 @@ def test_the_old_codec_is_gone_not_aliased():
 
 
 def test_the_cache_still_holds_opaque_bytes():
+    """``CacheEntry.decoded`` is the reader's slot: ``cache.py`` stores
+    and serves ``data`` and never fills, reads or knows the decode."""
     tree = _tree("cache.py")
     fields = [
         node.target.id
@@ -83,8 +87,40 @@ def test_the_cache_still_holds_opaque_bytes():
     ]
     assert fields == [
         "key", "data", "content_type", "stored_at", "ttl_s", "hits",
+        "decoded",
     ]
     assert not any("fastpath" in module for module in _imported_modules(tree))
+    assert not [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "decoded"
+    ]
+
+
+def _decodes(tree):
+    """The ``FastpathBundle.from_bytes(...)`` calls in ``tree``."""
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "from_bytes"
+        and ast.unparse(node.func.value).endswith("FastpathBundle")
+    ]
+
+
+def test_a_stored_bundle_is_decoded_in_one_place():
+    """Every load goes through the per-entry decode: one
+    ``FastpathBundle.from_bytes`` call under ``src/``, in ``_decoded``."""
+    sites = [
+        path.relative_to(CORE.parent).as_posix()
+        for path in sorted(CORE.parent.rglob("*.py"))
+        for _ in _decodes(ast.parse(path.read_text()))
+    ]
+    assert sites == ["core/fastpath.py"]
+    (decoded,) = [
+        node for node in ast.walk(_tree("fastpath.py"))
+        if isinstance(node, ast.FunctionDef) and node.name == "_decoded"
+    ]
+    assert len(_decodes(decoded)) == 1
 
 
 def _forum_paper_spec():

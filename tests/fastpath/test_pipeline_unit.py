@@ -2,8 +2,10 @@
 
 from repro.core import fastpath
 from repro.core.pipeline import AdaptationPipeline, ProxyServices
+from repro.core.proxy import MSiteProxy
 from repro.core.sessions import SessionManager
 from repro.core.spec import AdaptationSpec, ObjectSelector
+from repro.net.client import HttpClient
 from repro.net.messages import Request, Response
 from repro.net.server import Application
 from repro.sim.clock import Clock
@@ -160,3 +162,22 @@ def test_origin_url_parsed_once_per_pipeline():
     __, services, manager = setup()
     pipeline = AdaptationPipeline(make_spec(), services, manager.create())
     assert str(pipeline.origin_url.host) == HOST
+
+
+def test_a_pointer_that_is_not_utf8_is_a_miss_on_the_stale_rung():
+    """The stale rung absorbs an outage; a garbled ``fastpath-latest``
+    pointer must not turn that outage into a raise."""
+    origin, services, manager = setup()
+    run_once(services, manager)
+    (pointer_key,) = [
+        key for key in services.cache.keys()
+        if key.startswith("fastpath-latest:")
+    ]
+    services.cache.put(pointer_key, b"\xff\xfe", ttl_s=600)
+    assert fastpath.load_stale_bundle(services.cache, pointer_key) is None
+    origin.failing = True
+    proxy = MSiteProxy(make_spec(), services, proxy_base="proxy.php")
+    response = HttpClient({"m.unit.example": proxy}).get(
+        "http://m.unit.example/proxy.php"
+    )
+    assert response.status in (502, 503, 504)
