@@ -208,8 +208,9 @@ class FastpathBundle:
     handlers — no listing of the live directory, which could leak stale
     files from an earlier, different run.
 
-    Read-only: a stored bundle is decoded once per cache entry and that
-    one decode is replayed into every session that hits it, each
+    Read-only: a stored bundle is its cache entry's decode (an entry
+    admitted from a lower tier is decoded once, on its first load), and
+    that one object is replayed into every session that hits it, each
     session's files holding the same ``bytes`` objects.  So the fields
     cannot be assigned, and the sequences are tuples whatever the
     caller passed; whoever needs a changed bundle builds a new one
@@ -307,13 +308,15 @@ def store_bundle(
 
     One cache entry per bundle keeps freshness atomic: a bundle can
     never be half-expired the way a split manifest+payload pair could.
+    The stored bundle is its own decode (``from_bytes`` of its bytes
+    equals it), so no load of this entry decodes it again.
     """
     cache.put(
         key,
         bundle.to_bytes(),
         content_type=_BUNDLE_CONTENT_TYPE,
         ttl_s=ttl_s,
-    )
+    ).decoded = bundle
     cache.put(
         pointer_key,
         key,
@@ -324,6 +327,10 @@ def store_bundle(
 
 def _decoded(entry: Optional[CacheEntry]) -> Optional[FastpathBundle]:
     """The bundle ``entry`` holds, decoded on its first load only.
+
+    An entry :func:`store_bundle` made already holds its bundle; what
+    this decodes is an entry admitted from a lower tier, or bytes some
+    other writer put under the key.
 
     The decode lives on the entry, so it goes wherever the entry goes:
     an overwrite, eviction or invalidation takes it away too.  Two

@@ -371,19 +371,17 @@ class AdaptationPipeline:
         )
 
     def _write(self, path: str, data, content_type: str) -> None:
-        """Write an artifact, mirroring it into the fast-path capture."""
-        self.services.storage.write(
+        """Write an artifact, mirroring it into the fast-path capture:
+        the capture holds the stored ``bytes``, not a second encoding."""
+        stored = self.services.storage.write(
             path, data, content_type=content_type, now=self.services.now
         )
         if self._capture is not None:
-            payload = (
-                data.encode("utf-8") if isinstance(data, str) else data
-            )
             self._capture.append(
                 fastpath.BundleFile(
                     fastpath.relpath(self.page_dir, path),
                     content_type,
-                    payload,
+                    stored.data,
                 )
             )
 

@@ -24,6 +24,7 @@ describes:
 from __future__ import annotations
 
 import threading
+import weakref
 
 from dataclasses import dataclass
 from typing import Optional
@@ -162,7 +163,12 @@ class MSiteProxy(Application):
             registry=services.observability.registry,
             labels={"page": self.namespace} if self.namespace else None,
         )
-        self._adapted: dict[str, AdaptedPage] = {}
+        # Each session's memoized adapted page, held only as long as
+        # the session itself: when the session manager destroys a
+        # session (on expiry or an idle sweep), its entry goes with it.
+        self._adapted: weakref.WeakKeyDictionary[
+            MobileSession, AdaptedPage
+        ] = weakref.WeakKeyDictionary()
         # Guards _adapted and the shared ajax table; per-session work is
         # serialized by each session's own lock (always acquired first).
         self._lock = threading.RLock()
@@ -377,7 +383,7 @@ class MSiteProxy(Application):
         # flight.
         with session.lock:
             with self._lock:
-                previous = self._adapted.get(session.session_id)
+                previous = self._adapted.get(session)
             if previous is not None and not force and previous.degraded is None:
                 return previous
             pipeline = AdaptationPipeline(
@@ -408,7 +414,7 @@ class MSiteProxy(Application):
                         cacheable=action.cacheable,
                         cache_ttl_s=action.cache_ttl_s,
                     )
-                self._adapted[session.session_id] = adapted
+                self._adapted[session] = adapted
             self._account(adapted)
             return adapted
 
@@ -452,14 +458,12 @@ class MSiteProxy(Application):
                     ).inc()
                     return self._mark_degraded(not_modified(etag), adapted)
             stored = self.services.storage.read(adapted.entry_path)
-            body: Optional[str] = None
             if etag is not None and not force:
-                body = stored.data.decode("utf-8")
                 patched = self._entry_delta(
-                    session, request, body, etag, adapted
+                    session, request, stored.data, etag, adapted
                 )
                 if patched is not None:
-                    session.last_entry_html = body
+                    session.last_entry_body = stored.data
                     session.last_entry_etag = etag
                     return patched
             response = Response.binary(
@@ -469,12 +473,9 @@ class MSiteProxy(Application):
                 response.headers.set("ETag", etag)
                 if self.services.delta_enabled:
                     # Remember what this session now holds, so its next
-                    # visit can be answered with a patch manifest.
-                    session.last_entry_html = (
-                        body
-                        if body is not None
-                        else stored.data.decode("utf-8")
-                    )
+                    # visit can be answered with a patch manifest: the
+                    # served object itself, not a copy of it.
+                    session.last_entry_body = stored.data
                     session.last_entry_etag = etag
             return self._mark_degraded(response, adapted)
 
@@ -482,7 +483,7 @@ class MSiteProxy(Application):
         self,
         session: MobileSession,
         request: Request,
-        body: str,
+        body: bytes,
         etag: str,
         adapted: AdaptedPage,
     ) -> Optional[Response]:
@@ -497,6 +498,8 @@ class MSiteProxy(Application):
         ``msite_delta_session_fallback_total`` — when the client's
         baseline is unknown, the page changed structurally, or the
         manifest would not be meaningfully smaller than the page.
+        Both bodies are decoded here, and only once a manifest is really
+        computed; the size limit counts characters of the decoded page.
         """
         if not self.services.delta_enabled:
             return None
@@ -511,20 +514,21 @@ class MSiteProxy(Application):
             return self._mark_degraded(not_modified(etag), adapted)
         if (
             session.last_entry_etag is None
-            or session.last_entry_html is None
+            or session.last_entry_body is None
             or not etag_matches(since, session.last_entry_etag)
         ):
             delta_counter(registry, "session_fallback").inc()
             return None
         try:
-            old_doc = parse_html(session.last_entry_html)
-            new_doc = parse_html(body)
+            page = body.decode("utf-8")
+            old_doc = parse_html(session.last_entry_body.decode("utf-8"))
+            new_doc = parse_html(page)
             manifest = diff.changeset(old_doc, new_doc)
         except Exception:
             delta_counter(registry, "session_fallback").inc()
             return None
         payload = manifest.to_json()
-        limit = self.services.session_delta_max_fraction * len(body)
+        limit = self.services.session_delta_max_fraction * len(page)
         if manifest.upheaval() or len(payload) > limit:
             delta_counter(registry, "session_fallback").inc()
             return None
@@ -754,7 +758,7 @@ class MSiteProxy(Application):
             session.jar.clear()
             session.http_credentials.clear()
             with self._lock:
-                self._adapted.pop(session.session_id, None)
+                self._adapted.pop(session, None)
         return Response.html(
             f"<html><body>Logged out ({cleared} cookies cleared). "
             f'<a href="{self.proxy_base}">Return</a>.</body></html>'
@@ -788,7 +792,7 @@ class MSiteProxy(Application):
                         password,
                     )
                 with self._lock:
-                    self._adapted.pop(session.session_id, None)
+                    self._adapted.pop(session, None)
             return Response.redirect(self.proxy_base)
         return Response.html(
             f"""<html><head><title>Authentication required</title></head>

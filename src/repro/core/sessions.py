@@ -27,9 +27,14 @@ from repro.sim.rng import DeterministicRandom
 SESSION_COOKIE = "msite_session"
 
 
-@dataclass
+@dataclass(eq=False)
 class MobileSession:
-    """One mobile user's proxy-side state."""
+    """One mobile user's proxy-side state.
+
+    Compared and hashed by identity, so per-session tables elsewhere
+    (the proxy's adapted-page memo) can hold a session weakly and lose
+    their entry when the manager lets the session go.
+    """
 
     session_id: str
     created_at: float
@@ -37,11 +42,14 @@ class MobileSession:
     http_credentials: dict[str, tuple[str, str]] = field(default_factory=dict)
     last_seen: float = 0.0
     pages_served: int = 0
-    #: The entry body (and its validator) this session last received.
-    #: A returning client that kept that body can send
-    #: ``X-MSite-Delta-Since: <etag>`` and be answered with a patch
-    #: manifest instead of the full page.
-    last_entry_html: Optional[str] = None
+    #: The entry body (and its validator) this session last received:
+    #: the very ``bytes`` object the response sent, which the proxy's
+    #: file store (and, on a replay, the cache's decode) already holds,
+    #: so keeping it costs the session no copy.  A returning client
+    #: that kept that body can send ``X-MSite-Delta-Since: <etag>`` and
+    #: be answered with a patch manifest instead of the full page; only
+    #: then is it decoded.
+    last_entry_body: Optional[bytes] = None
     last_entry_etag: Optional[str] = None
     lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False

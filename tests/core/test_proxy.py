@@ -1,5 +1,8 @@
 """The proxy runtime over HTTP: sessions, pages, files, actions, auth."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.pipeline import ProxyServices
@@ -267,3 +270,65 @@ def test_counters_track_core_seconds(proxy, mobile):
     mobile.get(url())
     assert proxy.counters.browser_core_seconds > 0.5
     assert proxy.counters.lightweight_core_seconds > 0
+
+
+def test_a_destroyed_session_takes_its_adapted_page_with_it(origins, clock):
+    # One device whose session lapses between visits: each visit after
+    # the first finds its session expired (destroyed) and gets a new
+    # one, and the expired one's memoized page must go with it.
+    proxy = make_proxy(origins, clock, bare=True)
+    mobile = HttpClient({PROXY_HOST: proxy}, jar=CookieJar(), clock=clock)
+    for _ in range(4):
+        assert mobile.get(url()).status == 200
+        clock.advance(proxy.sessions.ttl_s + 3600)
+    assert len(proxy.sessions) == 1
+    assert len(proxy._adapted) == 1
+    # An idle sweep destroys the last one, and its memo entry too.
+    assert proxy.sessions.expire_idle() == 1
+    assert len(proxy._adapted) == 0
+
+
+def test_the_adapted_memo_follows_sessions_under_contention(origins, clock):
+    # Eight devices each move the clock past the session TTL before
+    # every visit, so each visit finds its session expired and destroys
+    # it: memo entries are dropped from eight threads while the others
+    # read and write the map, and none may outlive its session or break
+    # a lookup.
+    proxy = make_proxy(origins, clock, bare=True)
+    proxy.sessions.ttl_s = 0.5
+    tick = threading.Lock()
+    statuses, errors, issued = [], [], set()
+
+    def device(_):
+        mobile = HttpClient({PROXY_HOST: proxy}, jar=CookieJar(), clock=clock)
+        try:
+            for _ in range(25):
+                with tick:
+                    clock.advance(1.0)
+                statuses.append(mobile.get(url()).status)
+                issued.add(mobile.jar.get(SESSION_COOKIE).value)
+        except Exception as exc:  # reported below, not swallowed
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        devices = [
+            threading.Thread(target=device, args=(i,)) for i in range(8)
+        ]
+        for thread in devices:
+            thread.start()
+        for thread in devices:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in devices)
+    assert errors == []
+    assert statuses == [200] * 200
+    assert len(issued) == 200  # every visit outlived its last session
+    assert len(proxy._adapted) == len(proxy.sessions) == 8
+    live = proxy.sessions._sessions
+    assert all(live.get(s.session_id) is s for s in list(proxy._adapted))
+    clock.advance(1.0)
+    assert proxy.sessions.expire_idle() == 8
+    assert len(proxy._adapted) == 0

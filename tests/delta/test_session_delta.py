@@ -8,6 +8,7 @@ check here is closed-loop: applying the shipped manifest to the
 client's old tree must reproduce the current page exactly.
 """
 
+import hashlib
 import threading
 
 from repro.core.codegen import generate_proxy_source, load_generated_proxy
@@ -25,6 +26,12 @@ from repro.sites.news.spec import NEWS_HOST, news_fastpath_spec
 
 PROXY_HOST = "m.metroherald.com"
 ENTRY_URL = f"http://{PROXY_HOST}/proxy.php"
+#: SHA-256 over the five chained manifests one session is shipped for
+#: the first five revisions of ``Newsroom(seed=0x5E55_10)``: how the
+#: proxy holds and decodes a session's baseline must not move a byte.
+CHAINED_MANIFESTS_SHA256 = (
+    "79e5d3b9e798cb0d4efb95e4440b9b97bc5d95b80e7dd3b94c1cdb5e271967bc"
+)
 
 
 def deploy(**flags):
@@ -112,6 +119,21 @@ def test_manifests_are_a_small_fraction_of_the_full_page():
         wire += len(response.body)
         full += len(probe.get(ENTRY_URL).body)
     assert wire <= 0.2 * full, f"manifests are {wire / full:.2f}x the pages"
+
+
+def test_chained_manifests_are_byte_identical_to_the_pin():
+    proxy, services, app, client = deploy()
+    etag = client.get(ENTRY_URL).headers.get("ETag")
+    digest = hashlib.sha256()
+    for _ in range(5):
+        publish(proxy, app)
+        response = client.get(ENTRY_URL, X_MSite_Delta_Since=etag)
+        assert response.headers.get("Content-Type") == (
+            SESSION_DELTA_CONTENT_TYPE
+        )
+        digest.update(response.body)
+        etag = response.headers.get("ETag")
+    assert digest.hexdigest() == CHAINED_MANIFESTS_SHA256
 
 
 def test_current_baseline_is_a_304():
@@ -210,4 +232,4 @@ def test_a_same_session_refresh_cannot_split_an_entry_response():
     # The session's baseline pairs the refreshed body with its own ETag.
     session = proxy.sessions.get(client.jar.get(SESSION_COOKIE).value)
     assert session.last_entry_etag == refresh.headers.get("ETag")
-    assert session.last_entry_html == refresh.body.decode("utf-8")
+    assert session.last_entry_body is refresh.body
