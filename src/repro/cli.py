@@ -14,9 +14,10 @@ The admin-facing entry points a deployment actually uses:
 * ``scalability`` — the Figure 7 sweep: the discrete-event model by
   default, or ``--real`` to drive actual threads through the concurrent
   runtime and report queue-wait / stampede-suppression metrics,
-* ``chaos``      — drive the forum demo through a seeded fault schedule
-  (failed/hung renders and origin fetches) and print the degradation
-  report; exits non-zero if any request leaked a 500.
+* ``chaos``      — run a chaos script (``faults``: the forum demo under a
+  seeded fault schedule; ``regions``: a region killed and healed
+  mid-run) and print its report; exits non-zero when the run fails the
+  script's bar.
 
 Run as ``python -m repro.cli <command>``.
 """
@@ -118,64 +119,34 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    if args.region_faults:
-        return _cmd_region_chaos(args)
     from repro.resilience.chaos import format_report, run_chaos
 
     try:
         report = run_chaos(
+            script="regions" if args.region_faults else "faults",
             seed=args.seed,
-            requests=args.requests,
+            requests=min(args.requests, 60) if args.smoke else args.requests,
             render_failure_rate=args.render_fail,
             origin_failure_rate=args.origin_fail,
             garbage_rate=args.garbage,
             warm=not args.cold,
             farm_faults=args.farm_faults,
-            farm_consumers=args.farm_consumers,
         )
     except (ValueError, MSiteError) as exc:
         print(f"chaos run failed: {exc}", file=sys.stderr)
         return 1
     print(format_report(report))
-    if report.internal_errors:
-        print(
-            f"FAIL: {report.internal_errors} requests leaked a 500",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_region_chaos(args: argparse.Namespace) -> int:
-    """``msite chaos --region-faults [--smoke]``: kill one of two
-    regions mid-workload and hold the run to zero non-degraded 5xx plus
-    a fully-replayed invalidation log."""
-    from repro.regions.chaos import format_region_report, run_region_chaos
-
-    requests = min(args.requests, 60) if args.smoke else args.requests
-    try:
-        report = run_region_chaos(seed=args.seed, requests=requests)
-    except (ValueError, MSiteError) as exc:
-        print(f"region chaos run failed: {exc}", file=sys.stderr)
-        return 1
-    print(format_region_report(report))
-    failed = False
-    if report.non_degraded_5xx:
-        print(
-            f"FAIL: {report.non_degraded_5xx} non-degraded 5xx leaked "
-            "through the failover",
-            file=sys.stderr,
-        )
-        failed = True
-    if not report.replay_caught_up:
-        print(
-            f"FAIL: healed region did not replay to the live offset "
-            f"(head {report.log_head}, acked {report.acked})",
-            file=sys.stderr,
-        )
-        failed = True
-    return 1 if failed else 0
+    for reason in report.verdict:
+        print(f"FAIL: {reason}", file=sys.stderr)
+    return 1 if report.failed else 0
 
 
 def _cmd_autoscale_demo(args: argparse.Namespace) -> int:
@@ -523,16 +494,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos = commands.add_parser(
         "chaos",
-        help="drive the forum demo through a seeded fault schedule and "
-        "print the degradation report",
+        help="run a chaos script against the forum demo; print its report",
     )
     chaos.add_argument(
         "--seed", type=int, default=7,
         help="fault schedule seed (default 7)",
     )
     chaos.add_argument(
-        "--requests", type=int, default=200,
-        help="requests to drive through the fault schedule (default 200)",
+        "--requests", type=_at_least_one, default=200,
+        help="requests to drive through the script (default 200)",
     )
     chaos.add_argument(
         "--render-fail", type=float, default=0.3,
@@ -544,8 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--garbage", type=float, default=0.05,
-        help="fraction of origin responses corrupted in flight "
-        "(default 0.05)",
+        help="fraction of origin responses corrupted (default 0.05)",
     )
     chaos.add_argument(
         "--cold", action="store_true",
@@ -553,23 +522,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--farm-faults", action="store_true",
-        help="route renders through the render farm and inject farm "
-        "faults (a consumer crash mid-render, dead-letter quarantines)",
-    )
-    chaos.add_argument(
-        "--farm-consumers", type=int, default=2,
-        help="render farm consumers to start with --farm-faults "
-        "(default 2; one is crashed a third of the way in)",
+        help="route renders through a render farm; crash one consumer",
     )
     chaos.add_argument(
         "--region-faults", action="store_true",
-        help="run the multi-region harness instead: kill one of two "
-        "regions mid-workload, assert warm failover and CDC replay",
+        help="run the regions script: kill and heal one of two regions",
     )
     chaos.add_argument(
         "--smoke", action="store_true",
-        help="with --region-faults: a seconds-scale gate run "
-        "(at most 60 requests)",
+        help="a seconds-scale gate run (at most 60 requests)",
     )
     chaos.set_defaults(fn=_cmd_chaos)
 

@@ -12,7 +12,9 @@ The package the degradation story lives in (see ``docs/RESILIENCE.md``):
 * the per-deployment bundle that wires it all into
   :class:`~repro.core.pipeline.ProxyServices`
   (:class:`ResiliencePolicy`),
-* the chaos harness behind ``msite chaos`` (:func:`run_chaos`).
+* the chaos harness behind ``msite chaos`` (:func:`run_chaos`), which
+  runs one of two scripts: ``faults`` over the forum demo proxy,
+  ``regions`` over a two-region deployment.
 """
 
 from repro.resilience.breaker import CircuitBreaker

@@ -10,9 +10,9 @@ Two builders over the SawmillCreek front page:
   workload simulator's and the named forum scenarios' spec.
 
 :func:`forum_demo_proxy` deploys the first behind a generated proxy;
-``CHAOS_WARMUP`` and ``CHAOS_WORKLOAD`` are the paths both chaos
-harnesses (``msite chaos`` and ``msite chaos --region-faults``) visit
-on it.
+``CHAOS_WARMUP`` and ``CHAOS_WORKLOAD`` are the paths both scripts of
+the chaos harness (``msite chaos`` and ``msite chaos --region-faults``)
+visit on it.
 """
 
 from __future__ import annotations

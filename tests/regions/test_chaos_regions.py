@@ -1,24 +1,23 @@
-"""The region-fault chaos harness: deterministic, honest, formatted.
+"""The ``regions`` chaos script: a kill absorbed, a heal replayed.
 
-Like the resilience chaos suite, the coverage gate replays this file
-under the stdlib line tracer (~10x slower), so the runs are small and
-shared via module-scoped fixtures.
+The script-independent checks (same seed, same report; the empty
+report; the formatter) are parametrized over both scripts in
+``tests/resilience/test_chaos.py``.  Like that suite, the coverage gate
+replays this file under the stdlib line tracer (~10x slower), so the
+run is small and shared via a module-scoped fixture.
 """
 
 import pytest
 
-from repro.regions.chaos import (
-    RegionChaosReport,
-    format_region_report,
-    run_region_chaos,
-)
+from repro.resilience.chaos import run_chaos
 
 REQUESTS = 24
 
 
 @pytest.fixture(scope="module")
 def report(tmp_path_factory):
-    return run_region_chaos(
+    return run_chaos(
+        "regions",
         seed=7,
         requests=REQUESTS,
         workers_per_region=1,
@@ -26,30 +25,12 @@ def report(tmp_path_factory):
     )
 
 
-@pytest.fixture(scope="module")
-def report_again(tmp_path_factory):
-    return run_region_chaos(
-        seed=7,
-        requests=REQUESTS,
-        workers_per_region=1,
-        snapshot_root=str(tmp_path_factory.mktemp("region-chaos-2")),
-    )
-
-
-def test_same_seed_same_report(report, report_again):
-    assert report.statuses == report_again.statuses
-    assert report.killed_region == report_again.killed_region
-    assert report.failovers == report_again.failovers
-    assert report.log_head == report_again.log_head
-    assert report.acked == report_again.acked
-
-
 def test_kill_is_absorbed_without_non_degraded_5xx(report):
     assert report.total == REQUESTS
     assert report.non_degraded_5xx == 0
-    assert report.ok_fraction == 1.0
-    assert report.killed_region in report.regions
-    assert report.killed_at < report.revived_at
+    assert report.non_5xx_fraction == 1.0
+    assert report.killed_region in report.acked
+    assert report.fired == [(8, "kill"), (16, "revive")]
     # The kill actually rerouted traffic to the survivor.
     assert report.failovers > 0
     assert report.reroutes > 0
@@ -65,7 +46,7 @@ def test_healed_region_replays_to_live_offset(report):
     # in its payload equals the CDC log head *at heal time*, so the
     # replay finished inside the heal, not in some later catch-up.
     assert report.heal_caught_up
-    assert report.heal_acked_seq == report.heal_log_head
+    assert report.heal["acked_seq"] == report.heal["log_head"]
     # Both regions hold replicated snapshots on disk.
     assert all(count > 0 for count in report.store_entries.values())
     assert report.metrics_exposition_lines > 0
@@ -110,19 +91,3 @@ def test_event_log_tells_the_kill_failover_heal_story(report):
     # Gap-free sequencing across region and cluster event sources.
     sequences = [event.sequence for event in report.ops_events]
     assert sequences == list(range(1, report.ops_event_count + 1))
-
-
-def test_report_properties_on_empty_run():
-    empty = RegionChaosReport(seed=1, requests=0)
-    assert empty.total == 0
-    assert empty.ok_fraction == 0.0
-    assert empty.replay_caught_up  # vacuously: nothing to replay
-    assert not empty.failed
-
-
-def test_format_report_mentions_the_story(report):
-    text = format_region_report(report)
-    assert "region-fault chaos" in text
-    assert report.killed_region in text
-    assert "caught up: yes" in text
-    assert "snapshot replications" in text

@@ -11,8 +11,8 @@ import pytest
 from repro.net.client import HttpClient
 from repro.net.cookies import CookieJar
 from repro.net.messages import Request
-from repro.regions.chaos import run_region_chaos
 from repro.regions.deployment import RegionalDeployment
+from repro.resilience.chaos import run_chaos
 from repro.resilience.policy import REMOTE_REGION
 from repro.sites.forum.app import ForumApplication
 from repro.sites.forum.spec import FORUM_HOST, forum_demo_spec
@@ -157,12 +157,12 @@ def test_full_fleet_restart_warm_starts_working_set(tmp_path):
 
 
 def test_region_chaos_smoke_acceptance(tmp_path):
-    report = run_region_chaos(
-        seed=7, requests=48, snapshot_root=str(tmp_path)
+    report = run_chaos(
+        "regions", seed=7, requests=48, snapshot_root=str(tmp_path)
     )
     assert report.total == 48
     assert report.non_degraded_5xx == 0
-    assert report.ok_fraction == 1.0
+    assert report.non_5xx_fraction == 1.0
     assert report.failovers > 0
     assert report.replay_caught_up
     assert not report.failed

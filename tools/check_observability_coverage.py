@@ -73,7 +73,10 @@ PACKAGES = [
             "tests/resilience/test_retry.py",
             "tests/resilience/test_breaker.py",
             "tests/resilience/test_faults.py",
+            # The one chaos harness lives here; its two scripts'
+            # suites drive it (the regions one is listed again below).
             "tests/resilience/test_chaos.py",
+            "tests/regions/test_chaos_regions.py",
         ],
     },
     {
@@ -182,9 +185,10 @@ PACKAGES = [
         # measured with repro.ops below), partition/heal, failover
         # routing, full resync — branches that only run when a
         # region is down or behind, which is exactly when they must
-        # work.  Like the resilience package, a small seeded chaos run
-        # rides along to drive the harness itself; the full failover
-        # e2e suite is excluded per the standard tracer-budget policy.
+        # work.  A small run of the ``regions`` chaos script rides
+        # along: it drives the kill, revive and heal branches.  The full
+        # failover e2e suite is excluded per the standard tracer-budget
+        # policy.
         "label": "repro.regions",
         "dir": os.path.join(SRC_DIR, "repro", "regions"),
         "floor": 0.95,
