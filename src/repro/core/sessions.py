@@ -108,7 +108,7 @@ class SessionManager:
             session = self._sessions.get(session_id)
             if session is None:
                 raise SessionError(f"unknown session {session_id!r}")
-            if self._now - session.last_seen > self.ttl_s:
+            if self._idle(session):
                 self.destroy(session_id)
                 raise SessionError(f"session {session_id!r} expired")
             session.last_seen = self._now
@@ -130,13 +130,38 @@ class SessionManager:
             self.storage.delete_tree(session.directory)
 
     def expire_idle(self) -> int:
-        """Expire sessions idle past the TTL; returns how many died."""
+        """Expire sessions idle past the TTL; returns how many died.
+
+        A session whose lock is held is serving a request and is
+        skipped: deleting its directory would pull the entry page out
+        from under that request.  The session lock is taken without
+        blocking, before the manager's; idleness is then checked again
+        under the manager's lock, since a :meth:`get` may have refreshed
+        it after the scan.
+        """
         with self._lock:
-            doomed = [
-                sid
-                for sid, session in self._sessions.items()
-                if self._now - session.last_seen > self.ttl_s
+            candidates = [
+                session
+                for session in self._sessions.values()
+                if self._idle(session)
             ]
-        for session_id in doomed:
-            self.destroy(session_id)
-        return len(doomed)
+        expired = 0
+        for session in candidates:
+            if not session.lock.acquire(blocking=False):
+                continue
+            try:
+                with self._lock:
+                    if not (
+                        self._idle(session)
+                        and self._sessions.get(session.session_id) is session
+                    ):
+                        continue
+                    del self._sessions[session.session_id]
+                self.storage.delete_tree(session.directory)
+                expired += 1
+            finally:
+                session.lock.release()
+        return expired
+
+    def _idle(self, session: MobileSession) -> bool:
+        return self._now - session.last_seen > self.ttl_s

@@ -426,11 +426,8 @@ def _apply_patch(node: Node, patch: dict) -> None:
 
 
 def _append_child(parent: Node, child: Node, index: int) -> None:
-    if isinstance(parent, Element):
+    if isinstance(parent, (Element, Document)):
         parent.insert_child(index, child)
-    elif isinstance(parent, Document):
-        parent.children.insert(index, child)
-        child.parent = parent
     else:  # pragma: no cover - defensive
         raise TypeError(f"cannot insert into {parent!r}")
 
@@ -446,9 +443,7 @@ def _apply_child_ops(parent: Node, ops: list[dict]) -> None:
         (op["at"] for op in ops if op["op"] == "remove"), reverse=True
     )
     for index in removals:
-        child = children[index]
-        child.parent = None
-        del children[index]
+        children[index].detach()
     # Phase 3: insertions at ascending new-tree indices.  The matched
     # survivors already sit in new-relative order (SequenceMatcher
     # opcodes are monotonic), so each insert lands exactly where the

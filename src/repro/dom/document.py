@@ -31,6 +31,12 @@ class Document(Node):
         child.parent = self
         return child
 
+    def insert_child(self, index: int, child: Node) -> Node:
+        child.detach()
+        self._children.insert(index, child)
+        child.parent = self
+        return child
+
     # -- well-known children -----------------------------------------------
 
     @property

@@ -4,24 +4,52 @@ The tree is intentionally simple: every node knows its parent and elements
 keep an ordered child list.  All mutation goes through methods that keep
 parent pointers consistent, because the adaptation pipeline moves objects
 between pages constantly (page splitting, dependency copying, relocation).
+
+The child list is the tree's only strong link; ``parent`` is a weak one
+(a :class:`weakref.ref` behind a property, written only by the
+mutators here and in ``element.py`` / ``document.py``).  So a tree
+holds no reference cycle: dropping its root frees the whole tree by
+refcount at that moment, and leaves the cycle collector nothing.
+
+The contract that follows: holding a node does not keep its ancestors
+alive.  Once nothing else holds the root, a node that was kept reads
+``parent is None`` and is the root of its own subtree.  To keep a
+subtree's context (its document, its ancestors' attributes), keep its
+root.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional
+import weakref
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dom.document import Document
     from repro.dom.element import Element
 
 
+def _detached() -> None:
+    """The parent link of a node without a parent: calling it gives None,
+    as calling a dead :class:`weakref.ref` does."""
+    return None
+
+
 class Node:
     """Common behaviour for every node in the tree."""
 
-    __slots__ = ("parent",)
+    __slots__ = ("_parent", "__weakref__")
 
     def __init__(self) -> None:
-        self.parent: Optional[Node] = None
+        self._parent: Callable[[], Optional[Node]] = _detached
+
+    @property
+    def parent(self) -> Optional["Node"]:
+        """The node whose child list holds this one (held weakly)."""
+        return self._parent()
+
+    @parent.setter
+    def parent(self, node: Optional["Node"]) -> None:
+        self._parent = _detached if node is None else weakref.ref(node)
 
     # -- identity ------------------------------------------------------
 
@@ -58,32 +86,36 @@ class Node:
     def root(self) -> "Node":
         """Topmost ancestor (self if detached)."""
         node: Node = self
-        while node.parent is not None:
-            node = node.parent
+        parent = node.parent
+        while parent is not None:
+            node, parent = parent, parent.parent
         return node
 
     @property
     def index_in_parent(self) -> int:
         """Position among siblings; raises if detached."""
-        if self.parent is None:
+        parent = self.parent
+        if parent is None:
             raise ValueError("node has no parent")
-        return self.parent.children.index(self)
+        return parent.children.index(self)
 
     @property
     def previous_sibling(self) -> Optional["Node"]:
-        if self.parent is None:
+        parent = self.parent
+        if parent is None:
             return None
-        index = self.index_in_parent
+        index = parent.children.index(self)
         if index == 0:
             return None
-        return self.parent.children[index - 1]
+        return parent.children[index - 1]
 
     @property
     def next_sibling(self) -> Optional["Node"]:
-        if self.parent is None:
+        parent = self.parent
+        if parent is None:
             return None
-        siblings = self.parent.children
-        index = self.index_in_parent
+        siblings = parent.children
+        index = siblings.index(self)
         if index + 1 >= len(siblings):
             return None
         return siblings[index + 1]
@@ -92,17 +124,18 @@ class Node:
 
     def detach(self) -> "Node":
         """Remove this node from its parent (no-op when detached)."""
-        if self.parent is not None:
-            self.parent.children.remove(self)
+        parent = self.parent
+        if parent is not None:
+            parent.children.remove(self)
             self.parent = None
         return self
 
     def replace_with(self, replacement: "Node") -> "Node":
         """Swap this node for ``replacement`` in the parent's child list."""
-        if self.parent is None:
-            raise ValueError("cannot replace a detached node")
         parent = self.parent
-        index = self.index_in_parent
+        if parent is None:
+            raise ValueError("cannot replace a detached node")
+        index = parent.children.index(self)
         replacement.detach()
         parent.children[index] = replacement
         replacement.parent = parent
@@ -111,22 +144,22 @@ class Node:
 
     def insert_before(self, sibling: "Node") -> "Node":
         """Insert ``sibling`` immediately before this node."""
-        if self.parent is None:
+        parent = self.parent
+        if parent is None:
             raise ValueError("cannot insert beside a detached node")
         sibling.detach()
-        index = self.index_in_parent
-        self.parent.children.insert(index, sibling)
-        sibling.parent = self.parent
+        parent.children.insert(parent.children.index(self), sibling)
+        sibling.parent = parent
         return sibling
 
     def insert_after(self, sibling: "Node") -> "Node":
         """Insert ``sibling`` immediately after this node."""
-        if self.parent is None:
+        parent = self.parent
+        if parent is None:
             raise ValueError("cannot insert beside a detached node")
         sibling.detach()
-        index = self.index_in_parent
-        self.parent.children.insert(index + 1, sibling)
-        sibling.parent = self.parent
+        parent.children.insert(parent.children.index(self) + 1, sibling)
+        sibling.parent = parent
         return sibling
 
     # -- content -------------------------------------------------------

@@ -38,8 +38,7 @@ def tidy_to_xhtml(html: str) -> tuple[str, TidyReport]:
     if document.doctype is None:
         from repro.dom.node import Doctype
 
-        document.children.insert(0, Doctype("html"))
-        document.children[0].parent = document
+        document.insert_child(0, Doctype("html"))
         report.added_doctype = True
         report.notes.append("inserted missing doctype")
     lowered = html.lower()
@@ -56,8 +55,7 @@ def tidy_document(html: str) -> Document:
     if document.doctype is None:
         from repro.dom.node import Doctype
 
-        document.children.insert(0, Doctype("html"))
-        document.children[0].parent = document
+        document.insert_child(0, Doctype("html"))
     return document
 
 

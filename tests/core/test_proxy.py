@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import time
 
 import pytest
 
@@ -332,3 +333,61 @@ def test_the_adapted_memo_follows_sessions_under_contention(origins, clock):
     clock.advance(1.0)
     assert proxy.sessions.expire_idle() == 8
     assert len(proxy._adapted) == 0
+
+
+def test_an_idle_sweep_never_deletes_a_session_under_a_request(
+    origins, clock
+):
+    # Eight devices re-adapt on every visit (``?refresh=1``) while one
+    # thread sweeps idle sessions in a loop, over a slow file store:
+    # each read takes longer than the session TTL on the sim clock, and
+    # yields before it looks.  So every visit's session is idle by the
+    # time it reads its entry page back, while the visit still holds
+    # the session lock; the sweep must skip it, never pull the page out
+    # from under the request.  Between a device's visits its session
+    # is idle and unlocked, so the sweep has work.
+    proxy = make_proxy(origins, clock, bare=True)
+    storage = proxy.services.storage
+    read = storage.read
+    tick = threading.Lock()
+
+    def slow_read(path):
+        with tick:
+            clock.advance(proxy.sessions.ttl_s + 1.0)
+        time.sleep(0.005)
+        return read(path)
+
+    storage.read = slow_read
+    statuses, errors, swept = [], [], [0]
+    done = threading.Event()
+
+    def device(_):
+        mobile = HttpClient({PROXY_HOST: proxy}, jar=CookieJar(), clock=clock)
+        try:
+            for _ in range(10):
+                statuses.append(mobile.get(url("?refresh=1")).status)
+        except Exception as exc:  # reported below, not swallowed
+            errors.append(exc)
+
+    def sweeper():
+        while not done.is_set():
+            swept[0] += proxy.sessions.expire_idle()
+
+    sweeping = threading.Thread(target=sweeper)
+    devices = [threading.Thread(target=device, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        sweeping.start()
+        for thread in devices:
+            thread.start()
+        for thread in devices:
+            thread.join(timeout=120)
+    finally:
+        done.set()
+        sweeping.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in [*devices, sweeping])
+    assert errors == []
+    assert statuses == [200] * 80
+    assert swept[0] > 0

@@ -1,6 +1,7 @@
 """Smoke test of ``tools/retained_heap.py`` on a short ``content-churn``
-trace: the replay is correct, both RSS readings and the traced total
-are printed, and each retainer names a traceback into the program."""
+trace: the replay is correct, both RSS readings, the cycle collector's
+passes per generation and the traced total are printed, and each
+retainer names a traceback into the program."""
 
 import importlib.util
 import pathlib
@@ -23,6 +24,8 @@ def test_retained_heap_reports_a_short_replay(capsys, monkeypatch):
     report = tool.measure("content-churn", 1, 0.2, top=3)
     assert report.requests > 0 and report.failed == 0
     assert report.rss_after_replay_mb >= report.rss_after_deploy_mb > 0
+    assert len(report.collections) == 3  # one row per generation
+    assert report.collections[0].passes > 0  # a replay allocates
     assert report.traced_bytes > 0
     assert len(report.retainers) == 3
     sizes = [retainer.size_bytes for retainer in report.retainers]
@@ -51,3 +54,8 @@ def test_retained_heap_reports_a_short_replay(capsys, monkeypatch):
     for label in ("0 failed", "max RSS after deploy", "max RSS after replay",
                   "traced after replay", "top 3 retainers"):
         assert label in out
+    for generation, row in enumerate(report.collections):
+        assert (
+            f"gc gen{generation} during replay {row.passes:6d} passes "
+            f"{row.collected:10d} collected"
+        ) in out

@@ -13,6 +13,10 @@ It prints:
 * the process's maximum RSS after the deployment and after the replay
   (``ru_maxrss``; ``tracemalloc``'s own bookkeeping is in both, so read
   them against each other, not against ``peak_rss_mb``);
+* the cycle collector's work during the replay, per generation: how
+  many passes ran and how many objects they collected (read through
+  ``gc.callbacks``; counts only, since timings taken under
+  ``tracemalloc`` would mislead);
 * the heap still traced once the replay is done and a full collection
   has run, with the deployment still alive, and the ``K`` largest
   retainers grouped by allocation traceback: size, block count and the
@@ -63,12 +67,22 @@ class Retainer:
 
 
 @dataclass
+class Collections:
+    """The cycle collector's passes over one generation."""
+
+    passes: int = 0
+    collected: int = 0
+
+
+@dataclass
 class HeapReport:
     workload: str
     requests: int
     failed: int
     rss_after_deploy_mb: float
     rss_after_replay_mb: float
+    #: Indexed by generation (0, 1, 2): the passes during the replay.
+    collections: list[Collections]
     traced_bytes: int
     retainers: list[Retainer]
 
@@ -101,6 +115,19 @@ def _retainers(snapshot: tracemalloc.Snapshot, top: int) -> list[Retainer]:
     ]
 
 
+def _count_into(collections: list[Collections]):
+    """A ``gc.callbacks`` entry adding each finished pass to its
+    generation's row."""
+
+    def callback(phase: str, info: dict) -> None:
+        if phase == "stop":
+            row = collections[info["generation"]]
+            row.passes += 1
+            row.collected += info["collected"]
+
+    return callback
+
+
 def measure(workload: str, seed: int, seconds: float, top: int) -> HeapReport:
     """Deploy, replay once, and report what the heap retains."""
     target = TARGETS[workload]
@@ -117,9 +144,15 @@ def measure(workload: str, seed: int, seconds: float, top: int) -> HeapReport:
                 else None
             )
             gc.collect()
-            replay = loadgen.replay(
-                trace, deployment.cluster, oracle, revise=revise
-            )
+            collections = [Collections() for _ in range(3)]
+            counting = _count_into(collections)
+            gc.callbacks.append(counting)
+            try:
+                replay = loadgen.replay(
+                    trace, deployment.cluster, oracle, revise=revise
+                )
+            finally:
+                gc.callbacks.remove(counting)
             after_replay = _max_rss_mb()
             gc.collect()
             snapshot = tracemalloc.take_snapshot().filter_traces(_IGNORED)
@@ -133,6 +166,7 @@ def measure(workload: str, seed: int, seconds: float, top: int) -> HeapReport:
         failed=replay.failed,
         rss_after_deploy_mb=after_deploy,
         rss_after_replay_mb=after_replay,
+        collections=collections,
         traced_bytes=sum(trace.size for trace in snapshot.traces),
         retainers=_retainers(snapshot, top),
     )
@@ -144,6 +178,11 @@ def format_report(report: HeapReport) -> str:
         f"{report.failed} failed",
         f"  max RSS after deploy  {report.rss_after_deploy_mb:10.1f} MB",
         f"  max RSS after replay  {report.rss_after_replay_mb:10.1f} MB",
+        *(
+            f"  gc gen{generation} during replay {row.passes:6d} passes "
+            f"{row.collected:10d} collected"
+            for generation, row in enumerate(report.collections)
+        ),
         f"  traced after replay   {report.traced_bytes / 1e6:10.1f} MB",
         f"  top {len(report.retainers)} retainers by allocation traceback:",
     ]
