@@ -34,15 +34,28 @@ class AttributeDefinition:
     needs_selector: bool
     description: str
     applier: Callable
+    #: Whether the applier may change ``ctx.document``'s tree (nodes or
+    #: attributes); the pipeline's query index survives the steps that
+    #: cannot.
+    mutates_tree: bool = True
 
 
 ATTRIBUTE_REGISTRY: dict[str, AttributeDefinition] = {}
 
 
 def register_attribute(
-    name: str, phase: str, needs_selector: bool, description: str
+    name: str,
+    phase: str,
+    needs_selector: bool,
+    description: str,
+    mutates_tree: bool = True,
 ):
-    """Decorator adding an applier to the registry."""
+    """Decorator adding an applier to the registry.
+
+    Only a ``dom`` attribute can mutate the tree (filters rewrite the
+    source before any parse, page attributes set flags); one that only
+    selects, to define plan entries, passes ``mutates_tree=False``.
+    """
 
     def decorator(fn: Callable) -> Callable:
         if phase not in ("filter", "dom", "page"):
@@ -53,6 +66,7 @@ def register_attribute(
             needs_selector=needs_selector,
             description=description,
             applier=fn,
+            mutates_tree=mutates_tree and phase == "dom",
         )
         return fn
 
@@ -142,6 +156,7 @@ def _apply_source_replace(ctx, binding) -> None:
     "subpage", "dom", True,
     "Split the selection into its own subpage (optionally pre-rendered, "
     "optionally a child of another subpage)",
+    mutates_tree=False,
 )
 def _apply_subpage(ctx, binding) -> None:
     elements = ctx.identify(binding.selector)
@@ -176,6 +191,7 @@ def _apply_subpage(ctx, binding) -> None:
     "ajax_subpage", "dom", True,
     "Split the selection into a subpage loaded asynchronously into a "
     "hidden div on the entry page",
+    mutates_tree=False,
 )
 def _apply_ajax_subpage(ctx, binding) -> None:
     elements = ctx.identify(binding.selector)
@@ -200,6 +216,7 @@ def _apply_ajax_subpage(ctx, binding) -> None:
     "copy_dependency", "dom", True,
     "Copy scripts/CSS/objects from anywhere in the page into a subpage "
     "(inserted under the subpage's head tag)",
+    mutates_tree=False,
 )
 def _apply_copy_dependency(ctx, binding) -> None:
     target_id = binding.param("into")
@@ -524,6 +541,7 @@ def _apply_ajax_rewrite(ctx, binding) -> None:
     "searchable", "dom", True,
     "Build a word index over the selection's subpage so pre-rendered "
     "content stays searchable",
+    mutates_tree=False,
 )
 def _apply_searchable(ctx, binding) -> None:
     target = binding.param("subpage_id")
@@ -541,6 +559,7 @@ def _apply_searchable(ctx, binding) -> None:
 @register_attribute(
     "image_fidelity", "dom", False,
     "Post-process rendered images: quality and scale parameters",
+    mutates_tree=False,
 )
 def _apply_image_fidelity(ctx, binding) -> None:
     ctx.fidelity["quality"] = int(
@@ -555,6 +574,7 @@ def _apply_image_fidelity(ctx, binding) -> None:
     "partial_css_prerender", "dom", True,
     "Pre-render the selection's decoration on the server; the device "
     "draws only the text",
+    mutates_tree=False,
 )
 def _apply_partial_prerender(ctx, binding) -> None:
     element = ctx.identify_one(binding.selector)

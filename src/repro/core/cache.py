@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 
 from repro.observability.metrics import CounterView, MetricsRegistry
@@ -51,18 +51,67 @@ EXPIRE = "expire"  # a TTL lapsed and the entry was retired
 CLEAR = "clear"  # the whole cache was dropped
 
 
-@dataclass
 class CacheEntry:
-    key: str
-    data: bytes
-    content_type: str
-    stored_at: float
-    ttl_s: float
-    hits: int = 0
-    #: What a reader made of ``data``, kept so it is made once per
-    #: entry; an overwrite, eviction or invalidation drops it with the
-    #: entry.  The cache neither fills nor reads it.
-    decoded: object = field(default=None, compare=False, repr=False)
+    """One stored value, held in one form: ``bytes``, or decoded.
+
+    ``data`` is bytes, or a decoded value — anything with ``to_bytes()``
+    and ``encoded_size()``; a reader that decodes an entry's bytes may
+    hand the decode back with :meth:`keep_decoded`, and from then on the
+    entry holds that instead.  Either way :attr:`data` reads the bytes
+    (a decoded entry encodes on each read; the lower tiers get it
+    encoded once per persist) and :attr:`size`, fixed at construction,
+    is their length, so the byte budget does not depend on the form.
+    An overwrite, eviction or invalidation drops the decode with the
+    entry.  The cache never decodes anything itself.
+    """
+
+    __slots__ = (
+        "key", "content_type", "stored_at", "ttl_s", "hits", "size", "_held",
+    )
+
+    def __init__(
+        self,
+        key: str,
+        data,
+        content_type: str,
+        stored_at: float,
+        ttl_s: float,
+        hits: int = 0,
+    ) -> None:
+        self.key = key
+        self.content_type = content_type
+        self.stored_at = stored_at
+        self.ttl_s = ttl_s
+        self.hits = hits
+        self._held = data
+        self.size = (
+            len(data) if isinstance(data, bytes) else data.encoded_size()
+        )
+
+    @property
+    def data(self) -> bytes:
+        held = self._held
+        return held if isinstance(held, bytes) else held.to_bytes()
+
+    @property
+    def decoded(self) -> object:
+        """The decoded value this entry holds, or ``None`` (bytes)."""
+        held = self._held
+        return None if isinstance(held, bytes) else held
+
+    def keep_decoded(self, value) -> None:
+        """Hold ``value``, the decode of :attr:`data`, instead of the
+        bytes.  Racing readers decode equal values; one wins."""
+        self._held = value
+
+    def encoded(self) -> "CacheEntry":
+        """This entry holding bytes: itself, or a one-off encoding."""
+        if isinstance(self._held, bytes):
+            return self
+        return CacheEntry(
+            self.key, self.data, self.content_type, self.stored_at,
+            self.ttl_s, self.hits,
+        )
 
     def fresh(self, now: float) -> bool:
         """Strictly-less-than freshness: an entry whose TTL has *exactly*
@@ -71,10 +120,6 @@ class CacheEntry:
         if self.ttl_s <= 0:
             return False
         return now - self.stored_at < self.ttl_s
-
-    @property
-    def size(self) -> int:
-        return len(self.data)
 
 
 @dataclass(frozen=True)
@@ -457,10 +502,12 @@ class PrerenderCache:
     def put(
         self,
         key: str,
-        data: bytes | str,
+        data,
         content_type: str = "application/octet-stream",
         ttl_s: float = 3600.0,
     ) -> CacheEntry:
+        """Store ``data``: bytes, a str (kept as UTF-8), or a decoded
+        value the memory tier holds as is (see :class:`CacheEntry`)."""
         if isinstance(data, str):
             data = data.encode("utf-8")
         entry = CacheEntry(
@@ -630,17 +677,20 @@ class PrerenderCache:
 
     def _persist(self, entry: CacheEntry) -> bool:
         """Write one entry to the lower tiers iff it is still the live
-        entry for its key; returns whether it was persisted."""
+        entry for its key; returns whether it was persisted.  A decoded
+        entry is encoded once here, for every tier and the callback, and
+        the encoding is not kept."""
         with self._store_lock:
             with self._lock:
                 if self._memory.fresh.entries.get(entry.key) is not entry:
                     return False
+            stored = entry.encoded()
             for tier in self._lower:
-                tier.put(entry)
+                tier.put(stored)
         callback = self.on_persist
         if callback is not None:
             try:
-                callback(entry)
+                callback(stored)
             except Exception:
                 self._callback_errors.inc()
         return True

@@ -469,11 +469,11 @@ class _Stash:
     later.
     """
 
-    #: The run's :class:`PipelineContext`, entry page and pre-filter
-    #: source; all three ``None`` once ``memo`` holds the verdict of the
-    #: one build.
+    #: The run's :class:`PipelineContext`, entry page bytes and
+    #: pre-filter source; all three ``None`` once ``memo`` holds the
+    #: verdict of the one build.
     ctx: Any
-    entry_html: Optional[str]
+    entry_body: Optional[bytes]
     bundle: fastpath.FastpathBundle
     raw_source: Optional[str]
     #: Clock time past which the run's frozen artifacts (subpage
@@ -608,7 +608,7 @@ class DeltaEngine:
             return False
         stash = _Stash(
             ctx=ctx,
-            entry_html=result.entry_html,
+            entry_body=result.entry_body,
             bundle=bundle,
             raw_source=raw_source,
             deadline=pipeline.services.now + ttl_s,
@@ -631,7 +631,7 @@ class DeltaEngine:
         started = time.perf_counter()
         stash.memo = self._build_memo(pipeline, stash)
         self._seed_seconds.observe(time.perf_counter() - started)
-        stash.ctx = stash.entry_html = stash.raw_source = None
+        stash.ctx = stash.entry_body = stash.raw_source = None
         self._counter("seed_skips" if stash.memo is None else "seeds").inc()
         return stash.memo
 
@@ -690,7 +690,10 @@ class DeltaEngine:
         menu = menu_html(ctx)
         ajax_injection = ajax_injection_html(ctx)
         body_html = serialize(ctx.document)
-        if assemble_entry(body_html, menu, ajax_injection) != stash.entry_html:
+        if (
+            assemble_entry(body_html, menu, ajax_injection).encode("utf-8")
+            != stash.entry_body
+        ):
             return None
         # The part split: the document must serialize to exactly one
         # shell around its top-level nodes' serializations, joined.
@@ -842,17 +845,17 @@ class DeltaEngine:
             # The origin change was entirely filtered away (a script
             # edit under strip_scripts, say): the entry stands as is.
             self._counter("identical").inc()
-            entry_html = stash.bundle.entry_html
+            entry_body = stash.bundle.entry_body
         else:
             try:
                 self._apply(memo, patches, segments)
-                entry_html = assemble_entry(
+                entry_body = assemble_entry(
                     memo.shell_prefix
                     + "".join(memo.parts.values())
                     + memo.shell_suffix,
                     memo.menu,
                     memo.ajax_injection,
-                )
+                ).encode("utf-8")
             except Exception:
                 # The parts may be half-patched; the memo is unusable.
                 stash.memo = None
@@ -867,7 +870,7 @@ class DeltaEngine:
         # The re-stored bundle still embeds the run's frozen artifacts,
         # so it may only live out their *remaining* freshness.
         services = pipeline.services
-        stash.bundle = fastpath.rebundle(stash.bundle, entry_html, miss.etag)
+        stash.bundle = fastpath.rebundle(stash.bundle, entry_body, miss.etag)
         miss.store_bundle(
             services.cache, stash.bundle,
             max(stash.deadline - services.now, 0.0),

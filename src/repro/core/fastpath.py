@@ -38,7 +38,8 @@ validator verdict, bundle lookup, delta attempt.  It answers with an
 :meth:`Miss.store` takes the result back (storability, TTL clamp,
 bundle + validator, delta seed).  The ``AdaptedPage`` ⇄
 :class:`FastpathBundle` codec lives here too, and so does the bundle's
-one stored form: a binary container that is read, not parsed — and
+one stored form: a binary container that is read, not parsed — written
+only for a lower tier (the memory tier holds the bundle decoded), and
 read once per cache entry, not once per replay.
 """
 
@@ -48,7 +49,7 @@ import hashlib
 import json
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Optional, Union
 
 from repro.core.cache import CacheEntry, PrerenderCache
@@ -84,8 +85,11 @@ def _types(values) -> list[type]:
 #: Whitespace runs between two tags that contain at least one newline —
 #: template indentation, in other words.  Runs *without* a newline are
 #: left alone: a single space between two inline tags can be
-#: significant, but a line break plus indentation never is.
-_INTER_TAG_WS = re.compile(r"(?<=>)[ \t\r\f\v]*\n[ \t\r\f\v\n]*(?=<)")
+#: significant, but a line break plus indentation never is.  The
+#: pattern takes both tag brackets (no lookaround), so the scan can
+#: skip ahead to each ``>``; a ``<`` ending one match is never the
+#: ``>`` starting the next, so the result equals the lookaround form's.
+_INTER_TAG_WS = re.compile(r">[ \t\r\f\v]*\n[ \t\r\f\v\n]*<")
 
 
 def normalize_origin(source: str) -> str:
@@ -100,7 +104,7 @@ def normalize_origin(source: str) -> str:
     entry HTML matches what a full run over the normalized source
     produces.
     """
-    return _INTER_TAG_WS.sub("\n", source)
+    return _INTER_TAG_WS.sub(">\n<", source)
 
 
 def content_fingerprint(source: str) -> str:
@@ -206,9 +210,10 @@ class FastpathBundle:
     (entry page, subpages, fragments, snapshot, images) so the replay
     restores the session directory for the ``?page=``/``?file=``
     handlers — no listing of the live directory, which could leak stale
-    files from an earlier, different run.
+    files from an earlier, different run.  ``entry_body`` is the entry
+    page's UTF-8 bytes: the same object as the entry file's ``data``.
 
-    Read-only: a stored bundle is its cache entry's decode (an entry
+    Read-only: a stored bundle is what its cache entry holds (an entry
     admitted from a lower tier is decoded once, on its first load), and
     that one object is replayed into every session that hits it, each
     session's files holding the same ``bytes`` objects.  So the fields
@@ -219,7 +224,7 @@ class FastpathBundle:
 
     etag: str
     entry_rel: str
-    entry_html: str
+    entry_body: bytes
     files: tuple[BundleFile, ...] = ()
     subpages: tuple[dict, ...] = ()
     notes: tuple[str, ...] = ()
@@ -230,21 +235,41 @@ class FastpathBundle:
         for name in ("files", "subpages", "notes"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
-    def to_bytes(self) -> bytes:
-        html = self.entry_html.encode("utf-8")
-        header = json.dumps(
+    @property
+    def entry_html(self) -> str:
+        return self.entry_body.decode("utf-8")
+
+    def _header(self) -> bytes:
+        """The container's JSON header, keys in ``_HEADER_TYPES`` order."""
+        return json.dumps(
             {
-                **vars(self),
-                "entry_html": len(html),
+                "etag": self.etag,
+                "entry_rel": self.entry_rel,
+                "entry_html": len(self.entry_body),
                 "files": [
                     [item.relpath, item.content_type, len(item.data)]
                     for item in self.files
                 ],
+                "subpages": self.subpages,
+                "notes": self.notes,
+                "snapshot_bytes": self.snapshot_bytes,
+                "used_browser": self.used_browser,
             }
         ).encode("ascii")
+
+    def encoded_size(self) -> int:
+        """``len(self.to_bytes())``, from the header alone."""
+        return (
+            _PREFIX.size + len(self._header()) + len(self.entry_body)
+            + sum(len(item.data) for item in self.files)
+        )
+
+    def to_bytes(self) -> bytes:
+        header = self._header()
         prefix = _PREFIX.pack(_MAGIC, BUNDLE_VERSION, len(header))
         return b"".join(
-            [prefix, header, html, *[item.data for item in self.files]]
+            [prefix, header, self.entry_body,
+             *[item.data for item in self.files]]
         )
 
     @classmethod
@@ -254,7 +279,8 @@ class FastpathBundle:
         Total, and never lenient: another magic or version, a header of
         any other shape (a ``bool`` is not a length), lengths that do
         not sum to exactly ``len(raw)`` and entry HTML that is not
-        UTF-8 are all refused.
+        UTF-8 are all refused.  An entry file equal to the entry page
+        shares its ``bytes`` object.
         """
         if len(raw) < _PREFIX.size:
             return None
@@ -275,9 +301,10 @@ class FastpathBundle:
             or set(_types(header["notes"])) - {str}
         ):
             return None
-        end = at + header["entry_html"]
+        end = at + header.pop("entry_html")
+        entry_body = raw[at:end]
         try:
-            header["entry_html"] = str(raw[at:end], "utf-8")
+            entry_body.decode("utf-8")
         except UnicodeDecodeError:
             return None
         files = []
@@ -289,12 +316,15 @@ class FastpathBundle:
             ):
                 return None
             path, content_type, size = row
-            files.append(BundleFile(path, content_type, raw[end:end + size]))
+            data = raw[end:end + size]
+            if path == header["entry_rel"] and data == entry_body:
+                data = entry_body
+            files.append(BundleFile(path, content_type, data))
             end += size
         if end != len(raw):
             return None
         header["files"] = files
-        return cls(**header)
+        return cls(entry_body=entry_body, **header)
 
 
 def store_bundle(
@@ -308,15 +338,17 @@ def store_bundle(
 
     One cache entry per bundle keeps freshness atomic: a bundle can
     never be half-expired the way a split manifest+payload pair could.
-    The stored bundle is its own decode (``from_bytes`` of its bytes
-    equals it), so no load of this entry decodes it again.
+    The memory tier holds the bundle itself, never its container: that
+    is encoded only when a lower tier persists the entry, and no load
+    of this entry decodes anything (``from_bytes`` of the container
+    equals the bundle).
     """
     cache.put(
         key,
-        bundle.to_bytes(),
+        bundle,
         content_type=_BUNDLE_CONTENT_TYPE,
         ttl_s=ttl_s,
-    ).decoded = bundle
+    )
     cache.put(
         pointer_key,
         key,
@@ -330,20 +362,24 @@ def _decoded(entry: Optional[CacheEntry]) -> Optional[FastpathBundle]:
 
     An entry :func:`store_bundle` made already holds its bundle; what
     this decodes is an entry admitted from a lower tier, or bytes some
-    other writer put under the key.
+    other writer put under the key.  A good decode replaces the bytes
+    in the entry, so the entry goes on holding one form.
 
     The decode lives on the entry, so it goes wherever the entry goes:
     an overwrite, eviction or invalidation takes it away too.  Two
     threads racing on the first load decode equal bundles and one
-    write wins, which is harmless.  A refused container stays ``None``
+    write wins, which is harmless.  A refused container stays bytes
     and is decoded again on its next load; the miss it causes stores a
-    good one over it.
+    good bundle over it.
     """
     if entry is None:
         return None
-    if entry.decoded is None:
-        entry.decoded = FastpathBundle.from_bytes(entry.data)
-    return entry.decoded
+    bundle = entry.decoded
+    if bundle is None:
+        bundle = FastpathBundle.from_bytes(entry.data)
+        if bundle is not None:
+            entry.keep_decoded(bundle)
+    return bundle
 
 
 def load_bundle(
@@ -389,13 +425,17 @@ def bundle_from(
 ) -> FastpathBundle:
     """Freeze a run's result and the artifacts it wrote."""
     subpages = [  # each artifact's fields, its path made relative
-        {**vars(artifact), "path": relpath(page_dir, artifact.path)}
+        {
+            **{item.name: getattr(artifact, item.name)
+               for item in fields(artifact)},
+            "path": relpath(page_dir, artifact.path),
+        }
         for artifact in result.subpages
     ]
     return FastpathBundle(
         etag=etag or "",
         entry_rel=relpath(page_dir, result.entry_path),
-        entry_html=result.entry_html,
+        entry_body=result.entry_body,
         files=files,
         subpages=subpages,
         notes=list(result.notes),
@@ -416,7 +456,7 @@ def replay_bundle(
     ]
     result = AdaptedPage(
         entry_path=f"{page_dir}/{bundle.entry_rel}",
-        entry_html=bundle.entry_html,
+        entry_body=bundle.entry_body,
         subpages=subpages,
         snapshot_bytes=bundle.snapshot_bytes,
         snapshot_from_cache=bundle.snapshot_bytes > 0,
@@ -435,12 +475,12 @@ def replay_bundle(
 
 
 def rebundle(
-    bundle: FastpathBundle, entry_html: str, etag: Optional[str]
+    bundle: FastpathBundle, entry_body: bytes, etag: Optional[str]
 ) -> FastpathBundle:
-    """A copy of the bundle with a delta-patched entry swapped in."""
-    entry_bytes = entry_html.encode("utf-8")
+    """A copy of the bundle with a delta-patched entry swapped in: one
+    ``bytes`` object, as the entry page and as the entry file."""
     files = [
-        BundleFile(item.relpath, item.content_type, entry_bytes)
+        BundleFile(item.relpath, item.content_type, entry_body)
         if item.relpath == bundle.entry_rel
         else item
         for item in bundle.files
@@ -452,7 +492,7 @@ def rebundle(
     return FastpathBundle(
         etag=etag or "",
         entry_rel=bundle.entry_rel,
-        entry_html=entry_html,
+        entry_body=entry_body,
         files=files,
         subpages=[dict(meta) for meta in bundle.subpages],
         notes=notes,

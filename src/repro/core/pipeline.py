@@ -203,9 +203,9 @@ class PipelineContext:
 
     # -- object identification -----------------------------------------
     # Appliers route their selector lookups through the context so CSS
-    # selections share one lazily-built per-document query index.  Every
-    # applier may mutate the tree after querying it, so the pipeline
-    # invalidates the index between steps (see apply_steps).
+    # selections share one lazily-built per-document query index.  An
+    # applier that may mutate the tree drops it after its step (see
+    # apply_steps); one that only selects leaves it for the next.
 
     def _query_index(self) -> Optional[QueryIndex]:
         if self.document is None:
@@ -252,9 +252,10 @@ def apply_steps(steps: Iterable, ctx: PipelineContext) -> None:
                 f"attribute {step.binding.attribute!r} failed: {exc}"
             ) from exc
         finally:
-            # Appliers select-then-mutate: whatever tree shape the
-            # index memoized may be gone after the step.
-            ctx.invalidate_index()
+            if step.definition.mutates_tree:
+                # A select-then-mutate step: whatever tree shape the
+                # index memoized may be gone after it.
+                ctx.invalidate_index()
 
 
 class AdaptationPipeline:
@@ -344,7 +345,7 @@ class AdaptationPipeline:
 
         result = AdaptedPage(
             entry_path=f"{self.page_dir}/index.html",
-            entry_html="",
+            entry_body=b"",
             subpages=[],
             origin_bytes=origin_bytes,
             ajax_table=ctx.ajax_table,
@@ -475,7 +476,7 @@ class AdaptationPipeline:
         with span("degrade"):
             result = AdaptedPage(
                 entry_path=f"{self.page_dir}/index.html",
-                entry_html=snapshot_entry_html(
+                entry_body=snapshot_entry_html(
                     self.spec.mobile_title or self.spec.site,
                     (
                         (subpage_id, f"{self.proxy_base}?page={subpage_id}",
@@ -484,7 +485,7 @@ class AdaptationPipeline:
                     ),
                     snapshot,
                     self.proxy_base,
-                ),
+                ).encode("utf-8"),
                 subpages=[],
                 snapshot_from_cache=True,
                 snapshot_bytes=len(snapshot["image_bytes"]),
@@ -498,7 +499,7 @@ class AdaptationPipeline:
             )
             services.storage.write(
                 result.entry_path,
-                result.entry_html,
+                result.entry_body,
                 content_type="text/html; charset=utf-8",
                 now=services.now,
             )
@@ -778,15 +779,17 @@ class AdaptationPipeline:
             # simple subpage menu is the entry page.
             menu = menu_html(ctx)
             with span("serialize"):
-                # Serialized exactly once (inside the span) and reused
-                # below for both the stored file and entry_html.
+                # Serialized exactly once (inside the span); its one
+                # encoding is both the stored file and the entry body.
                 body_html = serialize(ctx.document)
-        entry_html = assemble_entry(body_html, menu, ajax_injection_html(ctx))
+        entry_body = assemble_entry(
+            body_html, menu, ajax_injection_html(ctx)
+        ).encode("utf-8")
         with span("serialize"):
             self._write(
-                result.entry_path, entry_html, "text/html; charset=utf-8"
+                result.entry_path, entry_body, "text/html; charset=utf-8"
             )
-        result.entry_html = entry_html
+        result.entry_body = entry_body
 
     @staticmethod
     def _region_href(ctx: PipelineContext, definition) -> str:

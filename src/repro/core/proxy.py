@@ -247,12 +247,15 @@ class MSiteProxy(Application):
                 )
             if params.get("file"):
                 return self._finish(
-                    self._handle_file(session, params["file"]), session, is_new
+                    self._handle_file(session, request, params["file"]),
+                    session,
+                    is_new,
                 )
             if params.get("page"):
                 return self._finish(
                     self._handle_subpage(
                         session,
+                        request,
                         params["page"],
                         fragment=bool(params.get("fragment")),
                     ),
@@ -373,9 +376,13 @@ class MSiteProxy(Application):
     def _ensure_adapted(
         self,
         session: MobileSession,
+        device_class: str,
         force: bool = False,
-        device_class: str = "default",
     ) -> AdaptedPage:
+        """The session's adapted page, adapting it for ``device_class``
+        (the requesting device's, :meth:`_device_class`) when there is
+        none.  Every handler passes it: a subpage, file or action request
+        that adapts first must key the fast path as the entry would."""
         # The session lock makes the check-then-adapt atomic per session:
         # two concurrent requests from one device run the pipeline once.
         # Requests from *different* sessions adapt in parallel, and their
@@ -548,9 +555,15 @@ class MSiteProxy(Application):
         return response
 
     def _handle_subpage(
-        self, session: MobileSession, subpage_id: str, fragment: bool
+        self,
+        session: MobileSession,
+        request: Request,
+        subpage_id: str,
+        fragment: bool,
     ) -> Response:
-        adapted = self._ensure_adapted(session)
+        adapted = self._ensure_adapted(
+            session, device_class=self._device_class(request)
+        )
         self.counters.add(
             subpages=1,
             lightweight_requests=1,
@@ -576,8 +589,12 @@ class MSiteProxy(Application):
                 )
         return Response.not_found(f"no subpage {subpage_id!r}")
 
-    def _handle_file(self, session: MobileSession, name: str) -> Response:
-        self._ensure_adapted(session)
+    def _handle_file(
+        self, session: MobileSession, request: Request, name: str
+    ) -> Response:
+        self._ensure_adapted(
+            session, device_class=self._device_class(request)
+        )
         self.counters.add(
             lightweight_requests=1,
             lightweight_core_seconds=self.services.costs.lightweight_request_s,
@@ -680,7 +697,9 @@ class MSiteProxy(Application):
             lightweight_requests=1,
             lightweight_core_seconds=self.services.costs.lightweight_request_s,
         )
-        self._ensure_adapted(session)
+        self._ensure_adapted(
+            session, device_class=self._device_class(request)
+        )
         try:
             action_id = int(request.params.get("action", ""))
         except ValueError:

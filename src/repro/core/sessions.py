@@ -104,15 +104,23 @@ class SessionManager:
         return session
 
     def get(self, session_id: str) -> MobileSession:
+        """The live session, or :class:`SessionError` for an unknown or
+        expired one.  An expired session is popped under the manager's
+        lock and its directory deleted after, under the session's lock
+        (the idle sweep's rule), so the deletion neither blocks other
+        sessions' lookups nor lands under a request still serving it.
+        """
         with self._lock:
             session = self._sessions.get(session_id)
             if session is None:
                 raise SessionError(f"unknown session {session_id!r}")
-            if self._idle(session):
-                self.destroy(session_id)
-                raise SessionError(f"session {session_id!r} expired")
-            session.last_seen = self._now
-            return session
+            if not self._idle(session):
+                session.last_seen = self._now
+                return session
+            del self._sessions[session_id]
+        with session.lock:
+            self.storage.delete_tree(session.directory)
+        raise SessionError(f"session {session_id!r} expired")
 
     def get_or_create(self, session_id: Optional[str]) -> MobileSession:
         """Resolve a cookie value to a session, creating one as needed."""

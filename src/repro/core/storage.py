@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 
-@dataclass
+@dataclass(slots=True)
 class StoredFile:
     """One file: bytes plus bookkeeping."""
 

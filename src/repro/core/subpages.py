@@ -202,7 +202,7 @@ def fragment_html(
 # what one adaptation produced
 
 
-@dataclass
+@dataclass(slots=True)
 class SubpageArtifact:
     """One emitted subpage."""
 
@@ -215,12 +215,16 @@ class SubpageArtifact:
     ajax: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class AdaptedPage:
-    """The result of one pipeline run."""
+    """The result of one pipeline run.
+
+    ``entry_body`` is the entry page's UTF-8 bytes: the very object the
+    session's entry file holds (and, on a replay, the bundle's).
+    """
 
     entry_path: str
-    entry_html: str
+    entry_body: bytes
     subpages: list[SubpageArtifact]
     snapshot_bytes: int = 0
     snapshot_from_cache: bool = False
@@ -239,6 +243,10 @@ class AdaptedPage:
     #: True when this result was replayed from the fast-path cache
     #: without running the adaptation at all.
     fastpath_hit: bool = False
+
+    @property
+    def entry_html(self) -> str:
+        return self.entry_body.decode("utf-8")
 
     @property
     def total_core_seconds(self) -> float:

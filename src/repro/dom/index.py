@@ -10,7 +10,8 @@ element itself), then verifying the survivors with the real matcher.
 
 The index is a snapshot: it does not observe later tree mutations.
 Callers that mutate the document must drop the index and rebuild (the
-pipeline invalidates its index after every attribute applier).  Matches
+pipeline invalidates its index after every applier that may mutate the
+tree).  Matches
 are verified both against the full selector semantics and against
 attachment to the indexed root, so an element detached *and re-queried
 through a stale index* can never be returned — staleness can only cause

@@ -430,3 +430,106 @@ def test_http_auth_flag():
     apply(ctx, "http_auth", realm="members")
     assert ctx.http_auth_enabled
     assert ctx.http_auth_realm == "members"
+
+
+# -- the query index across steps ---------------------------------------------
+
+#: The DOM attributes that only select (to define plan entries or set
+#: parameters): the steps the query index survives.
+READ_ONLY = {
+    "subpage": (ObjectSelector.css("#login"), {"subpage_id": "login"}),
+    "ajax_subpage": (ObjectSelector.css("#nav"), {"subpage_id": "nav"}),
+    "copy_dependency": (
+        ObjectSelector.css("script"), {"into": "login"}
+    ),
+    "searchable": (None, {"subpage_id": "login"}),
+    "image_fidelity": (None, {"quality": 30}),
+    "partial_css_prerender": (ObjectSelector.css("#logo"), {}),
+}
+
+
+def test_the_read_only_dom_attributes_are_exactly_these():
+    assert {
+        d.name for d in definitions_by_phase("dom") if not d.mutates_tree
+    } == set(READ_ONLY)
+    assert not any(
+        d.mutates_tree
+        for phase in ("filter", "page")
+        for d in definitions_by_phase(phase)
+    )
+
+
+def test_read_only_appliers_leave_the_document_unchanged():
+    ctx = make_ctx()
+    before = serialize(ctx.document)
+    for name, (selector, params) in READ_ONLY.items():
+        apply(ctx, name, selector, **params)
+        assert serialize(ctx.document) == before, name
+
+
+def _counting_index_builds(monkeypatch) -> list:
+    from repro.core import pipeline
+
+    builds = []
+    real = pipeline.QueryIndex
+
+    def counting(root):
+        builds.append(root)
+        return real(root)
+
+    monkeypatch.setattr(pipeline, "QueryIndex", counting)
+    return builds
+
+
+def _forum_spec(*subpages, ajax=None, prerender=False):
+    from tests.conftest import FORUM_HOST
+
+    spec = AdaptationSpec(site="SawmillCreek", origin_host=FORUM_HOST)
+    if prerender:
+        spec.add("prerender")
+    spec.add("cacheable", ttl_s=3600)
+    for selector, subpage_id in subpages:
+        spec.add(
+            "subpage", ObjectSelector.css(selector), subpage_id=subpage_id
+        )
+    if ajax:
+        spec.add(
+            "ajax_subpage", ObjectSelector.css(ajax), subpage_id="nav"
+        )
+    return spec
+
+
+def test_a_forum_dom_adaptation_builds_one_query_index(
+    origins, clock, monkeypatch
+):
+    from repro.core.pipeline import AdaptationPipeline, ProxyServices
+    from repro.core.sessions import SessionManager
+
+    spec = _forum_spec(("#loginform", "login"), ("#forumbits", "forums"))
+    services = ProxyServices(origins=origins, clock=clock)
+    session = SessionManager(services.storage, clock=clock).create()
+    builds = _counting_index_builds(monkeypatch)
+    AdaptationPipeline(spec, services, session).run(force_refresh=True)
+    assert len(builds) == 1
+
+
+def test_the_paper_spec_steps_build_one_query_index(forum_app, monkeypatch):
+    from repro.core.pipeline import apply_steps
+    from repro.core.plan import TransformPlan
+    from repro.net.client import HttpClient
+    from tests.conftest import FORUM_HOST
+
+    spec = _forum_spec(
+        ("#loginform", "login"), ("#forumbits", "forums"), ("#wol", "online"),
+        ajax="#navlinks", prerender=True,
+    )
+    plan = TransformPlan.compile(spec, proxy_base="proxy.php")
+    page = HttpClient({FORUM_HOST: forum_app}).get(
+        f"http://{FORUM_HOST}/index.php"
+    ).text_body
+    ctx = make_ctx(page)
+    builds = _counting_index_builds(monkeypatch)
+    for phase in ("dom", "page"):
+        apply_steps(plan.steps_for(phase), ctx)
+    assert len(builds) == 1
+    assert len(ctx.plan) == 4 and ctx.prerender_page

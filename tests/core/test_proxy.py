@@ -391,3 +391,44 @@ def test_an_idle_sweep_never_deletes_a_session_under_a_request(
     assert errors == []
     assert statuses == [200] * 80
     assert swept[0] > 0
+
+
+PHONE_UA = (
+    "Mozilla/5.0 (iPhone; CPU iPhone OS 4_0 like Mac OS X) "
+    "AppleWebKit/532.9 Mobile/8A293 Safari/6531.22.7"
+)
+
+
+@pytest.mark.parametrize("first", ["?page=login", "?file=index.html"])
+def test_a_phone_whose_first_request_is_not_the_entry_replays_the_phone_bundle(
+    origins, clock, first
+):
+    # A storable spec (no prerender, no AJAX): one phone's entry visit
+    # stores the phone bundle.  A second phone that opens a subpage or a
+    # file first must adapt as a phone too: a replay of that bundle, no
+    # second store, and an entry ETag naming the phone class.
+    proxy = make_proxy(
+        origins, clock, bare=True,
+        extra=lambda spec: spec.add(
+            "subpage", ObjectSelector.css("#loginform"),
+            subpage_id="login", title="Log in",
+        ),
+    )
+    registry = proxy.services.observability.registry
+
+    def fastpath(name):
+        return registry.counter(f"msite_fastpath_{name}_total", "").value
+
+    phone = {"User-Agent": PHONE_UA}
+    first_phone = HttpClient({PROXY_HOST: proxy}, jar=CookieJar(), clock=clock)
+    assert ".phone." in first_phone.get(url(), **phone).headers.get("ETag")
+    assert (fastpath("stores"), fastpath("hits")) == (1, 0)
+
+    second_phone = HttpClient(
+        {PROXY_HOST: proxy}, jar=CookieJar(), clock=clock
+    )
+    assert second_phone.get(url(first), **phone).status == 200
+    assert (fastpath("stores"), fastpath("hits")) == (1, 1)
+    entry = second_phone.get(url(), **phone)
+    assert entry.status == 200
+    assert ".phone." in entry.headers.get("ETag")

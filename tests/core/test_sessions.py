@@ -1,5 +1,7 @@
 """Multi-user session management."""
 
+import threading
+
 import pytest
 
 from repro.core.sessions import SessionManager
@@ -97,3 +99,56 @@ def test_deterministic_ids_per_seed():
     a = SessionManager(VirtualFileSystem(), clock=Clock(), seed=7)
     b = SessionManager(VirtualFileSystem(), clock=Clock(), seed=7)
     assert a.create().session_id == b.create().session_id
+
+
+def test_an_expiring_get_deletes_outside_the_manager_lock():
+    # An expired session's directory is deleted after the manager lock
+    # is released, under the session's own lock: a slow delete_tree
+    # holds up neither another session's lookup nor anything but that
+    # one session.
+    storage = VirtualFileSystem()
+    clock = Clock()
+    manager = SessionManager(storage, clock=clock, ttl_s=10.0)
+    doomed = manager.create()
+    clock.advance(11.0)
+    other = manager.create()
+    deleting, release = threading.Event(), threading.Event()
+    delete_tree = storage.delete_tree
+
+    def blocked_delete_tree(path):
+        deleting.set()
+        release.wait(timeout=10)
+        return delete_tree(path)
+
+    storage.delete_tree = blocked_delete_tree
+    raised, looked_up, session_lock_free = [], [], []
+
+    def expire():
+        with pytest.raises(SessionError) as error:
+            manager.get(doomed.session_id)
+        raised.append(str(error.value))
+
+    expiring = threading.Thread(target=expire)
+    expiring.start()
+    try:
+        assert deleting.wait(timeout=10)
+        lookup = threading.Thread(
+            target=lambda: looked_up.append(manager.get(other.session_id))
+        )
+        lookup.start()
+        lookup.join(timeout=2)
+        probe = threading.Thread(
+            target=lambda: session_lock_free.append(
+                doomed.lock.acquire(blocking=False)
+            )
+        )
+        probe.start()
+        probe.join(timeout=2)
+    finally:
+        release.set()
+        expiring.join(timeout=10)
+    assert looked_up == [other]
+    assert session_lock_free == [False]  # the delete holds it
+    assert raised and "expired" in raised[0]
+    assert not storage.is_dir(doomed.directory)
+    assert len(manager) == 1

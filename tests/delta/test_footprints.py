@@ -177,14 +177,14 @@ def test_rebundle_swaps_only_the_entry_artifact():
     bundle = fastpath.FastpathBundle(
         etag="e0",
         entry_rel="entry.html",
-        entry_html="old",
+        entry_body=b"old",
         files=[entry, other],
         subpages=[{"id": "sub"}],
         notes=["delta: entry patched incrementally", "kept"],
         snapshot_bytes=7,
         used_browser=True,
     )
-    patched = _rebundle(bundle, "new", "e1")
+    patched = _rebundle(bundle, b"new", "e1")
     assert patched.etag == "e1"
     assert patched.entry_html == "new"
     assert [f.data for f in patched.files] == [b"new", b"sub"]
@@ -228,7 +228,7 @@ def _memo_pipeline(filter_steps=()):
 
 def _build(engine, ctx, entry_html="", bundle=None, raw_source=MEMO_SRC):
     stash = _Stash(
-        ctx=ctx, entry_html=entry_html, bundle=bundle,
+        ctx=ctx, entry_body=entry_html.encode("utf-8"), bundle=bundle,
         raw_source=raw_source, deadline=0.0,
     )
     return engine._build_memo(_memo_pipeline(), stash)

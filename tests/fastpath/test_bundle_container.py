@@ -45,7 +45,7 @@ _bundles = st.builds(
     FastpathBundle,
     etag=_text,
     entry_rel=_text,
-    entry_html=st.text(max_size=200),
+    entry_body=st.text(max_size=200).map(str.encode),
     files=st.lists(
         st.builds(BundleFile, _text, _text, st.binary(max_size=300)),
         max_size=6,
@@ -62,6 +62,7 @@ _bundles = st.builds(
 @given(_bundles)
 def test_every_bundle_round_trips(bundle):
     raw = bundle.to_bytes()
+    assert bundle.encoded_size() == len(raw)
     assert FastpathBundle.from_bytes(raw) == bundle
     # ...and the container is its payloads plus a small header, no more.
     payload = len(bundle.entry_html.encode("utf-8")) + sum(
@@ -74,7 +75,9 @@ def test_every_bundle_round_trips(bundle):
 def test_a_bundle_of_no_files_and_of_empty_files_round_trips():
     empty = [BundleFile("a", "t", b""), BundleFile("ü/b", "t", b"")]
     for files in ([], empty):
-        bundle = FastpathBundle('"e"', "índex.html", "<p>héllo ✓</p>", files)
+        bundle = FastpathBundle(
+            '"e"', "índex.html", "<p>héllo ✓</p>".encode(), files
+        )
         assert FastpathBundle.from_bytes(bundle.to_bytes()) == bundle
 
 

@@ -1,12 +1,13 @@
 """A stored bundle is its own decode.
 
-``fastpath.store_bundle`` keeps the bundle it was handed as its cache
-entry's decode, so a local replay reads that object, while a replay
-on a peer or from the disk tier reads ``FastpathBundle.from_bytes`` of
-the container.  The two must be the same bundle: every bundle stored
-while the golden pins and the delta differential fixtures are produced
-round-trips through its bytes, equal field for field and type for
-type, each file's payload a ``bytes``.
+``fastpath.store_bundle`` hands the cache the bundle itself, so a local
+replay reads that object, while a replay on a peer or from the disk
+tier reads ``FastpathBundle.from_bytes`` of the container.  The two
+must be the same bundle: every bundle stored while the golden pins and
+the delta differential fixtures are produced round-trips through its
+bytes, equal field for field and type for type, the entry page and
+each file's payload a ``bytes``; and ``encoded_size()``, what the
+cache's byte budget counts, is the container's length.
 """
 
 import dataclasses
@@ -32,12 +33,15 @@ def stored(monkeypatch) -> list:
 def _assert_round_trips(name, bundles) -> None:
     assert bool(bundles) is (name not in UNSTORED)
     for bundle in bundles:
-        decoded = FastpathBundle.from_bytes(bundle.to_bytes())
+        raw = bundle.to_bytes()
+        assert bundle.encoded_size() == len(raw)
+        decoded = FastpathBundle.from_bytes(raw)
         assert decoded == bundle
         for field in dataclasses.fields(FastpathBundle):
             assert type(getattr(decoded, field.name)) is type(
                 getattr(bundle, field.name)
             ), field.name
+        assert type(bundle.entry_body) is bytes
         assert all(type(item.data) is bytes for item in bundle.files)
 
 

@@ -2,10 +2,10 @@
 
 Structural guards, read off the AST: the JSON + base64 codec the
 container replaced does not come back beside it — not as an import, a
-method or a cached field — and the cache keeps holding opaque bytes
-(``CacheEntry.decoded`` is filled by the fast path alone, and there is
-no codec in ``core/cache.py``), and a stored bundle is decoded in one
-place, the per-entry decode every load goes through.
+method or a cached field — the cache holds each entry in one form and
+knows no codec (a decode is handed back by the fast path alone), and a
+stored bundle is decoded in one place, the per-entry decode every load
+goes through.
 Then the counts that make the container worth having, on the forum
 paper-spec bundle (the one ``warm-arrivals`` replays): one small
 ``json.loads`` per decode, and a container barely larger than its
@@ -17,6 +17,7 @@ import json
 import pathlib
 
 from repro.core import fastpath
+from repro.core.cache import CacheEntry
 from repro.core.pipeline import AdaptationPipeline, ProxyServices
 from repro.core.sessions import SessionManager
 from repro.core.spec import AdaptationSpec, ObjectSelector
@@ -76,24 +77,22 @@ def test_the_old_codec_is_gone_not_aliased():
     assert not {"b64encode", "b64decode", "data_b64", "_b64"} & names
 
 
-def test_the_cache_still_holds_opaque_bytes():
-    """``CacheEntry.decoded`` is the reader's slot: ``cache.py`` stores
-    and serves ``data`` and never fills, reads or knows the decode."""
+def test_the_cache_holds_one_form_and_knows_no_codec():
+    """A ``CacheEntry`` has one slot for its value, bytes or a decode, so
+    no entry holds both; ``cache.py`` encodes in one place (reading
+    ``data``) and never decodes, imports or names the fast path — the
+    decode is handed back by the reader (``keep_decoded``)."""
     tree = _tree("cache.py")
-    fields = [
-        node.target.id
-        for node in _class(tree, "CacheEntry").body
-        if isinstance(node, ast.AnnAssign)
-    ]
-    assert fields == [
-        "key", "data", "content_type", "stored_at", "ttl_s", "hits",
-        "decoded",
-    ]
+    assert CacheEntry.__slots__ == (
+        "key", "content_type", "stored_at", "ttl_s", "hits", "size", "_held",
+    )
     assert not any("fastpath" in module for module in _imported_modules(tree))
-    assert not [
-        node for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "decoded"
+    called = [
+        node.func.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
     ]
+    assert called.count("to_bytes") == 1
+    assert not {"from_bytes", "keep_decoded"} & set(called)
 
 
 def _decodes(tree):

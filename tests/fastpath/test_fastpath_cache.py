@@ -1,8 +1,14 @@
 """Fast-path primitives: keys, ETags, bundle serialization, storage."""
 
+import re
+
+from hypothesis import given, strategies as st
+
 from repro.core import fastpath
 from repro.core.cache import PrerenderCache
+from repro.net.client import HttpClient
 from repro.sim.clock import Clock
+from tests.conftest import FORUM_HOST, NEWS_HOST
 
 
 def test_key_anatomy_partitions_every_dimension():
@@ -37,6 +43,38 @@ def test_normalize_origin_collapses_inter_tag_newline_runs():
     )
 
 
+#: ``normalize_origin``'s first form, kept as the reference: the same
+#: runs, found with lookarounds so only the whitespace is replaced.
+_LOOKAROUND_INTER_TAG_WS = re.compile(
+    r"(?<=>)[ \t\r\f\v]*\n[ \t\r\f\v\n]*(?=<)"
+)
+
+
+@given(
+    st.lists(
+        st.sampled_from(
+            ["<", ">", "<p>", "</p>", "a", " ", "\t", "\r", "\f", "\v",
+             "\n", "\n  ", "><", ">\n<", "é"]
+        ),
+        max_size=40,
+    ).map("".join)
+)
+def test_normalize_origin_equals_the_lookaround_reference(source):
+    assert fastpath.normalize_origin(source) == (
+        _LOOKAROUND_INTER_TAG_WS.sub("\n", source)
+    )
+
+
+def test_normalize_origin_equals_the_reference_on_the_origin_pages(origins):
+    client = HttpClient(origins)
+    for host in (FORUM_HOST, NEWS_HOST):
+        page = client.get(f"http://{host}/").text_body
+        assert ">\n" in page
+        assert fastpath.normalize_origin(page) == (
+            _LOOKAROUND_INTER_TAG_WS.sub("\n", page)
+        )
+
+
 def test_reindented_origins_share_one_content_fingerprint():
     """Cosmetic template churn must keep hitting the same bundle."""
     original = "<html>\n  <body>\n    <p>story</p>\n  </body>\n</html>"
@@ -63,7 +101,7 @@ def make_bundle():
     return fastpath.FastpathBundle(
         etag='"spec1.phone.c1"',
         entry_rel="index.html",
-        entry_html="<html><body>hi</body></html>",
+        entry_body=b"<html><body>hi</body></html>",
         files=[
             fastpath.BundleFile(
                 "index.html", "text/html; charset=utf-8", b"<html>...",

@@ -245,7 +245,7 @@ def test_the_replay_after_a_new_entry_reads_the_new_entry(
     assert _session_files(storage, jar) == before
     # And a different container stored under the same key is what the
     # next replay serves: the old decode went with its entry.
-    changed = fastpath.rebundle(new.decoded, "<p>edited</p>", None)
+    changed = fastpath.rebundle(new.decoded, b"<p>edited</p>", None)
     cache.put(key, changed.to_bytes(), ttl_s=3600)
     assert _session_files(storage, _visit(proxy, clock))[
         changed.entry_rel

@@ -1,7 +1,8 @@
 """Smoke test of ``tools/retained_heap.py`` on a short ``content-churn``
 trace: the replay is correct, both RSS readings, the cycle collector's
-passes per generation and the traced total are printed, and each
-retainer names a traceback into the program."""
+passes per generation and the traced total are printed, each retainer
+names a traceback into the program, and the retained growth over the
+replay is grouped by allocating line."""
 
 import importlib.util
 import pathlib
@@ -39,6 +40,11 @@ def test_retained_heap_reports_a_short_replay(capsys, monkeypatch):
         for retainer in report.retainers
         for frame in retainer.frames
     )
+    assert len(report.growth) == 3
+    growth = [line.size_bytes for line in report.growth]
+    assert growth == sorted(growth, reverse=True) and growth[-1] > 0
+    assert all(line.line.count(":") >= 1 for line in report.growth)
+    assert any(line.line.startswith("src/repro/") for line in report.growth)
     # The command line prints that report (measured once, above).
     measured = []
     monkeypatch.setattr(
@@ -52,10 +58,13 @@ def test_retained_heap_reports_a_short_replay(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert out == tool.format_report(report) + "\n"
     for label in ("0 failed", "max RSS after deploy", "max RSS after replay",
-                  "traced after replay", "top 3 retainers"):
+                  "traced after replay", "top 3 retainers",
+                  "top 3 lines by retained growth over the replay"):
         assert label in out
     for generation, row in enumerate(report.collections):
         assert (
             f"gc gen{generation} during replay {row.passes:6d} passes "
             f"{row.collected:10d} collected"
         ) in out
+    for line in report.growth:
+        assert line.line in out

@@ -20,7 +20,12 @@ It prints:
 * the heap still traced once the replay is done and a full collection
   has run, with the deployment still alive, and the ``K`` largest
   retainers grouped by allocation traceback: size, block count and the
-  frames, innermost last.
+  frames, innermost last;
+* the ``K`` allocating lines whose retained heap grew most over the
+  replay (a snapshot after the deployment is built, against one after
+  the replay, compared by ``lineno``): growth in bytes and blocks.
+  This is the view that says which layer holds the bytes a workload
+  accumulates, where a traceback splits one line's growth many ways.
 
 A retainer is where the memory was allocated, not who holds it; a large
 one names the line to read next.  Nothing in ``perfbench/`` changes.
@@ -67,6 +72,15 @@ class Retainer:
 
 
 @dataclass
+class LineGrowth:
+    """What one allocating line retained over the replay."""
+
+    size_bytes: int
+    blocks: int
+    line: str  # "file:line  source"
+
+
+@dataclass
 class Collections:
     """The cycle collector's passes over one generation."""
 
@@ -85,6 +99,7 @@ class HeapReport:
     collections: list[Collections]
     traced_bytes: int
     retainers: list[Retainer]
+    growth: list[LineGrowth]
 
 
 def _max_rss_mb() -> float:
@@ -99,19 +114,34 @@ def _short(filename: str) -> str:
         return filename
 
 
+def _where(frame) -> str:
+    return (
+        f"{_short(frame.filename)}:{frame.lineno}  "
+        + linecache.getline(frame.filename, frame.lineno).strip()
+    )
+
+
 def _retainers(snapshot: tracemalloc.Snapshot, top: int) -> list[Retainer]:
     stats = snapshot.statistics("traceback")
     return [
-        Retainer(
-            stat.size,
-            stat.count,
-            [
-                f"{_short(frame.filename)}:{frame.lineno}  "
-                + linecache.getline(frame.filename, frame.lineno).strip()
-                for frame in stat.traceback
-            ],
-        )
+        Retainer(stat.size, stat.count, [_where(f) for f in stat.traceback])
         for stat in stats[:top]
+    ]
+
+
+def _growth(
+    after: tracemalloc.Snapshot, before: tracemalloc.Snapshot, top: int
+) -> list[LineGrowth]:
+    """The ``top`` lines by retained growth (``compare_to`` sorts by
+    the absolute difference, so shrinking lines are skipped)."""
+    grown = [
+        stat for stat in after.compare_to(before, "lineno")
+        if stat.size_diff > 0
+    ]
+    grown.sort(key=lambda stat: stat.size_diff, reverse=True)
+    return [
+        LineGrowth(stat.size_diff, stat.count_diff, _where(stat.traceback[0]))
+        for stat in grown[:top]
     ]
 
 
@@ -144,6 +174,7 @@ def measure(workload: str, seed: int, seconds: float, top: int) -> HeapReport:
                 else None
             )
             gc.collect()
+            before = tracemalloc.take_snapshot().filter_traces(_IGNORED)
             collections = [Collections() for _ in range(3)]
             counting = _count_into(collections)
             gc.callbacks.append(counting)
@@ -169,6 +200,7 @@ def measure(workload: str, seed: int, seconds: float, top: int) -> HeapReport:
         collections=collections,
         traced_bytes=sum(trace.size for trace in snapshot.traces),
         retainers=_retainers(snapshot, top),
+        growth=_growth(snapshot, before, top),
     )
 
 
@@ -192,6 +224,15 @@ def format_report(report: HeapReport) -> str:
             f"{retainer.blocks} blocks"
         )
         lines.extend(f"        {frame}" for frame in retainer.frames)
+    lines.append(
+        f"  top {len(report.growth)} lines by retained growth over the "
+        f"replay:"
+    )
+    lines.extend(
+        f"  {line.size_bytes / 1e6:8.1f} MB {line.blocks:8d} blocks  "
+        f"{line.line}"
+        for line in report.growth
+    )
     return "\n".join(lines)
 
 
