@@ -33,7 +33,7 @@ def run_with_split_count(forum_app, count: int):
             "subpage", ObjectSelector.css(selector), subpage_id=subpage_id
         )
     services = ProxyServices(origins={FORUM_HOST: forum_app})
-    session = SessionManager(services.storage).create()
+    session = SessionManager().create()
     result = AdaptationPipeline(spec, services, session).run()
     entry_bytes = len(result.entry_html.encode("utf-8")) + result.snapshot_bytes
     subpage_bytes = [s.bytes_written for s in result.subpages]

@@ -43,11 +43,9 @@ def login_spec():
 def adapted(forum_app, classifieds_app):
     origins = {FORUM_HOST: forum_app}
     services = ProxyServices(origins=origins)
-    session = SessionManager(services.storage).create()
+    session = SessionManager().create()
     result = AdaptationPipeline(login_spec(), services, session).run()
-    html = services.storage.read(
-        f"{session.directory}/login.html"
-    ).data.decode("utf-8")
+    html = result.files["login.html"].data.decode("utf-8")
     return result, html
 
 
@@ -100,7 +98,7 @@ def test_bench_adaptation_pipeline(benchmark, forum_app):
 
     def run():
         services = ProxyServices(origins=origins)
-        session = SessionManager(services.storage).create()
+        session = SessionManager().create()
         return AdaptationPipeline(login_spec(), services, session).run()
 
     result = benchmark.pedantic(run, iterations=1, rounds=2)

@@ -55,7 +55,7 @@ def test_a_fast_path_hit_costs_at_most_half_a_full_run(forum_app):
     }
 
     def run_s(fastpath: bool) -> float:
-        session = SessionManager(services[fastpath].storage).create()
+        session = SessionManager().create()
         pipeline = AdaptationPipeline(
             spec, services[fastpath], session, plan=plan
         )
@@ -100,7 +100,7 @@ def test_full_run_pays_for_no_delta_seed(forum_app):
         services = ProxyServices(
             origins={FORUM_HOST: forum_app}, delta_enabled=delta_enabled
         )
-        session = SessionManager(services.storage).create()
+        session = SessionManager().create()
         pipeline = AdaptationPipeline(spec, services, session, plan=plan)
         started = time.perf_counter()
         pipeline.run(force_refresh=True)

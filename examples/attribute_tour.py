@@ -44,7 +44,7 @@ class DemoShop(Application):
 
 def run(spec: AdaptationSpec) -> str:
     services = ProxyServices(origins={"shop.example": DemoShop()})
-    session = SessionManager(services.storage).create()
+    session = SessionManager().create()
     return AdaptationPipeline(spec, services, session).run().entry_html
 
 

@@ -6,7 +6,7 @@ workers, each a full proxy (own thread pool, own metrics registry, own
 breakers), sharing the fleet-wide state that makes m.Site's economics
 hold at fleet scale — one :class:`PrerenderCache
 <repro.core.cache.PrerenderCache>` (render once *per fleet*, not per
-worker), one file store, one session universe.
+worker) and one session universe.
 
 Routing: the front end derives ``site:path:device`` from each request,
 asks the :class:`ShardRouter` for the owning worker, and **spills over**
@@ -40,7 +40,6 @@ from repro.core.pipeline import ProxyServices
 from repro.core.proxy import MSiteProxy
 from repro.core.sessions import SessionManager
 from repro.core.spec import AdaptationSpec
-from repro.core.storage import VirtualFileSystem
 from repro.errors import AdmissionError
 from repro.net.messages import Request, Response
 from repro.net.server import Application
@@ -63,7 +62,7 @@ from repro.resilience.policy import DEFAULT_RETRY_AFTER_S
 
 
 class ClusterDeployment(Application):
-    """N sharded proxy workers over one shared cache and session store."""
+    """N sharded proxy workers over one shared cache and session universe."""
 
     def __init__(
         self,
@@ -83,7 +82,6 @@ class ClusterDeployment(Application):
         farm_consumers: int = 0,
         farm_queue_limit: int = 64,
         farm_wait_s: Optional[float] = None,
-        storage: Optional[VirtualFileSystem] = None,
         sessions: Optional[SessionManager] = None,
         worker_prefix: str = "",
         ops: Optional[SequencedLog] = None,
@@ -113,15 +111,12 @@ class ClusterDeployment(Application):
             name="ops", clock=clock, metrics=self.registry
         )
         self.shared_cache.bus.subscribe(self._emit_invalidation)
-        # One session universe and one file store: a user keeps their
-        # cookie jar and adapted artifacts no matter which worker a
-        # given request spills to.  A multi-region deployment passes
-        # both in so a failover to another region keeps them too.
-        self.storage = storage if storage is not None else VirtualFileSystem()
+        # One session universe: a user keeps their cookie jar no matter
+        # which worker a given request spills to.  A multi-region
+        # deployment passes it in so a failover to another region keeps
+        # it too.
         self.sessions = (
-            sessions
-            if sessions is not None
-            else SessionManager(self.storage, clock=clock)
+            sessions if sessions is not None else SessionManager(clock=clock)
         )
         # Optional fleet-shared render farm: one queue of priority
         # lanes drained by dedicated consumers, so render work never
@@ -173,7 +168,6 @@ class ClusterDeployment(Application):
         registry = MetricsRegistry()
         services = ProxyServices(
             origins=dict(self._origins),
-            storage=self.storage,
             cache=self.shared_cache.attach(worker_id),
             clock=self.clock,
             observability=Observability(

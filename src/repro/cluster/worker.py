@@ -3,8 +3,8 @@
 A :class:`ClusterWorker` bundles what the router needs to know about a
 worker — can it take another request right now? — with what the worker
 owns privately: its generated proxy app, its :class:`ConcurrentProxy`
-thread pool, its :class:`ProxyServices` (whose *cache and storage are
-the fleet-shared objects*), and its own metrics registry, rolled up
+thread pool, its :class:`ProxyServices` (whose *cache is the fleet-shared
+object*), and its own metrics registry, rolled up
 fleet-wide by :mod:`repro.cluster.rollup`.
 """
 

@@ -15,7 +15,6 @@ from repro.core.spec import AdaptationSpec, AttributeBinding, ObjectSelector
 from repro.core.proxy import MSiteProxy, ProxyServices
 from repro.core.codegen import generate_proxy_source, load_generated_proxy
 from repro.core.cache import PrerenderCache
-from repro.core.storage import VirtualFileSystem
 from repro.core.sessions import SessionManager
 from repro.core.detect import MobileRedirector, detect_user_agent
 from repro.core.deployment import ProxyDeployment
@@ -29,7 +28,6 @@ __all__ = [
     "generate_proxy_source",
     "load_generated_proxy",
     "PrerenderCache",
-    "VirtualFileSystem",
     "SessionManager",
     "MobileRedirector",
     "detect_user_agent",

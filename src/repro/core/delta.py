@@ -705,8 +705,8 @@ class DeltaEngine:
         if not joined or body_html.count(joined) != 1:
             return None
         shell_prefix, shell_suffix = body_html.split(joined)
-        # The stashing run's session directory is not the attempting
-        # pipeline's: the bundle must carry its own entry file.
+        # A replay's page serves only its bundle's files: the bundle
+        # must carry its own entry file.
         bundle = stash.bundle
         if not any(item.relpath == bundle.entry_rel for item in bundle.files):
             return None

@@ -5,7 +5,8 @@ a real mobilization covers several pages — the paper's deployment adapts
 the entry page, and thread/forum pages keep their own adaptations.  A
 :class:`ProxyDeployment` hosts many generated proxies behind one host
 name, sharing the session manager (one cookie jar per user across all
-pages), the pre-render cache, and the file store.
+pages) and the pre-render cache; each member keeps its own page per
+session.
 
 Routing: ``/<name>.php`` dispatches to the proxy registered under
 ``name``; the bare root serves the deployment's default page.  Each
@@ -43,9 +44,7 @@ class ProxyDeployment(Application):
         self, services: ProxyServices, default: Optional[str] = None
     ) -> None:
         self.services = services
-        self.sessions = SessionManager(
-            services.storage, clock=services.clock
-        )
+        self.sessions = SessionManager(clock=services.clock)
         self._entries: dict[str, DeploymentEntry] = {}
         self._default = default
 

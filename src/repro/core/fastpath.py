@@ -3,7 +3,7 @@
 The paper's throughput headroom (Figure 7: 224 → 29,038 req/min) comes
 from how much per-request work the proxy can avoid.  Once a page has
 been adapted, the complete response bundle (entry HTML plus every
-session artifact the run wrote) is stored in the shared pre-render
+file of the page the run wrote) is stored in the shared pre-render
 cache under
 
 ``fastpath:<site>:<path>:<device class>:<spec fp>:<content fp>``
@@ -49,11 +49,12 @@ import hashlib
 import json
 import re
 import struct
-from dataclasses import dataclass, fields
-from typing import Callable, NamedTuple, Optional, Union
+from dataclasses import asdict, dataclass, field
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 from repro.core.cache import CacheEntry, PrerenderCache
-from repro.core.subpages import AdaptedPage, SubpageArtifact
+from repro.core.subpages import ENTRY_FILE, AdaptedPage, SubpageArtifact
 from repro.net.conditional import etag_matches  # noqa: F401  (re-export)
 from repro.net.messages import Response
 from repro.observability.tracing import span
@@ -195,7 +196,7 @@ def load_validator(
 
 
 class BundleFile(NamedTuple):
-    """One artifact the adaptation run wrote under the page directory."""
+    """One artifact an adaptation run wrote: a file of its page."""
 
     relpath: str
     content_type: str
@@ -207,19 +208,19 @@ class FastpathBundle:
     """Everything needed to replay one adapted response.
 
     ``files`` carries the exact artifact set the original run wrote
-    (entry page, subpages, fragments, snapshot, images) so the replay
-    restores the session directory for the ``?page=``/``?file=``
-    handlers — no listing of the live directory, which could leak stale
-    files from an earlier, different run.  ``entry_body`` is the entry
+    (entry page, subpages, fragments, snapshot, images), and
+    ``subpages`` each subpage's :class:`SubpageArtifact` fields.  Those
+    two are the container's; ``file_map`` (relative path → file) and
+    ``artifacts`` are built from them once, here, and are what every
+    replayed page serves from and reports.  ``entry_body`` is the entry
     page's UTF-8 bytes: the same object as the entry file's ``data``.
 
     Read-only: a stored bundle is what its cache entry holds (an entry
     admitted from a lower tier is decoded once, on its first load), and
-    that one object is replayed into every session that hits it, each
-    session's files holding the same ``bytes`` objects.  So the fields
-    cannot be assigned, and the sequences are tuples whatever the
-    caller passed; whoever needs a changed bundle builds a new one
-    (:func:`rebundle`).
+    that one object is replayed into every session that hits it, every
+    session's page holding the same map.  So the fields cannot be
+    assigned, and the sequences are tuples whatever the caller passed;
+    whoever needs a changed bundle builds a new one (:func:`rebundle`).
     """
 
     etag: str
@@ -230,10 +231,26 @@ class FastpathBundle:
     notes: tuple[str, ...] = ()
     snapshot_bytes: int = 0
     used_browser: bool = False
+    file_map: Mapping[str, BundleFile] = field(
+        init=False, repr=False, compare=False
+    )
+    artifacts: tuple[SubpageArtifact, ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         for name in ("files", "subpages", "notes"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "file_map", MappingProxyType(
+            {item.relpath: item for item in self.files}
+        ))
+        try:
+            artifacts = tuple(
+                SubpageArtifact(**meta) for meta in self.subpages
+            )
+        except TypeError:  # not a run's records: nothing to report
+            artifacts = ()
+        object.__setattr__(self, "artifacts", artifacts)
 
     @property
     def entry_html(self) -> str:
@@ -411,33 +428,14 @@ def load_stale_bundle(
 # the adapted response, and its codec to and from a bundle
 
 
-def relpath(page_dir: str, path: str) -> str:
-    """``path`` relative to a session's page directory."""
-    prefix = f"{page_dir}/"
-    return path[len(prefix):] if path.startswith(prefix) else path
-
-
-def bundle_from(
-    result: AdaptedPage,
-    files: list[BundleFile],
-    page_dir: str,
-    etag: Optional[str],
-) -> FastpathBundle:
-    """Freeze a run's result and the artifacts it wrote."""
-    subpages = [  # each artifact's fields, its path made relative
-        {
-            **{item.name: getattr(artifact, item.name)
-               for item in fields(artifact)},
-            "path": relpath(page_dir, artifact.path),
-        }
-        for artifact in result.subpages
-    ]
+def bundle_from(result: AdaptedPage, etag: Optional[str]) -> FastpathBundle:
+    """Freeze a run's page: its files, in the order the run wrote them."""
     return FastpathBundle(
         etag=etag or "",
-        entry_rel=relpath(page_dir, result.entry_path),
+        entry_rel=ENTRY_FILE,
         entry_body=result.entry_body,
-        files=files,
-        subpages=subpages,
+        files=result.files.values(),
+        subpages=[asdict(artifact) for artifact in result.subpages],
         notes=list(result.notes),
         snapshot_bytes=result.snapshot_bytes,
         used_browser=result.used_browser,
@@ -447,21 +445,17 @@ def bundle_from(
 def replay_bundle(
     run, bundle: FastpathBundle, origin_bytes: int, etag: Optional[str]
 ) -> AdaptedPage:
-    """Restore a cached bundle into the run's session directory."""
-    services, page_dir = run.services, run.page_dir
-    services.storage.write_files(page_dir, bundle.files, now=services.now)
-    subpages = [
-        SubpageArtifact(**{**meta, "path": f"{page_dir}/{meta['path']}"})
-        for meta in bundle.subpages
-    ]
+    """The page a cached bundle replays for the run's session: it points
+    at the bundle's file map and subpage tuple, and copies neither."""
     result = AdaptedPage(
-        entry_path=f"{page_dir}/{bundle.entry_rel}",
         entry_body=bundle.entry_body,
-        subpages=subpages,
+        files=bundle.file_map,
+        subpages=bundle.artifacts,
+        device_class=run.device_class,
         snapshot_bytes=bundle.snapshot_bytes,
         snapshot_from_cache=bundle.snapshot_bytes > 0,
         used_browser=False,
-        lightweight_core_seconds=services.costs.lightweight_request_s,
+        lightweight_core_seconds=run.services.costs.lightweight_request_s,
         origin_bytes=origin_bytes,
         notes=[
             *bundle.notes,
@@ -562,12 +556,9 @@ class Miss:
         if self.validator is not None:
             store_validator(cache, self.validator_key, self.validator, ttl_s)
 
-    def store(self, run, ctx, result: AdaptedPage, files) -> None:
+    def store(self, run, ctx, result: AdaptedPage) -> None:
         """After the miss: stamp the ETag and, when the result may be
-        replayed, store bundle + validator and stash the delta seed.
-
-        ``files`` is every artifact the run wrote, as ``BundleFile``s.
-        """
+        replayed, store bundle + validator and stash the delta seed."""
         result.etag = self.etag
         services = run.services
         if not (services.fastpath_enabled and _storable(ctx, result)):
@@ -579,7 +570,7 @@ class Miss:
             if definition.cacheable:
                 ttl_s = min(ttl_s, definition.cache_ttl_s)
         with span("cache"):
-            bundle = bundle_from(result, files, run.page_dir, self.etag)
+            bundle = bundle_from(result, self.etag)
             self.store_bundle(services.cache, bundle, ttl_s)
         fastpath_counter(services.observability.registry, "stores").inc()
         if services.delta is not None:
@@ -623,7 +614,7 @@ def serve_or_miss(
     """Answer from a stored bundle, or say what to adapt.
 
     ``run`` is the :class:`~repro.core.pipeline.AdaptationPipeline` in
-    flight (its spec, plan, services, session and page directory);
+    flight (its spec, plan, services, session and device class);
     ``fetch(if_none_match)`` is the one place that talks to the origin.
     The decision table is in docs/PERFORMANCE.md, "What runs on a miss".
     """

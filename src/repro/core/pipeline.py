@@ -4,8 +4,8 @@ One adaptation turns an originating page into the mobile bundle for one
 session — filter → DOM → attributes → emit: a cached (or freshly
 rendered) snapshot entry page with an image-map menu, the generated
 subpages (HTML or pre-rendered images), AJAX fragments, and any
-partial-prerender artifacts, all written into the proxy's file store
-under the user's session directory (§3.2, Figure 3).
+partial-prerender artifacts, all held by the :class:`AdaptedPage` the
+user's session keeps: the paper's per-user directory (§3.2, Figure 3).
 
 :meth:`AdaptationPipeline.run` is the whole request, as a composition:
 the gate in :mod:`repro.core.fastpath` decides *whether* to adapt
@@ -44,8 +44,8 @@ from repro.core.search import (
 )
 from repro.core.sessions import MobileSession
 from repro.core.spec import AdaptationSpec
-from repro.core.storage import VirtualFileSystem
 from repro.core.subpages import (
+    ENTRY_FILE,
     AdaptedPage,
     SubpageArtifact,
     SubpageDefinition,
@@ -96,7 +96,6 @@ class ProxyServices:
     """Shared infrastructure one proxy deployment owns."""
 
     origins: dict[str, Any]
-    storage: VirtualFileSystem = field(default_factory=VirtualFileSystem)
     cache: PrerenderCache = field(default_factory=PrerenderCache)
     clock: Any = None
     costs: BrowserCostModel = field(default_factory=lambda: DEFAULT_COST_MODEL)
@@ -167,6 +166,18 @@ class ProxyServices:
     @property
     def now(self) -> float:
         return self.clock.now if self.clock is not None else 0.0
+
+    @property
+    def storage(self) -> None:
+        """Always ``None``: a session's files live in its page.
+
+        Not a field.  Kept, read-only, only because
+        ``perfbench/stages.py:103`` still runs
+        ``SessionManager(services.storage).create()``, from before the
+        ``VirtualFileSystem`` session store was deleted; it goes when
+        that call does.
+        """
+        return None
 
 
 class PipelineContext:
@@ -287,15 +298,6 @@ class AdaptationPipeline:
         self.origin_url = URL.parse(
             f"http://{spec.origin_host}{spec.page_path}"
         )
-        # Multi-page deployments give each page proxy its own namespace
-        # inside the shared session directory so generated files never
-        # collide across pages.
-        suffix = f"/{namespace.strip('/')}" if namespace.strip("/") else ""
-        self.page_dir = f"{session.directory}{suffix}"
-        self.image_dir = f"{self.page_dir}/images"
-        #: While a run is capturing for the fast path, every emitted
-        #: artifact is mirrored here.
-        self._capture: Optional[list[fastpath.BundleFile]] = None
         #: The requesting device class, captured by :meth:`run` so the
         #: farm's render keys coalesce per (site, path, device, spec).
         self.device_class = "default"
@@ -313,14 +315,10 @@ class AdaptationPipeline:
             if not isinstance(outcome, fastpath.Miss):
                 return outcome
             ctx = PipelineContext(self.spec, outcome.source, self.proxy_base)
-            self._capture = [] if self.services.fastpath_enabled else None
-            try:
-                result = self._adapt_and_emit(
-                    ctx, outcome.origin_bytes, force_refresh
-                )
-                outcome.store(self, ctx, result, self._capture)
-            finally:
-                self._capture = None
+            result = self._adapt_and_emit(
+                ctx, outcome.origin_bytes, force_refresh
+            )
+            outcome.store(self, ctx, result)
             return result
         except AuthenticationRequired:
             raise  # an auth challenge is a feature, not a failure
@@ -344,9 +342,8 @@ class AdaptationPipeline:
             apply_steps(plan.steps_for("page"), ctx)
 
         result = AdaptedPage(
-            entry_path=f"{self.page_dir}/index.html",
             entry_body=b"",
-            subpages=[],
+            device_class=self.device_class,
             origin_bytes=origin_bytes,
             ajax_table=ctx.ajax_table,
         )
@@ -371,20 +368,17 @@ class AdaptationPipeline:
             self.services.observability.registry, name
         )
 
-    def _write(self, path: str, data, content_type: str) -> None:
-        """Write an artifact, mirroring it into the fast-path capture:
-        the capture holds the stored ``bytes``, not a second encoding."""
-        stored = self.services.storage.write(
-            path, data, content_type=content_type, now=self.services.now
+    @staticmethod
+    def _write(
+        result: AdaptedPage, relpath: str, data, content_type: str
+    ) -> None:
+        """Add an artifact to the page's files (``str`` as UTF-8): the
+        map a stored bundle freezes."""
+        if isinstance(data, str):
+            data = data.encode("utf-8")
+        result.files[relpath] = fastpath.BundleFile(
+            relpath, content_type, data
         )
-        if self._capture is not None:
-            self._capture.append(
-                fastpath.BundleFile(
-                    fastpath.relpath(self.page_dir, path),
-                    content_type,
-                    stored.data,
-                )
-            )
 
     # ------------------------------------------------------------------
     # fetching
@@ -475,7 +469,6 @@ class AdaptationPipeline:
             raise exc
         with span("degrade"):
             result = AdaptedPage(
-                entry_path=f"{self.page_dir}/index.html",
                 entry_body=snapshot_entry_html(
                     self.spec.mobile_title or self.spec.site,
                     (
@@ -486,22 +479,17 @@ class AdaptationPipeline:
                     snapshot,
                     self.proxy_base,
                 ).encode("utf-8"),
-                subpages=[],
+                device_class=device_class,
                 snapshot_from_cache=True,
                 snapshot_bytes=len(snapshot["image_bytes"]),
                 degraded=STALE,
             )
-            services.storage.write(
-                f"{self.page_dir}/snapshot.jpg",
-                snapshot["image_bytes"],
-                content_type="image/jpeg",
-                now=services.now,
+            self._write(
+                result, "snapshot.jpg", snapshot["image_bytes"], "image/jpeg"
             )
-            services.storage.write(
-                result.entry_path,
-                result.entry_body,
-                content_type="text/html; charset=utf-8",
-                now=services.now,
+            self._write(
+                result, ENTRY_FILE, result.entry_body,
+                "text/html; charset=utf-8",
             )
         result.notes.append(
             f"degraded: stale entry page served; upstream failure: {exc}"
@@ -545,12 +533,14 @@ class AdaptationPipeline:
             # An unnamed target is numbered by its place in the spec, so
             # every run, worker and oracle writes the same file.
             name = binding.param("name", f"partial{position}")
-            base = f"{self.image_dir}/{name}"
+            base = f"images/{name}"
             with span("serialize"):
                 self._write(
-                    f"{base}.jpg", artifact.background.data, "image/jpeg"
+                    result, f"{base}.jpg", artifact.background.data,
+                    "image/jpeg",
                 )
                 self._write(
+                    result,
                     f"{base}.json",
                     json.dumps(artifact.text_runs),
                     "application/json",
@@ -568,7 +558,7 @@ class AdaptationPipeline:
             return
         with span("serialize"):
             for name, data in ctx.media_thumbnails.items():
-                self._write(f"{self.image_dir}/{name}", data, "image/jpeg")
+                self._write(result, f"images/{name}", data, "image/jpeg")
         if ctx.media_thumbnails:
             total = sum(len(d) for d in ctx.media_thumbnails.values())
             ctx.note(
@@ -603,7 +593,7 @@ class AdaptationPipeline:
                     # subpage still ships, just as plain HTML.
                     with span("degrade"):
                         artifact = self._emit_html_subpage(
-                            ctx, definition, taken
+                            ctx, result, definition, taken
                         )
                     result.degraded = result.degraded or HTML_ONLY
                     self.services.resilience.record_degraded(HTML_ONLY)
@@ -612,7 +602,9 @@ class AdaptationPipeline:
                         f"as HTML after render failure ({exc})"
                     )
             elif definition.ajax:
-                artifact = self._emit_ajax_fragment(ctx, definition, taken)
+                artifact = self._emit_ajax_fragment(
+                    ctx, result, definition, taken
+                )
             elif definition.engine != "html":
                 if engines is None:
                     # Lazy: importing the engines loads scipy.
@@ -620,15 +612,18 @@ class AdaptationPipeline:
 
                     engines = EngineRegistry()
                 artifact = self._emit_engine_subpage(
-                    ctx, definition, taken, engines
+                    ctx, result, definition, taken, engines
                 )
             else:
-                artifact = self._emit_html_subpage(ctx, definition, taken)
+                artifact = self._emit_html_subpage(
+                    ctx, result, definition, taken
+                )
             result.subpages.append(artifact)
 
     def _emit_engine_subpage(
         self,
         ctx: PipelineContext,
+        result: AdaptedPage,
         definition: SubpageDefinition,
         taken: list,
         engines,
@@ -643,8 +638,8 @@ class AdaptationPipeline:
             output = engines.get(definition.engine).render(document)
             extensions = {"text": "txt", "pdf": "pdf"}
             extension = extensions.get(definition.engine, definition.engine)
-            path = f"{self.page_dir}/{definition.subpage_id}.{extension}"
-            self._write(path, output.data, output.content_type)
+            path = f"{definition.subpage_id}.{extension}"
+            self._write(result, path, output.data, output.content_type)
         return SubpageArtifact(
             subpage_id=definition.subpage_id,
             title=definition.title,
@@ -658,6 +653,7 @@ class AdaptationPipeline:
     def _emit_html_subpage(
         self,
         ctx: PipelineContext,
+        result: AdaptedPage,
         definition: SubpageDefinition,
         taken: list,
     ) -> SubpageArtifact:
@@ -677,8 +673,8 @@ class AdaptationPipeline:
                     script.prepend(node)
         with span("serialize"):
             html = serialize(document)
-            path = f"{self.page_dir}/{definition.file_name}"
-            self._write(path, html, "text/html; charset=utf-8")
+            path = definition.file_name
+            self._write(result, path, html, "text/html; charset=utf-8")
         return SubpageArtifact(
             subpage_id=definition.subpage_id,
             title=definition.title,
@@ -701,7 +697,8 @@ class AdaptationPipeline:
         image_bytes = rendered["image_bytes"]
         with span("serialize"):
             self._write(
-                f"{self.image_dir}/{definition.subpage_id}.jpg",
+                result,
+                f"images/{definition.subpage_id}.jpg",
                 image_bytes,
                 "image/jpeg",
             )
@@ -718,9 +715,9 @@ class AdaptationPipeline:
             f'alt="{definition.title}" />'
             f"</body></html>"
         )
-        path = f"{self.page_dir}/{definition.file_name}"
+        path = definition.file_name
         with span("serialize"):
-            self._write(path, html, "text/html; charset=utf-8")
+            self._write(result, path, html, "text/html; charset=utf-8")
         return SubpageArtifact(
             subpage_id=definition.subpage_id,
             title=definition.title,
@@ -734,13 +731,14 @@ class AdaptationPipeline:
     def _emit_ajax_fragment(
         self,
         ctx: PipelineContext,
+        result: AdaptedPage,
         definition: SubpageDefinition,
         taken: list,
     ) -> SubpageArtifact:
         with span("serialize"):
             fragment = fragment_html(definition, taken)
-            path = f"{self.page_dir}/{definition.subpage_id}.fragment.html"
-            self._write(path, fragment, "text/html; charset=utf-8")
+            path = f"{definition.subpage_id}.fragment.html"
+            self._write(result, path, fragment, "text/html; charset=utf-8")
         return SubpageArtifact(
             subpage_id=definition.subpage_id,
             title=definition.title,
@@ -770,8 +768,7 @@ class AdaptationPipeline:
             menu = ""
             with span("serialize"):
                 self._write(
-                    f"{self.page_dir}/snapshot.jpg",
-                    snapshot["image_bytes"],
+                    result, "snapshot.jpg", snapshot["image_bytes"],
                     "image/jpeg",
                 )
         else:
@@ -780,14 +777,14 @@ class AdaptationPipeline:
             menu = menu_html(ctx)
             with span("serialize"):
                 # Serialized exactly once (inside the span); its one
-                # encoding is both the stored file and the entry body.
+                # encoding is both the entry file and the entry body.
                 body_html = serialize(ctx.document)
         entry_body = assemble_entry(
             body_html, menu, ajax_injection_html(ctx)
         ).encode("utf-8")
         with span("serialize"):
             self._write(
-                result.entry_path, entry_body, "text/html; charset=utf-8"
+                result, ENTRY_FILE, entry_body, "text/html; charset=utf-8"
             )
         result.entry_body = entry_body
 

@@ -12,8 +12,8 @@ describes:
 * ``proxy.php`` — the mobile entry point (snapshot + image-map menu),
 * ``proxy.php?page=<id>`` — a generated subpage (``&fragment=1`` returns
   the raw fragment for asynchronous loads),
-* ``proxy.php?file=<name>`` — session-local artifacts (snapshot image,
-  pre-rendered subpage images),
+* ``proxy.php?file=<name>`` — the session's page's own files (snapshot
+  image, pre-rendered subpage images),
 * ``proxy.php?img=<url>&q=<quality>`` — the shared low-fidelity image
   cache behind the rewrite-images filter,
 * ``proxy.php?action=<n>&p=<x>`` — rewritten AJAX calls (§4.4),
@@ -51,7 +51,6 @@ from repro.errors import (
     FetchError,
     RenderFarmError,
     RetryExhaustedError,
-    SessionError,
 )
 from repro.html.parser import parse_html
 from repro.net.messages import Request, Response
@@ -148,7 +147,7 @@ class MSiteProxy(Application):
         self.services = services
         self.proxy_base = proxy_base
         self.namespace = namespace.strip("/")
-        self.sessions = SessionManager(services.storage, clock=services.clock)
+        self.sessions = SessionManager(clock=services.clock)
         # Compiled once per deployment and shared by every request's
         # pipeline: registry lookups, phase grouping, and CSS selector
         # parsing all happen here instead of per request.
@@ -163,23 +162,16 @@ class MSiteProxy(Application):
             registry=services.observability.registry,
             labels={"page": self.namespace} if self.namespace else None,
         )
-        # Each session's memoized adapted page, held only as long as
-        # the session itself: when the session manager destroys a
-        # session (on expiry or an idle sweep), its entry goes with it.
+        # Each session's memoized adapted page, which holds the files
+        # the session is served, kept only as long as the session
+        # itself: when the session manager destroys a session (on
+        # expiry or an idle sweep), its entry goes with it.
         self._adapted: weakref.WeakKeyDictionary[
             MobileSession, AdaptedPage
         ] = weakref.WeakKeyDictionary()
         # Guards _adapted and the shared ajax table; per-session work is
         # serialized by each session's own lock (always acquired first).
         self._lock = threading.RLock()
-
-    def _page_dir(self, session: MobileSession) -> str:
-        if self.namespace:
-            return f"{session.directory}/{self.namespace}"
-        return session.directory
-
-    def _image_dir(self, session: MobileSession) -> str:
-        return f"{self._page_dir(session)}/images"
 
     # ------------------------------------------------------------------
 
@@ -228,9 +220,11 @@ class MSiteProxy(Application):
     def _handle_traced(self, request: Request, trace) -> Response:
         self.counters.add(requests=1)
         params = request.params
+        with tracing.span("session"):
+            session, is_new = self.sessions.checkout(
+                request.cookies.get(SESSION_COOKIE)
+            )
         try:
-            with tracing.span("session"):
-                session, is_new = self._resolve_session(request)
             if params.get("logout"):
                 return self._finish(self._handle_logout(session), session, is_new)
             if params.get("auth"):
@@ -316,6 +310,8 @@ class MSiteProxy(Application):
                 f"the administrator should refresh the spec",
                 status=502,
             )
+        finally:
+            self.sessions.release(session)
 
     @staticmethod
     def _retry_later(message: str, retry_after_s: Optional[float]) -> Response:
@@ -328,17 +324,6 @@ class MSiteProxy(Application):
 
     # ------------------------------------------------------------------
     # sessions
-
-    def _resolve_session(
-        self, request: Request
-    ) -> tuple[MobileSession, bool]:
-        cookie = request.cookies.get(SESSION_COOKIE)
-        if cookie:
-            try:
-                return self.sessions.get(cookie), False
-            except SessionError:
-                pass
-        return self.sessions.create(), True
 
     def _finish(
         self, response: Response, session: MobileSession, is_new: bool
@@ -382,7 +367,9 @@ class MSiteProxy(Application):
         """The session's adapted page, adapting it for ``device_class``
         (the requesting device's, :meth:`_device_class`) when there is
         none.  Every handler passes it: a subpage, file or action request
-        that adapts first must key the fast path as the entry would."""
+        that adapts first must key the fast path as the entry would.  A
+        page adapted for another device class counts as none, also as
+        the fallback when the adaptation fails."""
         # The session lock makes the check-then-adapt atomic per session:
         # two concurrent requests from one device run the pipeline once.
         # Requests from *different* sessions adapt in parallel, and their
@@ -391,6 +378,8 @@ class MSiteProxy(Application):
         with session.lock:
             with self._lock:
                 previous = self._adapted.get(session)
+            if previous is not None and previous.device_class != device_class:
+                previous = None
             if previous is not None and not force and previous.degraded is None:
                 return previous
             pipeline = AdaptationPipeline(
@@ -445,7 +434,7 @@ class MSiteProxy(Application):
         # One adaptation per response: the body, its ETag and the
         # session's patch baseline are read and written under the
         # session lock (reentrant; ``_ensure_adapted`` takes it too), so
-        # a same-session refresh cannot overwrite the stored entry
+        # a same-session refresh cannot replace the session's page
         # between them.
         with session.lock:
             adapted = self._ensure_adapted(
@@ -464,25 +453,23 @@ class MSiteProxy(Application):
                         self.services.observability.registry, "not_modified"
                     ).inc()
                     return self._mark_degraded(not_modified(etag), adapted)
-            stored = self.services.storage.read(adapted.entry_path)
+            body = adapted.entry_body
             if etag is not None and not force:
                 patched = self._entry_delta(
-                    session, request, stored.data, etag, adapted
+                    session, request, body, etag, adapted
                 )
                 if patched is not None:
-                    session.last_entry_body = stored.data
+                    session.last_entry_body = body
                     session.last_entry_etag = etag
                     return patched
-            response = Response.binary(
-                stored.data, "text/html; charset=utf-8"
-            )
+            response = Response.binary(body, "text/html; charset=utf-8")
             if etag is not None:
                 response.headers.set("ETag", etag)
                 if self.services.delta_enabled:
                     # Remember what this session now holds, so its next
                     # visit can be answered with a patch manifest: the
                     # served object itself, not a copy of it.
-                    session.last_entry_body = stored.data
+                    session.last_entry_body = body
                     session.last_entry_etag = etag
             return self._mark_degraded(response, adapted)
 
@@ -581,32 +568,30 @@ class MSiteProxy(Application):
                 f"{subpage_id}.fragment.html",
             ]
         for name in candidates:
-            path = f"{self._page_dir(session)}/{name}"
-            if self.services.storage.exists(path):
-                stored = self.services.storage.read(path)
+            found = adapted.file(name)
+            if found is not None:
                 return self._mark_degraded(
-                    Response.binary(stored.data, stored.content_type), adapted
+                    Response.binary(found.data, found.content_type), adapted
                 )
         return Response.not_found(f"no subpage {subpage_id!r}")
 
     def _handle_file(
         self, session: MobileSession, request: Request, name: str
     ) -> Response:
-        self._ensure_adapted(
+        # Checked before adapting: a bad name costs no pipeline run.
+        if "/" in name or ".." in name:
+            return Response.text("bad file name", status=400)
+        adapted = self._ensure_adapted(
             session, device_class=self._device_class(request)
         )
         self.counters.add(
             lightweight_requests=1,
             lightweight_core_seconds=self.services.costs.lightweight_request_s,
         )
-        if "/" in name or ".." in name:
-            return Response.text("bad file name", status=400)
-        for directory in (self._page_dir(session), self._image_dir(session)):
-            path = f"{directory}/{name}"
-            if self.services.storage.exists(path):
-                stored = self.services.storage.read(path)
-                return Response.binary(stored.data, stored.content_type)
-        return Response.not_found(f"no file {name!r}")
+        found = adapted.file(name)
+        if found is None:
+            return Response.not_found(f"no file {name!r}")
+        return Response.binary(found.data, found.content_type)
 
     # ------------------------------------------------------------------
     # the shared low-fidelity image cache

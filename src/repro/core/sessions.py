@@ -2,8 +2,12 @@
 
 "Upon starting a mobile session for the first time, the mobile browser is
 issued a session cookie for maintaining state on the server" (§3.2).  Each
-session owns a cookie jar for the originating site, optional stored HTTP
-credentials, and a protected subdirectory in the proxy's file store.
+session owns a cookie jar for the originating site and optional stored
+HTTP credentials.  The paper's protected per-user subdirectory is the
+adapted page the proxy keeps for the session (its files are the page's
+own, see :class:`repro.core.subpages.AdaptedPage`), held only as long
+as the session: letting a session go drops it, whatever the number of
+other sessions.
 
 Concurrency: the manager's own tables are guarded by an internal lock,
 so sessions can be issued, resolved, and expired from many
@@ -43,25 +47,21 @@ class MobileSession:
     last_seen: float = 0.0
     pages_served: int = 0
     #: The entry body (and its validator) this session last received:
-    #: the very ``bytes`` object the response sent, which the proxy's
-    #: file store (and, on a replay, the cache's decode) already holds,
-    #: so keeping it costs the session no copy.  A returning client
+    #: the very ``bytes`` object the response sent, which the session's
+    #: adapted page (and, on a replay, the cache's decode) already
+    #: holds, so keeping it costs the session no copy.  A returning client
     #: that kept that body can send ``X-MSite-Delta-Since: <etag>`` and
     #: be answered with a patch manifest instead of the full page; only
     #: then is it decoded.
     last_entry_body: Optional[bytes] = None
     last_entry_etag: Optional[str] = None
+    #: Requests serving this session, from :meth:`SessionManager.checkout`
+    #: to :meth:`SessionManager.release` (guarded by the manager's lock);
+    #: a session in use is never idle, whatever the clock says.
+    in_flight: int = 0
     lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
     )
-
-    @property
-    def directory(self) -> str:
-        return f"/sessions/{self.session_id}"
-
-    @property
-    def image_directory(self) -> str:
-        return f"{self.directory}/images"
 
 
 class SessionManager:
@@ -69,12 +69,16 @@ class SessionManager:
 
     def __init__(
         self,
-        storage,
+        _ignored=None,
         clock=None,
         ttl_s: float = 4 * 3600.0,
         seed: int = 0x5E55,
     ) -> None:
-        self.storage = storage
+        """``_ignored`` is accepted and ignored: the first positional
+        argument was the ``VirtualFileSystem`` session store, since
+        deleted, and ``perfbench/stages.py:103`` still passes one
+        (``SessionManager(services.storage)``).  It goes when that call
+        does; every other caller passes nothing there."""
         self.clock = clock
         self.ttl_s = ttl_s
         self._rng = DeterministicRandom(seed)
@@ -99,17 +103,13 @@ class SessionManager:
             )
             session.last_seen = self._now
             self._sessions[session_id] = session
-        self.storage.mkdir(session.directory)
-        self.storage.mkdir(session.image_directory)
         return session
 
     def get(self, session_id: str) -> MobileSession:
         """The live session, or :class:`SessionError` for an unknown or
-        expired one.  An expired session is popped under the manager's
-        lock and its directory deleted after, under the session's lock
-        (the idle sweep's rule), so the deletion neither blocks other
-        sessions' lookups nor lands under a request still serving it.
-        """
+        expired one.  An expired session is dropped from the table, and
+        that is its whole expiry: the proxy holds the session's page
+        weakly, by the session, so the page goes with it."""
         with self._lock:
             session = self._sessions.get(session_id)
             if session is None:
@@ -118,8 +118,6 @@ class SessionManager:
                 session.last_seen = self._now
                 return session
             del self._sessions[session_id]
-        with session.lock:
-            self.storage.delete_tree(session.directory)
         raise SessionError(f"session {session_id!r} expired")
 
     def get_or_create(self, session_id: Optional[str]) -> MobileSession:
@@ -131,18 +129,36 @@ class SessionManager:
                 pass
         return self.create()
 
+    def checkout(
+        self, session_id: Optional[str]
+    ) -> tuple[MobileSession, bool]:
+        """Resolve a request's cookie value to a session, creating one as
+        needed; returns the session and whether it is new.  The session
+        is in use, and no expiry drops it, until :meth:`release` (so a
+        request that has resolved its session but not yet taken its
+        lock cannot lose it to an idle sweep)."""
+        with self._lock:
+            try:
+                session, is_new = self.get(session_id or ""), False
+            except SessionError:
+                session, is_new = self.create(), True
+            session.in_flight += 1
+        return session, is_new
+
+    def release(self, session: MobileSession) -> None:
+        """End one :meth:`checkout` of ``session``."""
+        with self._lock:
+            session.in_flight -= 1
+
     def destroy(self, session_id: str) -> None:
         with self._lock:
-            session = self._sessions.pop(session_id, None)
-        if session is not None:
-            self.storage.delete_tree(session.directory)
+            self._sessions.pop(session_id, None)
 
     def expire_idle(self) -> int:
         """Expire sessions idle past the TTL; returns how many died.
 
-        A session whose lock is held is serving a request and is
-        skipped: deleting its directory would pull the entry page out
-        from under that request.  The session lock is taken without
+        A session whose lock is held is serving a request, so it is
+        not idle, and is skipped.  The session lock is taken without
         blocking, before the manager's; idleness is then checked again
         under the manager's lock, since a :meth:`get` may have refreshed
         it after the scan.
@@ -165,11 +181,13 @@ class SessionManager:
                     ):
                         continue
                     del self._sessions[session.session_id]
-                self.storage.delete_tree(session.directory)
                 expired += 1
             finally:
                 session.lock.release()
         return expired
 
     def _idle(self, session: MobileSession) -> bool:
-        return self._now - session.last_seen > self.ttl_s
+        return (
+            session.in_flight == 0
+            and self._now - session.last_seen > self.ttl_s
+        )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from repro.core.ajax import AjaxActionTable
 from repro.dom.document import Document, new_document
@@ -22,6 +22,9 @@ from repro.html.parser import parse_fragment
 from repro.html.serializer import serialize
 from repro.render.box import Rect
 from repro.render.imagemap import MapRegion, build_image_map
+
+if TYPE_CHECKING:
+    from repro.core.fastpath import BundleFile
 
 
 @dataclass
@@ -201,10 +204,14 @@ def fragment_html(
 # ---------------------------------------------------------------------------
 # what one adaptation produced
 
+#: The entry page's name among a page's files.
+ENTRY_FILE = "index.html"
 
-@dataclass(slots=True)
+
+@dataclass(frozen=True, slots=True)
 class SubpageArtifact:
-    """One emitted subpage."""
+    """One emitted subpage; ``path`` names its file in the page's
+    :attr:`AdaptedPage.files`."""
 
     subpage_id: str
     title: str
@@ -215,17 +222,26 @@ class SubpageArtifact:
     ajax: bool
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, weakref_slot=True)
 class AdaptedPage:
-    """The result of one pipeline run.
+    """The result of one pipeline run, and the files it serves.
 
-    ``entry_body`` is the entry page's UTF-8 bytes: the very object the
-    session's entry file holds (and, on a replay, the bundle's).
+    The paper keeps a session's generated files in a per-user directory
+    (§3.2); here the session's page *is* that directory: ``files`` maps
+    each artifact's relative path to its
+    :class:`~repro.core.fastpath.BundleFile`, and the proxy answers
+    ``?file=`` and ``?page=`` from it (:meth:`file`).  A full run fills
+    a map of its own; a replay points at its bundle's map and subpage
+    tuple, so it writes nothing per session.  ``entry_body`` is the
+    entry page's UTF-8 bytes: the very object the entry file holds.
     """
 
-    entry_path: str
     entry_body: bytes
-    subpages: list[SubpageArtifact]
+    files: Mapping[str, BundleFile] = field(default_factory=dict)
+    subpages: Sequence[SubpageArtifact] = field(default_factory=list)
+    #: The device class the page was adapted for; a request from
+    #: another class adapts anew.
+    device_class: str = "default"
     snapshot_bytes: int = 0
     snapshot_from_cache: bool = False
     used_browser: bool = False
@@ -251,6 +267,12 @@ class AdaptedPage:
     @property
     def total_core_seconds(self) -> float:
         return self.browser_core_seconds + self.lightweight_core_seconds
+
+    def file(self, name: str) -> Optional[BundleFile]:
+        """The file ``name`` names: at the page's root, else among its
+        images; ``None`` when the page has neither."""
+        found = self.files.get(name)
+        return found if found is not None else self.files.get(f"images/{name}")
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,6 @@ from repro.core.cache import CacheEntry
 from repro.core.pipeline import ProxyServices
 from repro.core.sessions import SessionManager
 from repro.core.spec import AdaptationSpec
-from repro.core.storage import VirtualFileSystem
 from repro.net.messages import Request, Response
 from repro.net.server import Application
 from repro.observability import Observability
@@ -160,10 +159,9 @@ class RegionalDeployment(Application):
         if snapshot_root is None:
             snapshot_root = tempfile.mkdtemp(prefix="msite-regions-")
         self.snapshot_root = snapshot_root
-        # One session universe and file store across regions: a user who
-        # fails over mid-session keeps their cookies and artifacts.
-        self.storage = VirtualFileSystem()
-        self.sessions = SessionManager(self.storage, clock=clock)
+        # One session universe across regions: a user who fails over
+        # mid-session keeps their cookies and credentials.
+        self.sessions = SessionManager(clock=clock)
         self.router = ShardRouter()
         self._key_fn = key_fn or (
             lambda request: request_shard_key(self.site, request)
@@ -194,7 +192,6 @@ class RegionalDeployment(Application):
                 shared_cache=backend,
                 make_app=make_app,
                 key_fn=key_fn,
-                storage=self.storage,
                 sessions=self.sessions,
                 worker_prefix=f"{name}-",
                 ops=self.ops,

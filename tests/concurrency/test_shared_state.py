@@ -1,5 +1,5 @@
-"""Thread-safety of the shared runtime state: pool slots, sessions,
-counters, and the virtual filesystem."""
+"""Thread-safety of the shared runtime state: pool slots, sessions and
+counters."""
 
 import threading
 import time
@@ -9,7 +9,6 @@ import pytest
 from repro.browser.pool import BrowserPool
 from repro.core.proxy import ProxyCounters
 from repro.core.sessions import SessionManager
-from repro.core.storage import VirtualFileSystem
 from repro.errors import PoolTimeoutError
 
 
@@ -86,7 +85,7 @@ def test_pool_slot_freed_after_exception():
 
 
 def test_sessions_created_concurrently_are_distinct():
-    manager = SessionManager(VirtualFileSystem())
+    manager = SessionManager()
     ids = [None] * 32
 
     def worker(index):
@@ -100,17 +99,16 @@ def test_sessions_created_concurrently_are_distinct():
 
 
 def test_concurrent_destroy_is_idempotent():
-    storage = VirtualFileSystem()
-    manager = SessionManager(storage)
+    manager = SessionManager()
     session = manager.create()
-    storage.write(f"{session.directory}/f.html", b"x")
+    survivor = manager.create()
 
     def worker(index):
         manager.destroy(session.session_id)
 
     _run_threads(8, worker)
-    assert len(manager) == 0
-    assert storage.file_count(session.directory) == 0
+    assert len(manager) == 1
+    assert manager.get(survivor.session_id) is survivor
 
 
 # ---------------------------------------------------------------------------
@@ -139,21 +137,3 @@ def test_counters_lose_no_increments_under_contention():
 def test_counters_reject_unknown_fields():
     with pytest.raises(TypeError):
         ProxyCounters().add(bogus=1)
-
-
-# ---------------------------------------------------------------------------
-# virtual filesystem
-
-
-def test_vfs_concurrent_writers_all_land():
-    vfs = VirtualFileSystem()
-
-    def worker(index):
-        for item in range(20):
-            vfs.write(f"/sessions/s{index}/f{item}.html", b"x" * 10)
-
-    _run_threads(8, worker)
-    assert vfs.file_count("/sessions") == 160
-    assert vfs.total_bytes("/sessions") == 1600
-    for index in range(8):
-        assert len(vfs.listdir(f"/sessions/s{index}")) == 20

@@ -7,6 +7,7 @@ from repro.cluster.sharedcache import InProcessSharedCache
 from repro.core.cache import PrerenderCache
 from repro.core.codegen import load_generated_proxy
 from repro.core.pipeline import ProxyServices
+from repro.core.sessions import SESSION_COOKIE
 from repro.net.client import HttpClient
 from repro.net.cookies import CookieJar
 from repro.sim.clock import Clock
@@ -18,6 +19,13 @@ FORUM_HOST = "www.sawmillcreek.org"
 PROXY_HOST = "m.sawmillcreek.org"
 CLASSIFIEDS_HOST = "portland.craigslist.org"
 NEWS_HOST = "www.metroherald.com"
+
+
+def session_page(proxy, jar):
+    """The adapted page ``proxy`` holds for the session in ``jar``: the
+    files that session is served (``None`` when it holds none)."""
+    session = proxy.sessions.get(jar.get(SESSION_COOKIE).value)
+    return proxy._adapted.get(session)
 
 
 @pytest.fixture(scope="session")

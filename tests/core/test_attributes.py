@@ -507,7 +507,7 @@ def test_a_forum_dom_adaptation_builds_one_query_index(
 
     spec = _forum_spec(("#loginform", "login"), ("#forumbits", "forums"))
     services = ProxyServices(origins=origins, clock=clock)
-    session = SessionManager(services.storage, clock=clock).create()
+    session = SessionManager(clock=clock).create()
     builds = _counting_index_builds(monkeypatch)
     AdaptationPipeline(spec, services, session).run(force_refresh=True)
     assert len(builds) == 1

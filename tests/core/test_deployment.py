@@ -8,7 +8,7 @@ from repro.core.spec import AdaptationSpec, ObjectSelector
 from repro.errors import CodegenError
 from repro.net.client import HttpClient
 from repro.net.cookies import CookieJar
-from tests.conftest import FORUM_HOST, PROXY_HOST
+from tests.conftest import FORUM_HOST, PROXY_HOST, session_page
 
 
 def index_spec():
@@ -81,13 +81,12 @@ def test_one_session_across_pages(deployment, mobile):
 def test_generated_files_namespaced_per_page(deployment, mobile):
     mobile.get(f"http://{PROXY_HOST}/index.php")
     mobile.get(f"http://{PROXY_HOST}/thread.php")
-    session = next(iter(deployment.sessions._sessions.values()))
-    storage = deployment.services.storage
-    assert storage.exists(f"{session.directory}/index/index.html")
-    assert storage.exists(f"{session.directory}/thread/index.html")
-    # Each page's artifacts stay in its own namespace.
-    assert storage.exists(f"{session.directory}/index/snapshot.jpg")
-    assert not storage.exists(f"{session.directory}/thread/snapshot.jpg")
+    index = session_page(deployment.page("index"), mobile.jar)
+    thread = session_page(deployment.page("thread"), mobile.jar)
+    assert "index.html" in index.files and "index.html" in thread.files
+    # Each page's artifacts stay with its own page.
+    assert "snapshot.jpg" in index.files
+    assert "snapshot.jpg" not in thread.files
 
 
 def test_subpage_and_files_resolve_within_namespace(deployment, mobile):

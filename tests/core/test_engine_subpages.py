@@ -20,7 +20,7 @@ def services(origins, clock):
 
 @pytest.fixture()
 def session(services, clock):
-    return SessionManager(services.storage, clock=clock).create()
+    return SessionManager(clock=clock).create()
 
 
 def run_spec(services, session, *bindings):
@@ -36,9 +36,7 @@ def test_text_engine_subpage(services, session):
         ("subpage", ObjectSelector.css("#stats"),
          {"subpage_id": "stats", "engine": "text"}),
     )
-    path = f"{session.directory}/stats.txt"
-    assert services.storage.exists(path)
-    stored = services.storage.read(path)
+    stored = result.files["stats.txt"]
     assert stored.content_type.startswith("text/plain")
     text = stored.data.decode("utf-8")
     assert "Statistics" in text
@@ -51,7 +49,7 @@ def test_pdf_engine_subpage(services, session):
         ("subpage", ObjectSelector.css("#stats"),
          {"subpage_id": "stats", "engine": "pdf"}),
     )
-    stored = services.storage.read(f"{session.directory}/stats.pdf")
+    stored = result.files["stats.pdf"]
     assert stored.content_type == "application/pdf"
     assert stored.data.startswith(b"%PDF-1.4")
 
@@ -88,9 +86,7 @@ def test_prerendered_subpage_search_index(services, session):
         ("searchable", ObjectSelector.css("#forumbits"),
          {"subpage_id": "forums", "label": "Search forums"}),
     )
-    html = services.storage.read(
-        f"{session.directory}/forums.html"
-    ).data.decode("utf-8")
+    html = result.files["forums.html"].data.decode("utf-8")
     assert "msiteSearch" in html
     assert "Search forums" in html
     # The index contains words that exist on the forum listing.
@@ -118,9 +114,6 @@ def test_mixed_engines_in_one_adaptation(services, session):
         ("subpage", ObjectSelector.css("#wol"),
          {"subpage_id": "online", "prerender": True}),
     )
-    assert services.storage.exists(f"{session.directory}/stats.txt")
-    assert services.storage.exists(f"{session.directory}/login.html")
-    assert services.storage.exists(f"{session.directory}/online.html")
-    assert services.storage.exists(
-        f"{session.directory}/images/online.jpg"
-    )
+    assert {
+        "stats.txt", "login.html", "online.html", "images/online.jpg",
+    } <= set(result.files)

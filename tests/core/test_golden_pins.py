@@ -5,7 +5,7 @@ the news fast-path spec, the one whose revisions take the delta path)
 and every way a request can be answered — cold run, a 200 landing on a
 stored bundle, a 304 replay, ``?refresh=1``, a 304 whose bundle is
 gone, a revision, and the three degraded rungs — the digests of the
-entry body, of every file in the session directory, of the stored
+entry body, of every file the adapted page serves, of the stored
 bundle, the cache's key list and its hit / miss counts.  The test
 regenerates the pins and compares: a refactor of the pipeline, the
 gate or the render ladder must leave the file untouched.
@@ -68,18 +68,12 @@ def _fresh_origins() -> dict:
     }
 
 
-def _walk(storage, directory: str, prefix: str = "") -> list:
-    files = []
-    for name in storage.listdir(directory):
-        path = f"{directory}/{name}"
-        if storage.is_dir(path):
-            files.extend(_walk(storage, path, f"{prefix}{name}/"))
-        else:
-            stored = storage.read(path)
-            files.append(
-                [f"{prefix}{name}", stored.content_type, _sha(stored.data)]
-            )
-    return sorted(files)
+def _walk(adapted) -> list:
+    """``[relpath, content type, digest]`` of every file the page serves."""
+    return sorted(
+        [relpath, item.content_type, _sha(item.data)]
+        for relpath, item in adapted.files.items()
+    )
 
 
 class _Deployment:
@@ -94,7 +88,7 @@ class _Deployment:
         self.services = ProxyServices(
             origins=self.origins, clock=self.clock, **flags
         )
-        self.manager = SessionManager(self.services.storage, clock=self.clock)
+        self.manager = SessionManager(clock=self.clock)
         self.pointer_key = fastpath.latest_key(
             spec.site, spec.page_path, DEVICE, self.plan.fingerprint
         )
@@ -142,7 +136,7 @@ class _Deployment:
                 for artifact in adapted.subpages
             ],
             "notes_sha256": _sha("\n".join(adapted.notes)),
-            "files": _walk(services.storage, session.directory),
+            "files": _walk(adapted),
             "bundle_sha256": None if bundle is None else _sha(bundle.data),
             "cache_keys": sorted(services.cache.keys()),
             "cache_counts": {

@@ -134,11 +134,11 @@ def test_attribute_through_pipeline(origins, clock):
     services = ProxyServices(
         origins={"media.example": MediaSite()}, clock=clock
     )
-    session = SessionManager(services.storage, clock=clock).create()
+    session = SessionManager(clock=clock).create()
     spec = AdaptationSpec(site="M", origin_host="media.example",
                           page_path="/")
     spec.add("media_thumbnail", max_width=120)
     result = AdaptationPipeline(spec, services, session).run()
     assert "msite-media-thumb" in result.entry_html
-    assert services.storage.exists(f"{session.image_directory}/media0.jpg")
+    assert "images/media0.jpg" in result.files
     assert any("media_thumbnail" in note for note in result.notes)

@@ -16,7 +16,7 @@ def services(origins, clock):
 
 @pytest.fixture()
 def manager(services, clock):
-    return SessionManager(services.storage, clock=clock)
+    return SessionManager(clock=clock)
 
 
 def cacheable_spec(ttl=3600):
@@ -39,12 +39,10 @@ def test_object_render_amortized_across_sessions(services, manager):
     assert first.used_browser
     assert not second.used_browser  # the object render was cached
     # Both sessions received identical image bytes.
-    dirs = sorted(services.storage.listdir("/sessions"))
-    images = [
-        services.storage.read(f"/sessions/{d}/images/stats.jpg").data
-        for d in dirs
-    ]
-    assert images[0] == images[1]
+    assert (
+        first.files["images/stats.jpg"].data
+        == second.files["images/stats.jpg"].data
+    )
 
 
 def test_object_cache_respects_ttl(services, manager, clock):
@@ -81,10 +79,8 @@ def test_cached_searchable_subpage_keeps_its_index(services, manager):
     session_a = manager.create()
     AdaptationPipeline(spec, services, session_a).run()
     session_b = manager.create()
-    AdaptationPipeline(spec, services, session_b).run()
-    html = services.storage.read(
-        f"{session_b.directory}/stats.html"
-    ).data.decode("utf-8")
+    adapted = AdaptationPipeline(spec, services, session_b).run()
+    html = adapted.files["stats.html"].data.decode("utf-8")
     assert "msiteSearch" in html  # index survived the cache round trip
 
 
@@ -101,12 +97,9 @@ def test_extras_repeat_on_every_subpage(services, manager):
         top_html='<div class="msite-ad">mobile ad</div>',
         bottom_html='<div id="crumbs">Home</div>',
     )
-    session = manager.create()
-    AdaptationPipeline(spec, services, session).run()
+    adapted = AdaptationPipeline(spec, services, manager.create()).run()
     for name in ("login", "stats"):
-        html = services.storage.read(
-            f"{session.directory}/{name}.html"
-        ).data.decode("utf-8")
+        html = adapted.files[f"{name}.html"].data.decode("utf-8")
         assert "msite-ad" in html, name
         assert 'id="crumbs"' in html, name
 
@@ -118,11 +111,8 @@ def test_jump_menu_lists_all_subpages(services, manager):
     spec.add("subpage", ObjectSelector.css("#stats"),
              subpage_id="stats", title="Statistics")
     spec.add("subpage_extras", jump_menu=True)
-    session = manager.create()
-    AdaptationPipeline(spec, services, session).run()
-    html = services.storage.read(
-        f"{session.directory}/login.html"
-    ).data.decode("utf-8")
+    adapted = AdaptationPipeline(spec, services, manager.create()).run()
+    html = adapted.files["login.html"].data.decode("utf-8")
     assert 'id="msite-jump"' in html
     assert "proxy.php?page=stats" in html
     assert "Statistics" in html

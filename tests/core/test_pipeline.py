@@ -23,7 +23,7 @@ def services(origins, clock):
 
 @pytest.fixture()
 def session(services):
-    return SessionManager(services.storage, clock=services.clock).create()
+    return SessionManager(clock=services.clock).create()
 
 
 def standard_spec(**overrides):
@@ -48,10 +48,9 @@ def test_run_produces_entry_and_subpages(services, session):
     assert result.used_browser
     assert result.snapshot_bytes > 10_000
     assert len(result.subpages) == 2
-    assert services.storage.exists(f"{session.directory}/index.html")
-    assert services.storage.exists(f"{session.directory}/login.html")
-    assert services.storage.exists(f"{session.directory}/forums.html")
-    assert services.storage.exists(f"{session.directory}/snapshot.jpg")
+    assert {
+        "index.html", "login.html", "forums.html", "snapshot.jpg",
+    } <= set(result.files)
 
 
 def test_entry_page_has_image_map(services, session):
@@ -63,7 +62,7 @@ def test_entry_page_has_image_map(services, session):
 
 
 def test_snapshot_cached_across_sessions(services, origins, clock):
-    manager = SessionManager(services.storage, clock=clock)
+    manager = SessionManager(clock=clock)
     first = AdaptationPipeline(
         standard_spec(), services, manager.create()
     ).run()
@@ -125,8 +124,7 @@ def test_ajax_subpage_emits_fragment_and_loader(services, session):
         "ajax_subpage", ObjectSelector.css("#navlinks"), subpage_id="nav"
     )
     result = AdaptationPipeline(spec, services, session).run()
-    fragment_path = f"{session.directory}/nav.fragment.html"
-    assert services.storage.exists(fragment_path)
+    assert "nav.fragment.html" in result.files
     assert "msiteLoad" in result.entry_html
     assert "msite-ajax-nav" in result.entry_html
 
@@ -138,9 +136,7 @@ def test_prerendered_subpage_writes_image(services, session):
         subpage_id="stats", prerender=True,
     )
     result = AdaptationPipeline(spec, services, session).run()
-    assert services.storage.exists(
-        f"{session.directory}/images/stats.jpg"
-    )
+    assert "images/stats.jpg" in result.files
     stats_artifact = [
         s for s in result.subpages if s.subpage_id == "stats"
     ][0]
@@ -155,9 +151,9 @@ def test_partial_prerender_emits_artifacts(services, session):
         "partial_css_prerender", ObjectSelector.css("#logobar"),
         name="logo",
     )
-    AdaptationPipeline(spec, services, session).run()
-    assert services.storage.exists(f"{session.directory}/images/logo.jpg")
-    assert services.storage.exists(f"{session.directory}/images/logo.json")
+    result = AdaptationPipeline(spec, services, session).run()
+    assert "images/logo.jpg" in result.files
+    assert "images/logo.json" in result.files
 
 
 def test_unnamed_partial_prerenders_are_numbered_by_position(
@@ -166,16 +162,12 @@ def test_unnamed_partial_prerenders_are_numbered_by_position(
     # The default name used to be ``id(element) & 0xFFFF``: different on
     # every run, and two unnamed targets could collide.
     def artifacts(session):
-        AdaptationPipeline(spec, services, session).run()
-        images = f"{session.directory}/images"
+        result = AdaptationPipeline(spec, services, session).run()
         return sorted(
-            (
-                name,
-                hashlib.sha256(
-                    services.storage.read(f"{images}/{name}").data
-                ).hexdigest(),
-            )
-            for name in services.storage.listdir(images)
+            (relpath.removeprefix("images/"),
+             hashlib.sha256(item.data).hexdigest())
+            for relpath, item in result.files.items()
+            if relpath.startswith("images/")
         )
 
     spec = AdaptationSpec(site="SawmillCreek", origin_host=FORUM_HOST)
@@ -184,7 +176,7 @@ def test_unnamed_partial_prerenders_are_numbered_by_position(
     spec.add(
         "partial_css_prerender", ObjectSelector.css("#stats"), name="stats"
     )
-    manager = SessionManager(services.storage, clock=clock)
+    manager = SessionManager(clock=clock)
     first = artifacts(manager.create())
     assert [name for name, __ in first] == [
         "partial1.jpg", "partial1.json",
@@ -199,10 +191,8 @@ def test_subpage_dependencies_copied(services, session):
     spec.add(
         "copy_dependency", ObjectSelector.css("#logobar"), into="login"
     )
-    AdaptationPipeline(spec, services, session).run()
-    login_html = services.storage.read(
-        f"{session.directory}/login.html"
-    ).data.decode("utf-8")
+    result = AdaptationPipeline(spec, services, session).run()
+    login_html = result.files["login.html"].data.decode("utf-8")
     assert "logobar" in login_html
     assert "loginform" in login_html
 
@@ -213,10 +203,8 @@ def test_searchable_subpage_embeds_index(services, session):
         "searchable", ObjectSelector.css("#forumbits"),
         subpage_id="forums",
     )
-    AdaptationPipeline(spec, services, session).run()
-    forums_html = services.storage.read(
-        f"{session.directory}/forums.html"
-    ).data.decode("utf-8")
+    result = AdaptationPipeline(spec, services, session).run()
+    forums_html = result.files["forums.html"].data.decode("utf-8")
     assert "msiteSearch" in forums_html
     assert "msiteWords" in forums_html
     assert "msite-search-trigger" in forums_html

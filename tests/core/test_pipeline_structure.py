@@ -4,11 +4,17 @@ A structural guard, read off the AST: the gate that decides *whether*
 to adapt lives in ``core/fastpath.py`` and does not grow back into
 ``AdaptationPipeline``; the entry page, the snapshot shell and the
 manifest + image cache pair are each built in one function; and the
-names of the second copies this replaced do not come back.
+names of the second copies this replaced do not come back, nor those of
+the session file store a page's own files replaced.
 """
 
 import ast
+import dataclasses
+import inspect
 import pathlib
+
+from repro.cluster.deployment import ClusterDeployment
+from repro.core.pipeline import ProxyServices
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 ROOTS = ("src", "examples", "benchmarks")
@@ -23,6 +29,19 @@ RETIRED = {
     "_cached_objrender",
     "_stale_snapshot_bundle",
 }
+#: The session file store and the path plumbing around it: a session's
+#: files are its page's (``AdaptedPage.files``).  ``relpath`` is also
+#: ``BundleFile``'s field, so as a name only its calls count.
+STORE_NAMES = {
+    "VirtualFileSystem",
+    "StoredFile",
+    "write_files",
+    "delete_tree",
+    "_page_dir",
+    "_image_dir",
+    "_capture",
+}
+STORE_FUNCTIONS = {"relpath"}
 
 
 def _trees(roots=ROOTS):
@@ -175,3 +194,46 @@ def test_the_second_copies_stay_deleted():
                 if name in RETIRED
             ]
     assert sightings == []
+
+
+def _store_sightings(node) -> list[str]:
+    """The store names ``node`` defines, imports, assigns or reads."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [
+            name for name in [node.name]
+            if name in STORE_NAMES | STORE_FUNCTIONS
+        ]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [
+            part
+            for alias in node.names
+            for part in (alias.name.rsplit(".", 1)[-1], alias.asname or "")
+            if part in STORE_NAMES | STORE_FUNCTIONS | {"storage"}
+        ]
+    if isinstance(node, ast.Name) and node.id in STORE_NAMES:
+        return [node.id]
+    if isinstance(node, ast.Attribute) and node.attr in STORE_NAMES:
+        return [node.attr]
+    if isinstance(node, ast.Call):
+        called = node.func
+        name = getattr(called, "id", None) or getattr(called, "attr", None)
+        return [name] if name in STORE_FUNCTIONS else []
+    return []
+
+
+def test_the_session_file_store_stays_deleted():
+    assert not (REPO / "src/repro/core/storage.py").exists()
+    sightings = [
+        f"{path}:{node.lineno} {name}"
+        for path, tree in _trees()
+        for node in ast.walk(tree)
+        for name in _store_sightings(node)
+    ]
+    assert sightings == []
+    # Nothing configures a store: the one ``storage`` left is a
+    # read-only ``None`` for an old benchmark call.
+    assert "storage" not in {
+        field.name for field in dataclasses.fields(ProxyServices)
+    }
+    assert "storage" not in inspect.signature(ClusterDeployment).parameters
+    assert ProxyServices(origins={}).storage is None

@@ -3,16 +3,18 @@
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 
-from repro.core.pipeline import ProxyServices
+from repro.core.detect import KNOWN_USER_AGENTS
+from repro.core.pipeline import AdaptationPipeline, ProxyServices
 from repro.core.proxy import MSiteProxy
 from repro.core.sessions import SESSION_COOKIE
 from repro.core.spec import AdaptationSpec, ObjectSelector
 from repro.net.client import HttpClient
 from repro.net.cookies import CookieJar
-from tests.conftest import FORUM_HOST, PROXY_HOST
+from tests.conftest import FORUM_HOST, PROXY_HOST, session_page
 
 
 def make_proxy(
@@ -339,25 +341,32 @@ def test_an_idle_sweep_never_deletes_a_session_under_a_request(
     origins, clock
 ):
     # Eight devices re-adapt on every visit (``?refresh=1``) while one
-    # thread sweeps idle sessions in a loop, over a slow file store:
-    # each read takes longer than the session TTL on the sim clock, and
-    # yields before it looks.  So every visit's session is idle by the
-    # time it reads its entry page back, while the visit still holds
-    # the session lock; the sweep must skip it, never pull the page out
-    # from under the request.  Between a device's visits its session
-    # is idle and unlocked, so the sweep has work.
+    # thread sweeps idle sessions in a loop, over a slow response
+    # finish: each takes longer than the session TTL on the sim clock,
+    # and yields before it returns.  So every visit's session is idle by
+    # the time its entry response is built, while the visit still holds
+    # the session lock; the sweep must skip it, never drop the session
+    # under the request.  Between a device's visits its session is idle
+    # and unlocked, so the sweep has work.
     proxy = make_proxy(origins, clock, bare=True)
-    storage = proxy.services.storage
-    read = storage.read
+    finish = proxy._mark_degraded
     tick = threading.Lock()
+    dropped = []
 
-    def slow_read(path):
+    def slow_finish(response, adapted):
         with tick:
             clock.advance(proxy.sessions.ttl_s + 1.0)
         time.sleep(0.005)
-        return read(path)
+        with proxy._lock:
+            (session,) = [
+                session for session, page in list(proxy._adapted.items())
+                if page is adapted
+            ]
+        if proxy.sessions._sessions.get(session.session_id) is not session:
+            dropped.append(session.session_id)
+        return finish(response, adapted)
 
-    storage.read = slow_read
+    proxy._mark_degraded = slow_finish
     statuses, errors, swept = [], [], [0]
     done = threading.Event()
 
@@ -390,6 +399,7 @@ def test_an_idle_sweep_never_deletes_a_session_under_a_request(
     assert not any(thread.is_alive() for thread in [*devices, sweeping])
     assert errors == []
     assert statuses == [200] * 80
+    assert dropped == []
     assert swept[0] > 0
 
 
@@ -432,3 +442,98 @@ def test_a_phone_whose_first_request_is_not_the_entry_replays_the_phone_bundle(
     entry = second_phone.get(url(), **phone)
     assert entry.status == 200
     assert ".phone." in entry.headers.get("ETag")
+
+
+def _storable_proxy(origins, clock):
+    """A spec whose first entry visit stores a bundle: no prerender, no
+    AJAX, one subpage."""
+    return make_proxy(
+        origins, clock, bare=True,
+        extra=lambda spec: spec.add(
+            "subpage", ObjectSelector.css("#loginform"),
+            subpage_id="login", title="Log in",
+        ),
+    )
+
+
+def test_a_session_switching_device_class_is_adapted_for_its_new_class(
+    origins, clock
+):
+    # One cookie, two devices: a phone visits, then a desktop browser
+    # sends the same session cookie.  The desktop must get the page a
+    # fresh desktop session gets, not the phone's memo.
+    proxy = _storable_proxy(origins, clock)
+    phone = {"User-Agent": PHONE_UA}
+    desktop = {"User-Agent": KNOWN_USER_AGENTS["desktop"]}
+    device = HttpClient({PROXY_HOST: proxy}, jar=CookieJar(), clock=clock)
+    assert ".phone." in device.get(url(), **phone).headers.get("ETag")
+    fresh = HttpClient({PROXY_HOST: proxy}, jar=CookieJar(), clock=clock)
+    expected = fresh.get(url(), **desktop)
+    assert ".desktop." in expected.headers.get("ETag")
+
+    switched = device.get(url(), **desktop)
+    assert switched.status == 200
+    assert switched.headers.get("ETag") == expected.headers.get("ETag")
+    assert switched.body == expected.body
+    assert session_page(proxy, device.jar).device_class == "desktop"
+    assert len(proxy.sessions) == 2
+
+
+def test_a_bad_file_name_is_refused_before_any_adaptation(
+    origins, clock, monkeypatch
+):
+    proxy = make_proxy(origins, clock)
+    runs = []
+    real_run = AdaptationPipeline.run
+
+    def counting_run(self, *args, **kwargs):
+        runs.append(self)
+        return real_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(AdaptationPipeline, "run", counting_run)
+    fresh = HttpClient({PROXY_HOST: proxy}, jar=CookieJar(), clock=clock)
+    for name in ("../../etc/passwd", "images/snapshot.jpg", "..%2F.."):
+        assert fresh.get(url(f"?file={name}")).status == 400
+    assert runs == []
+    assert len(proxy._adapted) == 0
+
+
+def test_sessions_replaying_one_bundle_share_its_file_map(origins, clock):
+    proxy = _storable_proxy(origins, clock)
+    first = HttpClient({PROXY_HOST: proxy}, jar=CookieJar(), clock=clock)
+    first.get(url())  # adapts and stores the bundle
+    jars = []
+    for _ in range(2):
+        visitor = HttpClient(
+            {PROXY_HOST: proxy}, jar=CookieJar(), clock=clock
+        )
+        assert visitor.get(url()).status == 200
+        jars.append(visitor.jar)
+    (key,) = [
+        key for key in proxy.services.cache.keys()
+        if key.startswith("fastpath:")
+    ]
+    bundle = proxy.services.cache.peek(key).decoded
+    pages = [session_page(proxy, jar) for jar in jars]
+    assert all(page.fastpath_hit for page in pages)
+    assert pages[0] is not pages[1]
+    # The very map and subpage tuple the bundle built when it was
+    # stored: a replay records no file of its own.
+    assert pages[0].files is pages[1].files is bundle.file_map
+    assert pages[0].subpages is pages[1].subpages is bundle.artifacts
+    assert proxy.services.storage is None
+
+
+def test_a_destroyed_session_s_page_dies_with_no_store_to_scan(
+    origins, clock
+):
+    proxy = make_proxy(origins, clock)
+    mobile = HttpClient({PROXY_HOST: proxy}, jar=CookieJar(), clock=clock)
+    mobile.get(url())
+    assert mobile.get(url("?file=snapshot.jpg")).status == 200
+    page = weakref.ref(session_page(proxy, mobile.jar))
+    assert page() is not None
+    proxy.sessions.destroy(mobile.jar.get(SESSION_COOKIE).value)
+    # Dropped by reference count alone: no collector pass, no sweep.
+    assert page() is None
+    assert len(proxy._adapted) == 0

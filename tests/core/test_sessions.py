@@ -5,27 +5,19 @@ import threading
 import pytest
 
 from repro.core.sessions import SessionManager
-from repro.core.storage import VirtualFileSystem
 from repro.errors import SessionError
 from repro.sim.clock import Clock
 
 
 @pytest.fixture()
 def manager():
-    return SessionManager(VirtualFileSystem(), clock=Clock())
+    return SessionManager(clock=Clock())
 
 
 def test_create_issues_unique_ids(manager):
     ids = {manager.create().session_id for __ in range(20)}
     assert len(ids) == 20
     assert len(manager) == 20
-
-
-def test_create_makes_directories(manager):
-    session = manager.create()
-    assert manager.storage.is_dir(session.directory)
-    assert manager.storage.is_dir(session.image_directory)
-    assert session.directory.startswith("/sessions/")
 
 
 def test_get_returns_live_session(manager):
@@ -69,13 +61,13 @@ def test_activity_refreshes_ttl(manager):
     assert manager.get(session.session_id) is session
 
 
-def test_destroy_removes_files(manager):
+def test_destroy_forgets_the_session(manager):
     session = manager.create()
-    manager.storage.write(f"{session.directory}/f.html", b"x")
     manager.destroy(session.session_id)
-    assert not manager.storage.exists(f"{session.directory}/f.html")
+    assert len(manager) == 0
     with pytest.raises(SessionError):
         manager.get(session.session_id)
+    manager.destroy(session.session_id)  # a second destroy is a no-op
 
 
 def test_expire_idle_bulk(manager):
@@ -84,6 +76,25 @@ def test_expire_idle_bulk(manager):
     fresh = manager.create()
     assert manager.expire_idle() == 1
     assert manager.get(fresh.session_id) is fresh
+
+
+def test_a_checked_out_session_outlives_its_ttl_until_released(manager):
+    # A request resolves its session before it takes the session lock;
+    # however long it runs, neither a sweep nor an expiring lookup
+    # drops the session until the request releases it.
+    session, is_new = manager.checkout(None)
+    assert is_new
+    again, is_new = manager.checkout(session.session_id)
+    assert (again, is_new) == (session, False)
+    manager.release(again)
+    manager.clock.advance(manager.ttl_s + 1)
+    assert manager.expire_idle() == 0
+    assert manager.get(session.session_id) is session
+    manager.release(session)
+    manager.clock.advance(manager.ttl_s + 1)
+    assert manager.expire_idle() == 1
+    fresh, is_new = manager.checkout(session.session_id)
+    assert is_new and fresh is not session
 
 
 def test_sessions_have_separate_jars(manager):
@@ -96,59 +107,46 @@ def test_sessions_have_separate_jars(manager):
 
 
 def test_deterministic_ids_per_seed():
-    a = SessionManager(VirtualFileSystem(), clock=Clock(), seed=7)
-    b = SessionManager(VirtualFileSystem(), clock=Clock(), seed=7)
+    a = SessionManager(clock=Clock(), seed=7)
+    b = SessionManager(clock=Clock(), seed=7)
     assert a.create().session_id == b.create().session_id
 
 
-def test_an_expiring_get_deletes_outside_the_manager_lock():
-    # An expired session's directory is deleted after the manager lock
-    # is released, under the session's own lock: a slow delete_tree
-    # holds up neither another session's lookup nor anything but that
-    # one session.
-    storage = VirtualFileSystem()
+def test_an_expiring_get_never_waits_for_the_session_lock():
+    # An expiry only drops the session from the table: a request still
+    # holding the expired session's lock holds up neither the expiring
+    # lookup nor another session's.
     clock = Clock()
-    manager = SessionManager(storage, clock=clock, ttl_s=10.0)
+    manager = SessionManager(clock=clock, ttl_s=10.0)
     doomed = manager.create()
     clock.advance(11.0)
     other = manager.create()
-    deleting, release = threading.Event(), threading.Event()
-    delete_tree = storage.delete_tree
+    held, release = threading.Event(), threading.Event()
 
-    def blocked_delete_tree(path):
-        deleting.set()
-        release.wait(timeout=10)
-        return delete_tree(path)
+    def serve():
+        with doomed.lock:
+            held.set()
+            release.wait(timeout=10)
 
-    storage.delete_tree = blocked_delete_tree
-    raised, looked_up, session_lock_free = [], [], []
+    serving = threading.Thread(target=serve)
+    serving.start()
+    raised, looked_up = [], []
 
     def expire():
         with pytest.raises(SessionError) as error:
             manager.get(doomed.session_id)
         raised.append(str(error.value))
+        looked_up.append(manager.get(other.session_id))
 
-    expiring = threading.Thread(target=expire)
-    expiring.start()
     try:
-        assert deleting.wait(timeout=10)
-        lookup = threading.Thread(
-            target=lambda: looked_up.append(manager.get(other.session_id))
-        )
-        lookup.start()
-        lookup.join(timeout=2)
-        probe = threading.Thread(
-            target=lambda: session_lock_free.append(
-                doomed.lock.acquire(blocking=False)
-            )
-        )
-        probe.start()
-        probe.join(timeout=2)
+        assert held.wait(timeout=10)
+        expiring = threading.Thread(target=expire)
+        expiring.start()
+        expiring.join(timeout=2)
+        assert not expiring.is_alive()
     finally:
         release.set()
-        expiring.join(timeout=10)
-    assert looked_up == [other]
-    assert session_lock_free == [False]  # the delete holds it
+        serving.join(timeout=10)
     assert raised and "expired" in raised[0]
-    assert not storage.is_dir(doomed.directory)
+    assert looked_up == [other]
     assert len(manager) == 1

@@ -69,7 +69,7 @@ def deploy(page: str = PAGE, **flags):
     services = ProxyServices(
         origins={HOST: origin}, clock=clock, **flags
     )
-    manager = SessionManager(services.storage, clock=clock)
+    manager = SessionManager(clock=clock)
     return origin, clock, services, manager
 
 
@@ -479,7 +479,7 @@ def test_non_localizable_step_on_a_changed_segment_falls_back():
     assert result.entry_html == from_scratch(origin.page)
     # The edit surfaced through the re-run subpage step, not the entry.
     (side,) = result.subpages
-    assert b"newsroom" in services.storage.read(side.path).data
+    assert b"newsroom" in result.files[side.path].data
     # UPHEAVAL_FRACTION guards the classifier we just exercised.
     assert 0.0 < UPHEAVAL_FRACTION < 1.0
 

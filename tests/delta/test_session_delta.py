@@ -197,15 +197,15 @@ def test_disabled_delta_never_ships_manifests():
 def test_a_same_session_refresh_cannot_split_an_entry_response():
     # The entry's body, its ETag and the session's patch baseline come
     # from one adaptation.  A same-session ?refresh=1 of a revised page
-    # that arrives while the entry is being read must wait for it, not
-    # overwrite the stored body in between.
+    # that arrives while the entry response is being built must wait
+    # for it, not replace the session's page in between.
     proxy, services, app, client = deploy()
     first = client.get(ENTRY_URL)
-    read = services.storage.read
+    finish = proxy._mark_degraded
     racers: list = []
     refreshes: list = []
 
-    def racing_read(path):
+    def racing_finish(response, adapted):
         if not racers:
             app.newsroom.revise()
             racer = threading.Thread(
@@ -216,9 +216,9 @@ def test_a_same_session_refresh_cannot_split_an_entry_response():
             racers.append(racer)
             racer.start()
             racer.join(timeout=1.0)
-        return read(path)
+        return finish(response, adapted)
 
-    services.storage.read = racing_read
+    proxy._mark_degraded = racing_finish
     second = client.get(ENTRY_URL)
     (racer,) = racers
     racer.join(timeout=30)

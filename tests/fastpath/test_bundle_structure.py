@@ -147,7 +147,7 @@ def test_decoding_the_forum_bundle_parses_one_small_header(
     origins, clock, monkeypatch
 ):
     services = ProxyServices(origins=origins, clock=clock)
-    session = SessionManager(services.storage, clock=clock).create()
+    session = SessionManager(clock=clock).create()
     spec = _forum_paper_spec()
     pipeline = AdaptationPipeline(spec, services, session)
     pipeline.run(device_class="phone")

@@ -4,7 +4,7 @@ The memory tier keeps a stored bundle in one form, decoded: the
 container is encoded only when a lower tier persists the entry, once
 per persist, and is not kept.  An entry page is one ``bytes`` object —
 the run's, the replay's or the delta rebundle's ``entry_body`` is the
-object the session's entry file and the bundle's entry file hold.  So a
+object the page's entry file and the bundle's entry file hold.  So a
 stream of news revisions grows the heap by about one entry page each,
 not three.
 """
@@ -129,7 +129,7 @@ def _news_run():
     clock = Clock()
     app = NewsApplication(Newsroom(seed=0x5E55_10))
     services = ProxyServices(origins={NEWS_HOST: app}, clock=clock)
-    session = SessionManager(services.storage, clock=clock).create()
+    session = SessionManager(clock=clock).create()
     spec = news_fastpath_spec()
 
     def run():
@@ -140,9 +140,9 @@ def _news_run():
 
 
 def _entry_objects(services, result):
-    """The session's entry file's ``data``, the bundle stored for the
+    """The page's entry file's ``data``, the bundle stored for the
     result's content and that bundle's entry file's ``data``."""
-    stored = services.storage.read(result.entry_path).data
+    stored = result.file("index.html").data
     content_fp = result.etag.strip('"').rsplit(".", 1)[1]
     (key,) = [
         key for key in services.cache.keys()

@@ -48,7 +48,7 @@ def setup(**flags):
     services = ProxyServices(
         origins={HOST: origin}, clock=clock, **flags
     )
-    manager = SessionManager(services.storage, clock=clock)
+    manager = SessionManager(clock=clock)
     return origin, services, manager
 
 
@@ -80,11 +80,9 @@ def test_second_session_replays_the_bundle():
 def test_replay_restores_session_artifacts():
     __, services, manager = setup()
     run_once(services, manager)
-    session = manager.create()
-    adapted = AdaptationPipeline(make_spec(), services, session).run()
+    adapted = run_once(services, manager)
     assert adapted.fastpath_hit
-    stored = services.storage.read(f"{session.directory}/a.html")
-    assert b"alpha" in stored.data
+    assert b"alpha" in adapted.file("a.html").data
 
 
 def test_reindented_origin_is_still_a_hit():

@@ -2,10 +2,10 @@
 
 A bundle this process stores is its entry's decode; one admitted from a
 lower tier is decoded on its first load.  That decode is what every
-later replay writes into its session: each warm first visit's files
-hold the *same* ``bytes`` objects, whichever proxy or fleet worker
-served it, and the session's delta baseline is the entry body the
-response sent, not a copy.  The decode belongs to the entry, so a
+later replay's page points at: each warm first visit's page holds the
+*same* file map, whichever proxy or fleet worker served it, and the
+session's delta baseline is the entry body the response sent, not a
+copy.  The decode belongs to the entry, so a
 re-store (``?refresh=1``), an invalidation or a TTL expiry leaves the
 next replay reading the new entry, never an old decode.
 """
@@ -33,16 +33,16 @@ from repro.sim.clock import Clock
 from repro.sites.news.app import NewsApplication
 from repro.sites.news.data import Newsroom
 from repro.sites.news.spec import news_fastpath_spec
-from tests.conftest import FORUM_HOST, NEWS_HOST, PROXY_HOST
+from tests.conftest import FORUM_HOST, NEWS_HOST, PROXY_HOST, session_page
 from tests.fastpath.test_bundle_structure import _forum_paper_spec
 from tests.fastpath.test_fastpath_cache import make_bundle
 from tests.fastpath.test_proxy_304 import make_proxy
 
 URL = f"http://{PROXY_HOST}/proxy.php"
 #: Retained heap per warm first visit of the forum paper spec: its
-#: session, jar and file records, not a copy of the ~94 KB artifacts.
+#: session, jar and page, not a copy of the ~94 KB artifacts.
 RETAINED_PER_VISIT = 16 * 1024
-#: The same for the news fast-path spec: the session and its records,
+#: The same for the news fast-path spec: the session and its page,
 #: with no copy of the entry page.
 NEWS_RETAINED_PER_VISIT = 6 * 1024
 
@@ -57,19 +57,26 @@ def _visit(app, clock, params=""):
     return jar
 
 
-def _session_files(storage, jar):
-    """``{relpath: data}`` of everything under the jar's session."""
-    root = f"/sessions/{jar.get(SESSION_COOKIE).value}"
-    files, pending = {}, [root]
-    while pending:
-        directory = pending.pop()
-        for name in storage.listdir(directory):
-            path = f"{directory}/{name}"
-            if storage.exists(path):
-                files[path[len(root) + 1:]] = storage.read(path).data
-            else:
-                pending.append(path)
-    return files
+def _session_page(app, jar):
+    """The page the proxy (in a fleet, the worker that served the jar)
+    holds for the jar's session."""
+    proxies = (
+        [worker.app for worker in app.workers]
+        if isinstance(app, ClusterDeployment) else [app]
+    )
+    (page,) = [
+        page for page in (session_page(proxy, jar) for proxy in proxies)
+        if page is not None
+    ]
+    return page
+
+
+def _session_files(app, jar):
+    """``{relpath: data}`` of every file the jar's session is served."""
+    return {
+        relpath: item.data
+        for relpath, item in _session_page(app, jar).files.items()
+    }
 
 
 def _bundle_entry(cache):
@@ -77,16 +84,14 @@ def _bundle_entry(cache):
     return key, cache.peek(key)
 
 
-def _assert_shared(storage, cache, jars):
-    """Every jar's session holds the entry's decoded ``bytes`` objects;
+def _assert_shared(app, cache, jars):
+    """Every jar's session page serves the entry decode's own file map;
     returns how many files that is."""
     _, entry = _bundle_entry(cache)
     bundle = entry.decoded
     assert bundle is not None and bundle.files
     for jar in jars:
-        files = _session_files(storage, jar)
-        for item in bundle.files:
-            assert files[item.relpath] is item.data, item.relpath
+        assert _session_page(app, jar).files is bundle.file_map
     return len(bundle.files)
 
 
@@ -103,8 +108,7 @@ def paper_proxy(forum_app):
 def test_warm_first_visits_through_a_proxy_share_every_artifact(paper_proxy):
     proxy, clock = paper_proxy
     jars = [_visit(proxy, clock), _visit(proxy, clock)]
-    services = proxy.services
-    assert _assert_shared(services.storage, services.cache, jars) >= 6
+    assert _assert_shared(proxy, proxy.services.cache, jars) >= 6
 
 
 def test_warm_first_visits_through_a_fleet_share_every_artifact(
@@ -117,7 +121,7 @@ def test_warm_first_visits_through_a_fleet_share_every_artifact(
         _visit(cluster, clock)
         jars = [_visit(cluster, clock), _visit(cluster, clock)]
         cache = cluster.shared_cache.cache
-        assert _assert_shared(cluster.storage, cache, jars) >= 6
+        assert _assert_shared(cluster, cache, jars) >= 6
 
 
 def _counting_decodes(monkeypatch) -> list:
@@ -232,22 +236,22 @@ def test_the_replay_after_a_new_entry_reads_the_new_entry(
     origins, clock, event
 ):
     proxy = make_proxy(origins, clock)
-    cache, storage = proxy.services.cache, proxy.services.storage
+    cache = proxy.services.cache
     _visit(proxy, clock)
-    before = _session_files(storage, _visit(proxy, clock))
+    before = _session_files(proxy, _visit(proxy, clock))
     _, old = _bundle_entry(cache)
     event(proxy, clock)
     key, new = _bundle_entry(cache)
     assert new is not old
     jar = _visit(proxy, clock)
-    _assert_shared(storage, cache, [jar])
+    _assert_shared(proxy, cache, [jar])
     assert new.decoded is not old.decoded
-    assert _session_files(storage, jar) == before
+    assert _session_files(proxy, jar) == before
     # And a different container stored under the same key is what the
     # next replay serves: the old decode went with its entry.
     changed = fastpath.rebundle(new.decoded, b"<p>edited</p>", None)
     cache.put(key, changed.to_bytes(), ttl_s=3600)
-    assert _session_files(storage, _visit(proxy, clock))[
+    assert _session_files(proxy, _visit(proxy, clock))[
         changed.entry_rel
     ] == b"<p>edited</p>"
 

@@ -8,7 +8,7 @@ import pytest
 
 from repro.net.client import HttpClient
 from repro.net.cookies import CookieJar
-from tests.conftest import PROXY_HOST
+from tests.conftest import PROXY_HOST, session_page
 
 
 def url(params=""):
@@ -73,16 +73,15 @@ def test_second_user_amortizes_render(mobilized, clock):
 
 
 def test_sessions_have_isolated_directories(mobilized, clock):
+    # The paper's per-user directory is the page the session holds.
     proxy, services, mobile = mobilized
     mobile.get(url())
     other = HttpClient({PROXY_HOST: proxy}, jar=CookieJar(), clock=clock)
     other.get(url())
-    directories = [
-        session.directory for session in proxy.sessions._sessions.values()
-    ]
-    assert len(set(directories)) == 2
-    for directory in directories:
-        assert services.storage.exists(f"{directory}/index.html")
+    pages = [session_page(proxy, client.jar) for client in (mobile, other)]
+    assert pages[0] is not pages[1]
+    for page in pages:
+        assert "index.html" in page.files
 
 
 def test_expired_session_recreated_transparently(mobilized, clock):

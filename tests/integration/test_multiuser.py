@@ -88,7 +88,6 @@ def test_many_users_storage_grows_linearly(light_proxy, origins, clock):
             {PROXY_HOST: light_proxy}, jar=CookieJar(), clock=clock
         )
         client.get(url())
-    storage = light_proxy.services.storage
-    session_dirs = storage.listdir("/sessions")
-    assert len(session_dirs) == 8
+    # One held page per session: the paper's per-user directory.
+    assert len(light_proxy._adapted) == 8
     assert len(light_proxy.sessions) == 8

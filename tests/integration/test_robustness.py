@@ -37,7 +37,7 @@ def test_same_spec_survives_content_change(seed, clock):
     template structure — adapts with the unchanged spec."""
     forum = ForumApplication(CommunityGenerator(seed=seed).generate())
     services = ProxyServices(origins={FORUM_HOST: forum}, clock=clock)
-    session = SessionManager(services.storage, clock=clock).create()
+    session = SessionManager(clock=clock).create()
     result = AdaptationPipeline(standard_spec(), services, session).run()
     assert len(result.subpages) == 3
     assert result.entry_html.count("<area") >= 2
@@ -50,7 +50,7 @@ def test_geometry_tracks_content_drift(clock):
     for seed in (1, 99):
         forum = ForumApplication(CommunityGenerator(seed=seed).generate())
         services = ProxyServices(origins={FORUM_HOST: forum}, clock=clock)
-        session = SessionManager(services.storage, clock=clock).create()
+        session = SessionManager(clock=clock).create()
         result = AdaptationPipeline(
             standard_spec(), services, session
         ).run()

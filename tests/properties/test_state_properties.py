@@ -1,10 +1,9 @@
 """Property-based invariants for the proxy's stateful substrates:
-cookie jars, the virtual filesystem, and the pre-render cache."""
+cookie jars and the pre-render cache."""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.cache import PrerenderCache
-from repro.core.storage import VirtualFileSystem
 from repro.net.cookies import Cookie, CookieJar
 from repro.net.url import URL
 from repro.sim.clock import Clock
@@ -53,48 +52,6 @@ def test_jar_never_sends_expired_or_deleted(ops):
     for name in sent:
         assert name not in deleted_after
         assert expiry[name] > now
-
-
-# -- virtual filesystem ----------------------------------------------------------
-
-_fs_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("write"), _names, st.binary(max_size=32)),
-        st.tuples(st.just("delete"), _names),
-    ),
-    max_size=40,
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(_fs_ops)
-def test_fs_matches_reference_dict(ops):
-    fs = VirtualFileSystem()
-    reference: dict[str, bytes] = {}
-    for op in ops:
-        if op[0] == "write":
-            __, name, data = op
-            fs.write(f"/d/{name}", data)
-            reference[f"/d/{name}"] = data
-        else:
-            fs.delete(f"/d/{op[1]}")
-            reference.pop(f"/d/{op[1]}", None)
-    for path, data in reference.items():
-        assert fs.read(path).data == data
-    assert fs.file_count("/d") == len(reference)
-    assert fs.total_bytes("/d") == sum(len(d) for d in reference.values())
-
-
-@settings(max_examples=30, deadline=None)
-@given(_fs_ops)
-def test_fs_delete_tree_empties_everything(ops):
-    fs = VirtualFileSystem()
-    for op in ops:
-        if op[0] == "write":
-            fs.write(f"/tree/{op[1]}", op[2])
-    fs.delete_tree("/tree")
-    assert fs.file_count("/tree") == 0
-    assert fs.total_bytes("/tree") == 0
 
 
 # -- cache ------------------------------------------------------------------------

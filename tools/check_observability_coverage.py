@@ -81,13 +81,11 @@ PACKAGES = [
     },
     {
         # The fast-path modules span three packages, so this entry
-        # names files instead of a directory.  core/storage.py is here
-        # for ``write_files``, the one storage call a replay makes.
+        # names files instead of a directory.
         "label": "repro fast path",
         "files": [
             os.path.join(SRC_DIR, "repro", "core", "plan.py"),
             os.path.join(SRC_DIR, "repro", "core", "fastpath.py"),
-            os.path.join(SRC_DIR, "repro", "core", "storage.py"),
             os.path.join(SRC_DIR, "repro", "html", "stream.py"),
             os.path.join(SRC_DIR, "repro", "dom", "index.py"),
         ],
@@ -95,7 +93,6 @@ PACKAGES = [
             "tests/fastpath/test_plan.py",
             "tests/fastpath/test_fastpath_cache.py",
             "tests/fastpath/test_bundle_container.py",
-            "tests/core/test_storage.py",
             "tests/fastpath/test_pipeline_unit.py",
             "tests/fastpath/test_revalidation.py",
             "tests/sites/test_conditional.py",
