@@ -23,7 +23,6 @@ with a ``shard`` span naming the worker that served it.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from typing import Any, Callable, Optional
@@ -44,10 +43,6 @@ from repro.errors import AdmissionError
 from repro.net.messages import Request, Response
 from repro.net.server import Application
 from repro.observability import Observability
-from repro.observability.exposition import (
-    PROMETHEUS_CONTENT_TYPE,
-    render_prometheus,
-)
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import activate, span
 from repro.ops import (
@@ -56,13 +51,16 @@ from repro.ops import (
     WORKER_DETACHED,
     WORKER_DRAINING,
     SequencedLog,
-    ops_events_response,
+    operator_response,
 )
 from repro.resilience.policy import DEFAULT_RETRY_AFTER_S
 
 
 class ClusterDeployment(Application):
     """N sharded proxy workers over one shared cache and session universe."""
+
+    #: Where the operator surface serves :meth:`_status` (``GET /cluster``).
+    STATUS_PATH = "cluster"
 
     def __init__(
         self,
@@ -285,11 +283,19 @@ class ClusterDeployment(Application):
         return self._key_fn(request)
 
     def rollup(self) -> MetricsRegistry:
-        """Fresh fleet-wide registry: cluster + every worker, deduped."""
+        """Fresh fleet-wide registry: shared cache + cluster + every
+        worker, each instrument once."""
         return fleet_rollup(
-            [self.registry]
+            [self.shared_cache.metrics, self.registry]
             + [worker.registry for worker in self.workers]
         )
+
+    def _worker_registry(self, worker_id: str) -> MetricsRegistry:
+        """``/metrics/<worker>``: one worker's own registry."""
+        worker = self._workers.get(worker_id)
+        if worker is None:
+            raise LookupError(f"no worker {'metrics/' + worker_id!r}")
+        return worker.registry
 
     def _counter(self, name: str, help_text: str, **labels: str):
         return self.registry.counter(
@@ -299,29 +305,13 @@ class ClusterDeployment(Application):
     # -- dispatch ----------------------------------------------------------
 
     def handle(self, request: Request) -> Response:
-        path = request.url.path.strip("/")
-        if path == "metrics":
-            return Response.binary(
-                render_prometheus(self.rollup()).encode("utf-8"),
-                PROMETHEUS_CONTENT_TYPE,
-            )
-        if path.startswith("metrics/"):
-            worker = self._workers.get(path.removeprefix("metrics/"))
-            if worker is None:
-                return Response.not_found(f"no worker {path!r}")
-            return Response.binary(
-                render_prometheus(worker.registry).encode("utf-8"),
-                PROMETHEUS_CONTENT_TYPE,
-            )
-        if path == "traces":
-            return Response.binary(
-                self.observability.traces.dump_json().encode("utf-8"),
-                "application/json; charset=utf-8",
-            )
-        if path in ("ops/events", "ops/events.ndjson"):
-            return ops_events_response(self.ops, request)
-        if path == "cluster":
-            return self._status_response()
+        operator = operator_response(
+            request, self.rollup, self.observability.traces,
+            member=self._worker_registry, ops=self.ops,
+            status=(self.STATUS_PATH, self._status),
+        )
+        if operator is not None:
+            return operator
         return self._route(request)
 
     def _route(self, request: Request) -> Response:
@@ -434,7 +424,7 @@ class ClusterDeployment(Application):
         response.headers.set("X-MSite-Worker", worker.worker_id)
         return response
 
-    def _status_response(self) -> Response:
+    def _status(self) -> dict:
         status = {
             "site": self.site,
             "workers": {
@@ -450,10 +440,7 @@ class ClusterDeployment(Application):
         }
         if self.renderfarm is not None:
             status["renderfarm"] = self.renderfarm.status()
-        return Response.binary(
-            json.dumps(status, indent=2, sort_keys=True).encode("utf-8"),
-            "application/json; charset=utf-8",
-        )
+        return status
 
     def _now_s(self) -> float:
         return time.perf_counter()

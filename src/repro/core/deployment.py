@@ -25,10 +25,7 @@ from repro.core.spec import AdaptationSpec
 from repro.errors import CodegenError
 from repro.net.messages import Request, Response
 from repro.net.server import Application
-from repro.observability.exposition import (
-    PROMETHEUS_CONTENT_TYPE,
-    render_prometheus,
-)
+from repro.ops.surface import operator_response
 
 
 @dataclass
@@ -75,23 +72,15 @@ class ProxyDeployment(Application):
     # -- dispatch ---------------------------------------------------------
 
     def handle(self, request: Request) -> Response:
+        # One registry spans every member proxy (series are labelled
+        # per page), so the deployment exposes a single endpoint.
+        observability = self.services.observability
+        operator = operator_response(
+            request, observability.registry, observability.traces
+        )
+        if operator is not None:
+            return operator
         path = request.url.path.strip("/")
-        if path == "metrics":
-            # One registry spans every member proxy (series are labelled
-            # per page), so the deployment exposes a single endpoint.
-            return Response.binary(
-                render_prometheus(
-                    self.services.observability.registry
-                ).encode("utf-8"),
-                PROMETHEUS_CONTENT_TYPE,
-            )
-        if path == "traces":
-            return Response.binary(
-                self.services.observability.traces.dump_json().encode(
-                    "utf-8"
-                ),
-                "application/json; charset=utf-8",
-            )
         if not path and self._default is not None:
             return self._entries[self._default].proxy.handle(request)
         name = path.removesuffix(".php")

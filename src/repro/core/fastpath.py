@@ -212,8 +212,9 @@ class FastpathBundle:
     ``subpages`` each subpage's :class:`SubpageArtifact` fields.  Those
     two are the container's; ``file_map`` (relative path → file) and
     ``artifacts`` are built from them once, here, and are what every
-    replayed page serves from and reports.  ``entry_body`` is the entry
-    page's UTF-8 bytes: the same object as the entry file's ``data``.
+    replayed page serves from and reports, as are ``replay_notes``.
+    ``entry_body`` is the entry page's UTF-8 bytes: the same object as
+    the entry file's ``data``.
 
     Read-only: a stored bundle is what its cache entry holds (an entry
     admitted from a lower tier is decoded once, on its first load), and
@@ -237,10 +238,16 @@ class FastpathBundle:
     artifacts: tuple[SubpageArtifact, ...] = field(
         init=False, repr=False, compare=False
     )
+    replay_notes: tuple[str, ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         for name in ("files", "subpages", "notes"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "replay_notes", (
+            *self.notes, "fastpath: adapted response replayed from cache"
+        ))
         object.__setattr__(self, "file_map", MappingProxyType(
             {item.relpath: item for item in self.files}
         ))
@@ -446,7 +453,8 @@ def replay_bundle(
     run, bundle: FastpathBundle, origin_bytes: int, etag: Optional[str]
 ) -> AdaptedPage:
     """The page a cached bundle replays for the run's session: it points
-    at the bundle's file map and subpage tuple, and copies neither."""
+    at the bundle's file map, subpage tuple, replay notes and (when it
+    is the one asked for) ETag, and copies none of them."""
     result = AdaptedPage(
         entry_body=bundle.entry_body,
         files=bundle.file_map,
@@ -457,11 +465,8 @@ def replay_bundle(
         used_browser=False,
         lightweight_core_seconds=run.services.costs.lightweight_request_s,
         origin_bytes=origin_bytes,
-        notes=[
-            *bundle.notes,
-            "fastpath: adapted response replayed from cache",
-        ],
-        etag=etag,
+        notes=bundle.replay_notes,
+        etag=bundle.etag if etag == bundle.etag else etag,
         fastpath_hit=True,
     )
     run.session.pages_served += 1
@@ -488,7 +493,7 @@ def rebundle(
         entry_rel=bundle.entry_rel,
         entry_body=entry_body,
         files=files,
-        subpages=[dict(meta) for meta in bundle.subpages],
+        subpages=bundle.subpages,  # read-only: shared, not copied
         notes=notes,
         snapshot_bytes=bundle.snapshot_bytes,
         used_browser=False,

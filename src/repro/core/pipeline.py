@@ -455,10 +455,12 @@ class AdaptationPipeline:
                     result = fastpath.replay_bundle(self, bundle, 0, None)
                     result.degraded = STALE
                     result.snapshot_from_cache = True
-                    result.notes.append(
+                    # Its own list: the replay's notes are the bundle's.
+                    result.notes = [
+                        *result.notes,
                         f"degraded: stale fast-path bundle served; "
-                        f"upstream failure: {exc}"
-                    )
+                        f"upstream failure: {exc}",
+                    ]
                 self._counter("stale_serves").inc()
                 services.resilience.record_degraded(STALE)
                 return result

@@ -57,11 +57,8 @@ from repro.net.messages import Request, Response
 from repro.net.server import Application
 from repro.net.url import unquote
 from repro.observability import tracing
-from repro.observability.exposition import (
-    PROMETHEUS_CONTENT_TYPE,
-    render_prometheus,
-)
 from repro.observability.metrics import CounterView
+from repro.ops.surface import operator_response
 from repro.resilience.policy import DEFAULT_RETRY_AFTER_S, PASSTHROUGH, STALE
 
 #: Media type of a session patch manifest (a serialized
@@ -183,12 +180,12 @@ class MSiteProxy(Application):
         return "entry"
 
     def handle(self, request: Request) -> Response:
-        path = request.url.path
-        if path == "/metrics":
-            return self.metrics_response()
-        if path == "/traces":
-            return self.traces_response()
         observability = self.services.observability
+        operator = operator_response(
+            request, observability.registry, observability.traces
+        )
+        if operator is not None:
+            return operator
         trace = observability.start_trace(self._request_kind(request.params))
         with tracing.activate(trace):
             try:
@@ -200,22 +197,6 @@ class MSiteProxy(Application):
                     "End-to-end proxy request time, by request kind.",
                     labels={"kind": trace.name},
                 ).observe(trace.duration_s or 0.0)
-
-    def metrics_response(self) -> Response:
-        """Prometheus exposition of the deployment's registry."""
-        return Response.binary(
-            render_prometheus(self.services.observability.registry).encode(
-                "utf-8"
-            ),
-            PROMETHEUS_CONTENT_TYPE,
-        )
-
-    def traces_response(self) -> Response:
-        """JSON dump of recent and slow request traces."""
-        return Response.binary(
-            self.services.observability.traces.dump_json().encode("utf-8"),
-            "application/json; charset=utf-8",
-        )
 
     def _handle_traced(self, request: Request, trace) -> Response:
         self.counters.add(requests=1)
@@ -573,7 +554,7 @@ class MSiteProxy(Application):
                 return self._mark_degraded(
                     Response.binary(found.data, found.content_type), adapted
                 )
-        return Response.not_found(f"no subpage {subpage_id!r}")
+        return self._missing(adapted, f"no subpage {subpage_id!r}")
 
     def _handle_file(
         self, session: MobileSession, request: Request, name: str
@@ -590,8 +571,19 @@ class MSiteProxy(Application):
         )
         found = adapted.file(name)
         if found is None:
-            return Response.not_found(f"no file {name!r}")
+            return self._missing(adapted, f"no file {name!r}")
         return Response.binary(found.data, found.content_type)
+
+    @classmethod
+    def _missing(cls, adapted: AdaptedPage, message: str) -> Response:
+        """404 for a name a healthy page lacks; a degraded page (the
+        stale-snapshot rung) may lack what its own links name: 503."""
+        if adapted.degraded is None:
+            return Response.not_found(message)
+        return cls._mark_degraded(
+            cls._retry_later(f"m.Site proxy: degraded: {message}", None),
+            adapted,
+        )
 
     # ------------------------------------------------------------------
     # the shared low-fidelity image cache

@@ -248,7 +248,8 @@ class AdaptedPage:
     browser_core_seconds: float = 0.0
     lightweight_core_seconds: float = 0.0
     origin_bytes: int = 0
-    notes: list[str] = field(default_factory=list)
+    #: A replay's are its bundle's ``replay_notes``: never appended to.
+    notes: Sequence[str] = field(default_factory=list)
     ajax_table: Optional[AjaxActionTable] = None
     #: ``None`` for a full-fidelity page, else the degradation mode that
     #: produced it (``"stale"`` / ``"html_only"`` — see repro.resilience).

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from repro.observability.exposition import (
     PROMETHEUS_CONTENT_TYPE,
-    mount_observability,
     parse_prometheus,
     render_prometheus,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "TraceRecorder",
     "activate",
     "current_trace",
-    "mount_observability",
     "parse_prometheus",
     "render_prometheus",
     "span",

@@ -122,31 +122,3 @@ def parse_prometheus(text: str) -> dict[str, float]:
             raise ValueError(f"duplicate series: {series!r}")
         samples[series] = value
     return samples
-
-
-def mount_observability(
-    router,
-    registry: MetricsRegistry,
-    recorder=None,
-    metrics_path: str = "/metrics",
-    traces_path: str = "/traces",
-) -> None:
-    """Mount ``GET /metrics`` (and ``/traces``) on a net-layer Router."""
-    from repro.net.messages import Response
-
-    def metrics_endpoint(request):
-        return Response.binary(
-            render_prometheus(registry).encode("utf-8"),
-            PROMETHEUS_CONTENT_TYPE,
-        )
-
-    router.add_route(metrics_path, metrics_endpoint, methods=("GET",))
-    if recorder is not None:
-
-        def traces_endpoint(request):
-            return Response.binary(
-                recorder.dump_json().encode("utf-8"),
-                "application/json; charset=utf-8",
-            )
-
-        router.add_route(traces_path, traces_endpoint, methods=("GET",))

@@ -28,7 +28,6 @@ replaying a gap it cannot see.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 import threading
@@ -51,10 +50,6 @@ from repro.core.spec import AdaptationSpec
 from repro.net.messages import Request, Response
 from repro.net.server import Application
 from repro.observability import Observability
-from repro.observability.exposition import (
-    PROMETHEUS_CONTENT_TYPE,
-    render_prometheus,
-)
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import activate, span
 from repro.ops import (
@@ -66,7 +61,7 @@ from repro.ops import (
     REGION_REVIVED,
     Event,
     SequencedLog,
-    ops_events_response,
+    operator_response,
 )
 from repro.resilience.policy import DEFAULT_RETRY_AFTER_S, REMOTE_REGION
 
@@ -112,6 +107,9 @@ class Region:
 
 class RegionalDeployment(Application):
     """Region-affinity routing + warm failover over N region fleets."""
+
+    #: Where the operator surface serves :meth:`_status` (``GET /regions``).
+    STATUS_PATH = "regions"
 
     def __init__(
         self,
@@ -224,19 +222,16 @@ class RegionalDeployment(Application):
         the front end, every region's cache, and every worker."""
         registries = [self.registry]
         for region in self.regions:
-            registries.append(region.backend.metrics)
-            registries.append(region.cluster.registry)
-            registries.extend(
-                worker.registry for worker in region.cluster.workers
-            )
+            registries += [region.backend.metrics, region.cluster.registry]
+            registries += [w.registry for w in region.cluster.workers]
         return fleet_rollup(registries)
 
-    def region_rollup(self, name: str) -> MetricsRegistry:
-        region = self._regions[name]
-        return fleet_rollup(
-            [region.backend.metrics, region.cluster.registry]
-            + [worker.registry for worker in region.cluster.workers]
-        )
+    def _region_metrics(self, name: str) -> MetricsRegistry:
+        """``/metrics/<region>``: the region's fleet rollup."""
+        region = self._regions.get(name)
+        if region is None:
+            raise LookupError(f"no region {name!r}")
+        return region.cluster.rollup()
 
     def _counter(self, name: str, help_text: str, **labels: str):
         return self.registry.counter(name, help_text, labels=labels or None)
@@ -425,29 +420,13 @@ class RegionalDeployment(Application):
     # -- dispatch --------------------------------------------------------
 
     def handle(self, request: Request) -> Response:
-        path = request.url.path.strip("/")
-        if path == "regions":
-            return self._regions_response()
-        if path == "metrics":
-            return Response.binary(
-                render_prometheus(self.rollup()).encode("utf-8"),
-                PROMETHEUS_CONTENT_TYPE,
-            )
-        if path.startswith("metrics/"):
-            name = path.removeprefix("metrics/")
-            if name not in self._regions:
-                return Response.not_found(f"no region {name!r}")
-            return Response.binary(
-                render_prometheus(self.region_rollup(name)).encode("utf-8"),
-                PROMETHEUS_CONTENT_TYPE,
-            )
-        if path == "traces":
-            return Response.binary(
-                self.observability.traces.dump_json().encode("utf-8"),
-                "application/json; charset=utf-8",
-            )
-        if path in ("ops/events", "ops/events.ndjson"):
-            return ops_events_response(self.ops, request)
+        operator = operator_response(
+            request, self.rollup, self.observability.traces,
+            member=self._region_metrics, ops=self.ops,
+            status=(self.STATUS_PATH, self._status),
+        )
+        if operator is not None:
+            return operator
         return self._route(request)
 
     def _route(self, request: Request) -> Response:
@@ -526,9 +505,9 @@ class RegionalDeployment(Application):
         )
         return response
 
-    def _regions_response(self) -> Response:
+    def _status(self) -> dict:
         head = self.log.head_seq
-        status = {
+        return {
             "site": self.site,
             "log": self.log.status(),
             "regions": {
@@ -553,10 +532,6 @@ class RegionalDeployment(Application):
                 for region in self.regions
             },
         }
-        return Response.binary(
-            json.dumps(status, indent=2, sort_keys=True).encode("utf-8"),
-            "application/json; charset=utf-8",
-        )
 
     # -- lifecycle -------------------------------------------------------
 

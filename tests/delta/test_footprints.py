@@ -190,7 +190,8 @@ def test_rebundle_swaps_only_the_entry_artifact():
     assert [f.data for f in patched.files] == [b"new", b"sub"]
     assert patched.files[1] is other  # unchanged artifacts are shared
     assert patched.subpages == ({"id": "sub"},)
-    assert patched.subpages[0] is not bundle.subpages[0]
+    # Read-only subpage metadata is shared, not copied per revision.
+    assert patched.subpages is bundle.subpages
     assert patched.notes == ("kept", "delta: entry patched incrementally")
     assert not patched.used_browser
     # The original bundle is untouched.

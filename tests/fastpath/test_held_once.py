@@ -18,10 +18,12 @@ from repro.core.fastpath import FastpathBundle
 from repro.core.pipeline import AdaptationPipeline, ProxyServices
 from repro.core.proxy import MSiteProxy
 from repro.core.sessions import SessionManager
+from repro.resilience.faults import FaultPlan, origin_target
 from repro.sim.clock import Clock
 from repro.sites.news.app import NewsApplication
 from repro.sites.news.data import Newsroom
 from repro.sites.news.spec import NEWS_HOST, news_fastpath_spec
+from tests.conftest import FORUM_HOST, session_page
 from tests.fastpath.test_proxy_304 import make_proxy
 from tests.fastpath.test_replay_sharing import (
     _bundle_entry,
@@ -202,3 +204,31 @@ def test_news_delta_revisions_retain_about_one_entry_page_each():
     assert retained <= sum(sizes) + revisions * REVISION_ALLOWANCE, (
         retained, sum(sizes),
     )
+
+
+def test_replays_of_one_bundle_share_its_notes_and_etag(origins, clock):
+    """Two sessions replaying one bundle hold its replay notes and its
+    ETag, the very objects; a stale-bundle serve writes its note into a
+    list of its own and leaves the bundle's alone."""
+    proxy = make_proxy(origins, clock)
+    _visit(proxy, clock)  # the run that stores the bundle
+    pages = [session_page(proxy, _visit(proxy, clock)) for _ in range(2)]
+    assert _hits(proxy) == 2
+    assert pages[0].notes is pages[1].notes
+    assert pages[0].etag is pages[1].etag
+    bundle = _bundle_entry(proxy.services.cache)[1].decoded
+    assert pages[0].notes is bundle.replay_notes
+    assert pages[0].etag is bundle.etag
+    replay_notes = bundle.replay_notes
+    assert replay_notes == (
+        *bundle.notes, "fastpath: adapted response replayed from cache"
+    )
+    proxy.services.install_faults(
+        FaultPlan(seed=7).on(origin_target(FORUM_HOST), fail_rate=1.0)
+    )
+    stale = session_page(proxy, _visit(proxy, clock))
+    assert stale.degraded == "stale"
+    assert stale.notes[:-1] == list(replay_notes)
+    assert stale.notes[-1].startswith("degraded: stale fast-path bundle")
+    assert bundle.replay_notes is replay_notes
+    assert len(replay_notes) == len(bundle.notes) + 1

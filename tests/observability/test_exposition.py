@@ -12,15 +12,14 @@ import os
 import pytest
 
 from repro.net.messages import Request
-from repro.net.server import Router
 from repro.observability.exposition import (
     PROMETHEUS_CONTENT_TYPE,
-    mount_observability,
     parse_prometheus,
     render_prometheus,
 )
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import Trace, TraceRecorder
+from repro.ops.surface import operator_response
 
 from tests.observability.test_tracing import FakeClock
 
@@ -139,14 +138,15 @@ class TestTraceDumpGolden:
         assert names == ["render", "cache", "serialize"]
 
 
-class TestRouterMount:
-    def test_mount_serves_metrics_and_traces(self):
-        router = Router()
+class TestOperatorSurface:
+    def test_surface_serves_metrics_and_traces(self):
         registry = build_golden_registry()
         recorder = build_golden_recorder()
-        mount_observability(router, registry, recorder)
 
-        metrics = router.handle(Request.get("http://host/metrics"))
+        def handle(request):
+            return operator_response(request, registry, recorder)
+
+        metrics = handle(Request.get("http://host/metrics"))
         assert metrics.status == 200
         assert metrics.headers.get("Content-Type") == (
             PROMETHEUS_CONTENT_TYPE
@@ -155,6 +155,6 @@ class TestRouterMount:
             "msite_cache_hits_total"
         ] == 3
 
-        traces = router.handle(Request.get("http://host/traces"))
+        traces = handle(Request.get("http://host/traces"))
         assert traces.status == 200
         assert b'"slow_threshold_s": 2.0' in traces.body

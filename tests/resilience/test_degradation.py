@@ -107,6 +107,35 @@ def test_origin_outage_serves_stale_entry(setup):
     assert response.headers.get("X-MSite-Degraded") == "stale"
 
 
+def test_stale_snapshot_page_answers_its_own_links_retry_later(clock):
+    """The stale-snapshot rung (fast path off) serves an image map whose
+    regions link ``?page=<id>``, but its page holds only the snapshot
+    and the entry: such a link answers 503 with ``Retry-After`` and the
+    page's marker, never a bare 404."""
+    spec = AdaptationSpec(site="S", origin_host=HOST, page_path="/")
+    spec.add("prerender")
+    spec.add("cacheable", ttl_s=3600)
+    spec.add("subpage", ObjectSelector.css("#target"), subpage_id="target")
+    services = ProxyServices(
+        origins={HOST: SteadyOrigin()}, clock=clock, fastpath_enabled=False
+    )
+    client = HttpClient(
+        {PROXY_HOST: MSiteProxy(spec, services)}, jar=CookieJar(), clock=clock
+    )
+    assert client.get(url("?page=bogus")).status == 404  # healthy: 404
+    services.install_faults(origin_faults())
+    entry = client.get(url("?refresh=1"))
+    assert entry.status == 200
+    assert entry.headers.get("X-MSite-Degraded") == "stale"
+    assert "?page=target" in entry.text_body
+    for params in ("?page=target", "?file=target.html"):
+        linked = client.get(url(params))
+        assert linked.status == 503, params
+        assert linked.headers.get("X-MSite-Degraded") == "stale"
+        assert int(linked.headers.get("Retry-After")) >= 1
+    assert client.get(url("?file=snapshot.jpg")).status == 200
+
+
 def test_cold_origin_outage_maps_to_504_then_breaker_503(setup):
     services, proxy, client = setup
     services.install_faults(origin_faults())

@@ -269,6 +269,9 @@ PACKAGES = [
             "tests/ops/test_events_cdclog.py",
             "tests/ops/test_stream.py",
             "tests/ops/test_endpoint.py",
+            # The operator surface every deployment shape answers
+            # through (ops/surface.py), driven over all four shapes.
+            "tests/ops/test_surface.py",
         ],
     },
     {
